@@ -439,20 +439,26 @@ def cmd_validate(args) -> int:
     solver = cfg["solver"]
     tol = cfg["tolerance"]
     checks = []
+    # a check's runtime_s is the wall time since the previous check ended
+    # (or since the shared solve), which is the computation of its figure
+    t_check = time.perf_counter()
 
     def record(name, measured, tolerance):
-        t0 = time.time()
+        nonlocal t_check
+        now = time.perf_counter()
         checks.append({
             "name": name,
             "measured": float(measured),
             "tolerance": float(tolerance),
             "passed": bool(measured <= tolerance),
-            "runtime_s": round(time.time() - t0, 6),
+            "runtime_s": round(now - t_check, 6),
         })
+        t_check = now
 
     t0 = time.time()
     if sub is None:
         gd = solve_classical(operator_from_model(model), solver)
+        t_check = time.perf_counter()
         gauss = GaussianSpec.univariate(model)
         ref = gaussian_transition_density(gauss, solver.t_max,
                                           gd.x_grid)
@@ -461,6 +467,7 @@ def cmd_validate(args) -> int:
         record("mass_conservation", gd.mass_error.max(), solver.mass_tol * 10)
     else:
         eq, gd = _solver_route(cfg)
+        t_check = time.perf_counter()
         spec = TimeChangedSpec(GaussianSpec.univariate(model), sub)
         q = subordinated_density(spec, solver.t_max, gd.x_grid, config=solver)
         record("solver_vs_subordination", np.abs(gd.values[-1] - q).max(), tol)

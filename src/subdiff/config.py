@@ -6,7 +6,7 @@ variants.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -54,9 +54,6 @@ class SolverConfig:
     def delta_width(self) -> float:
         """Effective mollifier width (default 4 cells)."""
         return self.init_width if self.init_width is not None else 4.0 * self.dx
-
-    def with_grid(self, **kw) -> "SolverConfig":
-        return replace(self, **kw)
 
 
 DEFAULT_CONFIG = SolverConfig()

@@ -26,7 +26,8 @@ from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import StabilityError
-from .fraccalc import SampledFunction, caputo_l1
+from .fraccalc import caputo_l1  # noqa: F401 -- kept importable as fpke.caputo_l1
+from .fraccalc import caputo_l1_columns, l1_weight_blocks
 from .subordinators import SubordinatorSpec
 from .timechange import GridDensity
 
@@ -134,13 +135,13 @@ def _drift_flux_rows(alpha: float, sigma: float, x: np.ndarray):
     D = 0.5 * sigma * sigma
     xh = 0.5 * (x[:-1] + x[1:])
     vh = -alpha * xh  # drift velocity in F = v q - D q_x
+    right, left = vh[1:], vh[:-1]  # face velocities of nodes 1..n-2
     lo = np.zeros(n)
     di = np.zeros(n)
     up = np.zeros(n)
-    for i in range(1, n - 1):
-        up[i] = -(vh[i] / 2.0 - D / dx) / dx
-        di[i] = -(vh[i] / 2.0 + D / dx) / dx + (vh[i - 1] / 2.0 - D / dx) / dx
-        lo[i] = (vh[i - 1] / 2.0 + D / dx) / dx
+    up[1:-1] = -(right / 2.0 - D / dx) / dx
+    di[1:-1] = -(right / 2.0 + D / dx) / dx + (left / 2.0 - D / dx) / dx
+    lo[1:-1] = (left / 2.0 + D / dx) / dx
     return lo, di, up
 
 
@@ -168,10 +169,11 @@ def _first_deriv_rows(x: np.ndarray):
 
 
 def _apply_rows(rows, q):
+    """Tridiagonal rows applied along the last axis of q (one or many slices)."""
     lo, di, up = rows
     out = di * q
-    out[1:] += lo[1:] * q[:-1]
-    out[:-1] += up[:-1] * q[1:]
+    out[..., 1:] += lo[1:] * q[..., :-1]
+    out[..., :-1] += up[:-1] * q[..., 1:]
     return out
 
 
@@ -317,9 +319,13 @@ def solve_distributed_order(
 ) -> GridDensity:
     """Implicit L1 stepping for the distributed-order FPKE D^mu q = A q.
 
-    The memory weights are the weight-averaged single-order L1 weights, so
+    The memory weights are the rows of ``fraccalc.l1_weights`` for the
+    mixture, the same weights ``caputo_l1`` and ``residual_norm`` apply, so
     a one-component mixture runs the identical arithmetic as the pure
-    fractional solve.  Initial data is the moment-preserving split delta.
+    fractional solve and the residual on the solver's own grid is
+    round-off.  Step n solves (W[n, n-1] - A) q_n = W[n, n-1] q_{n-1} -
+    sum_{k < n-1} W[n, k] (q_{k+1} - q_k).  Initial data is the
+    moment-preserving split delta.
     """
     for b, _ in spec.components:
         if not 0.0 < b < 1.0:
@@ -329,29 +335,18 @@ def solve_distributed_order(
     x = _x_grid(cfg)
     rows = _operator_rows(op, x)
     n_t = cfg.n_t
-    dt = cfg.t_max / n_t
     t_grid = np.linspace(0.0, cfg.t_max, n_t + 1)
-
-    m = np.arange(n_t, dtype=float)
-    bweights = np.zeros(n_t)
-    for beta, wgt in spec.components:
-        coef = wgt * dt ** (-beta) / math.gamma(2.0 - beta)
-        bweights += coef * ((m + 1.0) ** (1.0 - beta) - m ** (1.0 - beta))
-    b0 = bweights[0]
 
     out = np.empty((n_t + 1, cfg.n_x))
     out[0] = _split_delta(x)
-    diffs = np.empty((n_t + 1, cfg.n_x))
-    ab = _banded(tuple(r / b0 for r in rows))
-    for n in range(1, n_t + 1):
-        if n > 1:
-            mem = bweights[n - 1:0:-1] @ diffs[1:n]
-        else:
-            mem = 0.0
-        rhs = out[n - 1] - mem / b0
-        rhs[0] = rhs[-1] = 0.0
-        out[n] = solve_banded((1, 1), ab, rhs)
-        diffs[n] = out[n] - out[n - 1]
+    diffs = np.empty((n_t, cfg.n_x))  # diffs[k] = q_{k+1} - q_k
+    for start, w_block in l1_weight_blocks(t_grid, spec.components):
+        for n, w in enumerate(w_block, start):
+            b0 = w[n - 1]
+            rhs = b0 * out[n - 1] - w[: n - 1] @ diffs[: n - 1]
+            rhs[0] = rhs[-1] = 0.0
+            out[n] = solve_banded((1, 1), _banded(rows, shift=b0), rhs)
+            diffs[n - 1] = out[n] - out[n - 1]
 
     return _package(t_grid, x, out, cfg)
 
@@ -421,18 +416,16 @@ class ResidualReport:
         }
 
 
-def _spatial_term(eq, density: GridDensity, it: int) -> np.ndarray:
-    op = eq.op
-    x = density.x_grid
-    q = density.values[it]
+def _spatial_term(op: SpatialOperator, t: np.ndarray, x: np.ndarray,
+                  q: np.ndarray) -> np.ndarray:
+    """A q for every time slice q[i] at time t[i]; the rows are built once."""
     if isinstance(op, OUGenerator):
         return _apply_rows(_drift_flux_rows(op.alpha, op.sigma, x), q)
-    th = op.theta(float(density.t_grid[it]))
-    out = th * _apply_rows(_laplacian_rows(x), q)
+    th = np.array([op.theta(float(s)) for s in t])
+    out = th[:, None] * _apply_rows(_laplacian_rows(x), q)
     if isinstance(op, DiffusionWithDrift) and op.drift is not None:
-        out -= op.drift(float(density.t_grid[it])) * _apply_rows(
-            _first_deriv_rows(x), q
-        )
+        drift = np.array([op.drift(float(s)) for s in t])
+        out -= drift[:, None] * _apply_rows(_first_deriv_rows(x), q)
     return out
 
 
@@ -447,12 +440,14 @@ def residual_norm(
 ) -> ResidualReport:
     """Discrete L2/Linf residual of a density against its stated equation.
 
-    Time derivatives use second-order differences (classical) or the same
-    L1 Caputo rule as the solvers (fractional, which needs the grid to
-    start at 0); boundary bands in x and an initial fraction of the time
-    range are excluded.  ``t_stride > 1`` subsamples the time grid first,
-    which turns a solver's own output into a truncation-order probe
-    (on its native grid the defect would only measure round-off).
+    Time derivatives use second-order differences (classical) or the
+    solvers' own L1 weights (fractional, which needs the grid to start at
+    0): one ``fraccalc.caputo_l1_columns`` call over every interior column,
+    with a mixture's components summed into one weight matrix.  Boundary
+    bands in x and an initial fraction of the time range are excluded.
+    ``t_stride > 1`` subsamples the time grid first, which turns a
+    solver's own output into a truncation-order probe (on its native grid
+    the defect would only measure round-off).
     """
     if t_stride > 1:
         sub = GridDensity(
@@ -473,28 +468,23 @@ def residual_norm(
     sl = slice(nb, n_x - nb)
 
     if isinstance(equation, ClassicalEquation):
-        dtq = np.gradient(q, t, axis=0, edge_order=2)
+        comps = ((1.0, 1.0),)  # d/dt is the order-1 case
+    elif t[0] != 0.0:
+        raise ValueError("fractional residuals need a grid starting at 0")
+    elif isinstance(equation, FractionalEquation):
+        comps = ((equation.beta, 1.0),)
     else:
-        if t[0] != 0.0:
-            raise ValueError("fractional residuals need a grid starting at 0")
-        if isinstance(equation, FractionalEquation):
-            comps = ((equation.beta, 1.0),)
-        else:
-            comps = equation.spec.components
-        dtq = np.zeros_like(q)
-        for j in range(nb, n_x - nb):
-            col = SampledFunction(t, q[:, j])
-            acc = np.zeros(n_t)
-            for beta, wgt in comps:
-                acc += wgt * caputo_l1(col, beta).values
-            dtq[:, j] = acc
+        comps = equation.spec.components
+    if comps == ((1.0, 1.0),):
+        # order 1 is the plain derivative, as in caputo_l1
+        dtq = np.gradient(q[:, sl], t, axis=0, edge_order=2)
+    else:
+        dtq = caputo_l1_columns(t, q[:, sl], comps)
 
     i_start = max(int(t_skip * n_t), 1)
-    slices, l2s, linfs = [], [], []
     dx = x[1] - x[0]
-    for it in range(i_start, n_t):
-        r = dtq[it, sl] - _spatial_term(equation, density, it)[sl]
-        slices.append(t[it])
-        l2s.append(math.sqrt(float(np.sum(r * r) * dx)))
-        linfs.append(float(np.max(np.abs(r))))
-    return ResidualReport(np.array(slices), np.array(l2s), np.array(linfs))
+    r = dtq[i_start:] - _spatial_term(equation.op, t[i_start:], x,
+                                      q[i_start:])[:, sl]
+    return ResidualReport(t[i_start:].copy(),
+                          np.sqrt(np.sum(r * r, axis=1) * dx),
+                          np.abs(r).max(axis=1))

@@ -9,6 +9,14 @@ fractional solvers) is built on the five operations in this module:
 * ``laplace_forward``           -- numerical transform with error estimate
 * ``laplace_inverse``           -- fixed-Talbot / de Hoog dual inversion
 
+The L1 rule is written once, in ``l1_weights``: the memory-weight matrix W
+of a pure clock or a mixture on any increasing grid.  ``caputo_l1``, the
+column form ``caputo_l1_columns`` (behind ``fpke.residual_norm`` and
+``lambdaop.fbm_fpke_residual``) and the time stepping of
+``fpke.solve_distributed_order`` all draw their weights from it, one fixed
+block of rows at a time (``l1_weight_blocks``), so the solvers and their
+residual diagnostics discretise the memory term identically.
+
 The inversion is deliberately redundant: two unrelated algorithms must
 agree or an ``InversionError`` is raised, so an ill-suited transform shows
 up as a failure instead of a quietly wrong number.
@@ -32,6 +40,9 @@ __all__ = [
     "FracOrder",
     "TransformResult",
     "caputo_l1",
+    "caputo_l1_columns",
+    "l1_weights",
+    "l1_weight_blocks",
     "riemann_liouville_integral",
     "mittag_leffler",
     "laplace_forward",
@@ -126,43 +137,82 @@ def _order(value, attr: str) -> float:
 # Caputo derivative (L1 scheme, nonuniform grid)
 # ---------------------------------------------------------------------------
 
+#: rows of the L1 weight matrix built at a time: an application holds at
+#: most this many rows of W, whatever the grid length, and blocks this
+#: small stay in cache (of 16-512 rows, 32-64 ran fastest for a
+#: 1601-point column on a 2-core host)
+_L1_BLOCK_ROWS = 64
+
+
+def l1_weights(t: np.ndarray, components, start: int, stop: int) -> np.ndarray:
+    """Rows ``start..stop-1`` of the L1 memory-weight matrix on the grid t.
+
+    With h_k = t_{k+1} - t_k and ``components`` the (beta_j, w_j) pairs of
+    a mixture (a pure clock is the one pair (beta, 1)),
+
+        W[i, k] = sum_j w_j / Gamma(2 - beta_j)
+                  * ((t_i - t_k)^(1-beta_j) - (t_i - t_{k+1})^(1-beta_j)) / h_k
+
+    for k < i and 0 otherwise, so that sum_k W[i, k] (y_{k+1} - y_k) is the
+    L1 value of the memory derivative D^mu y at t_i.  Only the columns
+    k < stop - 1, which hold every nonzero entry of these rows, are
+    returned: the shape is (stop - start, stop - 1).  Any strictly
+    increasing grid works; every entry depends on its own (i, k) only.
+    """
+    for beta, _ in components:
+        if not 0.0 < beta < 1.0:
+            raise ValueError("L1 weights need beta in (0, 1)")
+    t = np.asarray(t, dtype=float)
+    # zero on and above the diagonal, where the power below is then 0 too
+    gap = np.maximum(t[start:stop, None] - t[None, :stop], 0.0)
+    h = np.diff(t[:stop])
+    w = 0.0
+    for beta, wgt in components:
+        p = gap ** (1.0 - beta)
+        w = w + (p[:, :-1] - p[:, 1:]) * ((wgt / _gamma(2.0 - beta)) / h)
+    return w
+
+
+def l1_weight_blocks(t: np.ndarray, components):
+    """Yield (start, rows start.. of W) over all rows i >= 1 of the grid,
+    in blocks of ``_L1_BLOCK_ROWS`` (row 0 of W is empty)."""
+    n = len(t)
+    for start in range(1, n, _L1_BLOCK_ROWS):
+        yield start, l1_weights(t, components, start,
+                                min(start + _L1_BLOCK_ROWS, n))
+
+
+def caputo_l1_columns(t: np.ndarray, Y: np.ndarray, components) -> np.ndarray:
+    """L1 memory derivative of every column of Y (sampled on t): W @ dY.
+
+    Row 0 is zero.  The rows of W are built and applied one block at a
+    time, so memory stays bounded on long grids.
+    """
+    Y = np.asarray(Y, dtype=float)
+    dY = np.diff(Y, axis=0)
+    out = np.zeros_like(Y)
+    for start, w in l1_weight_blocks(t, components):
+        out[start : start + len(w)] = w @ dY[: w.shape[1]]
+    return out
+
+
 def caputo_l1(g: SampledFunction, beta: float | FracOrder) -> SampledFunction:
     """Caputo derivative of order beta via the L1 product rule.
 
     The samples are treated as piecewise linear, so the convolution of g'
-    with the power kernel is integrated exactly per cell.  ``beta == 1``
-    falls back to the plain derivative (second-order finite differences).
+    with the power kernel is integrated exactly per cell (the weights are
+    those of ``l1_weights``).  ``beta == 1`` falls back to the plain
+    derivative (second-order finite differences).
     """
     b = _order(beta, "beta")
     if not 0.0 < b <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     t = g.grid
-    y = g.values
     if b == 1.0:
-        return SampledFunction(t, np.gradient(y, t, edge_order=2))
-    n = len(t)
-    out = np.zeros(n)
-    slopes = np.diff(y) / np.diff(t)
-    c = 1.0 / _gamma(2.0 - b)
-    for i in range(1, n):
-        ti = t[i]
-        lo = (ti - t[1 : i + 1]) ** (1.0 - b)
-        hi = (ti - t[:i]) ** (1.0 - b)
-        out[i] = c * np.dot(slopes[:i], hi - lo)
-    return SampledFunction(t, out)
-
-
-def caputo_l1_weights(t_grid: np.ndarray, beta: float, n: int) -> np.ndarray:
-    """Coefficients a_k with D^beta g(t_n) = sum_k a_k (g_k - g_{k-1}).
-
-    Shared with the fractional FPKE solver so the solver and the residual
-    diagnostics discretize the memory term identically.
-    """
-    tn = t_grid[n]
-    dts = np.diff(t_grid[: n + 1])
-    hi = (tn - t_grid[:n]) ** (1.0 - beta)
-    lo = (tn - t_grid[1 : n + 1]) ** (1.0 - beta)
-    return (hi - lo) / (dts * _gamma(2.0 - beta))
+        return SampledFunction(t, np.gradient(g.values, t, edge_order=2))
+    return SampledFunction(
+        t, caputo_l1_columns(t, g.values[:, None], ((b, 1.0),))[:, 0]
+    )
 
 
 # ---------------------------------------------------------------------------

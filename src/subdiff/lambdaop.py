@@ -27,7 +27,12 @@ import numpy as np
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import NumericsError
-from .fraccalc import SampledFunction, _dehoog_batch, _interp_transform
+from .fraccalc import (
+    SampledFunction,
+    _dehoog_batch,
+    _interp_transform,
+    caputo_l1_columns,
+)
 from .subordinators import SubordinatorSpec
 from .timechange import GridDensity
 
@@ -470,20 +475,6 @@ class FbmResidualReport:
         }
 
 
-def _caputo_columns(tg: np.ndarray, Y: np.ndarray, beta: float) -> np.ndarray:
-    """L1 Caputo derivative applied to every column of Y at once."""
-    n = len(tg)
-    out = np.zeros_like(Y)
-    slopes = np.diff(Y, axis=0) / np.diff(tg)[:, None]
-    c = 1.0 / math.gamma(2.0 - beta)
-    for i in range(1, n):
-        ti = tg[i]
-        hi = (ti - tg[:i]) ** (1.0 - beta)
-        lo = (ti - tg[1 : i + 1]) ** (1.0 - beta)
-        out[i] = c * ((hi - lo) @ slopes[:i])
-    return out
-
-
 def fbm_fpke_residual(
     H: float,
     spec: SubordinatorSpec,
@@ -527,7 +518,7 @@ def fbm_fpke_residual(
         cols = cols[np.abs(x[cols]) > x_exclude]
 
     lap = (q[:, cols - 1] - 2.0 * q[:, cols] + q[:, cols + 1]) / dx**2
-    dbeta = _caputo_columns(tg, q[:, cols], beta)
+    dbeta = caputo_l1_columns(tg, q[:, cols], ((beta, 1.0),))
 
     op = GOperator(beta, 2.0 * H - 1.0, contour)
     cc = contour

@@ -24,6 +24,42 @@ def caputo_quadrature(g_prime, t, beta):
     return val / gamma(1.0 - beta)
 
 
+def caputo_l1_loop(t, y, beta):
+    """L1 Caputo derivative written one grid row at a time.
+
+    The slow per-row reference for the library's blocked weight matrix:
+    out[i] = sum_k slope_k ((t_i - t_k)^(1-b) - (t_i - t_{k+1})^(1-b))
+    / Gamma(2 - b) on any increasing grid.
+    """
+    n = len(t)
+    out = np.zeros(n)
+    slopes = np.diff(y) / np.diff(t)
+    c = 1.0 / gamma(2.0 - beta)
+    for i in range(1, n):
+        ti = t[i]
+        lo = (ti - t[1 : i + 1]) ** (1.0 - beta)
+        hi = (ti - t[:i]) ** (1.0 - beta)
+        out[i] = c * np.dot(slopes[:i], hi - lo)
+    return out
+
+
+def ou_flux_rows_loop(alpha, sigma, x):
+    """Tridiagonal rows of the flux-form OU operator, one node at a time."""
+    n = len(x)
+    dx = x[1] - x[0]
+    D = 0.5 * sigma * sigma
+    xh = 0.5 * (x[:-1] + x[1:])
+    vh = -alpha * xh
+    lo = np.zeros(n)
+    di = np.zeros(n)
+    up = np.zeros(n)
+    for i in range(1, n - 1):
+        up[i] = -(vh[i] / 2.0 - D / dx) / dx
+        di[i] = -(vh[i] / 2.0 + D / dx) / dx + (vh[i - 1] / 2.0 - D / dx) / dx
+        lo[i] = (vh[i - 1] / 2.0 + D / dx) / dx
+    return lo, di, up
+
+
 def inverse_half_density(t, tau):
     """Closed-form clock density at stability 1/2."""
     return (np.pi * t) ** -0.5 * np.exp(-(tau**2) / (4.0 * t))

@@ -147,6 +147,11 @@ class TestCommands:
         for c in report["checks"]:
             assert {"name", "measured", "tolerance", "passed",
                     "runtime_s"} <= set(c)
+        # the subordination integral behind this check takes milliseconds
+        timed = {c["name"]: c["runtime_s"] for c in report["checks"]}
+        assert timed["solver_vs_subordination"] > 1e-4
+        # the checks time disjoint stretches of the run
+        assert sum(timed.values()) <= report["runtime_s"] + 1e-3
 
     def test_validate_failure_exits_1(self, tmp_path):
         body = {**BM_CFG, "tolerance": 1e-9,

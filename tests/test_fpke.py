@@ -12,6 +12,7 @@ from subdiff.fpke import (
     FractionalEquation,
     OUGenerator,
     ScaledLaplacian,
+    _drift_flux_rows,
     operator_from_model,
     residual_norm,
     solve_classical,
@@ -29,6 +30,8 @@ from subdiff.gaussian import (
 )
 from subdiff.subordinators import SubordinatorSpec
 from subdiff.timechange import GridDensity, TimeChangedSpec, subordinated_density
+
+from oracles import ou_flux_rows_loop
 
 CFG400 = SolverConfig(t_max=1.0, n_t=400, x_min=-8.0, x_max=8.0, n_x=400)
 MIX = SubordinatorSpec(((0.4, 0.5), (0.8, 0.5)))
@@ -250,6 +253,18 @@ class TestResiduals:
                                                          MIX), t_skip=0.3)
         assert rep.overall_linf < 1e-9
 
+    @pytest.mark.parametrize("clock", ["pure", "mixture"])
+    def test_native_grid_ou_residual_is_roundoff(self, clock):
+        cfg = SolverConfig(t_max=1.0, n_t=100, x_min=-8, x_max=8, n_x=120)
+        op = OUGenerator(1.0, 1.0)
+        if clock == "pure":
+            gd = solve_fractional(op, 0.5, cfg)
+            eq = FractionalEquation(op, 0.5)
+        else:
+            gd = solve_distributed_order(op, MIX, cfg)
+            eq = DistributedOrderEquation(op, MIX)
+        assert residual_norm(gd, eq, t_skip=0.3).overall_linf <= 1e-9
+
     def test_report_serializes(self):
         cfg = SolverConfig(t_max=1.0, n_t=100, x_min=-8, x_max=8, n_x=120)
         gd = solve_fractional(ScaledLaplacian(0.5), 0.5, cfg)
@@ -275,6 +290,13 @@ class TestResiduals:
             residual_norm(GridDensity(tg, xg, np.zeros((21, 10)),
                                       np.zeros(21)),
                           ClassicalEquation(ScaledLaplacian(0.5)))
+
+
+def test_ou_flux_rows_match_per_node_loop():
+    x = np.linspace(-6.0, 6.0, 97)
+    for got, want in zip(_drift_flux_rows(0.7, 1.3, x),
+                         ou_flux_rows_loop(0.7, 1.3, x)):
+        assert np.array_equal(got, want)
 
 
 def test_operator_from_model_matches_variance():

@@ -6,19 +6,22 @@ from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 from scipy.special import erfcx
 
+from subdiff import fraccalc
 from subdiff.errors import InversionError, NumericsError
 from subdiff.fraccalc import (
     FracOrder,
     LaplaceFunction,
     SampledFunction,
     caputo_l1,
+    caputo_l1_columns,
+    l1_weights,
     laplace_forward,
     laplace_inverse,
     mittag_leffler,
     riemann_liouville_integral,
 )
 
-from oracles import caputo_quadrature
+from oracles import caputo_l1_loop, caputo_quadrature
 
 GRID = np.linspace(0.0, 2.0, 1201)
 
@@ -93,6 +96,69 @@ class TestCaputo:
             b * caputo_l1(SampledFunction(t, h), beta).values
         )
         assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-12)
+
+
+# graded mesh t_j = (j/N)^2: the L1 weights must not assume uniform steps
+GRADED = (np.arange(241) / 240.0) ** 2
+MIXTURE = ((0.3, 0.25), (0.55, 0.35), (0.85, 0.4))
+
+
+class TestL1Weights:
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_matches_per_row_loop_on_graded_grid(self, beta):
+        y = GRADED**1.5 + np.sin(GRADED)
+        got = caputo_l1(SampledFunction(GRADED, y), beta).values
+        assert_allclose(got, caputo_l1_loop(GRADED, y, beta), rtol=1e-13,
+                        atol=0.0)
+
+    def test_power_closed_form_on_graded_grid(self):
+        # D^b t^a = Gamma(a+1)/Gamma(a+1-b) t^(a-b); tolerance as in
+        # test_against_quadrature_oracle
+        a, b = 1.3, 0.6
+        t = 2.0 * (np.arange(801) / 800.0) ** 2
+        got = caputo_l1(SampledFunction(t, t**a), b).values
+        keep = t >= 0.25
+        want = math.gamma(a + 1.0) / math.gamma(a + 1.0 - b) * t[keep] ** (a - b)
+        assert_allclose(got[keep], want, rtol=1e-3)
+
+    def test_mixture_is_weighted_sum_of_components(self):
+        Y = np.column_stack([GRADED, np.cos(3.0 * GRADED), GRADED**2.5])
+        mixed = caputo_l1_columns(GRADED, Y, MIXTURE)
+        parts = sum(w * caputo_l1_columns(GRADED, Y, ((b, 1.0),))
+                    for b, w in MIXTURE)
+        assert_allclose(mixed, parts, rtol=1e-13, atol=1e-13 * np.abs(parts).max())
+        n = len(GRADED)
+        W = l1_weights(GRADED, MIXTURE, 0, n)
+        Wsum = sum(w * l1_weights(GRADED, ((b, 1.0),), 0, n) for b, w in MIXTURE)
+        assert_allclose(W, Wsum, rtol=1e-13, atol=0.0)
+
+    def test_lower_triangular_shape(self):
+        W = l1_weights(GRADED, MIXTURE, 5, 40)
+        assert W.shape == (35, 39)
+        rows = np.arange(5, 40)[:, None]
+        assert np.all(W[np.arange(39)[None, :] >= rows] == 0.0)
+        assert np.all(W[np.arange(39)[None, :] < rows] > 0.0)
+
+    def test_rows_do_not_depend_on_block_split(self):
+        n = len(GRADED)
+        whole = l1_weights(GRADED, MIXTURE, 0, n)
+        for cuts in ([0, 1, 2, 77, n], [0, 120, 121, 239, n]):
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                assert np.array_equal(l1_weights(GRADED, MIXTURE, lo, hi),
+                                      whole[lo:hi, : hi - 1])
+
+    @pytest.mark.parametrize("rows", [1, 7, 1000])
+    def test_application_does_not_depend_on_block_rows(self, rows,
+                                                       monkeypatch):
+        Y = np.column_stack([GRADED**1.5, np.exp(-GRADED)])
+        ref = caputo_l1_columns(GRADED, Y, MIXTURE)
+        monkeypatch.setattr(fraccalc, "_L1_BLOCK_ROWS", rows)
+        assert_allclose(caputo_l1_columns(GRADED, Y, MIXTURE), ref,
+                        rtol=1e-13, atol=1e-13 * np.abs(ref).max())
+
+    def test_order_outside_open_interval_rejected(self):
+        with pytest.raises(ValueError):
+            l1_weights(GRADED, ((1.0, 1.0),), 0, 10)
 
 
 class TestRiemannLiouville:
