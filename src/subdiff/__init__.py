@@ -17,7 +17,6 @@ from .errors import (
     StabilityError,
 )
 from .fraccalc import (
-    FracOrder,
     LaplaceFunction,
     SampledFunction,
     caputo_l1,

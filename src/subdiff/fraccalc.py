@@ -19,7 +19,11 @@ residual diagnostics discretise the memory term identically.
 
 The inversion is deliberately redundant: two unrelated algorithms must
 agree or an ``InversionError`` is raised, so an ill-suited transform shows
-up as a failure instead of a quietly wrong number.
+up as a failure instead of a quietly wrong number.  The de Hoog contour
+(nodes, quotient-difference table, continued fraction) lives only in
+``_dehoog_batch``, which inverts a batch of transforms at a vector of
+times sharing one horizon; ``lambdaop`` feeds it one dyadic block of
+times at a time.
 """
 from __future__ import annotations
 
@@ -37,7 +41,6 @@ from .errors import InversionError, NumericsError, QuadratureError
 __all__ = [
     "SampledFunction",
     "LaplaceFunction",
-    "FracOrder",
     "TransformResult",
     "caputo_l1",
     "caputo_l1_columns",
@@ -110,27 +113,9 @@ class LaplaceFunction:
         return self.evaluator(np.asarray(s, dtype=complex))
 
 
-@dataclass(frozen=True)
-class FracOrder:
-    """Fractional order: beta in (0, 1] for derivatives, alpha > 0 for J."""
-
-    beta: float = 1.0
-    alpha: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0, 1]")
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
-
-
 class TransformResult(NamedTuple):
     value: complex
     error: float
-
-
-def _order(value, attr: str) -> float:
-    return getattr(value, attr) if isinstance(value, FracOrder) else float(value)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +181,7 @@ def caputo_l1_columns(t: np.ndarray, Y: np.ndarray, components) -> np.ndarray:
     return out
 
 
-def caputo_l1(g: SampledFunction, beta: float | FracOrder) -> SampledFunction:
+def caputo_l1(g: SampledFunction, beta: float) -> SampledFunction:
     """Caputo derivative of order beta via the L1 product rule.
 
     The samples are treated as piecewise linear, so the convolution of g'
@@ -204,7 +189,7 @@ def caputo_l1(g: SampledFunction, beta: float | FracOrder) -> SampledFunction:
     those of ``l1_weights``).  ``beta == 1`` falls back to the plain
     derivative (second-order finite differences).
     """
-    b = _order(beta, "beta")
+    b = float(beta)
     if not 0.0 < b <= 1.0:
         raise ValueError("beta must lie in (0, 1]")
     t = g.grid
@@ -220,7 +205,7 @@ def caputo_l1(g: SampledFunction, beta: float | FracOrder) -> SampledFunction:
 # ---------------------------------------------------------------------------
 
 def riemann_liouville_integral(
-    g: SampledFunction, alpha: float | FracOrder
+    g: SampledFunction, alpha: float
 ) -> SampledFunction:
     """J^alpha g by product quadrature, exact for piecewise-linear g.
 
@@ -228,7 +213,7 @@ def riemann_liouville_integral(
     linear interpolant on every cell, so the endpoint singularity at
     tau = t costs nothing.
     """
-    a = _order(alpha, "alpha")
+    a = float(alpha)
     if a <= 0.0:
         raise ValueError("alpha must be positive")
     t = g.grid
@@ -493,11 +478,20 @@ def _talbot_batch(F, logF, t: float, M: int, n_batch: int):
     return vals, err
 
 
-def _dehoog_batch(F, t: float, M: int, n_batch: int, *,
+def _dehoog_batch(F, t, M: int, n_batch: int, *,
                   tmax: float | None = None, tol: float = 1e-12,
-                  alpha: float = 0.0):
-    """de Hoog/Knight/Stokes accelerated Fourier inversion, batched."""
-    T = 2.0 * (tmax if tmax is not None else t)
+                  alpha: float = 0.0) -> np.ndarray:
+    """de Hoog/Knight/Stokes accelerated Fourier inversion, batched.
+
+    ``t`` is one time or a vector of times sharing the horizon ``tmax``
+    (default: the largest time).  F is evaluated once on the contour
+    nodes and the quotient-difference table is built once; only the
+    continued fraction, which is cheap, is summed per time.  The result
+    is (n_batch, len(t)), each column exactly what a call with that one
+    time would give.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    T = 2.0 * (tmax if tmax is not None else float(t.max()))
     gam = alpha - math.log(tol) / (2.0 * T)
     NP = 2 * M + 1
     p = gam + 1j * np.pi * np.arange(NP) / T
@@ -525,21 +519,21 @@ def _dehoog_batch(F, t: float, M: int, n_batch: int, *,
     for r in range(1, M + 1):
         d[:, 2 * r - 1] = -q[:, 0, r - 1]
         d[:, 2 * r] = -e[:, 0, r]
-    A = np.zeros((n_batch, NP + 1), dtype=complex)
-    B = np.ones((n_batch, NP + 1), dtype=complex)
-    A[:, 1] = d[:, 0]
-    z = complex(np.exp(1j * np.pi * t / T))
-    for i in range(1, 2 * M):
-        A[:, i + 1] = A[:, i] + d[:, i] * A[:, i - 1] * z
-        B[:, i + 1] = B[:, i] + d[:, i] * B[:, i - 1] * z
-    brem = (1.0 + (d[:, 2 * M - 1] - d[:, 2 * M]) * z) / 2.0
-    rem = brem * (np.sqrt(1.0 + d[:, 2 * M] * z / (brem * brem)) - 1.0)
-    A[:, NP] = A[:, 2 * M] + rem * A[:, 2 * M - 1]
-    B[:, NP] = B[:, 2 * M] + rem * B[:, 2 * M - 1]
-    vals = (math.exp(gam * t) / T) * (A[:, NP] / B[:, NP]).real
-    # below this the Fourier sum is pure cancellation noise
-    floor = (math.exp(gam * t) / T) * NP * _EPS * np.abs(fp).max(axis=1)
-    return vals, floor
+    out = np.empty((n_batch, len(t)))
+    for j, tj in enumerate(t.tolist()):
+        A = np.zeros((n_batch, NP + 1), dtype=complex)
+        B = np.ones((n_batch, NP + 1), dtype=complex)
+        A[:, 1] = d[:, 0]
+        z = complex(np.exp(1j * np.pi * tj / T))
+        for i in range(1, 2 * M):
+            A[:, i + 1] = A[:, i] + d[:, i] * A[:, i - 1] * z
+            B[:, i + 1] = B[:, i] + d[:, i] * B[:, i - 1] * z
+        brem = (1.0 + (d[:, 2 * M - 1] - d[:, 2 * M]) * z) / 2.0
+        rem = brem * (np.sqrt(1.0 + d[:, 2 * M] * z / (brem * brem)) - 1.0)
+        A[:, NP] = A[:, 2 * M] + rem * A[:, 2 * M - 1]
+        B[:, NP] = B[:, 2 * M] + rem * B[:, 2 * M - 1]
+        out[:, j] = (math.exp(gam * tj) / T) * (A[:, NP] / B[:, NP]).real
+    return out
 
 
 def laplace_inverse_batch(
@@ -564,9 +558,9 @@ def laplace_inverse_batch(
     if t <= 0.0:
         raise ValueError("t must be positive")
     if right_plane_only:
-        vd, _ = _dehoog_batch(F, t, config.dehoog_degree, n_batch)
-        vd2, _ = _dehoog_batch(F, t, config.dehoog_degree + 7, n_batch,
-                               tol=1e-10)
+        vd = _dehoog_batch(F, t, config.dehoog_degree, n_batch)[:, 0]
+        vd2 = _dehoog_batch(F, t, config.dehoog_degree + 7, n_batch,
+                            tol=1e-10)[:, 0]
         scale = abs_scale if abs_scale is not None else max(
             np.max(np.abs(vd)), 1e-300
         )
@@ -584,7 +578,7 @@ def laplace_inverse_batch(
     vt2, _ = _talbot_batch(F, logF, t, max(16, (3 * M) // 4), n_batch)
     # cancellation plus degree-convergence estimate of Talbot's error
     terr = np.maximum(tcanc, 2.0 * np.abs(vt - vt2))
-    vd, _ = _dehoog_batch(F, t, config.dehoog_degree, n_batch)
+    vd = _dehoog_batch(F, t, config.dehoog_degree, n_batch)[:, 0]
     scale = abs_scale if abs_scale is not None else max(
         np.max(np.abs(vd)), 1e-300
     )
@@ -597,8 +591,8 @@ def laplace_inverse_batch(
         # arbitrate those entries with an independent de Hoog contour.
         bad = np.flatnonzero(~ok)
         explained = terr[bad] >= 0.25 * gap[bad]
-        vd2, _ = _dehoog_batch(F, t, config.dehoog_degree + 7, n_batch,
-                               tol=1e-10, alpha=0.0)
+        vd2 = _dehoog_batch(F, t, config.dehoog_degree + 7, n_batch,
+                            tol=1e-10, alpha=0.0)[:, 0]
         agree2 = np.abs(vd2 - vd)[bad] <= 10.0 * tol * np.maximum(
             np.abs(vd[bad]), scale
         )

@@ -12,10 +12,16 @@ Laplace image, and an outer inversion back to the time domain:
 
 The inner line is a sinh-stretched vertical contour; the integrand's
 non-integer power is kept on one analytic branch by unwrapping the
-argument along the line, anchored at the real axis.  The outer inversion
-runs twice on unrelated Fourier contours and the spread is reported as the
-error estimate.  Everything here is validated downstream against scalar
-moment identities, which is where these operators meet hard data.
+argument along the line, anchored at the real axis.  ``_image`` builds the
+Laplace image on whatever outer nodes it is handed, for one transform or a
+batch of columns.  The outer inversion of an analytic input is the linear
+Gaver-Stehfest rule at degree 12, cross-checked by degree 16 and by a de
+Hoog inversion; a sampled input gets two de Hoog inversions at unrelated
+abscissas and degrees.  The largest spread is the error estimate.  Every
+de Hoog inversion, the field residual's included, goes through
+``_dehoog_values``: one ``fraccalc._dehoog_batch`` call per dyadic block
+of times.  Everything here is validated downstream against scalar moment
+identities, which is where these operators meet hard data.
 """
 from __future__ import annotations
 
@@ -25,7 +31,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import NumericsError
 from .fraccalc import (
     SampledFunction,
@@ -115,7 +120,6 @@ class AnalyticTransform:
 
     fn: Callable[[np.ndarray], np.ndarray]
     max_singularity_real: float = 0.0
-    decay_power: float = 1.0
 
     def __call__(self, z):
         return self.fn(z)
@@ -134,8 +138,7 @@ def exp_transform(a: float = 1.0) -> AnalyticTransform:
 def power_transform(a: float) -> AnalyticTransform:
     """Transform of t^a (a > -1)."""
     g = math.gamma(a + 1.0)
-    return AnalyticTransform(lambda z: g * z ** (-a - 1.0),
-                             decay_power=min(a + 1.0, 2.0))
+    return AnalyticTransform(lambda z: g * z ** (-a - 1.0))
 
 
 class OperatorValue(NamedTuple):
@@ -167,27 +170,17 @@ def _transform_matrix(tg: np.ndarray, z: np.ndarray) -> np.ndarray:
     return T
 
 
-def _as_gtilde(g, tg_hint=None):
-    """(callable z -> g~(z), decay_power, rightmost singularity)."""
+def _as_gtilde(g):
+    """(callable z -> g~(z), rightmost singularity)."""
     if isinstance(g, AnalyticTransform):
-        return g.fn, g.decay_power, g.max_singularity_real
+        return g.fn, g.max_singularity_real
     if isinstance(g, SampledFunction):
         tg, vals = g.grid, g.values
 
         def fn(z):
             return _interp_transform(tg, vals, np.asarray(z, dtype=complex))
 
-        # g ~ c t^a near 0 transforms with tail |z|^-(1+a); fit a from the
-        # first usable samples and stay conservative outside [0, 1]
-        decay = 1.0
-        pos = np.flatnonzero(np.abs(vals) > 1e-300)
-        if len(pos) >= 2 and tg[pos[0]] > 0.0:
-            i, j = pos[0], pos[1]
-            a_fit = math.log(abs(vals[j]) / abs(vals[i])) / math.log(
-                tg[j] / tg[i]
-            )
-            decay = 1.0 + min(max(a_fit, 0.0), 1.0)
-        return fn, decay, 0.0
+        return fn, 0.0
     raise TypeError("g must be an AnalyticTransform or SampledFunction")
 
 
@@ -265,13 +258,6 @@ def _kernel_on_line(op, s_nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     return rprime(profile) * m
 
 
-def _phi_on_contour(op, gt, s_nodes, C, spacing, vmax):
-    z, dz = _line_nodes(C, spacing, vmax)
-    kern = _kernel_on_line(op, s_nodes, z)
-    gz = gt(z)
-    return (kern * (gz * dz)[None, :]).sum(axis=1) / (2j * np.pi)
-
-
 def _prefactor(op) -> float:
     if isinstance(op, GOperator):
         return op.beta * math.gamma(op.gamma + 1.0)
@@ -285,6 +271,31 @@ def _fold_power(op) -> float:
     if isinstance(op, GOperator):
         return op.beta - 1.0  # realizes the outer fractional integral
     return 0.0
+
+
+def _image(op, gt, g_sing, s, spacing: float, vmax: float) -> np.ndarray:
+    """Laplace image of the operator applied to g, on the outer nodes s.
+
+    ``gt`` maps inner-line nodes z to g~(z), shaped (n_z,) for one
+    transform or (n_z, n_cols) for a batch; the result is (len(s),) or
+    (n_cols, len(s)).  The inner line sits at C = offset_ratio * min Re s,
+    which must clear g~'s rightmost singularity by the contour's margin.
+    """
+    cc = op.contour
+    re_min = float(s.real.min())
+    C = cc.offset_ratio * re_min
+    if C <= g_sing + cc.singularity_margin * re_min:
+        raise NumericsError(
+            "inner contour too close to a transform singularity"
+        )
+    z, dz = _line_nodes(C, spacing, vmax)
+    kern = _kernel_on_line(op, s, z)
+    gz = gt(z)
+    if gz.ndim == 1:
+        phi = (kern * (gz * dz)[None, :]).sum(axis=1) / (2j * np.pi)
+    else:
+        phi = ((kern * dz[None, :]) @ gz / (2j * np.pi)).T
+    return _prefactor(op) * np.exp(_fold_power(op) * np.log(s)) * phi
 
 
 _LN2 = math.log(2.0)
@@ -310,137 +321,112 @@ def _salzer_weights(M: int) -> np.ndarray:
 _SALZER = {M: _salzer_weights(M) for M in (12, 16)}
 
 
-def _vmax_for(op, cc: ContourConfig) -> float:
-    # truncation from the slowest admissible tail (transforms decay at
-    # least like 1/z); a fixed bound keeps the rule identical across
-    # inputs, so the evaluation stays exactly linear in g
-    tail = 1.0 + _kernel_tail_power(op)
+def _vmax_for(op, g_tail: float) -> float:
+    """Half-length of the inner line for a transform decaying like
+    |z|^-g_tail (1 for pointwise g, 2 for the Laplacian columns of the
+    field residual)."""
+    # truncation from the slowest admissible tail; a fixed bound keeps the
+    # rule identical across inputs, so the evaluation stays exactly linear
+    # in g
+    tail = g_tail + _kernel_tail_power(op)
     if tail <= 1.02:
         raise NumericsError("contour integrand decays too slowly to truncate")
-    return min(max(_LN2 + 30.0 / (tail - 1.0), 12.0), cc.v_cap)
+    return min(max(_LN2 + 30.0 / (tail - 1.0), 12.0), op.contour.v_cap)
 
 
-def _stehfest_values(op, gt, g_sing, t_grid, M, cc):
+def _stehfest_values(op, gt, g_sing, t_grid, M):
     """Gaver-Stehfest outer inversion: linear, real contour-admissible."""
     V = _SALZER[M]
     k = np.arange(1, M + 1)
-    vmax = _vmax_for(op, cc)
+    vmax = _vmax_for(op, 1.0)
     out = np.empty(len(t_grid))
     for i, t in enumerate(t_grid):
-        s = k * _LN2 / t + 0j
-        C = cc.offset_ratio * (_LN2 / t)
-        if C <= g_sing + cc.singularity_margin * (_LN2 / t):
-            raise NumericsError(
-                "inner contour too close to a transform singularity"
-            )
-        phi = _phi_on_contour(op, gt, s, C, cc.node_spacing, vmax)
-        F = _prefactor(op) * np.exp(_fold_power(op) * np.log(s)) * phi
+        F = _image(op, gt, g_sing, k * _LN2 / t + 0j, op.contour.node_spacing,
+                   vmax)
         out[i] = _LN2 / t * float(np.dot(V, F.real))
     return out
 
 
-def _dehoog_values(op, gt, g_sing, t_grid, cc, M=None, tol=1e-10):
+def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
+                   n_cols: int = 1, g_tail: float = 1.0) -> np.ndarray:
     """Accelerated-Fourier outer inversion on shared dyadic contours.
 
-    Its kernel singularity sits at height Im s, where the sinh-stretched
-    line is coarse, so the spacing shrinks with the line-to-singularity
-    margin.
+    Times are grouped into dyadic blocks (T/2, T] below the largest; each
+    block is one ``_dehoog_batch`` call with horizon T, so the image and
+    its quotient-difference table are built once per block.  Returns
+    (len(t_grid), n_cols).  The image's kernel singularity sits at height
+    Im s, where the sinh-stretched line is coarse, so the spacing shrinks
+    with the line-to-singularity margin.
     """
-    out = np.empty(len(t_grid))
+    cc = op.contour
+    t_grid = np.asarray(t_grid, dtype=float)
     t_top = float(np.max(t_grid))
     blocks: dict[int, list[int]] = {}
-    for idx in range(len(t_grid)):
-        b = max(int(math.floor(math.log2(t_top / t_grid[idx]))), 0)
+    for idx, t in enumerate(t_grid):
+        b = max(int(math.floor(math.log2(t_top / t))), 0)
         blocks.setdefault(b, []).append(idx)
-    vmax = _vmax_for(op, cc)
+    vmax = _vmax_for(op, g_tail)
     spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
-    if M is None:
-        M = cc.degree
+
+    def image(p):
+        return _image(op, gt, g_sing, p, spacing, vmax)
+
+    out = np.empty((len(t_grid), n_cols))
     for b, idxs in blocks.items():
-        T = t_top / 2.0**b
-        gam = -math.log(tol) / (4.0 * T)
-        NP = 2 * M + 1
-        p = gam + 1j * np.pi * np.arange(NP) / (2.0 * T)
-        C = cc.offset_ratio * gam
-        if C <= g_sing + cc.singularity_margin * gam:
-            raise NumericsError(
-                "inner contour too close to a transform singularity"
-            )
-        phi = _phi_on_contour(op, gt, p, C, spacing, vmax)
-        F = _prefactor(op) * np.exp(_fold_power(op) * np.log(p)) * phi
-
-        def Ffn(s, _F=F):
-            return _F[None, :]
-
-        for idx in idxs:
-            v, _ = _dehoog_batch(Ffn, float(t_grid[idx]), M, 1,
-                                 tmax=T, tol=tol)
-            out[idx] = v[0]
+        out[idxs] = _dehoog_batch(image, t_grid[idxs], M, n_cols,
+                                  tmax=t_top / 2.0**b, tol=tol).T
     return out
 
 
-def _eval_grid(op, g, t_grid, config: SolverConfig):
-    """Operator values on a positive time grid.
+def _eval_grid(op, g, t_grid):
+    """G or Lambda operator values on a positive time grid, with errors.
 
-    Primary values come from the linear Stehfest rule at two degrees; an
-    accelerated-Fourier inversion on unrelated complex contours arbitrates.
-    The reported error is the largest spread among the three.
+    Analytic inputs: the primary values come from the linear Stehfest rule
+    at degree 12; degree 16 and an accelerated-Fourier inversion on complex
+    contours arbitrate.  Sampled inputs: two Fourier inversions at
+    unrelated abscissas and degrees.  The reported error is the largest
+    spread among the inversions.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
         raise ValueError("operator evaluation needs t > 0")
-    gt, _g_decay, g_sing = _as_gtilde(g)
+    gt, g_sing = _as_gtilde(g)
     cc = op.contour
     if isinstance(g, SampledFunction):
         # window-truncated transforms carry an edge the global Gaver
         # functionals smear across scales; two Fourier contours at
         # unrelated abscissas localize instead
-        v1 = _dehoog_values(op, gt, g_sing, t_grid, cc, M=cc.degree,
-                            tol=1e-10)
-        v2 = _dehoog_values(op, gt, g_sing, t_grid, cc, M=cc.degree_check,
-                            tol=1e-12)
+        v1 = _dehoog_values(op, gt, g_sing, t_grid, cc.degree, 1e-10)[:, 0]
+        v2 = _dehoog_values(op, gt, g_sing, t_grid, cc.degree_check,
+                            1e-12)[:, 0]
         return v1, np.abs(v1 - v2)
     # degree 12 keeps the Salzer cancellation factor ~1e6, so the output
     # stays linear in g down to ~1e-9; degree 16 and the Fourier contour
     # serve as the cross-checks
-    v12 = _stehfest_values(op, gt, g_sing, t_grid, 12, cc)
-    v16 = _stehfest_values(op, gt, g_sing, t_grid, 16, cc)
-    vdh = _dehoog_values(op, gt, g_sing, t_grid, cc)
+    v12 = _stehfest_values(op, gt, g_sing, t_grid, 12)
+    v16 = _stehfest_values(op, gt, g_sing, t_grid, 16)
+    vdh = _dehoog_values(op, gt, g_sing, t_grid, cc.degree, 1e-10)[:, 0]
     err = np.maximum(np.abs(v16 - v12), np.abs(v12 - vdh))
     return v12, err
 
 
-def _gate(value: float, error: float, cc: ContourConfig, what: str):
-    if error > cc.fail_tol * max(abs(value), 1e-8):
+def eval_G(op, g, t: float) -> OperatorValue:
+    """G or Lambda operator value at one time, with a stacked error
+    estimate; raises ``NumericsError`` when the inversions disagree."""
+    vals, errs = _eval_grid(op, g, [t])
+    value, error = float(vals[0]), float(errs[0])
+    if error > op.contour.fail_tol * max(abs(value), 1e-8):
+        what = "G" if isinstance(op, GOperator) else "Lambda"
         raise NumericsError(
-            f"{what}: outer inversions disagree beyond tolerance "
+            f"{what} operator: outer inversions disagree beyond tolerance "
             f"(value {value:.6e}, spread {error:.2e})"
         )
+    return OperatorValue(value, error)
 
 
-def eval_G(op: GOperator, g, t: float) -> OperatorValue:
-    """G-family operator value at one time, with a stacked error estimate."""
-    vals, errs = _eval_grid(op, g, [t], DEFAULT_CONFIG)
-    _gate(vals[0], errs[0], op.contour, "G operator")
-    return OperatorValue(float(vals[0]), float(errs[0]))
-
-
-def eval_G_grid(op: GOperator, g, t_grid,
-                config: SolverConfig = DEFAULT_CONFIG):
-    vals, errs = _eval_grid(op, g, t_grid, config)
-    return vals, errs
-
-
-def eval_Lambda(op: LambdaOperator, g, t: float) -> OperatorValue:
-    """Variance-driven nonlocal operator value at one time."""
-    vals, errs = _eval_grid(op, g, [t], DEFAULT_CONFIG)
-    _gate(vals[0], errs[0], op.contour, "Lambda operator")
-    return OperatorValue(float(vals[0]), float(errs[0]))
-
-
-def eval_Lambda_grid(op: LambdaOperator, g, t_grid,
-                     config: SolverConfig = DEFAULT_CONFIG):
-    return _eval_grid(op, g, t_grid, config)
+# one body per pair: the operator type selects the kernel
+eval_Lambda = eval_G
+eval_G_grid = eval_Lambda_grid = _eval_grid
 
 
 # ---------------------------------------------------------------------------
@@ -454,7 +440,6 @@ class FbmResidualReport:
     linf_per_x: np.ndarray
     t_window: tuple[float, float]
     contour: ContourConfig = ContourConfig()
-    error_estimate: float = 0.0
 
     @property
     def overall_linf(self) -> float:
@@ -466,7 +451,6 @@ class FbmResidualReport:
             "l2_per_x": [float(v) for v in self.l2_per_x],
             "linf_per_x": [float(v) for v in self.linf_per_x],
             "t_window": list(self.t_window),
-            "error_estimate": float(self.error_estimate),
             "contour": {
                 "offset_ratio": self.contour.offset_ratio,
                 "node_spacing": self.contour.node_spacing,
@@ -480,7 +464,6 @@ def fbm_fpke_residual(
     spec: SubordinatorSpec,
     density: GridDensity,
     *,
-    config: SolverConfig = DEFAULT_CONFIG,
     contour: ContourConfig = ContourConfig(),
     t_skip: float = 0.25,
     t_stop: float = 0.75,
@@ -521,48 +504,17 @@ def fbm_fpke_residual(
     dbeta = caputo_l1_columns(tg, q[:, cols], ((beta, 1.0),))
 
     op = GOperator(beta, 2.0 * H - 1.0, contour)
-    cc = contour
     i_start = max(int(t_skip * n_t), 1)
     i_stop = min(int(t_stop * n_t) + 1, n_t)
     t_eval = tg[i_start:i_stop]
-    gvals = np.empty((len(t_eval), len(cols)))
-
-    t_top = float(t_eval.max())
-    blocks: dict[int, list[int]] = {}
-    for k, tv in enumerate(t_eval):
-        b = max(int(math.floor(math.log2(t_top / tv))), 0)
-        blocks.setdefault(b, []).append(k)
-    tail = 2.0 + _kernel_tail_power(op)
-    for b, idxs in blocks.items():
-        T = t_top / 2.0**b
-        M, tol = cc.degree, 1e-10
-        gam = -math.log(tol) / (4.0 * T)
-        NP = 2 * M + 1
-        p = gam + 1j * np.pi * np.arange(NP) / (2.0 * T)
-        C = cc.offset_ratio * gam
-        vmax = min(max(math.log(2.0) + 30.0 / max(tail - 1.0, 0.05), 12.0),
-                   cc.v_cap)
-        z, dz = _line_nodes(C, cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0,
-                            vmax)
-        kern = _kernel_on_line(op, p, z)
-        Tmat = _transform_matrix(tg, z)          # (n_z, n_t)
-        Gz = Tmat @ lap                          # g~ of every Laplacian column
-        phi = (kern * dz[None, :]) @ Gz / (2j * np.pi)   # (n_s, n_cols)
-        F = _prefactor(op) * np.exp(
-            _fold_power(op) * np.log(p)
-        )[:, None] * phi
-
-        def Ffn(s, _F=F):
-            return _F.T  # (n_cols, n_s)
-
-        for k in idxs:
-            v, _ = _dehoog_batch(Ffn, float(t_eval[k]), M, len(cols),
-                                 tmax=T, tol=tol)
-            gvals[k] = v
+    # one transform matrix per contour maps every Laplacian column at once
+    gvals = _dehoog_values(op, lambda z: _transform_matrix(tg, z) @ lap, 0.0,
+                           t_eval, contour.degree, 1e-10, n_cols=len(cols),
+                           g_tail=2.0)
 
     resid = dbeta[i_start:i_stop] - H * gvals
     l2 = np.sqrt(np.sum(resid * resid, axis=0) * (tg[1] - tg[0]))
     linf = np.abs(resid).max(axis=0)
     return FbmResidualReport(x[cols], l2, linf,
                              (float(t_eval[0]), float(t_eval[-1])),
-                             contour=cc)
+                             contour=contour)

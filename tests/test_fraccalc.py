@@ -9,7 +9,6 @@ from scipy.special import erfcx
 from subdiff import fraccalc
 from subdiff.errors import InversionError, NumericsError
 from subdiff.fraccalc import (
-    FracOrder,
     LaplaceFunction,
     SampledFunction,
     caputo_l1,
@@ -33,13 +32,6 @@ def test_sampled_function_validation():
         SampledFunction(np.array([0.0, 0.0, 1.0]), np.zeros(3))
     with pytest.raises(ValueError):
         SampledFunction(np.array([0.0, 1.0]), np.array([np.inf, 0.0]))
-
-
-def test_frac_order_ranges():
-    with pytest.raises(ValueError):
-        FracOrder(beta=1.2)
-    with pytest.raises(ValueError):
-        FracOrder(alpha=0.0)
 
 
 class TestCaputo:
@@ -66,6 +58,11 @@ class TestCaputo:
     def test_beta_one_is_derivative(self):
         d = caputo_l1(SampledFunction(GRID, GRID**2), 1.0)
         assert_allclose(d.values, 2.0 * GRID, atol=1e-10)
+
+    @pytest.mark.parametrize("beta", [0.0, 1.2])
+    def test_order_outside_unit_interval_rejected(self, beta):
+        with pytest.raises(ValueError):
+            caputo_l1(SampledFunction(GRID, GRID), beta)
 
     def test_power_law_convergence_order(self):
         # pointwise error against Gamma(a+1)/Gamma(a-b+1) t^{a-b} at t = 1
@@ -303,3 +300,30 @@ class TestLaplaceInverse:
     def test_t_positive(self):
         with pytest.raises(ValueError):
             laplace_inverse(lambda s: 1.0 / s, 0.0)
+
+
+class TestDehoogBatch:
+    """One de Hoog call over a block of times against one call per time."""
+
+    @pytest.mark.parametrize("n_batch", [1, 40])
+    @pytest.mark.parametrize("tmax", [0.5, 2.0])
+    def test_times_match_scalar_calls(self, n_batch, tmax):
+        rng = np.random.default_rng(7)
+        rates = rng.uniform(0.2, 3.0, n_batch)
+        calls = []
+
+        def F(s):  # column k is the image of exp(-rates[k] t)
+            calls.append(len(s))
+            return 1.0 / (s[None, :] + rates[:, None])
+
+        # one dyadic block (T/2, T], unsorted, so a misaligned column shows
+        t = rng.permutation(np.linspace(0.5 * tmax, tmax, 9)[1:])
+        got = fraccalc._dehoog_batch(F, t, 18, n_batch, tmax=tmax, tol=1e-10)
+        assert got.shape == (n_batch, len(t))
+        assert len(calls) == 1  # one image, one table for the whole block
+        for j, tj in enumerate(t):
+            one = fraccalc._dehoog_batch(F, float(tj), 18, n_batch,
+                                         tmax=tmax, tol=1e-10)
+            assert one.shape == (n_batch, 1)
+            assert_allclose(got[:, j], one[:, 0], rtol=1e-15, atol=0.0)
+        assert_allclose(got, np.exp(-rates[:, None] * t[None, :]), rtol=1e-7)
