@@ -100,6 +100,17 @@ def _number(obj, key, path, *, lo=None, hi=None, lo_open=False, hi_open=False,
     return v
 
 
+def _numbers(obj, key, path) -> tuple[float, ...]:
+    """obj[key] as a list of numbers; a bad entry is named by its index."""
+    vals = obj.get(key)
+    if not isinstance(vals, list):
+        raise ConfigError(f"{path}.{key}: expected a list")
+    for i, v in enumerate(vals):
+        if not isinstance(v, (int, float)) or isinstance(v, bool):
+            raise ConfigError(f"{path}.{key}[{i}]: expected a number")
+    return tuple(float(v) for v in vals)
+
+
 def parse_model(obj, path="model"):
     _expect_mapping(obj, path)
     if "kind" not in obj:
@@ -139,25 +150,25 @@ def parse_model(obj, path="model"):
                           default=4.0)
         preset = obj.get("preset")
         if preset == "mobius":
-            a = _number(obj, "a", path, required=True)
-            b = _number(obj, "b", path, required=True)
-            return VariableHurst(MobiusHurst(a, b), horizon)
-        if preset == "poly":
-            coeffs = obj.get("coeffs")
-            if not isinstance(coeffs, list) or not coeffs:
+            hurst = MobiusHurst(_number(obj, "a", path, required=True),
+                                _number(obj, "b", path, required=True))
+        elif preset == "poly":
+            coeffs = _numbers(obj, "coeffs", path)
+            if not coeffs:
                 raise ConfigError(f"{path}.coeffs: expected a nonempty list")
-            return VariableHurst(PolynomialHurst(tuple(float(c) for c in coeffs)),
-                                 horizon)
-        raise ConfigError(f"{path}.preset: expected 'mobius' or 'poly'")
+            hurst = PolynomialHurst(coeffs)
+        else:
+            raise ConfigError(f"{path}.preset: expected 'mobius' or 'poly'")
+        try:
+            return VariableHurst(hurst, horizon)
+        except ValueError as ex:
+            raise ConfigError(f"{path}: {ex}") from ex
     if kind == "piecewise_hurst":
         _reject_unknown(obj, {"kind", "breakpoints", "values"}, path)
-        bps = obj.get("breakpoints")
-        vals = obj.get("values")
-        if not isinstance(bps, list) or not isinstance(vals, list):
-            raise ConfigError(f"{path}.breakpoints/values: expected lists")
+        bps = _numbers(obj, "breakpoints", path)
+        vals = _numbers(obj, "values", path)
         try:
-            return PiecewiseHurst(tuple(float(b) for b in bps),
-                                  tuple(float(v) for v in vals))
+            return PiecewiseHurst(bps, vals)
         except ValueError as ex:
             raise ConfigError(f"{path}: {ex}") from ex
     raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
@@ -200,10 +211,7 @@ def parse_solver(obj, path="solver"):
         kw["init_width"] = _number(obj, "init_width", path, lo=0.0,
                                    lo_open=True)
     if "breakpoints" in obj:
-        bps = obj["breakpoints"]
-        if not isinstance(bps, list):
-            raise ConfigError(f"{path}.breakpoints: expected a list")
-        kw["breakpoints"] = tuple(float(b) for b in bps)
+        kw["breakpoints"] = _numbers(obj, "breakpoints", path)
     for key in ("quadrature_tol", "inversion_tol"):
         if key in obj:
             kw[key] = _number(obj, key, path, lo=0.0, lo_open=True)

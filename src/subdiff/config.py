@@ -1,8 +1,10 @@
-"""Solver and tolerance configuration.
+"""Solver grid and tolerance configuration.
 
-All numerical tuning knobs live here so experiments have a single surface
-to pin down.  Instances are immutable; use `dataclasses.replace` to derive
-variants.
+The PDE grid and the four tolerances every numerical contract (and
+``validate``) is stated against live here.  Fixed layouts are constants of
+their modules: the inversion degrees are ``fraccalc.TALBOT_DEGREE`` and
+``fraccalc.DEHOOG_DEGREE``.  Instances are immutable; use
+`dataclasses.replace` to derive variants.
 """
 from __future__ import annotations
 
@@ -28,10 +30,6 @@ class SolverConfig:
     inversion_tol: float = 1e-6      # cross-method agreement, relative
     nonneg_tol: float = 1e-8         # clamp band for density ringing
     mass_tol: float = 1e-6           # conservation budget per unit time
-
-    # Laplace inversion degrees
-    talbot_degree: int = 40
-    dehoog_degree: int = 25
 
     def __post_init__(self):
         if self.n_t < 16 or self.n_x < 16:

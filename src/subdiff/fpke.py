@@ -433,9 +433,7 @@ def residual_norm(
     density: GridDensity,
     equation,
     *,
-    config: SolverConfig = DEFAULT_CONFIG,
     t_skip: float = 0.15,
-    x_band: int | None = None,
     t_stride: int = 1,
 ) -> ResidualReport:
     """Discrete L2/Linf residual of a density against its stated equation.
@@ -444,7 +442,8 @@ def residual_norm(
     solvers' own L1 weights (fractional, which needs the grid to start at
     0): one ``fraccalc.caputo_l1_columns`` call over every interior column,
     with a mixture's components summed into one weight matrix.  Boundary
-    bands in x and an initial fraction of the time range are excluded.
+    bands of max(2, n_x // 25) points in x and the first ``t_skip`` of the
+    time range are excluded.
     ``t_stride > 1`` subsamples the time grid first, which turns a
     solver's own output into a truncation-order probe (on its native grid
     the defect would only measure round-off).
@@ -456,15 +455,14 @@ def residual_norm(
             density.values[::t_stride],
             density.mass_error[::t_stride],
         )
-        return residual_norm(sub, equation, config=config, t_skip=t_skip,
-                             x_band=x_band, t_stride=1)
+        return residual_norm(sub, equation, t_skip=t_skip)
     t = density.t_grid
     x = density.x_grid
     q = density.values
     n_t, n_x = q.shape
     if n_x < 16:
         raise ValueError("grid too coarse for residual diagnostics")
-    nb = x_band if x_band is not None else max(2, n_x // 25)
+    nb = max(2, n_x // 25)
     sl = slice(nb, n_x - nb)
 
     if isinstance(equation, ClassicalEquation):

@@ -55,6 +55,11 @@ __all__ = [
 
 _EPS = np.finfo(float).eps
 
+#: node counts of the two inversion contours; the de Hoog arbiter runs at
+#: DEHOOG_DEGREE + 7, and Talbot's convergence check at 3/4 of its degree
+TALBOT_DEGREE = 40
+DEHOOG_DEGREE = 25
+
 
 def _gamma(x: float) -> float:
     return math.gamma(x)
@@ -93,7 +98,7 @@ class SampledFunction:
 
 @dataclass(frozen=True)
 class LaplaceFunction:
-    """A Laplace image F(s), analytic for Re s > abscissa.
+    """A Laplace image F(s), analytic for Re s > 0.
 
     ``log_evaluator`` optionally returns log F(s); the inversion uses it to
     fold F into its own exponential factor, which avoids overflow for
@@ -105,7 +110,6 @@ class LaplaceFunction:
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
-    abscissa: float = 0.0
     log_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
     right_plane_only: bool = False
 
@@ -239,7 +243,7 @@ def riemann_liouville_integral(
 # Mittag-Leffler function
 # ---------------------------------------------------------------------------
 
-def _ml_series(alpha: float, z: float, rel_tol: float = 1e-12):
+def _ml_series(alpha: float, z: float):
     """Power series with a cancellation audit; returns (value, ok)."""
     total = 1.0
     term = 1.0
@@ -252,7 +256,7 @@ def _ml_series(alpha: float, z: float, rel_tol: float = 1e-12):
         lg_prev = lg
         total += term
         max_abs = max(max_abs, abs(term))
-        if abs(term) <= rel_tol * max(abs(total), 1e-300) and k > 3:
+        if abs(term) <= 1e-12 * max(abs(total), 1e-300) and k > 3:
             break
         if not math.isfinite(total):
             return total, False
@@ -479,8 +483,7 @@ def _talbot_batch(F, logF, t: float, M: int, n_batch: int):
 
 
 def _dehoog_batch(F, t, M: int, n_batch: int, *,
-                  tmax: float | None = None, tol: float = 1e-12,
-                  alpha: float = 0.0) -> np.ndarray:
+                  tmax: float | None = None, tol: float = 1e-12) -> np.ndarray:
     """de Hoog/Knight/Stokes accelerated Fourier inversion, batched.
 
     ``t`` is one time or a vector of times sharing the horizon ``tmax``
@@ -492,7 +495,7 @@ def _dehoog_batch(F, t, M: int, n_batch: int, *,
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     T = 2.0 * (tmax if tmax is not None else float(t.max()))
-    gam = alpha - math.log(tol) / (2.0 * T)
+    gam = -math.log(tol) / (2.0 * T)
     NP = 2 * M + 1
     p = gam + 1j * np.pi * np.arange(NP) / T
     fp = _eval_batch(F, p, n_batch).astype(complex)
@@ -558,9 +561,8 @@ def laplace_inverse_batch(
     if t <= 0.0:
         raise ValueError("t must be positive")
     if right_plane_only:
-        vd = _dehoog_batch(F, t, config.dehoog_degree, n_batch)[:, 0]
-        vd2 = _dehoog_batch(F, t, config.dehoog_degree + 7, n_batch,
-                            tol=1e-10)[:, 0]
+        vd = _dehoog_batch(F, t, DEHOOG_DEGREE, n_batch)[:, 0]
+        vd2 = _dehoog_batch(F, t, DEHOOG_DEGREE + 7, n_batch, tol=1e-10)[:, 0]
         scale = abs_scale if abs_scale is not None else max(
             np.max(np.abs(vd)), 1e-300
         )
@@ -573,12 +575,12 @@ def laplace_inverse_batch(
                 f"{vd2[i]:.6e}"
             )
         return 0.5 * (vd + vd2)
-    M = config.talbot_degree
+    M = TALBOT_DEGREE
     vt, tcanc = _talbot_batch(F, logF, t, M, n_batch)
     vt2, _ = _talbot_batch(F, logF, t, max(16, (3 * M) // 4), n_batch)
     # cancellation plus degree-convergence estimate of Talbot's error
     terr = np.maximum(tcanc, 2.0 * np.abs(vt - vt2))
-    vd = _dehoog_batch(F, t, config.dehoog_degree, n_batch)[:, 0]
+    vd = _dehoog_batch(F, t, DEHOOG_DEGREE, n_batch)[:, 0]
     scale = abs_scale if abs_scale is not None else max(
         np.max(np.abs(vd)), 1e-300
     )
@@ -591,8 +593,7 @@ def laplace_inverse_batch(
         # arbitrate those entries with an independent de Hoog contour.
         bad = np.flatnonzero(~ok)
         explained = terr[bad] >= 0.25 * gap[bad]
-        vd2 = _dehoog_batch(F, t, config.dehoog_degree + 7, n_batch,
-                            tol=1e-10, alpha=0.0)[:, 0]
+        vd2 = _dehoog_batch(F, t, DEHOOG_DEGREE + 7, n_batch, tol=1e-10)[:, 0]
         agree2 = np.abs(vd2 - vd)[bad] <= 10.0 * tol * np.maximum(
             np.abs(vd[bad]), scale
         )

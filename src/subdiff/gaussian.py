@@ -25,7 +25,6 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import quad
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import DegenerateDensityError, NumericsError
 from .fraccalc import laplace_forward
 from .subordinators import SeededRng
@@ -110,7 +109,12 @@ def _kernel_core(H: float, t: float, r: float) -> float:
 
 @lru_cache(maxsize=None)
 def _volterra_norm(H: float) -> float:
-    """int_0^1 r^{1-2H} core(H,1,r)^2 dr  (c_H = this to the -1/2)."""
+    """int_0^1 r^{1-2H} core(H,1,r)^2 dr  (c_H = this to the -1/2).
+
+    Calibration imposes int_0^1 K_H(1,r)^2 dr = 1; the constant is then
+    verified against the two-argument covariance at (s, t) = (1, 2), which
+    the calibration never saw.  Both run once per H.
+    """
     val = quad(
         lambda r: _kernel_core(H, 1.0, r) ** 2,
         0.0,
@@ -123,28 +127,21 @@ def _volterra_norm(H: float) -> float:
     )[0]
     if val <= 0.0:
         raise NumericsError(f"kernel normalization failed at H={H}")
-    return val
-
-
-def calibrate_volterra_constant(
-    H: float, *, config: SolverConfig = DEFAULT_CONFIG
-) -> float:
-    """Kernel constant c_H fixed by matching the variance at t = 1.
-
-    Calibration imposes int_0^1 K_H(1,r)^2 dr = 1; the value is then
-    verified against the two-argument covariance at (s, t) = (1, 2), which
-    the calibration never saw.
-    """
-    if not 0.5 < H < 1.0:
-        raise ValueError("variable-Hurst kernels need H in (1/2, 1)")
-    c = 1.0 / math.sqrt(_volterra_norm(H))
-    got = _volterra_cov_constant_h(H, c, 1.0, 2.0)
+    got = _volterra_cov_constant_h(H, 1.0 / math.sqrt(val), 1.0, 2.0)
     want = 0.5 * (1.0 + 2.0 ** (2 * H) - 1.0)
     if abs(got - want) > 1e-5 * abs(want):
         raise NumericsError(
             f"calibration verification failed at H={H}: {got} vs {want}"
         )
-    return c
+    return val
+
+
+def calibrate_volterra_constant(H: float) -> float:
+    """Kernel constant c_H fixed by matching the variance at t = 1, and
+    verified at (s, t) = (1, 2); computed once per H."""
+    if not 0.5 < H < 1.0:
+        raise ValueError("variable-Hurst kernels need H in (1/2, 1)")
+    return 1.0 / math.sqrt(_volterra_norm(H))
 
 
 def _volterra_cov_constant_h(H: float, c: float, s: float, t: float) -> float:
@@ -203,7 +200,6 @@ class Brownian:
         return np.ones_like(np.asarray(t, dtype=float))
 
     small_time_exponent = 1.0
-    laplace_abscissa = 0.0
 
     def laplace_var(self, s):
         return 1.0 / s**2
@@ -241,8 +237,6 @@ class FractionalBrownian:
     @property
     def small_time_exponent(self):
         return 2.0 * self.hurst
-
-    laplace_abscissa = 0.0
 
     def laplace_var(self, s):
         h2 = 2.0 * self.hurst
@@ -295,7 +289,6 @@ class OrnsteinUhlenbeck:
         return self.sigma**2 * np.exp(-2.0 * self.alpha * t)
 
     small_time_exponent = 1.0
-    laplace_abscissa = 0.0
 
     def laplace_var(self, s):
         return self.sigma**2 / (s * (s + 2.0 * self.alpha))
@@ -331,10 +324,6 @@ class Mixed:
     @property
     def small_time_exponent(self):
         return min(m.small_time_exponent for _, m in self.terms)
-
-    @property
-    def laplace_abscissa(self):
-        return max(m.laplace_abscissa for _, m in self.terms)
 
     def laplace_var(self, s):
         return sum(a * a * m.laplace_var(s) for a, m in self.terms)
@@ -392,14 +381,8 @@ class VariableHurst:
     def small_time_exponent(self):
         return 2.0 * self.hurst(1e-9)
 
-    laplace_abscissa = 0.0
-
     def laplace_var(self, s):
-        if np.iscomplexobj(s) and abs(np.imag(s)) > 0:
-            val, _ = laplace_forward(lambda u: float(self.var(u)), complex(s))
-        else:
-            val, _ = laplace_forward(lambda u: float(self.var(u)),
-                                     complex(s).real)
+        val, _ = laplace_forward(lambda u: float(self.var(u)), complex(s))
         return val
 
     def laplace_profile(self):
@@ -497,8 +480,6 @@ class PiecewiseHurst:
     def small_time_exponent(self):
         return 2.0 * self.hursts[0]
 
-    laplace_abscissa = 0.0
-
     def laplace_var(self, s):
         val, _ = laplace_forward(lambda u: float(self.var(u)), complex(s))
         return val
@@ -531,10 +512,14 @@ def variance_and_derivative(model, t: float) -> tuple[float, float]:
 
 
 def variance_laplace(model, s: complex) -> tuple[complex, complex]:
-    """(R~(s), R~'(s)); the derivative transform is s R~(s) since R(0)=0."""
+    """(R~(s), R~'(s)); the derivative transform is s R~(s) since R(0)=0.
+
+    Every variance in the catalog grows at most polynomially, so the
+    transforms exist for Re s > 0.
+    """
     s = complex(s)
-    if s.real <= model.laplace_abscissa:
-        raise ValueError("Re s must exceed the model's abscissa")
+    if s.real <= 0.0:
+        raise ValueError("Re s must exceed the abscissa 0")
     rv = model.laplace_var(s)
     return rv, s * rv
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import Callable, ClassVar, NamedTuple
 
 import numpy as np
 
@@ -71,16 +71,17 @@ class ContourConfig:
     outer contour's abscissa (the defining constraint 0 < C < s needs the
     line left of every outer node).  ``node_spacing`` is the resolution of
     the sinh-stretched trapezoid; the truncation half-length follows from
-    the integrand's algebraic tail and is capped by ``v_cap``.
+    the integrand's algebraic tail and is capped by ``v_cap``.  The
+    ClassVars are fixed layout, the same for every contour.
     """
 
     offset_ratio: float = 0.5
     node_spacing: float = 0.05
-    v_cap: float = 300.0
-    degree: int = 18
-    degree_check: int = 24
-    fail_tol: float = 5e-3
-    singularity_margin: float = 0.2
+    v_cap: ClassVar[float] = 300.0
+    degree: ClassVar[int] = 18
+    degree_check: ClassVar[int] = 24
+    fail_tol: ClassVar[float] = 5e-3
+    singularity_margin: ClassVar[float] = 0.2
 
     def __post_init__(self):
         if not 0.0 < self.offset_ratio < 1.0:
@@ -439,22 +440,22 @@ class FbmResidualReport:
     l2_per_x: np.ndarray
     linf_per_x: np.ndarray
     t_window: tuple[float, float]
-    contour: ContourConfig = ContourConfig()
 
     @property
     def overall_linf(self) -> float:
         return float(self.linf_per_x.max())
 
     def to_json(self) -> dict:
+        contour = ContourConfig()  # the residual always runs on the default
         return {
             "x": [float(v) for v in self.x_points],
             "l2_per_x": [float(v) for v in self.l2_per_x],
             "linf_per_x": [float(v) for v in self.linf_per_x],
             "t_window": list(self.t_window),
             "contour": {
-                "offset_ratio": self.contour.offset_ratio,
-                "node_spacing": self.contour.node_spacing,
-                "degree": self.contour.degree,
+                "offset_ratio": contour.offset_ratio,
+                "node_spacing": contour.node_spacing,
+                "degree": contour.degree,
             },
         }
 
@@ -464,10 +465,6 @@ def fbm_fpke_residual(
     spec: SubordinatorSpec,
     density: GridDensity,
     *,
-    contour: ContourConfig = ContourConfig(),
-    t_skip: float = 0.25,
-    t_stop: float = 0.75,
-    x_band: int | None = None,
     x_exclude: float = 0.0,
 ) -> FbmResidualReport:
     """Field residual of the time-changed power-variance FPKE.
@@ -478,8 +475,9 @@ def fbm_fpke_residual(
     transform matrix serves every column (they share the time grid), so
     the double transform runs as dense linear algebra over the field.
     The operator is causal but sampled columns end at the grid's horizon,
-    so the window [t_skip, t_stop] (fractions of the horizon) keeps the
-    evaluation away from both the rough start and the truncated end.
+    so the window [0.25, 0.75] (fractions of the horizon) keeps the
+    evaluation away from both the rough start and the truncated end, and
+    bands of max(3, n_x // 12) points keep it off the x boundaries.
     """
     if not 0.0 < H < 1.0:
         raise ValueError("H must lie in (0, 1)")
@@ -493,7 +491,7 @@ def fbm_fpke_residual(
     q = density.values
     n_t, n_x = q.shape
     dx = x[1] - x[0]
-    nb = x_band if x_band is not None else max(3, n_x // 12)
+    nb = max(3, n_x // 12)
     cols = np.arange(nb, n_x - nb)
     if x_exclude > 0.0:
         # the density has a ray of reduced smoothness at the origin where
@@ -503,18 +501,17 @@ def fbm_fpke_residual(
     lap = (q[:, cols - 1] - 2.0 * q[:, cols] + q[:, cols + 1]) / dx**2
     dbeta = caputo_l1_columns(tg, q[:, cols], ((beta, 1.0),))
 
-    op = GOperator(beta, 2.0 * H - 1.0, contour)
-    i_start = max(int(t_skip * n_t), 1)
-    i_stop = min(int(t_stop * n_t) + 1, n_t)
+    op = GOperator(beta, 2.0 * H - 1.0)
+    i_start = max(int(0.25 * n_t), 1)
+    i_stop = min(int(0.75 * n_t) + 1, n_t)
     t_eval = tg[i_start:i_stop]
     # one transform matrix per contour maps every Laplacian column at once
     gvals = _dehoog_values(op, lambda z: _transform_matrix(tg, z) @ lap, 0.0,
-                           t_eval, contour.degree, 1e-10, n_cols=len(cols),
+                           t_eval, op.contour.degree, 1e-10, n_cols=len(cols),
                            g_tail=2.0)
 
     resid = dbeta[i_start:i_stop] - H * gvals
     l2 = np.sqrt(np.sum(resid * resid, axis=0) * (tg[1] - tg[0]))
     linf = np.abs(resid).max(axis=0)
     return FbmResidualReport(x[cols], l2, linf,
-                             (float(t_eval[0]), float(t_eval[-1])),
-                             contour=contour)
+                             (float(t_eval[0]), float(t_eval[-1])))

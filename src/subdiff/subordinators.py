@@ -218,14 +218,15 @@ def invert_subordinator_path(w: MonotonePath, t_grid) -> MonotonePath:
     )
 
 
-def _pilot_step(spec, t_max, gen, n_pilot=256, resolution=400):
-    """Operational step size from a coarse pilot run of the crossing time."""
+def _pilot_step(spec, t_max, gen):
+    """Operational step size: 1/400 of the mean crossing time of t_max in
+    a coarse 256-path pilot run."""
     # coarse guess from the fastest component: E_t ~ t^beta / w
     guess = min(t_max**b / w for b, w in spec.components)
     step = guess / 32.0
-    s_cross = np.zeros(n_pilot)
-    w_cur = np.zeros(n_pilot)
-    alive = np.arange(n_pilot)
+    s_cross = np.zeros(256)
+    w_cur = np.zeros(256)
+    alive = np.arange(256)
     k = 0
     while alive.size and k < 10_000:
         inc = _component_increments(spec, step, alive.size, gen)
@@ -233,7 +234,7 @@ def _pilot_step(spec, t_max, gen, n_pilot=256, resolution=400):
         s_cross[alive] += step
         alive = alive[w_cur[alive] <= t_max]
         k += 1
-    return max(float(np.mean(s_cross)), step) / resolution
+    return max(float(np.mean(s_cross)), step) / 400
 
 
 def sample_inverse_ensemble(
@@ -241,16 +242,13 @@ def sample_inverse_ensemble(
     t_grid,
     n_paths: int,
     rng: SeededRng,
-    *,
-    step: float | None = None,
-    resolution: int = 400,
 ) -> np.ndarray:
     """First-passage Monte Carlo: E at every t in t_grid for n_paths paths.
 
     Paths are advanced level by level with independent stable increments
     (exact skeleton); the crossing step is linearly interpolated.  The
-    default step keeps the interpolation bias around resolution^-1 of the
-    typical crossing time, well under Monte Carlo noise at desk scale.
+    step, from a pilot run, keeps the interpolation bias around 1/400 of
+    the typical crossing time, well under Monte Carlo noise at desk scale.
     Returns an array shaped (n_paths, len(t_grid)).
     """
     t_grid = np.asarray(t_grid, dtype=float)
@@ -260,8 +258,7 @@ def sample_inverse_ensemble(
         w1 = spec.components[0][1]
         return np.tile(t_grid / w1, (n_paths, 1))
     gen = rng.generator()
-    if step is None:
-        step = _pilot_step(spec, float(t_grid[-1]), gen, resolution=resolution)
+    step = _pilot_step(spec, float(t_grid[-1]), gen)
 
     out = np.empty((n_paths, len(t_grid)))
     w_cur = np.zeros(n_paths)      # W at the current step boundary
@@ -382,6 +379,12 @@ def inverse_time_density(
     return float(vals[0]) if np.isscalar(tau) or np.ndim(tau) == 0 else vals
 
 
+def _inversion_tolerances(config: SolverConfig) -> tuple[float, float]:
+    """The only config fields ``inverse_time_density`` reads; every cache
+    of its results keys on them."""
+    return config.inversion_tol, config.nonneg_tol
+
+
 _PURE_CLOCK_SPLINES: dict = {}
 
 
@@ -402,7 +405,7 @@ def clock_density_fast(
     if not spec.is_pure or spec.is_deterministic:
         return inverse_time_density(spec, t, taus, config=config)
     beta = spec.components[0][0]
-    key = (beta, config.talbot_degree, config.dehoog_degree)
+    key = (beta, *_inversion_tolerances(config))
     entry = _PURE_CLOCK_SPLINES.get(key)
     if entry is None:
         from scipy.interpolate import CubicSpline

@@ -17,10 +17,16 @@ from numpy.polynomial.legendre import leggauss
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import NumericsError, QuadratureError
 from .fraccalc import laplace_forward
-from .gaussian import GaussianSpec, PathEnsemble, _checked_cholesky
+from .gaussian import (
+    GaussianSpec,
+    PathEnsemble,
+    _checked_cholesky,
+    covariance_matrix,
+)
 from .subordinators import (
     SeededRng,
     SubordinatorSpec,
+    _inversion_tolerances,
     clock_density_fast,
     inverse_time_density,
     sample_inverse_ensemble,
@@ -93,9 +99,10 @@ def sample_timechanged_paths(
 
     The clock is sampled first; the Gaussian part is then drawn jointly at
     the realized times via a per-path Cholesky of R(E_i, E_j) (conditioning
-    on the clock keeps the non-Markov covariance exact).  Repeated clock
-    values reuse the same Gaussian value, since a process evaluated twice
-    at one time is one random variable.
+    on the clock keeps the non-Markov covariance exact), assembled by
+    ``covariance_matrix`` so every model in the catalog works.  Repeated
+    clock values reuse the same Gaussian value, since a process evaluated
+    twice at one time is one random variable.
     """
     grid = np.asarray(grid, dtype=float)
     has_zero = grid[0] == 0.0
@@ -111,18 +118,13 @@ def sample_timechanged_paths(
         taus_live = taus[live]
         if taus_live.size:
             for j, model in enumerate(spec.gauss.components):
-                R = np.asarray(
-                    model.cov(taus_live[:, None], taus_live[None, :])
-                )
-                L = _checked_cholesky(np.atleast_2d(R))
+                L = _checked_cholesky(covariance_matrix(model, taus_live))
                 draws = L @ gen.standard_normal(len(taus_live))
                 full = np.zeros(len(taus))
                 full[live] = draws
                 out[p, col0:, j] = full[inverse]
     for j in range(n_dim):
-        if spec.gauss.means is not None and spec.gauss.means[j] is not None:
-            mfun = np.vectorize(spec.gauss.means[j].m)
-            out[:, col0:, j] += mfun(E)
+        out[:, col0:, j] += spec.gauss.mean_at(j, E)
     return PathEnsemble(grid, out, seed=rng)
 
 
@@ -136,9 +138,7 @@ def sample_timechanged_marginal(
     out = np.empty((n_paths, n_dim))
     for j, model in enumerate(spec.gauss.components):
         sd = np.sqrt(np.maximum(model.var(E), 0.0))
-        out[:, j] = sd * gen.standard_normal(n_paths)
-        if spec.gauss.means is not None and spec.gauss.means[j] is not None:
-            out[:, j] += np.vectorize(spec.gauss.means[j].m)(E)
+        out[:, j] = sd * gen.standard_normal(n_paths) + spec.gauss.mean_at(j, E)
     return out
 
 
@@ -154,14 +154,16 @@ def _clock_support(spec: TimeChangedSpec, t: float, config) -> float:
 
     For a pure clock the support/scale ratio is t-free (self-similarity),
     so one probe per spec suffices; a mixture's profile shape drifts with
-    t, so its ratio is cached per decade of t.
+    t, so its ratio is cached per decade of t.  The key also holds the
+    tolerances the probe's inversion reads.
     """
     sub = spec.sub
     scale = sub.inverse_scale(t)
-    key = sub if sub.is_pure else (sub, math.floor(math.log10(t)))
+    decade = None if sub.is_pure else math.floor(math.log10(t))
+    key = (sub, decade, *_inversion_tolerances(config))
     ratio = _SUPPORT_RATIO.get(key)
     if ratio is None:
-        t_ref = 1.0 if sub.is_pure else 10.0 ** (math.floor(math.log10(t)) + 0.5)
+        t_ref = 1.0 if decade is None else 10.0 ** (decade + 0.5)
         ref_scale = sub.inverse_scale(t_ref)
         probe = ref_scale * np.geomspace(1e-3, 80.0, 120)
         f = inverse_time_density(sub, t_ref, probe, config=config)
@@ -176,9 +178,10 @@ def _clock_support(spec: TimeChangedSpec, t: float, config) -> float:
     return ratio * scale
 
 
-def _panel_rule(u_max: float, n_panels: int, order: int = 12):
-    """Composite Gauss-Legendre nodes/weights, panels graded toward 0."""
-    xg, wg = leggauss(order)
+def _panel_rule(u_max: float, n_panels: int):
+    """Composite 12-point Gauss-Legendre nodes/weights, panels graded
+    toward 0."""
+    xg, wg = leggauss(12)
     edges = u_max * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)
     nodes, weights = [], []
     for a, b in zip(edges[:-1], edges[1:]):
@@ -193,10 +196,8 @@ def _product_density(spec: GaussianSpec, taus: np.ndarray, x: np.ndarray):
     for j, model in enumerate(spec.components):
         v = np.maximum(np.asarray(model.var(taus), dtype=float), 0.0)[:, None]
         xj = x[:, j][None, :]
-        if spec.means is not None and spec.means[j] is not None:
-            mus = np.vectorize(spec.means[j].m)(taus)[:, None]
-        else:
-            mus = 0.0
+        # centered models skip the (nodes x points) shift
+        mus = spec.mean_at(j, taus)[:, None] if spec.means else 0.0
         with np.errstate(divide="ignore", invalid="ignore"):
             d = np.exp(-((xj - mus) ** 2) / (2.0 * v)) / np.sqrt(
                 2.0 * math.pi * v
@@ -350,15 +351,15 @@ def laplace_subordination_residual(
     x,
     *,
     config: SolverConfig = DEFAULT_CONFIG,
-    t_max: float | None = None,
     profile_nodes: int = 700,
 ) -> float | np.ndarray:
     """Relative defect of q~(s, x) = (rho(s)/s) p~(rho(s), x).
 
     The left side transforms the sampled time profile of the subordinated
-    density (one profile serves every requested s); the right side runs an
-    independent quadrature on the base density.  An eventual t -> 0 power
-    of the profile is split off and transformed exactly.
+    density on [0, max(16 / min s, 8)] (one profile serves every requested
+    s); the right side runs an independent quadrature on the base density.
+    An eventual t -> 0 power of the profile is split off and transformed
+    exactly.  A failing base density raises; it is never read as 0.
     """
     from .gaussian import gaussian_transition_density
 
@@ -367,7 +368,7 @@ def laplace_subordination_residual(
         raise ValueError("s must be positive and real")
     x = np.asarray(x, dtype=float)
 
-    horizon = t_max if t_max is not None else max(16.0 / s_arr.min(), 8.0)
+    horizon = max(16.0 / s_arr.min(), 8.0)
 
     if spec.sub.is_deterministic:
         # q is the base density on a rescaled clock; both sides reduce to
@@ -378,11 +379,8 @@ def laplace_subordination_residual(
             def qdet(t):
                 if t <= 0.0:
                     return 0.0
-                try:
-                    return float(gaussian_transition_density(
-                        spec.gauss, t / w1, x))
-                except Exception:
-                    return 0.0
+                return float(gaussian_transition_density(spec.gauss, t / w1,
+                                                         x))
 
             q_tilde, _ = laplace_forward(qdet, sv, config=config,
                                          t_max=horizon)
@@ -411,10 +409,7 @@ def laplace_subordination_residual(
     def pfun(t):
         if t <= 0.0:
             return 0.0
-        try:
-            return float(gaussian_transition_density(spec.gauss, t, x))
-        except Exception:
-            return 0.0
+        return float(gaussian_transition_density(spec.gauss, t, x))
 
     out = np.empty_like(s_arr)
     for i, sv in enumerate(s_arr):

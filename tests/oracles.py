@@ -43,6 +43,43 @@ def caputo_l1_loop(t, y, beta):
     return out
 
 
+def l1_uniform_solve(beta, coefficient, x, t_max, n_t):
+    """Implicit L1 stepping for D^beta q = c q_xx on a uniform time grid.
+
+    Written without the library's weight builder: the memory weights are
+    the closed-form uniform-grid ones b_k = ((k+1)^(1-b) - k^(1-b)) h^-b /
+    Gamma(2-b), the Laplacian is a dense three-point matrix with zero
+    Dirichlet rows, and every step is a dense solve of
+    (b_0 - A) q_m = b_0 q_{m-1} - sum_{k<m-1} b_{m-1-k} (q_{k+1} - q_k).
+    The delta starts split over the two nodes around 0, which keeps mass
+    and first moment exact.  Returns the (n_t + 1, len(x)) solution.
+    """
+    n = len(x)
+    dx = x[1] - x[0]
+    h = t_max / n_t
+    k = np.arange(n_t, dtype=float)
+    b = ((k + 1.0) ** (1.0 - beta) - k ** (1.0 - beta)) * h**-beta / gamma(
+        2.0 - beta
+    )
+    inner = np.arange(1, n - 1)
+    A = np.zeros((n, n))
+    A[inner, inner - 1] = A[inner, inner + 1] = coefficient / dx**2
+    A[inner, inner] = -2.0 * coefficient / dx**2
+    M = b[0] * np.eye(n) - A
+    M[[0, -1]] = 0.0
+    M[0, 0] = M[-1, -1] = 1.0
+    q = np.zeros((n_t + 1, n))
+    j = int(np.searchsorted(x, 0.0)) - 1
+    wl = x[j + 1] / (x[j + 1] - x[j])
+    q[0, j], q[0, j + 1] = wl / dx, (1.0 - wl) / dx
+    for m in range(1, n_t + 1):
+        memory = b[1:m][::-1] @ np.diff(q[:m], axis=0)
+        rhs = b[0] * q[m - 1] - memory
+        rhs[0] = rhs[-1] = 0.0
+        q[m] = np.linalg.solve(M, rhs)
+    return q
+
+
 def ou_flux_rows_loop(alpha, sigma, x):
     """Tridiagonal rows of the flux-form OU operator, one node at a time."""
     n = len(x)

@@ -212,3 +212,21 @@ class TestCommands:
         assert len(lines) == 4
         last_order = float(lines[-1].split(",")[2])
         assert last_order > 1.8
+
+
+@pytest.mark.parametrize("body, field", [
+    ({**BM_CFG, "solver": {**BM_CFG["solver"], "breakpoints": [0.5, "x"]}},
+     "solver.breakpoints[1]: expected a number"),
+    ({"model": {"kind": "variable_hurst", "preset": "poly",
+                "coeffs": [0.7, "a"]}},
+     "model.coeffs[1]: expected a number"),
+    # H(t) = 0.6 + 0.5 t / (1 + t) reaches 1 on the default horizon 4
+    ({"model": {"kind": "variable_hurst", "preset": "mobius", "a": 0.6,
+                "b": 0.5}},
+     "model: H(t) must stay inside (1/2, 1)"),
+])
+def test_bad_config_value_exits_2_with_field(tmp_path, capsys, body, field):
+    rc = main(["simulate", "--config", write_config(tmp_path, body),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert field in capsys.readouterr().err

@@ -31,7 +31,7 @@ from subdiff.gaussian import (
 from subdiff.subordinators import SubordinatorSpec
 from subdiff.timechange import GridDensity, TimeChangedSpec, subordinated_density
 
-from oracles import ou_flux_rows_loop
+from oracles import l1_uniform_solve, ou_flux_rows_loop
 
 CFG400 = SolverConfig(t_max=1.0, n_t=400, x_min=-8.0, x_max=8.0, n_x=400)
 MIX = SubordinatorSpec(((0.4, 0.5), (0.8, 0.5)))
@@ -194,6 +194,17 @@ class TestDistributedOrder:
                                     SubordinatorSpec.pure(0.5), cfg)
         b = solve_fractional(ScaledLaplacian(0.5), 0.5, cfg)
         assert np.array_equal(a.values, b.values)
+
+    def test_pure_order_matches_uniform_weight_oracle(self):
+        # independent stepping with the closed-form uniform-grid weights;
+        # moving the solver onto the shared weight builder moved its output
+        # by <= 1.1e-14, so 1e-12 leaves room for round-off only
+        cfg = SolverConfig(t_max=1.0, n_t=200, x_min=-8, x_max=8, n_x=200)
+        gd = solve_fractional(ScaledLaplacian(0.5), 0.5, cfg)
+        ref = l1_uniform_solve(0.5, 0.5, gd.x_grid, 1.0, 200)
+        assert_allclose(gd.t_grid, np.linspace(0.0, 1.0, 201), rtol=0,
+                        atol=1e-15)
+        assert_allclose(gd.values, ref, rtol=0, atol=1e-12)
 
     def test_mixture_against_subordination(self):
         cfg = SolverConfig(t_max=1.0, n_t=400, x_min=-8.5, x_max=8.5, n_x=400)

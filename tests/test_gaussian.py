@@ -228,6 +228,17 @@ class TestVolterra:
         b = covariance(VariableHurst(MobiusHurst(0.6, 0.2), 2.0), 0.4, 0.8)
         assert abs(a - b) < 1e-8
 
+    def test_verification_runs_once_per_h(self, monkeypatch):
+        import subdiff.gaussian as gaussian
+
+        c = calibrate_volterra_constant(0.65)
+
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("calibration re-ran a quadrature")
+
+        monkeypatch.setattr(gaussian, "quad", no_quadrature)
+        assert calibrate_volterra_constant(0.65) == c
+
     def test_hurst_range_enforced(self):
         with pytest.raises(ValueError):
             VariableHurst(MobiusHurst(0.4, 0.0))

@@ -1,15 +1,18 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from subdiff.config import DEFAULT_CONFIG
 from subdiff.errors import InversionError
 from subdiff.subordinators import (
     MonotonePath,
     SeededRng,
     SubordinatorSpec,
+    clock_density_fast,
     inverse_time_density,
     inverse_time_moment,
     invert_subordinator_path,
@@ -252,6 +255,17 @@ class TestDensity:
     def test_negative_tau_rejected(self):
         with pytest.raises(ValueError):
             inverse_time_density(SubordinatorSpec.pure(0.5), 1.0, -0.1)
+
+
+    def test_spline_cache_keys_on_tolerances(self):
+        # a spline tabulated at the default tolerances must not answer a
+        # call at a tolerance the inversion cannot meet
+        spec = SubordinatorSpec.pure(0.55)
+        taus = np.array([0.5, 1.0])
+        clock_density_fast(spec, 1.0, taus)
+        tight = replace(DEFAULT_CONFIG, inversion_tol=1e-13)
+        with pytest.raises(InversionError):
+            clock_density_fast(spec, 1.0, taus, config=tight)
 
 
 class TestMoments:

@@ -1,17 +1,23 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 from scipy.stats import chi2, ks_2samp
 
-from subdiff.config import SolverConfig
-from subdiff.errors import QuadratureError
+from subdiff.config import DEFAULT_CONFIG, SolverConfig
+from subdiff.errors import InversionError, NumericsError, QuadratureError
 from subdiff.gaussian import (
     Brownian,
     FractionalBrownian,
     GaussianSpec,
+    MobiusHurst,
     OrnsteinUhlenbeck,
+    PiecewiseHurst,
+    VariableHurst,
+    covariance_matrix,
     gaussian_transition_density,
     sample_gaussian_paths,
 )
@@ -20,6 +26,7 @@ from subdiff.subordinators import (
     SubordinatorSpec,
     inverse_time_moment,
 )
+import subdiff.timechange as tc
 from subdiff.timechange import (
     GridDensity,
     TimeChangedSpec,
@@ -31,7 +38,11 @@ from subdiff.timechange import (
     subordinated_grid_density,
 )
 
-from oracles import fourier_ml_bm_half, subordinated_bm_half
+from oracles import (
+    fourier_ml_bm_half,
+    inverse_half_density,
+    subordinated_bm_half,
+)
 
 BM = GaussianSpec.univariate(Brownian())
 SPEC_HALF = TimeChangedSpec(BM, SubordinatorSpec.pure(0.5))
@@ -90,6 +101,41 @@ class TestPathComposition:
         assert np.all(x[:, 1] == x[:, 2])
         assert np.all(x[:, 2] == x[:, 3])
         assert not np.allclose(x[:, 0], x[:, 1])
+
+
+    def test_piecewise_hurst_composed_paths(self, rng):
+        # Var X_{E_t} = E[R(E_t)]; at beta = 1/2 the clock density is the
+        # half-normal closed form, so both moments of R(E_t) are quadratures
+        pw = PiecewiseHurst((0.5,), (0.5, 0.8))
+        spec = TimeChangedSpec(GaussianSpec.univariate(pw),
+                               SubordinatorSpec.pure(0.5))
+        n = 4000
+        x = sample_timechanged_paths(spec, [0.0, 0.5, 1.0], n, rng).component()
+        assert np.all(x[:, 0] == 0.0)
+        for k, t in ((1, 0.5), (2, 1.0)):
+            m1, m2 = (quad(lambda u: float(pw.var(u)) ** p
+                           * inverse_half_density(t, u), 0.0, 40.0,
+                           points=[0.5], limit=200)[0] for p in (1, 2))
+            # E[X^4] = 3 E[R(E_t)^2] for a centered normal given the clock
+            z = (np.mean(x[:, k] ** 2) - m1) / math.sqrt((3.0 * m2 - m1**2) / n)
+            assert abs(z) < 4.0
+
+    def test_variable_hurst_path_at_two_times(self, rng, monkeypatch):
+        # one path: the draw is the Cholesky factor of the model's own
+        # covariance at the realized clock values times the normal stream
+        import subdiff.timechange as tc
+
+        clock = np.array([[0.4, 0.9]])
+        monkeypatch.setattr(tc, "sample_inverse_ensemble",
+                            lambda spec, t_grid, n_paths, rng_: clock)
+        vh = VariableHurst(MobiusHurst(0.6, 0.2), horizon=2.0)
+        spec = TimeChangedSpec(GaussianSpec.univariate(vh),
+                               SubordinatorSpec.pure(0.5))
+        ens = sample_timechanged_paths(spec, [0.5, 1.0], 1, rng)
+        assert ens.paths.shape == (1, 2, 1)
+        L = np.linalg.cholesky(covariance_matrix(vh, clock[0]))
+        want = L @ rng.stream(1).generator().standard_normal(2)
+        assert_allclose(ens.paths[0, :, 0], want, rtol=1e-12)
 
 
 class TestSubordinatedDensity:
@@ -170,6 +216,29 @@ class TestLaplaceResidual:
         r = laplace_subordination_residual(SPEC_MIX, 1.5, 0.0,
                                            profile_nodes=300)
         assert r <= 1e-3
+
+    @pytest.mark.parametrize("beta", [0.5, 1.0])
+    def test_base_density_failure_raises(self, monkeypatch, beta):
+        # a failing base density must surface, never count as density 0
+        import subdiff.gaussian as gaussian
+
+        def boom(*args, **kwargs):
+            raise NumericsError("synthetic density failure")
+
+        monkeypatch.setattr(gaussian, "gaussian_transition_density", boom)
+        spec = TimeChangedSpec(BM, SubordinatorSpec.pure(beta))
+        with pytest.raises(NumericsError, match="synthetic"):
+            laplace_subordination_residual(spec, 2.0, 0.3, profile_nodes=40)
+
+
+def test_clock_support_cache_keys_on_tolerances():
+    # a support ratio probed at the default tolerances must not answer a
+    # call at a tolerance the probe's inversion cannot meet
+    spec = TimeChangedSpec(BM, SubordinatorSpec.pure(0.45))
+    tc._clock_support(spec, 1.0, DEFAULT_CONFIG)
+    tight = replace(DEFAULT_CONFIG, inversion_tol=1e-13)
+    with pytest.raises(InversionError):
+        tc._clock_support(spec, 1.0, tight)
 
 
 class TestEmpiricalDensity:
