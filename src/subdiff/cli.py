@@ -207,6 +207,11 @@ def parse_solver(obj, path="solver"):
         kw[key] = int(v)
     kw["x_min"] = _number(obj, "x_min", path, default=-8.0)
     kw["x_max"] = _number(obj, "x_max", path, default=8.0)
+    # the solvers start from a delta at x = 0
+    if not kw["x_min"] <= 0.0 <= kw["x_max"]:
+        raise ConfigError(
+            f"{path}.x_min/{path}.x_max: domain must contain the origin"
+        )
     if "init_width" in obj:
         kw["init_width"] = _number(obj, "init_width", path, lo=0.0,
                                    lo_open=True)

@@ -15,7 +15,9 @@ column form ``caputo_l1_columns`` (behind ``fpke.residual_norm`` and
 ``lambdaop.fbm_fpke_residual``) and the time stepping of
 ``fpke.solve_distributed_order`` all draw their weights from it, one fixed
 block of rows at a time (``l1_weight_blocks``), so the solvers and their
-residual diagnostics discretise the memory term identically.
+residual diagnostics discretise the memory term identically.  The
+Riemann-Liouville product quadrature is built and applied in the same
+row blocks.
 
 The inversion is deliberately redundant: two unrelated algorithms must
 agree or an ``InversionError`` is raised, so an ill-suited transform shows
@@ -23,7 +25,9 @@ up as a failure instead of a quietly wrong number.  The de Hoog contour
 (nodes, quotient-difference table, continued fraction) lives only in
 ``_dehoog_batch``, which inverts a batch of transforms at a vector of
 times sharing one horizon; ``lambdaop`` feeds it one dyadic block of
-times at a time.
+times at a time.  It works batch-last and keeps only the current columns
+of the quotient-difference table, so its memory is O(M * n_batch) for
+degree M, and the arbiter contour inverts only the disputed columns.
 """
 from __future__ import annotations
 
@@ -215,7 +219,8 @@ def riemann_liouville_integral(
 
     The kernel (t - tau)^(alpha-1) is integrated in closed form against the
     linear interpolant on every cell, so the endpoint singularity at
-    tau = t costs nothing.
+    tau = t costs nothing.  The cell weights are built ``_L1_BLOCK_ROWS``
+    rows at a time, as the L1 weights are, and applied as matmuls.
     """
     a = float(alpha)
     if a <= 0.0:
@@ -226,15 +231,19 @@ def riemann_liouville_integral(
     out = np.zeros(n)
     slopes = np.diff(y) / np.diff(t)
     inv_gamma = 1.0 / _gamma(a)
-    for i in range(1, n):
-        ti = t[i]
-        bb = ti - t[:i]          # upper kernel argument per cell
-        aa = ti - t[1 : i + 1]   # lower
-        pa = (bb**a - aa**a) / a
-        pa1 = (bb ** (a + 1.0) - aa ** (a + 1.0)) / (a + 1.0)
-        # int u^{a-1} (g_left + m (b - u)) du over [aa, bb]
-        out[i] = inv_gamma * np.dot(y[:i], pa) + inv_gamma * np.dot(
-            slopes[:i], bb * pa - pa1
+    for start in range(1, n, _L1_BLOCK_ROWS):
+        stop = min(start + _L1_BLOCK_ROWS, n)
+        # cell k of row i spans kernel arguments [t_i - t_{k+1}, t_i - t_k];
+        # the cells k >= i a row does not reach get [0, 0], so weight 0
+        gap = np.maximum(t[start:stop, None] - t[None, :stop], 0.0)
+        bb = gap[:, :-1]
+        p = gap**a
+        p1 = gap ** (a + 1.0)
+        pa = (p[:, :-1] - p[:, 1:]) / a
+        pa1 = (p1[:, :-1] - p1[:, 1:]) / (a + 1.0)
+        # int u^{a-1} (g_left + m (b - u)) du over each cell's span
+        out[start:stop] = inv_gamma * (pa @ y[: stop - 1]) + inv_gamma * (
+            (bb * pa - pa1) @ slopes[: stop - 1]
         )
     return SampledFunction(t, out)
 
@@ -487,55 +496,60 @@ def _dehoog_batch(F, t, M: int, n_batch: int, *,
     """de Hoog/Knight/Stokes accelerated Fourier inversion, batched.
 
     ``t`` is one time or a vector of times sharing the horizon ``tmax``
-    (default: the largest time).  F is evaluated once on the contour
-    nodes and the quotient-difference table is built once; only the
+    (default: the largest time).  F is evaluated once on the 2M+1 contour
+    nodes and the quotient-difference (QD) table is built once; only the
     continued fraction, which is cheap, is summed per time.  The result
     is (n_batch, len(t)), each column exactly what a call with that one
-    time would give.
+    time would give, and every column's arithmetic is its own.
+
+    Layout: the image is transposed to node-major (2M+1, n_batch), so
+    every array operation runs over contiguous rows of the batch.  The QD
+    table is never held whole: only its current q and e columns are kept,
+    and the continued-fraction coefficients d[2r-1] = -q_0 and
+    d[2r] = -e_0 are written as each column appears; the A/B recurrence
+    keeps its last two rows.  Memory is O((2M+1) n_batch), against
+    O(M^2 n_batch) for the full table.  The values are bitwise those of
+    the full table: each element sees the same operations in the same
+    order, and the one entry dropped per column (the last q, a product
+    with a never-written zero e entry) is never read.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     T = 2.0 * (tmax if tmax is not None else float(t.max()))
     gam = -math.log(tol) / (2.0 * T)
     NP = 2 * M + 1
     p = gam + 1j * np.pi * np.arange(NP) / T
-    fp = _eval_batch(F, p, n_batch).astype(complex)
+    fp = np.ascontiguousarray(_eval_batch(F, p, n_batch).T, dtype=complex)
     tiny = np.finfo(float).tiny * 1e4
     fp = np.where(np.abs(fp) < tiny, tiny, fp)
 
-    e = np.zeros((n_batch, NP, M + 1), dtype=complex)
-    q = np.zeros((n_batch, 2 * M, M), dtype=complex)
-    q[:, 0, 0] = fp[:, 1] / (fp[:, 0] / 2.0)
-    q[:, 1:, 0] = fp[:, 2:] / fp[:, 1:-1]
+    d = np.empty((NP, n_batch), dtype=complex)
+    d[0] = fp[0] / 2.0
+    q = np.empty((2 * M, n_batch), dtype=complex)
+    q[0] = fp[1] / (fp[0] / 2.0)
+    q[1:] = fp[2:] / fp[1:-1]
+    del fp
+    e = np.zeros((2 * M, n_batch), dtype=complex)
     for r in range(1, M + 1):
         mr = 2 * (M - r) + 1
-        e[:, :mr, r] = q[:, 1 : mr + 1, r - 1] - q[:, :mr, r - 1] + e[:, 1 : mr + 1, r - 1]
+        e = q[1 : mr + 1] - q[:mr] + e[1 : mr + 1]
+        d[2 * r - 1] = -q[0]
+        d[2 * r] = -e[0]
         if r < M:
-            rq = r + 1
-            mr = 2 * (M - rq) + 3
-            denom = e[:, :mr, rq - 1]
-            denom = np.where(np.abs(denom) < tiny, tiny, denom)
-            q[:, :mr, rq - 1] = (
-                q[:, 1 : mr + 1, rq - 2] * e[:, 1 : mr + 1, rq - 1] / denom
-            )
-    d = np.zeros((n_batch, NP), dtype=complex)
-    d[:, 0] = fp[:, 0] / 2.0
-    for r in range(1, M + 1):
-        d[:, 2 * r - 1] = -q[:, 0, r - 1]
-        d[:, 2 * r] = -e[:, 0, r]
+            denom = np.where(np.abs(e[: mr - 1]) < tiny, tiny, e[: mr - 1])
+            q = q[1:mr] * e[1:mr] / denom
     out = np.empty((n_batch, len(t)))
     for j, tj in enumerate(t.tolist()):
-        A = np.zeros((n_batch, NP + 1), dtype=complex)
-        B = np.ones((n_batch, NP + 1), dtype=complex)
-        A[:, 1] = d[:, 0]
         z = complex(np.exp(1j * np.pi * tj / T))
+        a0, a1 = np.zeros(n_batch, dtype=complex), d[0]
+        b0, b1 = np.ones(n_batch, dtype=complex), np.ones(n_batch, dtype=complex)
         for i in range(1, 2 * M):
-            A[:, i + 1] = A[:, i] + d[:, i] * A[:, i - 1] * z
-            B[:, i + 1] = B[:, i] + d[:, i] * B[:, i - 1] * z
-        brem = (1.0 + (d[:, 2 * M - 1] - d[:, 2 * M]) * z) / 2.0
-        rem = brem * (np.sqrt(1.0 + d[:, 2 * M] * z / (brem * brem)) - 1.0)
-        A[:, NP] = A[:, 2 * M] + rem * A[:, 2 * M - 1]
-        B[:, NP] = B[:, 2 * M] + rem * B[:, 2 * M - 1]
-        out[:, j] = (math.exp(gam * tj) / T) * (A[:, NP] / B[:, NP]).real
+            a0, a1 = a1, a1 + d[i] * a0 * z
+            b0, b1 = b1, b1 + d[i] * b0 * z
+        brem = (1.0 + (d[2 * M - 1] - d[2 * M]) * z) / 2.0
+        rem = brem * (np.sqrt(1.0 + d[2 * M] * z / (brem * brem)) - 1.0)
+        out[:, j] = (math.exp(gam * tj) / T) * (
+            (a1 + rem * a0) / (b1 + rem * b0)
+        ).real
     return out
 
 
@@ -593,8 +607,11 @@ def laplace_inverse_batch(
         # arbitrate those entries with an independent de Hoog contour.
         bad = np.flatnonzero(~ok)
         explained = terr[bad] >= 0.25 * gap[bad]
-        vd2 = _dehoog_batch(F, t, DEHOOG_DEGREE + 7, n_batch, tol=1e-10)[:, 0]
-        agree2 = np.abs(vd2 - vd)[bad] <= 10.0 * tol * np.maximum(
+        # only the disputed columns are inverted again (each column's
+        # arithmetic is its own, so their values are unchanged)
+        vd2 = _dehoog_batch(lambda s: _eval_batch(F, s, n_batch)[bad], t,
+                            DEHOOG_DEGREE + 7, len(bad), tol=1e-10)[:, 0]
+        agree2 = np.abs(vd2 - vd[bad]) <= 10.0 * tol * np.maximum(
             np.abs(vd[bad]), scale
         )
         # both de Hoog runs negligible at the caller's scale and Talbot in
@@ -602,7 +619,7 @@ def laplace_inverse_batch(
         negligible = (
             (terr[bad] >= 0.25 * np.maximum(np.abs(vt[bad]), gap[bad]))
             & (np.abs(vd[bad]) <= tol * scale)
-            & (np.abs(vd2[bad]) <= tol * scale)
+            & (np.abs(vd2) <= tol * scale)
         )
         resolved = negligible | (explained & agree2)
         if not np.all(resolved):

@@ -589,9 +589,18 @@ class PathEnsemble:
         return self.paths[:, :, j]
 
 
+def _needs_scalar_cov(model) -> bool:
+    """Whether ``model.cov`` takes scalar times only, as the variable- and
+    piecewise-Hurst kernels do (and so a mixture holding one of them)."""
+    kind = getattr(model, "kind", "")
+    if kind == "mixed":
+        return any(_needs_scalar_cov(m) for _, m in model.terms)
+    return kind in ("variable_hurst", "piecewise_hurst")
+
+
 def covariance_matrix(model, grid: np.ndarray) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
-    if getattr(model, "kind", "") in ("variable_hurst", "piecewise_hurst"):
+    if _needs_scalar_cov(model):
         n = len(g)
         R = np.empty((n, n))
         for i in range(n):

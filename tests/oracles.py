@@ -5,6 +5,8 @@ the code paths being tested: brute-force quadratures of defining
 integrals, the Fourier representation of the time-changed Brownian
 density, and special-function identities.
 """
+import math
+
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import erfcx, gamma
@@ -40,6 +42,88 @@ def caputo_l1_loop(t, y, beta):
         lo = (ti - t[1 : i + 1]) ** (1.0 - beta)
         hi = (ti - t[:i]) ** (1.0 - beta)
         out[i] = c * np.dot(slopes[:i], hi - lo)
+    return out
+
+
+def dehoog_table_loop(F, t, M, n_batch, *, tmax=None, tol=1e-12):
+    """de Hoog/Knight/Stokes inversion from the full quotient-difference table.
+
+    The slow reference for the library's rolling inverter: the whole QD
+    table is held as (n_batch, 2M+1, M+1) and (n_batch, 2M, M) complex
+    arrays, and the continued fraction as (n_batch, 2M+2) arrays per time.
+    ``F`` maps contour nodes to (n_batch, len(s)); returns (n_batch, len(t)).
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    T = 2.0 * (tmax if tmax is not None else float(t.max()))
+    gam = -math.log(tol) / (2.0 * T)
+    NP = 2 * M + 1
+    p = gam + 1j * np.pi * np.arange(NP) / T
+    fp = np.asarray(F(p))
+    if fp.ndim == 1:
+        fp = fp[None, :]
+    fp = fp.astype(complex)
+    tiny = np.finfo(float).tiny * 1e4
+    fp = np.where(np.abs(fp) < tiny, tiny, fp)
+
+    e = np.zeros((n_batch, NP, M + 1), dtype=complex)
+    q = np.zeros((n_batch, 2 * M, M), dtype=complex)
+    q[:, 0, 0] = fp[:, 1] / (fp[:, 0] / 2.0)
+    q[:, 1:, 0] = fp[:, 2:] / fp[:, 1:-1]
+    for r in range(1, M + 1):
+        mr = 2 * (M - r) + 1
+        e[:, :mr, r] = q[:, 1 : mr + 1, r - 1] - q[:, :mr, r - 1] + e[:, 1 : mr + 1, r - 1]
+        if r < M:
+            rq = r + 1
+            mr = 2 * (M - rq) + 3
+            denom = e[:, :mr, rq - 1]
+            denom = np.where(np.abs(denom) < tiny, tiny, denom)
+            q[:, :mr, rq - 1] = (
+                q[:, 1 : mr + 1, rq - 2] * e[:, 1 : mr + 1, rq - 1] / denom
+            )
+    d = np.zeros((n_batch, NP), dtype=complex)
+    d[:, 0] = fp[:, 0] / 2.0
+    for r in range(1, M + 1):
+        d[:, 2 * r - 1] = -q[:, 0, r - 1]
+        d[:, 2 * r] = -e[:, 0, r]
+    out = np.empty((n_batch, len(t)))
+    for j, tj in enumerate(t.tolist()):
+        A = np.zeros((n_batch, NP + 1), dtype=complex)
+        B = np.ones((n_batch, NP + 1), dtype=complex)
+        A[:, 1] = d[:, 0]
+        z = complex(np.exp(1j * np.pi * tj / T))
+        for i in range(1, 2 * M):
+            A[:, i + 1] = A[:, i] + d[:, i] * A[:, i - 1] * z
+            B[:, i + 1] = B[:, i] + d[:, i] * B[:, i - 1] * z
+        brem = (1.0 + (d[:, 2 * M - 1] - d[:, 2 * M]) * z) / 2.0
+        rem = brem * (np.sqrt(1.0 + d[:, 2 * M] * z / (brem * brem)) - 1.0)
+        A[:, NP] = A[:, 2 * M] + rem * A[:, 2 * M - 1]
+        B[:, NP] = B[:, 2 * M] + rem * B[:, 2 * M - 1]
+        out[:, j] = (math.exp(gam * tj) / T) * (A[:, NP] / B[:, NP]).real
+    return out
+
+
+def rl_integral_loop(t, y, alpha):
+    """Riemann-Liouville integral J^alpha of the linear interpolant, by rows.
+
+    The slow per-row reference for the library's blocked product
+    quadrature: each row integrates (t_i - tau)^(alpha-1) in closed form
+    against the interpolant on every cell below t_i.
+    """
+    a = float(alpha)
+    n = len(t)
+    out = np.zeros(n)
+    slopes = np.diff(y) / np.diff(t)
+    inv_gamma = 1.0 / gamma(a)
+    for i in range(1, n):
+        ti = t[i]
+        bb = ti - t[:i]          # upper kernel argument per cell
+        aa = ti - t[1 : i + 1]   # lower
+        pa = (bb**a - aa**a) / a
+        pa1 = (bb ** (a + 1.0) - aa ** (a + 1.0)) / (a + 1.0)
+        # int u^{a-1} (g_left + m (b - u)) du over [aa, bb]
+        out[i] = inv_gamma * np.dot(y[:i], pa) + inv_gamma * np.dot(
+            slopes[:i], bb * pa - pa1
+        )
     return out
 
 

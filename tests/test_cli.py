@@ -224,9 +224,26 @@ class TestCommands:
     ({"model": {"kind": "variable_hurst", "preset": "mobius", "a": 0.6,
                 "b": 0.5}},
      "model: H(t) must stay inside (1/2, 1)"),
+    ({**BM_CFG, "solver": {**BM_CFG["solver"], "x_min": 1.0, "x_max": 5.0}},
+     "solver.x_min/solver.x_max: domain must contain the origin"),
 ])
 def test_bad_config_value_exits_2_with_field(tmp_path, capsys, body, field):
     rc = main(["simulate", "--config", write_config(tmp_path, body),
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+def test_simulate_mixed_model_with_piecewise_term(tmp_path):
+    body = {**BM_CFG, "paths": 3, "sample_points": 4,
+            "model": {"kind": "mixed", "terms": [
+                {"coef": 1.0, "model": {"kind": "piecewise_hurst",
+                                        "breakpoints": [0.5],
+                                        "values": [0.5, 0.8]}},
+                {"coef": 0.5, "model": {"kind": "brownian"}},
+            ]}}
+    out = str(tmp_path / "out")
+    assert main(["simulate", "--config", write_config(tmp_path, body),
+                 "--out", out]) == 0
+    lines = open(os.path.join(out, "paths.csv")).read().splitlines()
+    assert len(lines) == 1 + 3 * 5

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.special import erfcx
 
 from subdiff import fraccalc
@@ -20,7 +20,12 @@ from subdiff.fraccalc import (
     riemann_liouville_integral,
 )
 
-from oracles import caputo_l1_loop, caputo_quadrature
+from oracles import (
+    caputo_l1_loop,
+    caputo_quadrature,
+    dehoog_table_loop,
+    rl_integral_loop,
+)
 
 GRID = np.linspace(0.0, 2.0, 1201)
 
@@ -190,6 +195,13 @@ class TestRiemannLiouville:
         with pytest.raises(ValueError):
             riemann_liouville_integral(SampledFunction(GRID, GRID), -0.5)
 
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 1.0, 1.7])
+    def test_matches_per_row_loop_on_graded_grid(self, alpha):
+        y = GRADED**1.5 + np.sin(GRADED)
+        got = riemann_liouville_integral(SampledFunction(GRADED, y), alpha)
+        assert_allclose(got.values, rl_integral_loop(GRADED, y, alpha),
+                        rtol=1e-13, atol=0.0)
+
 
 class TestMittagLeffler:
     def test_reduces_to_exp(self):
@@ -327,3 +339,71 @@ class TestDehoogBatch:
             assert one.shape == (n_batch, 1)
             assert_allclose(got[:, j], one[:, 0], rtol=1e-15, atol=0.0)
         assert_allclose(got, np.exp(-rates[:, None] * t[None, :]), rtol=1e-7)
+
+    @staticmethod
+    def _clock_image(beta, taus):
+        # (s^b / s) exp(-tau s^b): the transform of the clock density in t
+        def F(s):
+            rho = s**beta
+            return (rho / s)[None, :] * np.exp(-taus[:, None] * rho[None, :])
+        return F
+
+    @pytest.mark.parametrize("beta", [0.15, 0.5, 0.9])
+    @pytest.mark.parametrize("M, tol", [(25, 1e-12), (32, 1e-10)])
+    def test_bitwise_equal_to_full_table(self, beta, M, tol):
+        taus = np.geomspace(1e-7, 120.0, 400)
+        F = self._clock_image(beta, taus)
+        got = fraccalc._dehoog_batch(F, 1.0, M, len(taus), tol=tol)
+        assert_array_equal(got, dehoog_table_loop(F, 1.0, M, len(taus),
+                                                  tol=tol))
+
+    def test_times_bitwise_equal_to_full_table(self):
+        rng = np.random.default_rng(11)
+        rates = rng.uniform(0.2, 3.0, 25)
+
+        def F(s):
+            return 1.0 / (s[None, :] + rates[:, None]) ** 1.5
+
+        t = rng.permutation(np.linspace(1.0, 2.0, 12)[1:])
+        got = fraccalc._dehoog_batch(F, t, 18, 25, tmax=2.0, tol=1e-10)
+        assert_array_equal(got, dehoog_table_loop(F, t, 18, 25, tmax=2.0,
+                                                  tol=1e-10))
+
+    def test_lambdaop_batch_bitwise_equal_to_full_table(self):
+        # three sampled columns through the operator image, as
+        # lambdaop._dehoog_values hands them over
+        from subdiff.lambdaop import (GOperator, _image, _transform_matrix,
+                                      _vmax_for)
+
+        op = GOperator(0.4, 0.4)
+        cc = op.contour
+        spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
+        tg = np.linspace(0.0, 3.0, 121)
+        cols = np.column_stack([np.exp(-tg), (1.0 + tg) * np.exp(-tg),
+                                np.sin(tg) * np.exp(-tg)])
+
+        def image(p):
+            return _image(op, lambda z: _transform_matrix(tg, z) @ cols, 0.0,
+                          p, spacing, _vmax_for(op, 2.0))
+
+        t = np.array([0.9, 0.6, 0.75, 1.0])
+        got = fraccalc._dehoog_batch(image, t, 18, 3, tmax=1.0, tol=1e-10)
+        assert_array_equal(got, dehoog_table_loop(image, t, 18, 3, tmax=1.0,
+                                                  tol=1e-10))
+
+    def test_peak_memory_linear_in_nodes_times_batch(self):
+        import tracemalloc
+
+        n_batch, M = 4000, 32
+        taus = np.linspace(0.0, 8.0, n_batch)
+        F = self._clock_image(0.5, taus)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fraccalc._dehoog_batch(F, 1.0, M, n_batch, tol=1e-10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the full QD table alone would take (2M+1)(M+1) + 2M M complex
+        # entries per column, about 270 MB here
+        assert peak < 12 * (2 * M + 1) * n_batch * 16

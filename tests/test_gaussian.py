@@ -156,6 +156,19 @@ class TestSampling:
             want = eps ** (2 * 0.5) + eps ** (2 * 0.8)
             assert abs(d.var() - want) < 5.0 * want / math.sqrt(len(d)) + 0.1 * want
 
+    def test_mixed_with_piecewise_term(self, rng):
+        # a mixture holding a scalar-only kernel: sample variance against
+        # the closed form, with the exact sd of a Gaussian sample variance
+        model = Mixed(((1.0, PW), (0.5, Brownian())))
+        grid = [0.3, 0.8]
+        ens = sample_gaussian_paths(GaussianSpec.univariate(model), grid,
+                                    40_000, rng)
+        x = ens.component()
+        for k, t in enumerate(grid):
+            v = model.var(t)
+            z = (np.mean(x[:, k] ** 2) - v) / (v * math.sqrt(2.0 / len(x)))
+            assert abs(z) < 4.0
+
     def test_mean_function_added(self, rng):
         mean = MeanFunction(lambda t: 2.0 * t, lambda t: 2.0)
         spec = GaussianSpec.univariate(Brownian(), mean)
