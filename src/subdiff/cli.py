@@ -207,11 +207,6 @@ def parse_solver(obj, path="solver"):
         kw[key] = int(v)
     kw["x_min"] = _number(obj, "x_min", path, default=-8.0)
     kw["x_max"] = _number(obj, "x_max", path, default=8.0)
-    # the solvers start from a delta at x = 0
-    if not kw["x_min"] <= 0.0 <= kw["x_max"]:
-        raise ConfigError(
-            f"{path}.x_min/{path}.x_max: domain must contain the origin"
-        )
     if "init_width" in obj:
         kw["init_width"] = _number(obj, "init_width", path, lo=0.0,
                                    lo_open=True)
@@ -357,6 +352,13 @@ def _solver_route(cfg):
         raise ConfigError(
             "config.equation: fractional solves need an autonomous operator "
             "(brownian or ou model)"
+        )
+    # the fractional solvers start from a split delta at x = 0
+    # (fpke._split_delta); the classical solve and the subordination
+    # routes evaluate x pointwise and take any window
+    if not solver.x_min <= 0.0 <= solver.x_max:
+        raise ConfigError(
+            "solver.x_min/solver.x_max: domain must contain the origin"
         )
     if eq == "fractional":
         if sub is None or not sub.is_pure:

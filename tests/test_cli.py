@@ -224,14 +224,33 @@ class TestCommands:
     ({"model": {"kind": "variable_hurst", "preset": "mobius", "a": 0.6,
                 "b": 0.5}},
      "model: H(t) must stay inside (1/2, 1)"),
-    ({**BM_CFG, "solver": {**BM_CFG["solver"], "x_min": 1.0, "x_max": 5.0}},
-     "solver.x_min/solver.x_max: domain must contain the origin"),
 ])
 def test_bad_config_value_exits_2_with_field(tmp_path, capsys, body, field):
     rc = main(["simulate", "--config", write_config(tmp_path, body),
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert field in capsys.readouterr().err
+
+
+OFF_ORIGIN_CFG = {**BM_CFG,
+                  "solver": {**BM_CFG["solver"], "x_min": 1.0, "x_max": 5.0}}
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_fractional_solve_without_origin_exits_2_with_field(tmp_path, capsys,
+                                                            command):
+    rc = main([command, "--config", write_config(tmp_path, OFF_ORIGIN_CFG),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert ("solver.x_min/solver.x_max: domain must contain the origin"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command", ["density", "simulate"])
+def test_off_origin_window_needs_no_solver(tmp_path, command):
+    # neither subcommand builds the solvers' initial delta
+    assert main([command, "--config", write_config(tmp_path, OFF_ORIGIN_CFG),
+                 "--out", str(tmp_path / "o")]) == 0
 
 
 def test_simulate_mixed_model_with_piecewise_term(tmp_path):
