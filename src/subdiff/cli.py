@@ -360,6 +360,12 @@ def _solver_route(cfg):
         raise ConfigError(
             "solver.x_min/solver.x_max: domain must contain the origin"
         )
+    # the L1 memory spans the whole history; only the classical solve
+    # steps segment by segment between breakpoints
+    if solver.breakpoints:
+        raise ConfigError(
+            "solver.breakpoints: fractional memory does not admit breakpoints"
+        )
     if eq == "fractional":
         if sub is None or not sub.is_pure:
             raise ConfigError("config.subordinator: pure beta required")

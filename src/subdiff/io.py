@@ -1,9 +1,10 @@
 """Deterministic artifact writers: CSV payloads with JSON provenance sidecars.
 
-Numbers are formatted with %.17g (shortest round-trip), no timestamps go
-into payloads, and every file lands via write-then-rename, so re-running a
-configuration with the same seed reproduces byte-identical CSVs and no
-partial artifact survives a failure.
+Numbers are formatted with %.17g (17 significant digits: enough to
+round-trip every double, though not always the shortest string that
+does), no timestamps go into payloads, and every file lands via
+write-then-rename, so re-running a configuration with the same seed
+reproduces byte-identical CSVs and no partial artifact survives a failure.
 """
 from __future__ import annotations
 

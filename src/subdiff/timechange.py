@@ -2,9 +2,13 @@
 
 The composed process X. E inherits its one-time law from the mixing
 identity q(t, x) = int_0^inf f_{E_t}(tau) p(tau, x) dtau, which this module
-evaluates by shared-node quadrature (one clock-density batch serves a whole
-x-grid).  Monte Carlo path composition and a Laplace-domain residual check
-of the same identity provide two independent routes to the same numbers.
+evaluates by shared-node quadrature over many times at once.  The clock
+nodes are shared across x: one clock-density batch serves a whole x-grid.
+For a pure clock they are shared across t as well, since E_t = t^beta E_1
+in law: one set of nodes v and weights w(v) f_{E_1}(v) serves every time,
+and only the Gaussian factor p(t^beta v, x) changes.  Monte Carlo path
+composition and a Laplace-domain residual check of the same identity
+provide two independent routes to the same numbers.
 """
 from __future__ import annotations
 
@@ -178,16 +182,17 @@ def _clock_support(spec: TimeChangedSpec, t: float, config) -> float:
     return ratio * scale
 
 
+_GL12 = leggauss(12)
+
+
 def _panel_rule(u_max: float, n_panels: int):
     """Composite 12-point Gauss-Legendre nodes/weights, panels graded
     toward 0."""
-    xg, wg = leggauss(12)
+    xg, wg = _GL12
     edges = u_max * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)
-    nodes, weights = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        nodes.append(0.5 * (b - a) * xg + 0.5 * (a + b))
-        weights.append(0.5 * (b - a) * wg)
-    return np.concatenate(nodes), np.concatenate(weights)
+    a, b = edges[:-1, None], edges[1:, None]
+    nodes = 0.5 * (b - a) * xg + 0.5 * (a + b)
+    return nodes.ravel(), (0.5 * (b - a) * wg).ravel()
 
 
 def _product_density(spec: GaussianSpec, taus: np.ndarray, x: np.ndarray):
@@ -207,6 +212,19 @@ def _product_density(spec: GaussianSpec, taus: np.ndarray, x: np.ndarray):
     return dens
 
 
+def _as_points(spec: TimeChangedSpec, x):
+    """(points (npts, n), whether ``x`` was a single scalar)."""
+    x = np.asarray(x, dtype=float)
+    n = spec.gauss.dimension
+    if n == 1 and x.ndim <= 1:
+        pts = np.atleast_1d(x)[:, None]
+    else:
+        pts = np.atleast_2d(x)
+    if pts.shape[1] != n:
+        raise ValueError(f"points must have dimension {n}")
+    return pts, x.ndim == 0
+
+
 def subordinated_density(
     spec: TimeChangedSpec,
     t: float,
@@ -223,34 +241,79 @@ def subordinated_density(
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 0
-    n = spec.gauss.dimension
-    if n == 1 and (x.ndim == 0 or (x.ndim == 1)):
-        pts = np.atleast_1d(x)[:, None]
-    else:
-        pts = np.atleast_2d(x)
-    if pts.shape[1] != n:
-        raise ValueError(f"points must have dimension {n}")
-
-    if spec.sub.is_deterministic:
-        from .gaussian import gaussian_transition_density
-
-        w1 = spec.sub.components[0][1]
-        out = gaussian_transition_density(spec.gauss, t / w1, pts)
-        return float(out[0]) if scalar else out
-
-    vals, _ = _subordinate_slice(spec, t, pts, config)
-    return float(vals[0]) if scalar else vals
+    pts, scalar = _as_points(spec, x)
+    vals, _ = _subordinate_slices(spec, [t], pts, config)
+    return float(vals[0, 0]) if scalar else vals[0]
 
 
-def _subordinate_slice(spec, t, pts, config):
-    """Mixing integral on shared nodes; returns (values, clock-mass defect).
+#: cells (rows x nodes x points) of one block of the product density: a
+#: block holds at most this many, or one row, so a 400-point slice at 64
+#: panels (768 nodes) takes no more memory than a single time did, while a
+#: one-point time profile fills a block with hundreds of rows
+_MIX_BLOCK_CELLS = 1 << 18
 
-    The x-integral of the product form is exactly the clock mass, so the
-    defect |1 - sum w f| measures the quadrature itself with no spatial
-    discretization in the way.
+
+def _slice_nodes(spec, ts, kappa, n_panels, config):
+    """(taus (len(ts), nodes), clock weights (1 or len(ts), nodes)).
+
+    A pure clock is self-similar, E_t = t^beta E_1 in law: the nodes are
+    t^beta v with t-free v, and the weights w(v) f_{E_1}(v) are t-free, so
+    one clock evaluation at t = 1 serves every row.  A mixture's support
+    and clock values are computed per row.
     """
+    sub = spec.sub
+    if sub.is_pure:
+        tau_star = _clock_support(spec, 1.0, config)
+        u, wu = _panel_rule(tau_star ** (1.0 / kappa), n_panels)
+        v = u**kappa
+        jac = kappa * u ** (kappa - 1.0)
+        f = clock_density_fast(sub, 1.0, v, config=config)
+        return ts[:, None] ** sub.components[0][0] * v, (wu * jac * f)[None]
+    taus, weights = [], []
+    for t in ts:
+        u, wu = _panel_rule(_clock_support(spec, t, config) ** (1.0 / kappa),
+                            n_panels)
+        tau = u**kappa
+        jac = kappa * u ** (kappa - 1.0)
+        taus.append(tau)
+        weights.append(wu * jac * clock_density_fast(sub, t, tau,
+                                                     config=config))
+    return np.array(taus), np.array(weights)
+
+
+def _mix(gauss, taus, clock_w, pts):
+    """Row r is clock_w[r] @ p(taus[r], pts) (a single weight row serves
+    every row), with the product density built in ``_MIX_BLOCK_CELLS``
+    blocks."""
+    n_rows, n_nodes = taus.shape
+    out = np.empty((n_rows, len(pts)))
+    step = max(1, _MIX_BLOCK_CELLS // (n_nodes * len(pts)))
+    for a in range(0, n_rows, step):
+        b = min(a + step, n_rows)
+        P = _product_density(gauss, taus[a:b].ravel(), pts)
+        w = clock_w if len(clock_w) == 1 else clock_w[a:b]
+        out[a:b] = (w[:, None, :] @ P.reshape(b - a, n_nodes, -1))[:, 0]
+    return out
+
+
+def _subordinate_slices(spec, ts, pts, config):
+    """Mixing integral at every time in ``ts`` on shared nodes; returns
+    (values (n_t, n_pts), clock-mass defects (n_t,)).
+
+    Panel counts double, 16 -> 32 -> 64, until a row stabilizes; a
+    stabilized row drops out of the finer levels, and a row still moving
+    at 64 panels raises.  The x-integral of the product form is exactly
+    the clock mass, so a row's defect |1 - sum w f| at its final level
+    measures the quadrature itself with no spatial discretization in the
+    way.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if np.any(ts <= 0.0):
+        raise ValueError("t must be positive")
+    if spec.sub.is_deterministic:
+        # the clock is the point mass E_t = t / w
+        w1 = spec.sub.components[0][1]
+        return _product_density(spec.gauss, ts / w1, pts), np.zeros(len(ts))
     n = pts.shape[1]
     e_min = min(m.small_time_exponent for m in spec.gauss.components)
     sing = 0.5 * n * e_min  # p(tau, 0) ~ tau^{-sing}
@@ -260,28 +323,26 @@ def _subordinate_slice(spec, t, pts, config):
         )
     kappa = float(math.ceil(1.0 / max(1.0 - sing, 0.25)) + 1)
 
-    tau_star = _clock_support(spec, t, config)
-    u_max = tau_star ** (1.0 / kappa)
-
+    vals = np.empty((len(ts), len(pts)))
+    defects = np.empty(len(ts))
+    rows = np.arange(len(ts))  # rows not yet stable
     prev = None
     for n_panels in (16, 32, 64):
-        u, wu = _panel_rule(u_max, n_panels)
-        taus = u**kappa
-        jac = kappa * u ** (kappa - 1.0)
-        f = clock_density_fast(spec.sub, t, taus, config=config)
-        clock_w = wu * jac * f
-        P = _product_density(spec.gauss, taus, pts)
-        vals = clock_w @ P
+        taus, clock_w = _slice_nodes(spec, ts[rows], kappa, n_panels, config)
+        level = _mix(spec.gauss, taus, clock_w, pts)
         if prev is not None:
-            err = np.max(np.abs(vals - prev))
+            err = np.max(np.abs(level - prev), axis=1)
             # clock values carry inversion noise ~10x the quadrature target
-            if err <= max(1e-9,
-                          10.0 * config.quadrature_tol * max(vals.max(), 1e-12)):
-                break
-        prev = vals
-    else:
-        raise QuadratureError("subordination quadrature did not stabilize")
-    return np.maximum(vals, 0.0), abs(1.0 - float(clock_w.sum()))
+            done = err <= np.maximum(1e-9, 10.0 * config.quadrature_tol
+                                     * np.maximum(level.max(axis=1), 1e-12))
+            mass = np.abs(1.0 - clock_w.sum(axis=1))
+            vals[rows[done]] = np.maximum(level[done], 0.0)
+            defects[rows[done]] = np.broadcast_to(mass, done.shape)[done]
+            rows, level = rows[~done], level[~done]
+            if rows.size == 0:
+                return vals, defects
+        prev = level
+    raise QuadratureError("subordination quadrature did not stabilize")
 
 
 def subordinated_grid_density(
@@ -296,17 +357,8 @@ def subordinated_grid_density(
         raise ValueError("grid densities are one-dimensional in space")
     t_grid = np.asarray(t_grid, dtype=float)
     x_grid = np.asarray(x_grid, dtype=float)
-    pts = x_grid[:, None]
-    rows, mass = [], []
-    for t in t_grid:
-        if spec.sub.is_deterministic:
-            row = subordinated_density(spec, float(t), x_grid, config=config)
-            defect = 0.0
-        else:
-            row, defect = _subordinate_slice(spec, float(t), pts, config)
-        rows.append(row)
-        mass.append(defect)
-    return GridDensity(t_grid, x_grid, np.array(rows), np.array(mass))
+    vals, mass = _subordinate_slices(spec, t_grid, x_grid[:, None], config)
+    return GridDensity(t_grid, x_grid, vals, mass)
 
 
 # ---------------------------------------------------------------------------
@@ -338,11 +390,11 @@ def _weighted_profile_transform(tg, w, p, s):
 def _subordinated_profile(spec, x, horizon, n_nodes, config):
     """(t_grid, q(t, x) samples) on a geometric grid up to the horizon."""
     tg = np.concatenate([[0.0], horizon * np.geomspace(1e-5, 1.0, n_nodes)])
-    vals = np.empty_like(tg)
-    vals[0] = 0.0
-    for i, t in enumerate(tg[1:], start=1):
-        vals[i] = float(subordinated_density(spec, t, x, config=config))
-    return tg, vals
+    pts, _ = _as_points(spec, x)
+    if len(pts) != 1:
+        raise ValueError("the identity is checked at one point x")
+    vals, _ = _subordinate_slices(spec, tg[1:], pts, config)
+    return tg, np.concatenate([[0.0], vals[:, 0]])
 
 
 def laplace_subordination_residual(

@@ -233,6 +233,73 @@ def subordinated_ou(t, x, alpha, sigma, beta, clock_density):
     return val
 
 
+def panel_rule_loop(u_max, n_panels):
+    """Composite 12-point Gauss-Legendre rule built one panel at a time:
+    the reference for the library's array-built graded panel rule."""
+    from numpy.polynomial.legendre import leggauss
+
+    xg, wg = leggauss(12)
+    edges = u_max * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)
+    nodes, weights = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        nodes.append(0.5 * (b - a) * xg + 0.5 * (a + b))
+        weights.append(0.5 * (b - a) * wg)
+    return np.concatenate(nodes), np.concatenate(weights)
+
+
+def subordinate_slice_loop(spec, t, pts, config):
+    """Mixing integral at one time, with its own clock nodes at that time:
+    the per-time reference for the library's batched quadrature over t.
+    Returns (values, clock-mass defect)."""
+    from subdiff.errors import QuadratureError
+    from subdiff.timechange import (_clock_support, _product_density,
+                                    clock_density_fast)
+
+    n = pts.shape[1]
+    e_min = min(m.small_time_exponent for m in spec.gauss.components)
+    sing = 0.5 * n * e_min  # p(tau, 0) ~ tau^{-sing}
+    if sing >= 1.0 and np.any(np.all(pts == 0.0, axis=1)):
+        raise QuadratureError(
+            "subordinated density diverges at the origin for n*e/2 >= 1"
+        )
+    kappa = float(math.ceil(1.0 / max(1.0 - sing, 0.25)) + 1)
+
+    tau_star = _clock_support(spec, t, config)
+    u_max = tau_star ** (1.0 / kappa)
+
+    prev = None
+    for n_panels in (16, 32, 64):
+        u, wu = panel_rule_loop(u_max, n_panels)
+        taus = u**kappa
+        jac = kappa * u ** (kappa - 1.0)
+        f = clock_density_fast(spec.sub, t, taus, config=config)
+        clock_w = wu * jac * f
+        P = _product_density(spec.gauss, taus, pts)
+        vals = clock_w @ P
+        if prev is not None:
+            err = np.max(np.abs(vals - prev))
+            # clock values carry inversion noise ~10x the quadrature target
+            if err <= max(1e-9,
+                          10.0 * config.quadrature_tol * max(vals.max(), 1e-12)):
+                break
+        prev = vals
+    else:
+        raise QuadratureError("subordination quadrature did not stabilize")
+    return np.maximum(vals, 0.0), abs(1.0 - float(clock_w.sum()))
+
+
+def subordinated_profile_loop(spec, x, horizon, n_nodes, config):
+    """(t_grid, q(t, x) samples) of the Laplace identity's time profile,
+    one quadrature per profile node through ``subordinate_slice_loop``."""
+    tg = np.concatenate([[0.0], horizon * np.geomspace(1e-5, 1.0, n_nodes)])
+    pts = np.atleast_2d(np.asarray(x, dtype=float)).reshape(1, -1)
+    vals = np.empty_like(tg)
+    vals[0] = 0.0
+    for i, t in enumerate(tg[1:], start=1):
+        vals[i] = float(subordinate_slice_loop(spec, t, pts, config)[0][0])
+    return tg, vals
+
+
 def chi_square_gof(samples, cdf, bins=50, alpha=0.01, lo_q=0.001, hi_q=0.999):
     """Equal-probability-bin chi-square test; returns (stat, critical)."""
     qs = np.linspace(lo_q, hi_q, bins + 1)

@@ -246,6 +246,22 @@ def test_fractional_solve_without_origin_exits_2_with_field(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
+@pytest.mark.parametrize("clock", [
+    [{"beta": 0.5, "weight": 1.0}],
+    [{"beta": 0.4, "weight": 0.5}, {"beta": 0.8, "weight": 0.5}],
+], ids=["fractional", "distributed"])
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_fractional_solve_with_breakpoints_exits_2_with_field(
+        tmp_path, capsys, command, clock):
+    body = {**BM_CFG, "subordinator": {"components": clock},
+            "solver": {**BM_CFG["solver"], "breakpoints": [0.5]}}
+    rc = main([command, "--config", write_config(tmp_path, body),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert ("solver.breakpoints: fractional memory does not admit "
+            "breakpoints" in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("command", ["density", "simulate"])
 def test_off_origin_window_needs_no_solver(tmp_path, command):
     # neither subcommand builds the solvers' initial delta

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.stats import chi2, ks_2samp
 
@@ -41,7 +41,10 @@ from subdiff.timechange import (
 from oracles import (
     fourier_ml_bm_half,
     inverse_half_density,
+    panel_rule_loop,
+    subordinate_slice_loop,
     subordinated_bm_half,
+    subordinated_profile_loop,
 )
 
 BM = GaussianSpec.univariate(Brownian())
@@ -201,6 +204,102 @@ class TestSubordinatedDensity:
         )
         with pytest.raises(QuadratureError):
             subordinated_density(spec2, 1.0, [0.0, 0.0])
+
+
+SPEC_OU = TimeChangedSpec(GaussianSpec.univariate(OrnsteinUhlenbeck(1.0, 1.0)),
+                          SubordinatorSpec.pure(0.7))
+
+
+class TestBatchedSubordination:
+    """One quadrature over an array of times against the per-time route."""
+
+    @pytest.mark.parametrize("n_panels", [16, 32, 64])
+    @pytest.mark.parametrize("u_max", [0.37, 3.0, 41.5])
+    def test_panel_rule_matches_per_panel_loop(self, u_max, n_panels):
+        u, w = tc._panel_rule(u_max, n_panels)
+        u0, w0 = panel_rule_loop(u_max, n_panels)
+        assert_allclose(u, u0, rtol=1e-15, atol=0.0)
+        assert_allclose(w, w0, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("x", [0.0, 0.5])
+    @pytest.mark.parametrize("beta", [0.1, 0.4, 0.64, 0.9])
+    def test_pure_profile_matches_per_node_loop(self, beta, x):
+        # the Laplace identity's profile: 700 times, horizon 16
+        spec = TimeChangedSpec(BM, SubordinatorSpec.pure(beta))
+        tg, got = tc._subordinated_profile(spec, x, 16.0, 700, DEFAULT_CONFIG)
+        tg0, want = subordinated_profile_loop(spec, x, 16.0, 700,
+                                              DEFAULT_CONFIG)
+        assert_array_equal(tg, tg0)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    def test_mixture_profile_matches_per_node_loop(self):
+        args = (SPEC_MIX, 0.0, 16.0 / 1.5, 60, DEFAULT_CONFIG)
+        _, got = tc._subordinated_profile(*args)
+        _, want = subordinated_profile_loop(*args)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+
+    @pytest.mark.parametrize("spec", [SPEC_HALF, SPEC_OU, SPEC_MIX],
+                             ids=["pure", "ou", "mixture"])
+    def test_grid_rows_equal_single_times(self, spec):
+        ts = [0.05, 0.3, 1.0, 2.5]
+        xs = np.linspace(-4.0, 4.0, 41)
+        gd = subordinated_grid_density(spec, ts, xs)
+        for i, t in enumerate(ts):
+            q = subordinated_density(spec, t, xs)
+            assert_allclose(gd.values[i], q, rtol=0.0, atol=1e-14 * q.max())
+            # each row's defect comes from that row's own final level
+            q0, defect0 = subordinate_slice_loop(spec, t, xs[:, None],
+                                                 DEFAULT_CONFIG)
+            assert np.max(np.abs(gd.values[i] - q0)) <= 1e-12 * q0.max()
+            assert abs(gd.mass_error[i] - defect0) <= 1e-13
+
+    def test_rows_stabilize_at_their_own_level(self):
+        # fBm on a beta 0.9 clock at x near 0.5: the two early times settle
+        # at 32 panels and the two late ones need 64
+        spec = TimeChangedSpec(GaussianSpec.univariate(FractionalBrownian(0.7)),
+                               SubordinatorSpec.pure(0.9))
+        ts, xs = [0.001, 0.0137, 0.2111, 1.0], np.array([0.499, 0.5])
+        gd = subordinated_grid_density(spec, ts, xs)
+        for i, t in enumerate(ts):
+            q0, defect0 = subordinate_slice_loop(spec, t, xs[:, None],
+                                                 DEFAULT_CONFIG)
+            assert np.max(np.abs(gd.values[i] - q0)) <= 1e-12 * q0.max()
+            assert abs(gd.mass_error[i] - defect0) <= 1e-13
+        # one row still moving at 64 panels fails the whole call
+        with pytest.raises(QuadratureError):
+            subordinate_slice_loop(spec, 0.07, xs[:, None], DEFAULT_CONFIG)
+        with pytest.raises(QuadratureError):
+            subordinated_grid_density(spec, [0.001, 0.07, 1.0], xs)
+
+    def test_failing_band_raises_on_both_routes(self):
+        # beta 0.78 lies in the band whose clock spline spikes (ROADMAP
+        # item 1): both routes give up alike, neither returns a number
+        spec = TimeChangedSpec(BM, SubordinatorSpec.pure(0.78))
+        for route in (tc._subordinated_profile, subordinated_profile_loop):
+            with pytest.raises(QuadratureError):
+                route(spec, 0.0, 16.0, 700, DEFAULT_CONFIG)
+
+    def test_pure_profile_evaluates_the_clock_once_per_level(self,
+                                                             monkeypatch):
+        # self-similarity: one clock evaluation per panel level serves all
+        # 700 profile times (the per-time route made one per time and level)
+        calls = []
+        real = tc.clock_density_fast
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tc, "clock_density_fast", counting)
+        r = laplace_subordination_residual(SPEC_HALF, 2.0, 0.3,
+                                           profile_nodes=700)
+        assert r <= 1e-4
+        assert 1 <= len(calls) <= 3
+
+    def test_nonpositive_time_rejected(self):
+        with pytest.raises(ValueError, match="t must be positive"):
+            subordinated_grid_density(SPEC_HALF, [0.0, 1.0],
+                                      np.linspace(-1.0, 1.0, 5))
 
 
 class TestLaplaceResidual:
