@@ -262,15 +262,8 @@ def _slice_nodes(spec, ts, kappa, n_panels, config):
     and clock values are computed per row.
     """
     sub = spec.sub
-    if sub.is_pure:
-        tau_star = _clock_support(spec, 1.0, config)
-        u, wu = _panel_rule(tau_star ** (1.0 / kappa), n_panels)
-        v = u**kappa
-        jac = kappa * u ** (kappa - 1.0)
-        f = clock_density_fast(sub, 1.0, v, config=config)
-        return ts[:, None] ** sub.components[0][0] * v, (wu * jac * f)[None]
     taus, weights = [], []
-    for t in ts:
+    for t in [1.0] if sub.is_pure else ts:
         u, wu = _panel_rule(_clock_support(spec, t, config) ** (1.0 / kappa),
                             n_panels)
         tau = u**kappa
@@ -278,7 +271,10 @@ def _slice_nodes(spec, ts, kappa, n_panels, config):
         taus.append(tau)
         weights.append(wu * jac * clock_density_fast(sub, t, tau,
                                                      config=config))
-    return np.array(taus), np.array(weights)
+    taus = np.array(taus)
+    if sub.is_pure:
+        taus = ts[:, None] ** sub.components[0][0] * taus
+    return taus, np.array(weights)
 
 
 def _mix(gauss, taus, clock_w, pts):

@@ -3,7 +3,11 @@
 Everything here is deliberately built on scipy/closed forms only, never on
 the code paths being tested: brute-force quadratures of defining
 integrals, the Fourier representation of the time-changed Brownian
-density, and special-function identities.
+density, and special-function identities.  The ``*_loop`` references are
+the earlier, slower forms of library routines, kept to hold their batched
+replacements to the same numbers; the per-time subordination reference
+reuses the library's clock density, support probe and product density,
+which are not what it checks, and checks only the batching over t.
 """
 import math
 
