@@ -83,16 +83,27 @@ def _reject_unknown(obj, allowed, path):
         raise ConfigError(f"{path}.{sorted(unknown)[0]}: unknown key")
 
 
+def _finite(v, where) -> float:
+    """v as a float; JSON's NaN and Infinity (every range comparison with
+    NaN is false) and booleans are refused."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        raise ConfigError(f"{where}: expected a number")
+    try:
+        v = float(v)
+    except OverflowError:  # an integer literal beyond the float range
+        v = math.inf
+    if not math.isfinite(v):
+        raise ConfigError(f"{where}: expected a finite number")
+    return v
+
+
 def _number(obj, key, path, *, lo=None, hi=None, lo_open=False, hi_open=False,
             default=None, required=False):
     if key not in obj:
         if required:
             raise ConfigError(f"{path}.{key}: required")
         return default
-    v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    v = float(v)
+    v = _finite(obj[key], f"{path}.{key}")
     if lo is not None and (v <= lo if lo_open else v < lo):
         raise ConfigError(f"{path}.{key}: must be {'>' if lo_open else '>='} {lo}")
     if hi is not None and (v >= hi if hi_open else v > hi):
@@ -105,10 +116,7 @@ def _numbers(obj, key, path) -> tuple[float, ...]:
     vals = obj.get(key)
     if not isinstance(vals, list):
         raise ConfigError(f"{path}.{key}: expected a list")
-    for i, v in enumerate(vals):
-        if not isinstance(v, (int, float)) or isinstance(v, bool):
-            raise ConfigError(f"{path}.{key}[{i}]: expected a number")
-    return tuple(float(v) for v in vals)
+    return tuple(_finite(v, f"{path}.{key}[{i}]") for i, v in enumerate(vals))
 
 
 def parse_model(obj, path="model"):
@@ -259,13 +267,12 @@ def load_config(path: str) -> dict:
     if not isinstance(pts, int) or pts < 2:
         raise ConfigError("config.sample_points: expected an integer >= 2")
     out["sample_points"] = pts
-    times = raw.get("times")
-    if times is not None:
-        if not isinstance(times, list) or not all(
-            isinstance(t, (int, float)) and t > 0 for t in times
-        ):
-            raise ConfigError("config.times: expected positive numbers")
-        times = [float(t) for t in times]
+    times = None
+    if raw.get("times") is not None:
+        times = list(_numbers(raw, "times", "config"))
+        for i, t in enumerate(times):
+            if t <= 0.0:
+                raise ConfigError(f"config.times[{i}]: must be > 0")
     out["times"] = times
     out["tolerance"] = _number(raw, "tolerance", "config", lo=0.0,
                                lo_open=True, default=5e-3)

@@ -6,6 +6,11 @@ variance, and enough structure for exact joint sampling.  What makes a
 model useful downstream is its *variance function*; the transition density
 of a centered Gaussian process depends on nothing else.
 
+The Laplace data has one form, the tagged tuple ``laplace_profile()`` of
+R~'(u), the transform of R' (power, OU-rational or a weighted sum; ``None``
+without a closed form), read only here: by ``profile_derivative`` and
+``profile_decay`` for the nonlocal operators, and by ``variance_laplace``.
+
 Models:
 
 * ``Brownian``            R(s,t) = min(s,t)
@@ -127,7 +132,8 @@ def _volterra_norm(H: float) -> float:
     )[0]
     if val <= 0.0:
         raise NumericsError(f"kernel normalization failed at H={H}")
-    got = _volterra_cov_constant_h(H, 1.0 / math.sqrt(val), 1.0, 2.0)
+    c = 1.0 / math.sqrt(val)
+    got = c * c * _volterra_product(H, H, 2.0, 1.0)
     want = 0.5 * (1.0 + 2.0 ** (2 * H) - 1.0)
     if abs(got - want) > 1e-5 * abs(want):
         raise NumericsError(
@@ -144,20 +150,19 @@ def calibrate_volterra_constant(H: float) -> float:
     return 1.0 / math.sqrt(_volterra_norm(H))
 
 
-def _volterra_cov_constant_h(H: float, c: float, s: float, t: float) -> float:
-    if s > t:
-        s, t = t, s
-    val = quad(
-        lambda r: _kernel_core(H, t, r) * _kernel_core(H, s, r),
+def _volterra_product(Ht: float, Hs: float, t: float, s: float) -> float:
+    """int_0^s r^{1-Ht-Hs} core(Ht,t,r) core(Hs,s,r) dr for s <= t: the
+    covariance without its kernel constants c_Ht c_Hs."""
+    return quad(
+        lambda r: _kernel_core(Ht, t, r) * _kernel_core(Hs, s, r),
         0.0,
         s,
         weight="alg",
-        wvar=(1.0 - 2.0 * H, 0.0),
+        wvar=(1.0 - Ht - Hs, 0.0),
         epsabs=1e-13,
         epsrel=1e-10,
         limit=200,
     )[0]
-    return c * c * val
 
 
 def _volterra_cov(model: "VariableHurst", s: float, t: float) -> float:
@@ -169,17 +174,7 @@ def _volterra_cov(model: "VariableHurst", s: float, t: float) -> float:
     Hs = model.hurst(s)
     ct = calibrate_volterra_constant(Ht)
     cs = calibrate_volterra_constant(Hs)
-    val = quad(
-        lambda r: _kernel_core(Ht, t, r) * _kernel_core(Hs, s, r),
-        0.0,
-        s,
-        weight="alg",
-        wvar=(1.0 - Ht - Hs, 0.0),
-        epsabs=1e-13,
-        epsrel=1e-10,
-        limit=200,
-    )[0]
-    return ct * cs * val
+    return ct * cs * _volterra_product(Ht, Hs, t, s)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +195,6 @@ class Brownian:
         return np.ones_like(np.asarray(t, dtype=float))
 
     small_time_exponent = 1.0
-
-    def laplace_var(self, s):
-        return 1.0 / s**2
 
     def laplace_profile(self):
         # R~'(u) = 1/u
@@ -237,10 +229,6 @@ class FractionalBrownian:
     @property
     def small_time_exponent(self):
         return 2.0 * self.hurst
-
-    def laplace_var(self, s):
-        h2 = 2.0 * self.hurst
-        return math.gamma(h2 + 1.0) / s ** (h2 + 1.0)
 
     def laplace_profile(self):
         # R~'(u) = Gamma(2H+1) u^{-2H}
@@ -290,9 +278,6 @@ class OrnsteinUhlenbeck:
 
     small_time_exponent = 1.0
 
-    def laplace_var(self, s):
-        return self.sigma**2 / (s * (s + 2.0 * self.alpha))
-
     def laplace_profile(self):
         # R~'(u) = sigma^2 / (u + 2 alpha)
         return ("ou", self.alpha, self.sigma)
@@ -324,9 +309,6 @@ class Mixed:
     @property
     def small_time_exponent(self):
         return min(m.small_time_exponent for _, m in self.terms)
-
-    def laplace_var(self, s):
-        return sum(a * a * m.laplace_var(s) for a, m in self.terms)
 
     def laplace_profile(self):
         parts = []
@@ -380,10 +362,6 @@ class VariableHurst:
     @property
     def small_time_exponent(self):
         return 2.0 * self.hurst(1e-9)
-
-    def laplace_var(self, s):
-        val, _ = laplace_forward(lambda u: float(self.var(u)), complex(s))
-        return val
 
     def laplace_profile(self):
         return None
@@ -480,10 +458,6 @@ class PiecewiseHurst:
     def small_time_exponent(self):
         return 2.0 * self.hursts[0]
 
-    def laplace_var(self, s):
-        val, _ = laplace_forward(lambda u: float(self.var(u)), complex(s))
-        return val
-
     def laplace_profile(self):
         return None
 
@@ -511,17 +485,61 @@ def variance_and_derivative(model, t: float) -> tuple[float, float]:
     return float(model.var(t)), float(model.dvar(t))
 
 
+def _has_power(profile) -> bool:
+    if profile[0] == "sum":
+        return any(_has_power(q) for _, q in profile[1])
+    return profile[0] == "power"
+
+
+def _profile_value(profile, u, logu):
+    kind = profile[0]
+    if kind == "power":
+        return profile[1] * np.exp(-profile[2] * logu)
+    if kind == "ou":  # ("ou", alpha, sigma)
+        return profile[2] * profile[2] / (u + 2.0 * profile[1])
+    return sum(a2 * _profile_value(q, u, logu) for a2, q in profile[1])
+
+
+def profile_derivative(profile, u, log):
+    """R~'(u) from a Laplace profile, elementwise in u.
+
+    ``log`` gives the branch of log u the power terms use (the operators
+    unwrap it along their contour).  It is called at most once, and only
+    when the profile has a power term.  The recursion is a module-level
+    function, not a closure: a closure that calls itself is a reference
+    cycle, which keeps each call's u and log u arrays (30 MB apiece on an
+    operator contour at beta 0.1) alive until the cyclic collector runs.
+    """
+    logu = log(u) if _has_power(profile) else None
+    return _profile_value(profile, u, logu)
+
+
+def profile_decay(profile) -> float:
+    """Algebraic exponent e of R~'(u) ~ |u|^-e as |u| -> inf."""
+    kind = profile[0]
+    if kind == "power":
+        return profile[2]
+    if kind == "ou":
+        return 1.0
+    return min(profile_decay(q) for _, q in profile[1])
+
+
 def variance_laplace(model, s: complex) -> tuple[complex, complex]:
-    """(R~(s), R~'(s)); the derivative transform is s R~(s) since R(0)=0.
+    """(R~(s), R~'(s)); the variance transform is R~'(s)/s since R(0)=0.
 
     Every variance in the catalog grows at most polynomially, so the
-    transforms exist for Re s > 0.
+    transforms exist for Re s > 0.  Models without a Laplace profile
+    (variable and piecewise Hurst) get one numeric forward transform.
     """
     s = complex(s)
     if s.real <= 0.0:
         raise ValueError("Re s must exceed the abscissa 0")
-    rv = model.laplace_var(s)
-    return rv, s * rv
+    profile = model.laplace_profile()
+    if profile is None:
+        rv, _ = laplace_forward(lambda u: float(model.var(u)), s)
+        return rv, s * rv
+    rp = complex(profile_derivative(profile, s, np.log))
+    return rp / s, rp
 
 
 # ---------------------------------------------------------------------------

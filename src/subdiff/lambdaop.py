@@ -1,14 +1,17 @@
 """Time-nonlocal operators of the fractional FPKEs for general variance data.
 
 These operators replace the time-dependent diffusion coefficient when a
-Gaussian process is run on an inverse-subordinator clock.  Both families
-are double-transform objects: an inner complex-line integral producing a
-Laplace image, and an outer inversion back to the time domain:
+Gaussian process is run on an inverse-subordinator clock.  Both are one
+double-transform object: an inner complex-line integral of the kernel
+R~'(rho(s) - rho(z)) m(z), read from the operator's ``profile`` by
+``gaussian.profile_derivative``, producing a Laplace image, and an outer
+inversion back to the time domain:
 
-* ``eval_G``       gamma-indexed kernel family (power-law variance data);
-  the outer fractional integral is folded into the inversion as s^(beta-1)
 * ``eval_Lambda``  variance-driven operator for any model with analytic
   Laplace data (power, rational, and finite sums thereof)
+* ``eval_G``       the gamma-indexed family, the power case of the same
+  kernel on a pure clock; the outer fractional integral is folded into
+  the inversion as s^(beta-1)
 
 The inner line is a sinh-stretched vertical contour; the integrand's
 non-integer power is kept on one analytic branch by unwrapping the
@@ -38,6 +41,7 @@ from .fraccalc import (
     _interp_transform,
     caputo_l1_columns,
 )
+from .gaussian import profile_decay, profile_derivative
 from .subordinators import SubordinatorSpec
 from .timechange import GridDensity
 
@@ -90,6 +94,9 @@ class ContourConfig:
 
 @dataclass(frozen=True)
 class GOperator:
+    """The Lambda kernel's power case 2 Gamma(gamma+1) u^-(gamma+1) on a
+    pure clock, with s^(beta-1) folded into the outer inversion."""
+
     beta: float
     gamma: float
     contour: ContourConfig = ContourConfig()
@@ -100,12 +107,25 @@ class GOperator:
         if not -1.0 < self.gamma < 1.0:
             raise ValueError("gamma must lie in (-1, 1)")
 
+    @property
+    def sub(self) -> SubordinatorSpec:
+        return SubordinatorSpec.pure(self.beta)
+
+    @property
+    def profile(self):
+        return ("power", 2.0 * math.gamma(self.gamma + 1.0), self.gamma + 1.0)
+
+    @property
+    def fold_power(self) -> float:
+        return self.beta - 1.0
+
 
 @dataclass(frozen=True)
 class LambdaOperator:
     sub: SubordinatorSpec
     model: object
     contour: ContourConfig = ContourConfig()
+    fold_power: ClassVar[float] = 0.0
 
     def __post_init__(self):
         if self.model.laplace_profile() is None:
@@ -113,6 +133,10 @@ class LambdaOperator:
                 "Lambda operators need analytic variance Laplace data "
                 "(power, rational, or finite sums); this model has none"
             )
+
+    @property
+    def profile(self):
+        return self.model.laplace_profile()
 
 
 @dataclass(frozen=True)
@@ -209,69 +233,17 @@ def _unwrapped_log(w: np.ndarray) -> np.ndarray:
 
 def _kernel_tail_power(op) -> float:
     """Algebraic decay exponent of the kernel factor for |z| -> inf."""
-    if isinstance(op, GOperator):
-        return op.beta * (op.gamma + 1.0)
-    profile = op.model.laplace_profile()
-    b_max = max(b for b, _ in op.sub.components)
-
-    def power_of(p):
-        kind = p[0]
-        if kind == "power":
-            return b_max * p[2]
-        if kind == "ou":
-            return b_max
-        return min(power_of(q) for _, q in p[1])
-
-    return power_of(profile)
+    return max(b for b, _ in op.sub.components) * profile_decay(op.profile)
 
 
 def _kernel_on_line(op, s_nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Kernel factor of the inner integrand, shaped (len(s), len(z))."""
-    if isinstance(op, GOperator):
-        beta = op.beta
-        zb = np.exp(beta * np.log(z))[None, :]
-        sb = np.exp(beta * np.log(s_nodes))[:, None]
-        logw = _unwrapped_log(sb - zb)
-        return np.exp(-(op.gamma + 1.0) * logw)
-    # Lambda: (rho(s) - rho(z)) R~(rho(s) - rho(z)) m(z) = R~'(u) m(z)
+    """Kernel factor R~'(rho(s) - rho(z)) m(z), shaped (len(s), len(z))."""
     rho_s = op.sub.laplace_exponent(s_nodes)[:, None]
     rho_z = op.sub.laplace_exponent(z)[None, :]
-    u = rho_s - rho_z
-    m = op.sub.order_mixture(z)[None, :] if not op.sub.is_pure else None
-    if op.sub.is_pure:
-        m = op.sub.components[0][0]
-
-    profile = op.model.laplace_profile()
-    logu = None
-
-    def rprime(p):
-        nonlocal logu
-        kind = p[0]
-        if kind == "power":
-            if logu is None:
-                logu = _unwrapped_log(u)
-            return p[1] * np.exp(-p[2] * logu)
-        if kind == "ou":
-            alpha, sigma = p[1], p[2]
-            return sigma * sigma / (u + 2.0 * alpha)
-        return sum(a2 * rprime(q) for a2, q in p[1])
-
-    return rprime(profile) * m
-
-
-def _prefactor(op) -> float:
-    if isinstance(op, GOperator):
-        return op.beta * math.gamma(op.gamma + 1.0)
-    # the order factor m(z) (constant beta in the pure case) lives in the
-    # kernel, so the pure and mixture forms share the 1/2 out front
-    return 0.5
-
-
-def _fold_power(op) -> float:
-    """Exponent of the s-power folded into the outer inversion."""
-    if isinstance(op, GOperator):
-        return op.beta - 1.0  # realizes the outer fractional integral
-    return 0.0
+    # the order factor m(z) is the constant beta for a pure clock
+    m = (op.sub.components[0][0] if op.sub.is_pure
+         else op.sub.order_mixture(z)[None, :])
+    return profile_derivative(op.profile, rho_s - rho_z, _unwrapped_log) * m
 
 
 def _image(op, gt, g_sing, s, spacing: float, vmax: float) -> np.ndarray:
@@ -296,7 +268,9 @@ def _image(op, gt, g_sing, s, spacing: float, vmax: float) -> np.ndarray:
         phi = (kern * (gz * dz)[None, :]).sum(axis=1) / (2j * np.pi)
     else:
         phi = ((kern * dz[None, :]) @ gz / (2j * np.pi)).T
-    return _prefactor(op) * np.exp(_fold_power(op) * np.log(s)) * phi
+    # the order factor m(z) lives in the kernel, so every operator shares
+    # the 1/2 out front
+    return 0.5 * np.exp(op.fold_power * np.log(s)) * phi
 
 
 _LN2 = math.log(2.0)

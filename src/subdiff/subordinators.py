@@ -221,9 +221,7 @@ def invert_subordinator_path(w: MonotonePath, t_grid) -> MonotonePath:
 def _pilot_step(spec, t_max, gen):
     """Operational step size: 1/400 of the mean crossing time of t_max in
     a coarse 256-path pilot run."""
-    # coarse guess from the fastest component: E_t ~ t^beta / w
-    guess = min(t_max**b / w for b, w in spec.components)
-    step = guess / 32.0
+    step = spec.inverse_scale(t_max) / 32.0
     s_cross = np.zeros(256)
     w_cur = np.zeros(256)
     alive = np.arange(256)
@@ -442,10 +440,8 @@ def inverse_time_moment(
         raise ValueError("need t > 0 and gamma > 0")
     if len(spec.components) == 1:
         b, w = spec.components[0]
-        # E_t for weight w is distributed as the w=1 clock at time t/w^(1/1)
-        # only when beta=1; in general scale via rho: E[e^{-s W}] = e^{-t w s^b}
-        # gives E_t =d (1/w) E'_{t} with E' the weight-1 inverse at time t,
-        # since W =d w^{1/b}-scaled standard subordinator in time.
+        # a weight-w clock is the weight-1 clock run at speed w
+        # (E[e^{-s W_u}] = e^{-u w s^b}), so E_t =d E'_t / w
         moment = (
             math.gamma(gamma + 1.0)
             * t ** (gamma * b)

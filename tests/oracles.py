@@ -7,7 +7,9 @@ density, and special-function identities.  The ``*_loop`` references are
 the earlier, slower forms of library routines, kept to hold their batched
 replacements to the same numbers; the per-time subordination reference
 reuses the library's clock density, support probe and product density,
-which are not what it checks, and checks only the batching over t.
+which are not what it checks, and checks only the batching over t.  The
+``*_FROZEN`` tables are operator values recorded while G still had a
+kernel of its own, before it became the power case of the Lambda kernel.
 """
 import math
 
@@ -324,3 +326,45 @@ def mc_laplace_check(draws, s, target, n_se=3.0):
     se = vals.std(ddof=1) / np.sqrt(len(vals))
     dev = (vals.mean() - target) / se
     return float(dev), abs(dev) <= n_se
+
+
+# Operator values on t = FROZEN_T.  G_ON_ONE_FROZEN is keyed by (beta,
+# gamma) on the constant input 1; G_ON_EXP_FROZEN is G at beta 0.5, gamma
+# 0.4 on e^{-t}; LAMBDA_ON_ONE_FROZEN is keyed by (model, clock) for the
+# models Brownian, fBm H 0.7, OU (1, 1) and 1 fBm(0.7) + 0.5 OU(1, 1), on
+# the pure clock beta 0.5 and the mixture 0.5 E^0.4 + 0.5 E^0.8.
+FROZEN_T = (0.5, 1.0, 2.0)
+G_ON_ONE_FROZEN = {
+    (0.1, -0.5): (1.7790033172385293, 1.7184039437280225,
+                  1.65986880825678),
+    (0.1, 0.4): (0.8820194756457459, 0.9068164170819988,
+                 0.9323104972086099),
+    (0.5, -0.5): (1.7200792210807772, 1.4464084497986525,
+                  1.216279681971625),
+    (0.5, 0.4): (0.8412483653628838, 0.9663406128453182,
+                 1.1100338726776153),
+    (0.9, -0.5): (1.498177376658385, 1.096730031636444,
+                  0.8028533778345823),
+    (0.9, 0.4): (0.7766079672448427, 0.9967187772083631,
+                 1.2792146916776783),
+}
+G_ON_EXP_FROZEN = (0.392775665627682, 0.1640707622205733,
+                   -0.08278285041565715)
+LAMBDA_ON_ONE_FROZEN = {
+    ("bm", "pure"): (0.39894182659988564, 0.2820944712286596,
+                     0.19947091346132872),
+    ("bm", "mixture"): (0.4703957791121508, 0.3451364400882628,
+                        0.24733639542160957),
+    ("fbm", "pure"): (0.5890692443932809, 0.4784729054115979,
+                      0.3886407644535355),
+    ("fbm", "mixture"): (0.6556413331777683, 0.5764102054006663,
+                         0.49075840865965414),
+    ("ou", "pure"): (0.06273791684778127, 0.026699302151242305,
+                     0.01065025315003221),
+    ("ou", "mixture"): (0.08129572522277488, 0.029579967433337673,
+                        0.010030234489239308),
+    ("mixed", "pure"): (0.6047537232824545, 0.48514773151425916,
+                        0.3913033274989647),
+    ("mixed", "mixture"): (0.6759652651290057, 0.5838051970572684,
+                           0.4932659666767668),
+}

@@ -224,6 +224,19 @@ class TestCommands:
     ({"model": {"kind": "variable_hurst", "preset": "mobius", "a": 0.6,
                 "b": 0.5}},
      "model: H(t) must stay inside (1/2, 1)"),
+    # JSON's NaN and Infinity parse, and fail no range comparison
+    ({**BM_CFG, "solver": {**BM_CFG["solver"], "t_max": float("nan")}},
+     "solver.t_max: expected a finite number"),
+    ({**BM_CFG, "solver": {**BM_CFG["solver"], "n_t": float("inf")}},
+     "solver.n_t: expected a finite number"),
+    ({**BM_CFG, "solver": {**BM_CFG["solver"], "t_max": 10**400}},
+     "solver.t_max: expected a finite number"),
+    ({"model": {"kind": "fbm", "h": float("nan")}},
+     "model.h: expected a finite number"),
+    ({**BM_CFG, "times": [float("inf")]},
+     "config.times[0]: expected a finite number"),
+    ({**BM_CFG, "times": [True]}, "config.times[0]: expected a number"),
+    ({**BM_CFG, "times": [0.5, 0.0]}, "config.times[1]: must be > 0"),
 ])
 def test_bad_config_value_exits_2_with_field(tmp_path, capsys, body, field):
     rc = main(["simulate", "--config", write_config(tmp_path, body),

@@ -101,6 +101,29 @@ class TestVarianceLaplace:
         _, rp = variance_laplace(OrnsteinUhlenbeck(0.5, 1.0), 1.0)
         assert_allclose(rp, 0.5, rtol=1e-12)
 
+    def test_brownian_closed_form(self):
+        # R~(s) = 1/s^2 and R~'(s) = 1/s
+        assert_allclose(variance_laplace(Brownian(), 2.0), (0.25, 0.5),
+                        rtol=1e-15)
+
+    def test_mixed_sums_its_terms(self):
+        # 1/s + 4 / (s + 1) at s = 1, and R~ = R~'/s
+        m = Mixed(((1.0, Brownian()), (2.0, OrnsteinUhlenbeck(0.5, 1.0))))
+        assert_allclose(variance_laplace(m, 1.0), (3.0, 3.0), rtol=1e-15)
+        m = Mixed(((1.0, FBM7), (0.5, OU)))
+        want = (variance_laplace(FBM7, 2.0 + 1.0j)[1]
+                + 0.25 * variance_laplace(OU, 2.0 + 1.0j)[1])
+        assert_allclose(variance_laplace(m, 2.0 + 1.0j)[1], want, rtol=1e-14)
+
+    def test_mixed_numeric_term_transforms_numerically(self):
+        # a term without a profile sends the whole mixture to one
+        # numeric forward transform
+        m = Mixed(((1.0, Brownian()), (1.0, PW)))
+        rv, rp = variance_laplace(m, 2.0)
+        want = 0.25 + variance_laplace(PW, 2.0)[0]
+        assert_allclose(rv, want, rtol=1e-8)
+        assert_allclose(rp, 2.0 * rv, rtol=1e-15)
+
     def test_quadrature_identity(self):
         # R~'(s) = s R~(s) with both sides by independent quadratures
         from subdiff.fraccalc import laplace_forward

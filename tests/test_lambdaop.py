@@ -14,6 +14,7 @@ from subdiff.gaussian import (
     Brownian,
     FractionalBrownian,
     GaussianSpec,
+    Mixed,
     OrnsteinUhlenbeck,
     VariableHurst,
     MobiusHurst,
@@ -34,6 +35,13 @@ from subdiff.lambdaop import (
 )
 from subdiff.subordinators import SubordinatorSpec, inverse_time_moment
 from subdiff.timechange import GridDensity, TimeChangedSpec, subordinated_density
+
+from oracles import (
+    FROZEN_T,
+    G_ON_EXP_FROZEN,
+    G_ON_ONE_FROZEN,
+    LAMBDA_ON_ONE_FROZEN,
+)
 
 ONE = constant_transform(1.0)
 
@@ -184,6 +192,61 @@ class TestLambdaOperator:
         vh = VariableHurst(MobiusHurst(0.6, 0.2), horizon=2.0)
         with pytest.raises(ValueError):
             LambdaOperator(SubordinatorSpec.pure(0.5), vh)
+
+
+def assert_frozen(got, want):
+    # 1e-8 of the grid's maximum leaves room for other hosts: G's kernel
+    # roundoff, amplified by the Stehfest weights, moved it by under 3e-9
+    want = np.asarray(want)
+    assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+
+
+FROZEN_MODELS = {
+    "bm": Brownian(),
+    "fbm": FractionalBrownian(0.7),
+    "ou": OrnsteinUhlenbeck(1.0, 1.0),
+    "mixed": Mixed(((1.0, FractionalBrownian(0.7)),
+                    (0.5, OrnsteinUhlenbeck(1.0, 1.0)))),
+}
+FROZEN_CLOCKS = {
+    "pure": SubordinatorSpec.pure(0.5),
+    "mixture": SubordinatorSpec(((0.4, 0.5), (0.8, 0.5))),
+}
+
+
+class TestFrozenValues:
+    @pytest.mark.parametrize("beta, gamma", sorted(G_ON_ONE_FROZEN))
+    def test_g_on_one(self, beta, gamma):
+        got, _ = eval_G_grid(GOperator(beta, gamma), ONE, FROZEN_T)
+        assert_frozen(got, G_ON_ONE_FROZEN[beta, gamma])
+
+    def test_g_on_exp(self):
+        got, _ = eval_G_grid(GOperator(0.5, 0.4), exp_transform(1.0),
+                             FROZEN_T)
+        assert_frozen(got, G_ON_EXP_FROZEN)
+
+    @pytest.mark.parametrize("model, clock", sorted(LAMBDA_ON_ONE_FROZEN))
+    def test_lambda_on_one(self, model, clock):
+        lam = LambdaOperator(FROZEN_CLOCKS[clock], FROZEN_MODELS[model])
+        got, _ = eval_Lambda_grid(lam, ONE, FROZEN_T)
+        assert_frozen(got, LAMBDA_ON_ONE_FROZEN[model, clock])
+
+
+def test_lambda_grid_peak_memory():
+    # the (nodes x line) kernel arrays, 30 MB each at beta 0.1, must be
+    # freed when the kernel returns; a reference cycle through the profile
+    # reader once kept them until the cyclic collector ran (315 MB peak)
+    import tracemalloc
+
+    lam = LambdaOperator(SubordinatorSpec.pure(0.1), FractionalBrownian(0.6))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        eval_Lambda_grid(lam, ONE, np.linspace(0.2, 2.0, 10))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 150e6
 
 
 class TestFieldResidual:
