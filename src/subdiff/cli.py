@@ -97,18 +97,23 @@ def _finite(v, where) -> float:
     return v
 
 
-def _number(obj, key, path, *, lo=None, hi=None, lo_open=False, hi_open=False,
-            default=None, required=False):
+def _ranged(v, where, *, lo=None, hi=None, lo_open=False,
+            hi_open=False) -> float:
+    """v as a finite float inside the stated bounds."""
+    v = _finite(v, where)
+    if lo is not None and (v <= lo if lo_open else v < lo):
+        raise ConfigError(f"{where}: must be {'>' if lo_open else '>='} {lo}")
+    if hi is not None and (v >= hi if hi_open else v > hi):
+        raise ConfigError(f"{where}: must be {'<' if hi_open else '<='} {hi}")
+    return v
+
+
+def _number(obj, key, path, *, default=None, required=False, **bounds):
     if key not in obj:
         if required:
             raise ConfigError(f"{path}.{key}: required")
         return default
-    v = _finite(obj[key], f"{path}.{key}")
-    if lo is not None and (v <= lo if lo_open else v < lo):
-        raise ConfigError(f"{path}.{key}: must be {'>' if lo_open else '>='} {lo}")
-    if hi is not None and (v >= hi if hi_open else v > hi):
-        raise ConfigError(f"{path}.{key}: must be {'<' if hi_open else '<='} {hi}")
-    return v
+    return _ranged(obj[key], f"{path}.{key}", **bounds)
 
 
 def _numbers(obj, key, path) -> tuple[float, ...]:
@@ -269,10 +274,8 @@ def load_config(path: str) -> dict:
     out["sample_points"] = pts
     times = None
     if raw.get("times") is not None:
-        times = list(_numbers(raw, "times", "config"))
-        for i, t in enumerate(times):
-            if t <= 0.0:
-                raise ConfigError(f"config.times[{i}]: must be > 0")
+        times = [_ranged(t, f"config.times[{i}]", lo=0.0, lo_open=True)
+                 for i, t in enumerate(_numbers(raw, "times", "config"))]
     out["times"] = times
     out["tolerance"] = _number(raw, "tolerance", "config", lo=0.0,
                                lo_open=True, default=5e-3)
@@ -398,6 +401,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_moments(args) -> int:
+    # E[(E_t)^gamma] is defined for gamma > 0 only
+    gamma = (None if args.gamma is None
+             else _ranged(args.gamma, "--gamma", lo=0.0, lo_open=True))
     if args.config:
         cfg = load_config(args.config)
         sub = cfg["subordinator"]
@@ -405,14 +411,16 @@ def cmd_moments(args) -> int:
             raise ConfigError("config.subordinator: required for moments")
         raw = cfg["raw"]
         times = cfg["times"] or [cfg["solver"].t_max]
-        gammas = [args.gamma] if args.gamma else [1.0, 2.0]
+        gammas = [gamma] if gamma is not None else [1.0, 2.0]
     else:
-        if args.beta is None or args.gamma is None or not args.t:
+        if args.beta is None or gamma is None or not args.t:
             raise ConfigError("moments needs --config or --beta/--gamma/--t")
-        sub = SubordinatorSpec.pure(args.beta)
-        raw = {"beta": args.beta}
-        times = args.t
-        gammas = [args.gamma]
+        # the ranges of subordinator.components[].beta and config.times[]
+        beta = _ranged(args.beta, "--beta", lo=0.0, hi=1.0, lo_open=True)
+        sub = SubordinatorSpec.pure(beta)
+        raw = {"beta": beta}
+        times = [_ranged(t, "--t", lo=0.0, lo_open=True) for t in args.t]
+        gammas = [gamma]
     rows = []
     for t in times:
         for g in gammas:
@@ -428,6 +436,10 @@ def cmd_moments(args) -> int:
 
 
 def cmd_operators(args) -> int:
+    # the power kernel u^-(gamma+1) of GOperator needs gamma in (-1, 1)
+    gamma = (0.0 if args.gamma is None
+             else _ranged(args.gamma, "--gamma", lo=-1.0, hi=1.0,
+                          lo_open=True, hi_open=True))
     cfg = load_config(args.config)
     sub = cfg["subordinator"]
     if sub is None or not sub.is_pure:
@@ -437,7 +449,6 @@ def cmd_operators(args) -> int:
     one = constant_transform(1.0)
     rows = []
     for t in times:
-        gamma = args.gamma if args.gamma is not None else 0.0
         gv = eval_G(GOperator(beta, gamma), one, float(t))
         row = [float(t), gamma, gv.value, gv.error]
         rows.append(row)

@@ -5,6 +5,11 @@ round-trip every double, though not always the shortest string that
 does), no timestamps go into payloads, and every file lands via
 write-then-rename, so re-running a configuration with the same seed
 reproduces byte-identical CSVs and no partial artifact survives a failure.
+
+The grid and path writers format each axis value once and fill one
+%-template per row of the array with that row's values in a single %
+operation; the bytes are those of formatting every cell on its own
+(``tests/oracles.py`` keeps that writer as the reference).
 """
 from __future__ import annotations
 
@@ -44,34 +49,35 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _templated_rows(header: str, prefixes, cells, rows) -> str:
+    """header, then per (prefix, row) one line per cell: the prefix
+    joined to the cell, whose %.17g fields the row's values fill."""
+    lines = [header]
+    if cells:
+        for prefix, row in zip(prefixes, rows, strict=True):
+            lines.append(prefix + ("\n" + prefix).join(cells) % tuple(row))
+    return "\n".join(lines) + "\n"
+
+
 def paths_csv(ensemble) -> str:
     """path_id,t,value rows (value_1..value_n columns for n > 1)."""
-    n_dim = ensemble.paths.shape[2]
+    n_paths, n_t, n_dim = ensemble.paths.shape
     if n_dim == 1:
         header = "path_id,t,value"
     else:
         header = "path_id,t," + ",".join(
             f"value_{j + 1}" for j in range(n_dim)
         )
-    lines = [header]
-    for p in range(ensemble.n_paths):
-        for i, t in enumerate(ensemble.grid):
-            vals = ",".join(
-                format_float(ensemble.paths[p, i, j]) for j in range(n_dim)
-            )
-            lines.append(f"{p},{format_float(t)},{vals}")
-    return "\n".join(lines) + "\n"
+    fields = "," + ",".join(["%.17g"] * n_dim)
+    cells = ["," + format_float(t) + fields for t in ensemble.grid.tolist()]
+    rows = ensemble.paths.reshape(n_paths, n_t * n_dim).tolist()
+    return _templated_rows(header, map(str, range(n_paths)), cells, rows)
 
 
 def grid_density_csv(gd) -> str:
-    lines = ["t,x,q"]
-    for i, t in enumerate(gd.t_grid):
-        for j, x in enumerate(gd.x_grid):
-            lines.append(
-                f"{format_float(t)},{format_float(x)},"
-                f"{format_float(gd.values[i, j])}"
-            )
-    return "\n".join(lines) + "\n"
+    cells = ["," + format_float(x) + ",%.17g" for x in gd.x_grid.tolist()]
+    prefixes = map(format_float, gd.t_grid.tolist())
+    return _templated_rows("t,x,q", prefixes, cells, gd.values.tolist())
 
 
 def table_csv(header: list[str], rows: list[list]) -> str:

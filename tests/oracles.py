@@ -10,6 +10,8 @@ reuses the library's clock density, support probe and product density,
 which are not what it checks, and checks only the batching over t.  The
 ``*_FROZEN`` tables are operator values recorded while G still had a
 kernel of its own, before it became the power case of the Lambda kernel.
+The ``*_csv_cells`` writers are the artifact writers as they were when
+every cell was formatted on its own: the byte contract of ``subdiff.io``.
 """
 import math
 
@@ -327,6 +329,40 @@ def mc_laplace_check(draws, s, target, n_se=3.0):
     dev = (vals.mean() - target) / se
     return float(dev), abs(dev) <= n_se
 
+
+
+def format_float(x: float) -> str:
+    return "%.17g" % float(x)
+
+
+def paths_csv_cells(ensemble) -> str:
+    """path_id,t,value rows (value_1..value_n columns for n > 1)."""
+    n_dim = ensemble.paths.shape[2]
+    if n_dim == 1:
+        header = "path_id,t,value"
+    else:
+        header = "path_id,t," + ",".join(
+            f"value_{j + 1}" for j in range(n_dim)
+        )
+    lines = [header]
+    for p in range(ensemble.n_paths):
+        for i, t in enumerate(ensemble.grid):
+            vals = ",".join(
+                format_float(ensemble.paths[p, i, j]) for j in range(n_dim)
+            )
+            lines.append(f"{p},{format_float(t)},{vals}")
+    return "\n".join(lines) + "\n"
+
+
+def grid_density_csv_cells(gd) -> str:
+    lines = ["t,x,q"]
+    for i, t in enumerate(gd.t_grid):
+        for j, x in enumerate(gd.x_grid):
+            lines.append(
+                f"{format_float(t)},{format_float(x)},"
+                f"{format_float(gd.values[i, j])}"
+            )
+    return "\n".join(lines) + "\n"
 
 # Operator values on t = FROZEN_T.  G_ON_ONE_FROZEN is keyed by (beta,
 # gamma) on the constant input 1; G_ON_EXP_FROZEN is G at beta 0.5, gamma

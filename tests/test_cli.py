@@ -295,3 +295,45 @@ def test_simulate_mixed_model_with_piecewise_term(tmp_path):
                  "--out", out]) == 0
     lines = open(os.path.join(out, "paths.csv")).read().splitlines()
     assert len(lines) == 1 + 3 * 5
+
+
+# each flag is held to the range its config field or the library needs
+@pytest.mark.parametrize("argv, message", [
+    (["moments", "--beta", "1.5", "--gamma", "1", "--t", "1"],
+     "--beta: must be <= 1.0"),
+    (["moments", "--beta", "0", "--gamma", "1", "--t", "1"],
+     "--beta: must be > 0.0"),
+    (["moments", "--beta", "0.5", "--gamma", "nan", "--t", "1"],
+     "--gamma: expected a finite number"),
+    (["moments", "--beta", "0.5", "--gamma", "0", "--t", "1"],
+     "--gamma: must be > 0.0"),
+    (["moments", "--beta", "0.5", "--gamma", "1", "--t", "nan"],
+     "--t: expected a finite number"),
+    (["moments", "--beta", "0.5", "--gamma", "1", "--t", "1", "--t", "0"],
+     "--t: must be > 0.0"),
+    (["moments", "--config", "CFG", "--gamma", "0"], "--gamma: must be > 0.0"),
+    (["moments", "--config", "CFG", "--gamma=-inf"],
+     "--gamma: expected a finite number"),
+    (["operators", "--config", "CFG", "--gamma", "1.5"],
+     "--gamma: must be < 1.0"),
+    (["operators", "--config", "CFG", "--gamma", "-1"],
+     "--gamma: must be > -1.0"),
+], ids=["beta-high", "beta-zero", "gamma-nan", "gamma-zero", "t-nan",
+        "t-zero", "config-gamma-zero", "config-gamma-inf",
+        "operators-gamma-high", "operators-gamma-low"])
+def test_bad_flag_exits_2_naming_it(tmp_path, capsys, argv, message):
+    cfg = write_config(tmp_path, BM_CFG)
+    out = tmp_path / "o"
+    rc = main([cfg if a == "CFG" else a for a in argv] + ["--out", str(out)])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
+
+
+def test_moments_config_takes_the_gamma_flag(tmp_path):
+    out = tmp_path / "o"
+    assert main(["moments", "--config", write_config(tmp_path, BM_CFG),
+                 "--gamma", "0.5", "--out", str(out)]) == 0
+    lines = (out / "moments.csv").read_text().splitlines()
+    assert lines[0] == "t,gamma,moment"
+    assert [line.split(",")[:2] for line in lines[1:]] == [["1", "0.5"]]
