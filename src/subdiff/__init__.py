@@ -52,6 +52,7 @@ from .subordinators import (
     inverse_time_moment,
     invert_subordinator_path,
     sample_inverse_ensemble,
+    sample_inverse_marginal,
     sample_positive_stable,
     sample_subordinator_path,
 )

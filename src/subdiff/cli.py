@@ -405,6 +405,10 @@ def cmd_moments(args) -> int:
     gamma = (None if args.gamma is None
              else _ranged(args.gamma, "--gamma", lo=0.0, lo_open=True))
     if args.config:
+        # the config fixes the clock and the times
+        for flag, value in (("--beta", args.beta), ("--t", args.t)):
+            if value is not None:
+                raise ConfigError(f"{flag}: cannot be combined with --config")
         cfg = load_config(args.config)
         sub = cfg["subordinator"]
         if sub is None:
@@ -444,7 +448,9 @@ def cmd_operators(args) -> int:
     sub = cfg["subordinator"]
     if sub is None or not sub.is_pure:
         raise ConfigError("config.subordinator: pure beta required")
-    beta = sub.components[0][0]
+    # GOperator needs beta in (0, 1); the config also admits beta = 1
+    beta = _ranged(sub.components[0][0], "subordinator.components[0].beta",
+                   lo=0.0, hi=1.0, lo_open=True, hi_open=True)
     times = cfg["times"] or [cfg["solver"].t_max]
     one = constant_transform(1.0)
     rows = []

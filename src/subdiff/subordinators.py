@@ -5,9 +5,11 @@ disjoint intervals are independent, with E[exp(-s W_t)] = exp(-t rho(s))
 and rho(s) = sum_k w_k s^{beta_k}.  The inverse (first passage) process
 E_t = inf{u : W_u > t} is the random clock used by the time-change module.
 
-Three routes to the law of E_t coexist on purpose:
+Four routes to the law of E_t coexist on purpose:
 
-* pathwise Monte Carlo (`sample_inverse_ensemble`),
+* pathwise Monte Carlo (`sample_inverse_ensemble`), joint over many times,
+* exact one-time draws from Kanter's representation
+  (`sample_inverse_marginal`; one-component clocks),
 * Laplace inversion of the known transform (`inverse_time_density`),
 * closed-form moments where they exist (`inverse_time_moment`),
 
@@ -32,6 +34,7 @@ __all__ = [
     "sample_subordinator_path",
     "invert_subordinator_path",
     "sample_inverse_ensemble",
+    "sample_inverse_marginal",
     "inverse_time_density",
     "inverse_time_moment",
 ]
@@ -138,14 +141,20 @@ class SeededRng:
 # sampling
 # ---------------------------------------------------------------------------
 
-def _kanter(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Kanter's representation of the standard positive stable law."""
-    a = (
+def kanter_a(beta: float, u: np.ndarray) -> np.ndarray:
+    """Kanter's function A(u) = [sin(beta u)^beta sin((1-beta) u)^(1-beta)
+    / sin u]^(1/(1-beta)) on (0, pi)."""
+    return (
         np.sin(beta * u) ** beta
         * np.sin((1.0 - beta) * u) ** (1.0 - beta)
         / np.sin(u)
     ) ** (1.0 / (1.0 - beta))
-    return (a / w) ** ((1.0 - beta) / beta)
+
+
+def _kanter(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Kanter's representation of the standard positive stable law:
+    (A(U)/W)^((1-beta)/beta) for U uniform on (0, pi), W exponential."""
+    return (kanter_a(beta, u) / w) ** ((1.0 - beta) / beta)
 
 
 def sample_positive_stable(beta, scale, rng: SeededRng, size=None):
@@ -298,6 +307,35 @@ def sample_inverse_ensemble(
     return out
 
 
+def sample_inverse_marginal(
+    spec: SubordinatorSpec,
+    t: float,
+    n_paths: int,
+    rng: SeededRng,
+) -> np.ndarray:
+    """Exact draws of E_t at one time t > 0, shaped (n_paths,).
+
+    A one-component clock of weight w has E_t = (t/D)^b / w in law, with D
+    standard positive stable (E_t = inf{u : w^{1/b} u^{1/b} D > t} by
+    self-similarity).  Kanter's D = (A(U)/W)^((1-b)/b) turns this into
+    t^b (W/A(U))^(1-b) / w (Meerschaert & Scheffler, J. Appl. Probab. 41,
+    2004), which never forms D: its power (1-b)/b overflows at small b.
+    The deterministic clock gives t / w; mixtures have no such form and
+    take the level-crossing route.
+    """
+    if t <= 0.0:
+        raise ValueError("t must be positive")
+    if len(spec.components) > 1:
+        return sample_inverse_ensemble(spec, [t], n_paths, rng)[:, 0]
+    b, w = spec.components[0]
+    if b == 1.0:
+        return np.full(n_paths, t / w)
+    gen = rng.generator()
+    u = gen.uniform(0.0, np.pi, n_paths)
+    e = gen.exponential(1.0, n_paths)
+    return t**b / w * (e / kanter_a(b, u)) ** (1.0 - b)
+
+
 # ---------------------------------------------------------------------------
 # density and moments of the inverse process
 # ---------------------------------------------------------------------------
@@ -435,21 +473,28 @@ def inverse_time_moment(
     *,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> float:
-    """E[(E_t)^gamma]; closed form for pure beta, inversion for mixtures."""
+    """E[(E_t)^gamma]; closed form for pure beta, inversion for mixtures.
+
+    Where a gamma function or power leaves the float range the closed-form
+    factors are recomputed from their logarithms, so a large gamma gives
+    the moment whenever it is a finite float, and NumericsError otherwise.
+    """
     if t <= 0.0 or gamma <= 0.0:
         raise ValueError("need t > 0 and gamma > 0")
     if len(spec.components) == 1:
         b, w = spec.components[0]
         # a weight-w clock is the weight-1 clock run at speed w
         # (E[e^{-s W_u}] = e^{-u w s^b}), so E_t =d E'_t / w
-        moment = (
-            math.gamma(gamma + 1.0)
-            * t ** (gamma * b)
-            / math.gamma(gamma * b + 1.0)
+        return _in_float_range(
+            lambda: math.gamma(gamma + 1.0) * t ** (gamma * b)
+            / math.gamma(gamma * b + 1.0) / w**gamma,
+            math.lgamma(gamma + 1.0) + gamma * b * math.log(t)
+            - math.lgamma(gamma * b + 1.0) - gamma * math.log(w),
+            f"moment of order {gamma}",
         )
-        return moment / w**gamma
 
-    lg = math.gamma(gamma + 1.0)
+    lg = _in_float_range(lambda: math.gamma(gamma + 1.0),
+                         math.lgamma(gamma + 1.0), f"Gamma({gamma} + 1)")
 
     def F(s):
         rho = spec.laplace_exponent(s)
@@ -458,4 +503,19 @@ def inverse_time_moment(
     scale = lg * spec.inverse_scale(t) ** gamma
     return float(
         laplace_inverse_batch(F, t, 1, config=config, abs_scale=scale)[0]
+    )
+
+
+def _in_float_range(direct, log_value: float, what: str) -> float:
+    """``direct()`` if it is a positive finite float, else exp(log_value);
+    NumericsError when that is no positive finite float either."""
+    for value in (direct, lambda: math.exp(log_value)):
+        try:
+            v = value()
+        except OverflowError:
+            continue
+        if 0.0 < v < math.inf:
+            return v
+    raise NumericsError(
+        f"{what} is exp({log_value:.6g}), outside the float range"
     )

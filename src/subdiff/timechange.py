@@ -34,6 +34,7 @@ from .subordinators import (
     clock_density_fast,
     inverse_time_density,
     sample_inverse_ensemble,
+    sample_inverse_marginal,
 )
 
 __all__ = [
@@ -135,8 +136,9 @@ def sample_timechanged_paths(
 def sample_timechanged_marginal(
     spec: TimeChangedSpec, t: float, n_paths: int, rng: SeededRng
 ) -> np.ndarray:
-    """Fast draws of X_{E_t} at a single time: (n_paths, dimension)."""
-    E = sample_inverse_ensemble(spec.sub, [t], n_paths, rng.stream(0))[:, 0]
+    """Draws of X_{E_t} at a single time, (n_paths, dimension): an exact
+    clock draw (``sample_inverse_marginal``), then X given E_t."""
+    E = sample_inverse_marginal(spec.sub, t, n_paths, rng.stream(0))
     gen = rng.stream(1).generator()
     n_dim = spec.gauss.dimension
     out = np.empty((n_paths, n_dim))

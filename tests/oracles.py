@@ -12,6 +12,9 @@ which are not what it checks, and checks only the batching over t.  The
 kernel of its own, before it became the power case of the Lambda kernel.
 The ``*_csv_cells`` writers are the artifact writers as they were when
 every cell was formatted on its own: the byte contract of ``subdiff.io``.
+The ``volterra_*_nested`` functions are the variable-Hurst covariance as
+it was when the kernel core was an inner quadrature, and
+``KERNEL_CORE_MPMATH`` holds that core to 40 digits.
 """
 import math
 
@@ -403,4 +406,74 @@ LAMBDA_ON_ONE_FROZEN = {
                         0.3913033274989647),
     ("mixed", "mixture"): (0.6759652651290057, 0.5838051970572684,
                            0.4932659666767668),
+}
+
+
+def _kernel_core_nested(H, t, r):
+    if r >= t:
+        return 0.0
+    return quad(lambda u: u ** (H - 0.5), r, t, weight="alg",
+                wvar=(H - 1.5, 0.0), epsabs=1e-13, epsrel=1e-10,
+                limit=200)[0]
+
+
+def volterra_product_nested(Ht, Hs, t, s):
+    """int_0^s r^{1-Ht-Hs} core(Ht,t,r) core(Hs,s,r) dr for s <= t."""
+    return quad(
+        lambda r: _kernel_core_nested(Ht, t, r) * _kernel_core_nested(Hs, s, r),
+        0.0, s, weight="alg", wvar=(1.0 - Ht - Hs, 0.0), epsabs=1e-13,
+        epsrel=1e-10, limit=200,
+    )[0]
+
+
+def volterra_norm_nested(H):
+    """int_0^1 r^{1-2H} core(H,1,r)^2 dr."""
+    return quad(lambda r: _kernel_core_nested(H, 1.0, r) ** 2, 0.0, 1.0,
+                weight="alg", wvar=(1.0 - 2.0 * H, 0.0), epsabs=1e-12,
+                epsrel=1e-9, limit=200)[0]
+
+
+def volterra_cov_nested(hurst, s, t):
+    """Variable-Hurst covariance R(s, t), 0 < s <= t, from the nested
+    quadratures."""
+    Ht, Hs = hurst(t), hurst(s)
+    return volterra_product_nested(Ht, Hs, t, s) / math.sqrt(
+        volterra_norm_nested(Ht) * volterra_norm_nested(Hs))
+
+
+# core(H, 1, r) = int_r^1 (u-r)^{H-3/2} u^{H-1/2} du keyed by (H, r), at
+# the binary values of the float literals, to 40 digits: mpmath at 50-digit
+# precision through 2F1(-a, 1; a+1; 1-r) (1-r)^a / a, a = H - 1/2, which
+# agreed to 1e-50 with mpmath's tanh-sinh quadrature of the integral.
+KERNEL_CORE_MPMATH = {
+    (0.51, 0.0): "49.99999999999995559107901499377782609999",
+    (0.51, 1e-12): "78.78153448988045682734507650189197650794",
+    (0.51, 1e-06): "87.9414507770753312261913142104959234914",
+    (0.51, 0.01): "95.60550595884938289495625319722974120975",
+    (0.51, 0.5): "98.63130865573216395637678662441352213813",
+    (0.51, 0.999): "93.32450561012724790671073504534622490882",
+    (0.6, 0.0): "5.000000000000001110223024625156786942665",
+    (0.6, 1e-12): "5.020631106591894494770582398983668930597",
+    (0.6, 1e-06): "5.326979878921670246320142913489051240849",
+    (0.6, 0.01): "7.05181286198605350324278797165323337985",
+    (0.6, 0.5): "8.771260593293812306871966306193298975027",
+    (0.6, 0.999): "5.011416516127363887559127862638704557003",
+    (0.75, 0.0): "2.0",
+    (0.75, 1e-12): "2.000002622056054292119783658185996994619",
+    (0.75, 1e-06): "2.002620557553854619510581028712357577002",
+    (0.75, 0.01): "2.247161763180883812559270475013286193264",
+    (0.75, 0.5): "2.948335158885016563452822983362542361133",
+    (0.75, 0.999): "0.7111694542164310943102902316215645809337",
+    (0.9, 0.0): "1.249999999999999930611060960927720075383",
+    (0.9, 1e-12): "1.250000000855824628924427762621608275014",
+    (0.9, 1e-06): "1.250051188174702110980923709612935752308",
+    (0.9, 0.01): "1.305842279562164184591289484793995876488",
+    (0.9, 0.5): "1.578592990804232863678697728810681169011",
+    (0.9, 0.999): "0.1576942564658990152762458718664169627317",
+    (0.99, 0.0): "1.02040816326530614094498999792014261637",
+    (0.99, 1e-12): "1.020408163284487373909347799710506082348",
+    (0.99, 1e-06): "1.020416557446280057638325899267212410413",
+    (0.99, 0.01): "1.047289773831360096218973028005868460167",
+    (0.99, 0.5): "1.18219906860983226584067771935426198702",
+    (0.99, 0.999): "0.06912912272144810672632638880966927499126",
 }

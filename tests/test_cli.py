@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -337,3 +338,39 @@ def test_moments_config_takes_the_gamma_flag(tmp_path):
     lines = (out / "moments.csv").read_text().splitlines()
     assert lines[0] == "t,gamma,moment"
     assert [line.split(",")[:2] for line in lines[1:]] == [["1", "0.5"]]
+
+
+@pytest.mark.parametrize("flag, value", [("--beta", "0.3"), ("--t", "5")])
+def test_moments_config_rejects_clock_flags(tmp_path, capsys, flag, value):
+    out = tmp_path / "o"
+    rc = main(["moments", "--config", write_config(tmp_path, BM_CFG),
+               flag, value, "--gamma", "1", "--out", str(out)])
+    assert rc == 2
+    assert f"{flag}: cannot be combined with --config" in capsys.readouterr().err
+    assert not any(out.glob("*.csv"))
+
+
+def test_operators_beta_one_exits_2_naming_it(tmp_path, capsys):
+    body = {**BM_CFG, "subordinator": {"components": [{"beta": 1.0}]}}
+    out = tmp_path / "o"
+    rc = main(["operators", "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 2
+    assert "subordinator.components[0].beta: must be < 1.0" in (
+        capsys.readouterr().err)
+    assert not any(out.glob("*.csv"))
+
+
+def test_moments_large_gamma(tmp_path, capsys):
+    # about 1e247: its Gamma(201) factor alone is no float
+    out = tmp_path / "o"
+    assert main(["moments", "--beta", "0.5", "--gamma", "200", "--t", "2",
+                 "--out", str(out)]) == 0
+    row = (out / "moments.csv").read_text().splitlines()[1].split(",")
+    want = math.exp(math.lgamma(201.0) + 100.0 * math.log(2.0)
+                    - math.lgamma(101.0))
+    assert abs(float(row[2]) / want - 1.0) < 1e-12
+    rc = main(["moments", "--beta", "0.5", "--gamma", "400", "--t", "2",
+               "--out", str(tmp_path / "o2")])
+    assert rc == 3
+    assert "outside the float range" in capsys.readouterr().err

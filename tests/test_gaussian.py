@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from subdiff.gaussian import (
     PiecewiseHurst,
     PolynomialHurst,
     VariableHurst,
+    _kernel_core,
+    _volterra_norm,
     calibrate_volterra_constant,
     covariance,
     covariance_matrix,
@@ -26,6 +29,12 @@ from subdiff.gaussian import (
     variance_laplace,
 )
 from subdiff.subordinators import SeededRng
+
+from oracles import (
+    KERNEL_CORE_MPMATH,
+    volterra_cov_nested,
+    volterra_norm_nested,
+)
 
 FBM7 = FractionalBrownian(0.7)
 OU = OrnsteinUhlenbeck(1.0, math.sqrt(2.0))
@@ -274,6 +283,41 @@ class TestVolterra:
 
         monkeypatch.setattr(gaussian, "quad", no_quadrature)
         assert calibrate_volterra_constant(0.65) == c
+
+    @pytest.mark.parametrize("key", sorted(KERNEL_CORE_MPMATH),
+                             ids=lambda k: f"H{k[0]}-r{k[1]:g}")
+    def test_kernel_core_against_mpmath(self, key):
+        H, r = key
+        want = float(KERNEL_CORE_MPMATH[key])
+        assert abs(_kernel_core(H, 1.0, r) / want - 1.0) < 1e-13
+
+    def test_kernel_core_scales_with_t(self):
+        # core(H, t, r) = t^{2H-1} core(H, 1, r/t)
+        for H in (0.55, 0.8):
+            assert_allclose(_kernel_core(H, 4.0, 1.0),
+                            4.0 ** (2.0 * H - 1.0) * _kernel_core(H, 1.0, 0.25),
+                            rtol=1e-14)
+
+    def test_norm_matches_nested_quadrature(self):
+        for H in (0.6, 0.75, 0.9):
+            assert_allclose(_volterra_norm(H),
+                            volterra_norm_nested(H), rtol=1e-9)
+
+    def test_covariance_matches_nested_quadrature(self):
+        vh = VariableHurst(MobiusHurst(0.6, 0.2), horizon=2.0)
+        for s, t in ((0.3, 0.3), (0.4, 1.7), (1.9, 2.0)):
+            assert_allclose(covariance(vh, s, t),
+                            volterra_cov_nested(vh.hurst, s, t),
+                            rtol=1e-9)
+
+    def test_matrix_assembly_time(self):
+        # 55 entries and 10 calibrations; the nested quadrature took 9 s
+        _volterra_norm.cache_clear()
+        vh = VariableHurst(MobiusHurst(0.6, 0.2), horizon=2.0)
+        start = time.perf_counter()
+        R = covariance_matrix(vh, np.linspace(0.2, 2.0, 10))
+        assert time.perf_counter() - start < 3.0
+        assert np.all(np.linalg.eigvalsh(R) > 0.0)
 
     def test_hurst_range_enforced(self):
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.stats import ks_2samp
 
 from subdiff.config import DEFAULT_CONFIG
 from subdiff.errors import InversionError
@@ -17,6 +18,7 @@ from subdiff.subordinators import (
     inverse_time_moment,
     invert_subordinator_path,
     sample_inverse_ensemble,
+    sample_inverse_marginal,
     sample_positive_stable,
     sample_subordinator_path,
 )
@@ -212,6 +214,50 @@ class TestEnsemble:
         ks = np.max(np.abs(emp - cdf))
         assert ks < 1.628 / math.sqrt(len(E))  # 1% critical value
 
+
+
+# one-component clocks (beta, weight) for the exact one-time draw
+MARGINAL_CLOCKS = [(0.1, 1.0), (0.5, 1.0), (0.9, 1.0), (0.6, 0.5)]
+
+
+class TestMarginal:
+    """The Kanter draw of E_1 against the two routes it stands beside."""
+
+    @pytest.mark.parametrize("beta, weight", MARGINAL_CLOCKS)
+    def test_matches_level_crossing(self, rng, rng2, beta, weight):
+        spec = SubordinatorSpec(((beta, weight),))
+        exact = sample_inverse_marginal(spec, 1.0, 20_000, rng)
+        paths = sample_inverse_ensemble(spec, [1.0], 20_000, rng2)[:, 0]
+        assert ks_2samp(exact, paths).pvalue > 1e-3
+
+    @pytest.mark.parametrize("beta, weight", MARGINAL_CLOCKS)
+    def test_kolmogorov_smirnov_vs_density(self, rng, beta, weight):
+        spec = SubordinatorSpec(((beta, weight),))
+        E = np.sort(sample_inverse_marginal(spec, 1.0, 100_000, rng))
+        taus = np.linspace(1e-4, 16.0 / weight, 3000)
+        f = inverse_time_density(spec, 1.0, taus)
+        cdf = np.concatenate([[0.0], np.cumsum(
+            0.5 * (f[1:] + f[:-1]) * np.diff(taus)
+        )]) + taus[0] * f[0]
+        emp = np.searchsorted(E, taus, side="right") / len(E)
+        ks = np.max(np.abs(emp - cdf))
+        assert ks < 1.628 / math.sqrt(len(E))  # 1% critical value
+
+    def test_small_beta_stays_finite(self, rng):
+        # (t/D)^beta overflows here: D's Kanter power (1-b)/b is 99
+        E = sample_inverse_marginal(SubordinatorSpec.pure(0.01), 2.0,
+                                    100_000, rng)
+        assert np.all(np.isfinite(E)) and np.all(E > 0.0)
+        se = E.std() / math.sqrt(len(E))
+        assert abs(E.mean() - 2.0**0.01 / math.gamma(1.01)) < 4.0 * se
+
+    def test_deterministic_and_mixture_routes(self, rng):
+        assert_allclose(
+            sample_inverse_marginal(SubordinatorSpec(((1.0, 2.0),)), 3.0, 4,
+                                    rng), np.full(4, 1.5))
+        # a mixture falls back to the level-crossing column, stream for stream
+        assert_allclose(sample_inverse_marginal(MIX, 0.7, 50, rng),
+                        sample_inverse_ensemble(MIX, [0.7], 50, rng)[:, 0])
 
 class TestDensity:
     def test_half_closed_form(self):
