@@ -361,22 +361,32 @@ def _forward_sampled(g: SampledFunction, s: complex) -> TransformResult:
     return TransformResult(value, tail + interp_err)
 
 
-def _interp_transform(t: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Laplace transform of the piecewise-linear interpolant of (t, y).
+def _transform_matrix(t: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """T with (T @ y) = Laplace transform of the linear interpolant of (t, y).
 
-    Returns an array over s (complex).  Stable with the exp factored per
-    segment endpoint; vectorized over s x segments.
+    Shaped (len(s), len(t)), so a field of columns sharing one time grid
+    transforms as one matmul.  exp(-s t_j) is computed once per node: with
+    d_j = (e_j - e_{j+1}) / (s^2 (t_{j+1} - t_j)) a sample's coefficient is
+    e_0/s - d_0 at the left end, d_{j-1} - d_j inside (its two segments'
+    e_j/s terms cancel) and d_{n-1} - e_n/s at the right end.
     """
-    s = s[:, None]
-    a = t[:-1][None, :]
-    b = t[1:][None, :]
-    ya = y[:-1][None, :]
-    yb = y[1:][None, :]
-    m = (yb - ya) / (b - a)
-    ea = np.exp(-s * a)
-    eb = np.exp(-s * b)
-    term = (ea * ya - eb * yb) / s + m * (ea - eb) / (s * s)
-    return term.sum(axis=1)
+    sc = np.asarray(s, dtype=complex)[:, None]
+    T = np.exp(-sc * t[None, :])
+    d = T[:, :-1] - T[:, 1:]
+    d *= 1.0 / (sc * sc)
+    d /= np.diff(t)[None, :]
+    first = T[:, 0] / sc[:, 0] - d[:, 0]
+    last = d[:, -1] - T[:, -1] / sc[:, 0]
+    np.subtract(d[:, :-1], d[:, 1:], out=T[:, 1:-1])
+    T[:, 0] = first
+    T[:, -1] = last
+    return T
+
+
+def _interp_transform(t: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Laplace transform of the piecewise-linear interpolant of (t, y) on
+    the points s (complex)."""
+    return _transform_matrix(t, s) @ y
 
 
 def laplace_forward(
@@ -491,6 +501,15 @@ def _talbot_batch(F, logF, t: float, M: int, n_batch: int):
     return vals, err
 
 
+def _dehoog_contour(tmax: float, M: int, tol: float):
+    """(period T, abscissa gamma, nodes p) of the de Hoog rule with horizon
+    tmax.  Halving tmax doubles every node exactly (powers of two scale
+    without rounding), which ``lambdaop`` relies on across dyadic blocks."""
+    T = 2.0 * tmax
+    gam = -math.log(tol) / (2.0 * T)
+    return T, gam, gam + 1j * np.pi * np.arange(2 * M + 1) / T
+
+
 def _dehoog_batch(F, t, M: int, n_batch: int, *,
                   tmax: float | None = None, tol: float = 1e-12) -> np.ndarray:
     """de Hoog/Knight/Stokes accelerated Fourier inversion, batched.
@@ -514,10 +533,9 @@ def _dehoog_batch(F, t, M: int, n_batch: int, *,
     with a never-written zero e entry) is never read.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    T = 2.0 * (tmax if tmax is not None else float(t.max()))
-    gam = -math.log(tol) / (2.0 * T)
+    T, gam, p = _dehoog_contour(tmax if tmax is not None else float(t.max()),
+                                M, tol)
     NP = 2 * M + 1
-    p = gam + 1j * np.pi * np.arange(NP) / T
     fp = np.ascontiguousarray(_eval_batch(F, p, n_batch).T, dtype=complex)
     tiny = np.finfo(float).tiny * 1e4
     fp = np.where(np.abs(fp) < tiny, tiny, fp)

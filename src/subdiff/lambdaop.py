@@ -15,16 +15,30 @@ inversion back to the time domain:
 
 The inner line is a sinh-stretched vertical contour; the integrand's
 non-integer power is kept on one analytic branch by unwrapping the
-argument along the line, anchored at the real axis.  ``_image`` builds the
-Laplace image on whatever outer nodes it is handed, for one transform or a
-batch of columns.  The outer inversion of an analytic input is the linear
-Gaver-Stehfest rule at degree 12, cross-checked by degree 16 and by a de
-Hoog inversion; a sampled input gets two de Hoog inversions at unrelated
-abscissas and degrees.  The largest spread is the error estimate.  Every
-de Hoog inversion, the field residual's included, goes through
-``_dehoog_values``: one ``fraccalc._dehoog_batch`` call per dyadic block
-of times.  Everything here is validated downstream against scalar moment
-identities, which is where these operators meet hard data.
+argument along the line, anchored at the real axis.  The line scales with
+the time: the outer nodes of an inversion rule are reference nodes s times
+a scale r (1/t for Stehfest's k ln2 / t, 2^b for de Hoog's dyadic block
+b), and the inner line is the reference line zeta times the same r.
+``_image`` takes the reference nodes and the list of scales and returns
+one image per scale, for one transform or a batch of columns.  For a pure
+stable clock with a power variance profile (every G, and Lambda for
+Brownian motion or fBm) the kernel is homogeneous,
+K(r s, r z) = r^(-beta p) K(s, z), so it is built once per call on
+(s, zeta) and each scale costs one evaluation of g~ on the scaled line,
+one contraction and a scalar factor; rational profiles and mixture clocks
+rebuild it per scale on the same scaled line.
+
+The outer inversion of an analytic input is the linear Gaver-Stehfest
+rule at degree 12, cross-checked by degree 16 and by a de Hoog inversion;
+a sampled input gets two de Hoog inversions at unrelated abscissas and
+degrees.  The largest spread is the error estimate.  Every de Hoog
+inversion, the field residual's included, goes through ``_dehoog_values``:
+one ``_image`` call for all dyadic blocks of times, then one
+``fraccalc._dehoog_batch`` call per block.  The top block's line is the
+one its own nodes would give (offset_ratio times the abscissa); a lower
+block reads the top line scaled by 2^b.  Everything here is validated
+downstream against scalar moment identities, which is where these
+operators meet hard data.
 """
 from __future__ import annotations
 
@@ -38,7 +52,9 @@ from .errors import NumericsError
 from .fraccalc import (
     SampledFunction,
     _dehoog_batch,
+    _dehoog_contour,
     _interp_transform,
+    _transform_matrix,
     caputo_l1_columns,
 )
 from .gaussian import profile_decay, profile_derivative
@@ -175,26 +191,6 @@ class OperatorValue(NamedTuple):
 # transforms of inputs
 # ---------------------------------------------------------------------------
 
-def _transform_matrix(tg: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """T with (T @ values) = transform of the linear interpolant of values.
-
-    Columns collect each sample's contribution from its two segments, so a
-    whole field of columns sharing one time grid transforms as one matmul.
-    """
-    a = tg[:-1][None, :]
-    b = tg[1:][None, :]
-    zc = z[:, None]
-    ea = np.exp(-zc * a)
-    eb = np.exp(-zc * b)
-    d = (ea - eb) / (zc * zc * (b - a))
-    coef_a = ea / zc - d
-    coef_b = -eb / zc + d
-    T = np.zeros((len(z), len(tg)), dtype=complex)
-    T[:, :-1] += coef_a
-    T[:, 1:] += coef_b
-    return T
-
-
 def _as_gtilde(g):
     """(callable z -> g~(z), rightmost singularity)."""
     if isinstance(g, AnalyticTransform):
@@ -246,31 +242,61 @@ def _kernel_on_line(op, s_nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
     return profile_derivative(op.profile, rho_s - rho_z, _unwrapped_log) * m
 
 
-def _image(op, gt, g_sing, s, spacing: float, vmax: float) -> np.ndarray:
-    """Laplace image of the operator applied to g, on the outer nodes s.
+def _kernel_degree(op) -> float | None:
+    """d with K(r s, r z) = r^d K(s, z) for every r > 0, or None.
 
-    ``gt`` maps inner-line nodes z to g~(z), shaped (n_z,) for one
-    transform or (n_z, n_cols) for a batch; the result is (len(s),) or
-    (n_cols, len(s)).  The inner line sits at C = offset_ratio * min Re s,
-    which must clear g~'s rightmost singularity by the contour's margin.
+    A pure stable clock with a power profile c u^-p has
+    K(s, z) = beta c (s^beta - z^beta)^-p, so d = -beta p; the unwrapped
+    log only shifts by beta log r.  Rational profiles and mixture clocks
+    have no degree."""
+    if op.sub.is_pure and op.profile[0] == "power":
+        return -op.sub.components[0][0] * op.profile[2]
+    return None
+
+
+def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float) -> list:
+    """Laplace images of the operator applied to g, one per scale r, on the
+    outer nodes r s.
+
+    The inner line for scale r is r zeta, where zeta is the sinh-stretched
+    line at C = offset_ratio * min Re s; each scale's line must clear g~'s
+    rightmost singularity by the contour's margin.  ``gt`` maps line nodes
+    z to g~(z), shaped (n_z,) for one transform or (n_z, n_cols) for a
+    batch; each image is (len(s),) or (n_cols, len(s)).  A homogeneous
+    kernel is built once, on (s, zeta), and every scale's contraction is
+    multiplied by r^(1+d) (dz = r dzeta); any other kernel is built per
+    scale on (r s, r zeta).
     """
     cc = op.contour
     re_min = float(s.real.min())
     C = cc.offset_ratio * re_min
-    if C <= g_sing + cc.singularity_margin * re_min:
+    if any(r * C <= g_sing + cc.singularity_margin * r * re_min
+           for r in scales):
         raise NumericsError(
             "inner contour too close to a transform singularity"
         )
-    z, dz = _line_nodes(C, spacing, vmax)
-    kern = _kernel_on_line(op, s, z)
-    gz = gt(z)
-    if gz.ndim == 1:
-        phi = (kern * (gz * dz)[None, :]).sum(axis=1) / (2j * np.pi)
-    else:
-        phi = ((kern * dz[None, :]) @ gz / (2j * np.pi)).T
-    # the order factor m(z) lives in the kernel, so every operator shares
-    # the 1/2 out front
-    return 0.5 * np.exp(op.fold_power * np.log(s)) * phi
+    zeta, dzeta = _line_nodes(C, spacing, vmax)
+    degree = _kernel_degree(op)
+    kern = None if degree is None else _kernel_on_line(op, s, zeta)
+    images = []
+    for r in scales:
+        z = r * zeta
+        gz = gt(z)
+        gz = gz * (dzeta if gz.ndim == 1 else dzeta[:, None])
+        if degree is None:
+            # the rebuilt kernel is a per-scale array anyway, so one
+            # transform keeps numpy's pairwise sum over it: a BLAS
+            # mat-vec's roundoff, amplified by the Salzer weights, moves
+            # OU's values by 1e-8 relative
+            k = _kernel_on_line(op, r * s, z)
+            phi = r * ((k * gz).sum(axis=1) if gz.ndim == 1 else k @ gz)
+        else:
+            phi = r ** (1.0 + degree) * (kern @ gz)
+        # the order factor m(z) lives in the kernel, so every operator
+        # shares the 1/2 out front
+        fold = np.exp(op.fold_power * np.log(r * s))
+        images.append(0.5 / (2j * np.pi) * fold * phi.T)
+    return images
 
 
 _LN2 = math.log(2.0)
@@ -310,16 +336,14 @@ def _vmax_for(op, g_tail: float) -> float:
 
 
 def _stehfest_values(op, gt, g_sing, t_grid, M):
-    """Gaver-Stehfest outer inversion: linear, real contour-admissible."""
-    V = _SALZER[M]
-    k = np.arange(1, M + 1)
-    vmax = _vmax_for(op, 1.0)
-    out = np.empty(len(t_grid))
-    for i, t in enumerate(t_grid):
-        F = _image(op, gt, g_sing, k * _LN2 / t + 0j, op.contour.node_spacing,
-                   vmax)
-        out[i] = _LN2 / t * float(np.dot(V, F.real))
-    return out
+    """Gaver-Stehfest outer inversion: linear, real contour-admissible.
+
+    Time t reads the image on the nodes k ln2 / t, the t = 1 nodes scaled
+    by 1/t, with the inner line scaled alike."""
+    F = np.array(_image(op, gt, g_sing, np.arange(1, M + 1) * _LN2 + 0j,
+                        1.0 / t_grid, op.contour.node_spacing,
+                        _vmax_for(op, 1.0)))
+    return _LN2 / t_grid * (F.real @ _SALZER[M])
 
 
 def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
@@ -327,11 +351,13 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     """Accelerated-Fourier outer inversion on shared dyadic contours.
 
     Times are grouped into dyadic blocks (T/2, T] below the largest; each
-    block is one ``_dehoog_batch`` call with horizon T, so the image and
-    its quotient-difference table are built once per block.  Returns
-    (len(t_grid), n_cols).  The image's kernel singularity sits at height
-    Im s, where the sinh-stretched line is coarse, so the spacing shrinks
-    with the line-to-singularity margin.
+    block is one ``_dehoog_batch`` call with horizon T, so its quotient-
+    difference table is built once.  Block b's contour nodes are exactly
+    2^b times the top block's, so all images come from one ``_image`` call
+    with scales 2^b, and the inner line of block b is the top block's line
+    scaled by 2^b.  Returns (len(t_grid), n_cols).  The image's kernel
+    singularity sits at height Im s, where the sinh-stretched line is
+    coarse, so the spacing shrinks with the line-to-singularity margin.
     """
     cc = op.contour
     t_grid = np.asarray(t_grid, dtype=float)
@@ -340,15 +366,12 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     for idx, t in enumerate(t_grid):
         b = max(int(math.floor(math.log2(t_top / t))), 0)
         blocks.setdefault(b, []).append(idx)
-    vmax = _vmax_for(op, g_tail)
     spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
-
-    def image(p):
-        return _image(op, gt, g_sing, p, spacing, vmax)
-
+    images = _image(op, gt, g_sing, _dehoog_contour(t_top, M, tol)[2],
+                    [2.0**b for b in blocks], spacing, _vmax_for(op, g_tail))
     out = np.empty((len(t_grid), n_cols))
-    for b, idxs in blocks.items():
-        out[idxs] = _dehoog_batch(image, t_grid[idxs], M, n_cols,
+    for (b, idxs), F in zip(blocks.items(), images):
+        out[idxs] = _dehoog_batch(lambda p, F=F: F, t_grid[idxs], M, n_cols,
                                   tmax=t_top / 2.0**b, tol=tol).T
     return out
 

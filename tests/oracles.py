@@ -12,9 +12,11 @@ which are not what it checks, and checks only the batching over t.  The
 kernel of its own, before it became the power case of the Lambda kernel.
 The ``*_csv_cells`` writers are the artifact writers as they were when
 every cell was formatted on its own: the byte contract of ``subdiff.io``.
-The ``volterra_*_nested`` functions are the variable-Hurst covariance as
-it was when the kernel core was an inner quadrature, and
-``KERNEL_CORE_MPMATH`` holds that core to 40 digits.
+``interp_transform_segments`` is the transform of a piecewise-linear
+interpolant summed segment by segment, as it was before the transform
+became one matrix.  The ``volterra_*_nested`` functions are the
+variable-Hurst covariance as it was when the kernel core was an inner
+quadrature, and ``KERNEL_CORE_MPMATH`` holds that core to 40 digits.
 """
 import math
 
@@ -111,6 +113,21 @@ def dehoog_table_loop(F, t, M, n_batch, *, tmax=None, tol=1e-12):
         B[:, NP] = B[:, 2 * M] + rem * B[:, 2 * M - 1]
         out[:, j] = (math.exp(gam * tj) / T) * (A[:, NP] / B[:, NP]).real
     return out
+
+
+def interp_transform_segments(t, y, s):
+    """Laplace transform of the linear interpolant of (t, y) on the points
+    s, one closed-form segment integral per column, summed."""
+    s = s[:, None]
+    a = t[:-1][None, :]
+    b = t[1:][None, :]
+    ya = y[:-1][None, :]
+    yb = y[1:][None, :]
+    m = (yb - ya) / (b - a)
+    ea = np.exp(-s * a)
+    eb = np.exp(-s * b)
+    term = (ea * ya - eb * yb) / s + m * (ea - eb) / (s * s)
+    return term.sum(axis=1)
 
 
 def rl_integral_loop(t, y, alpha):

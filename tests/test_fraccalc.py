@@ -24,10 +24,48 @@ from oracles import (
     caputo_l1_loop,
     caputo_quadrature,
     dehoog_table_loop,
+    interp_transform_segments,
     rl_integral_loop,
 )
 
 GRID = np.linspace(0.0, 2.0, 1201)
+
+
+class TestTransformMatrix:
+    T = np.concatenate([[0.0], np.sort(
+        np.random.default_rng(5).uniform(0.0, 3.0, 700))])
+    Y = np.column_stack([np.exp(-T), np.sin(5.0 * T) * np.exp(-T),
+                         T * T / (1.0 + T)])
+
+    @pytest.mark.parametrize("s", [
+        0.3 + 1j * np.sinh(np.linspace(-12.0, 12.0, 1201)),
+        2.0 + 1j * np.linspace(-50.0, 50.0, 801),
+        np.array([0.5, 1.0, 7.0, 40.0], dtype=complex),
+    ])
+    def test_matches_segment_sum(self, s):
+        T = fraccalc._transform_matrix(self.T, s)
+        assert T.shape == (len(s), len(self.T))
+        for y in self.Y.T:
+            want = interp_transform_segments(self.T, y, s)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(T @ y - want)) <= 1e-13 * scale
+            got = fraccalc._interp_transform(self.T, y, s)
+            assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+    def test_columns_transform_together(self):
+        s = 1.0 + 1j * np.linspace(-20.0, 20.0, 81)
+        both = fraccalc._transform_matrix(self.T, s) @ self.Y
+        for j, y in enumerate(self.Y.T):
+            assert_allclose(both[:, j],
+                            fraccalc._interp_transform(self.T, y, s),
+                            rtol=1e-14)
+
+    def test_two_samples(self):
+        # one segment: the left and right end coefficients only
+        s = np.array([0.5 + 2.0j, 3.0 + 0.0j])
+        t, y = np.array([0.0, 2.0]), np.array([1.0, -0.5])
+        assert_allclose(fraccalc._interp_transform(t, y, s),
+                        interp_transform_segments(t, y, s), rtol=1e-14)
 
 
 def test_sampled_function_validation():
@@ -395,12 +433,41 @@ class TestDehoogBatch:
 
         def image(p):
             return _image(op, lambda z: _transform_matrix(tg, z) @ cols, 0.0,
-                          p, spacing, _vmax_for(op, 2.0))
+                          p, [1.0], spacing, _vmax_for(op, 2.0))[0]
 
         t = np.array([0.9, 0.6, 0.75, 1.0])
         got = fraccalc._dehoog_batch(image, t, 18, 3, tmax=1.0, tol=1e-10)
         assert_matches_full_table(got, dehoog_table_loop(image, t, 18, 3,
                                                          tmax=1.0, tol=1e-10))
+
+    @pytest.mark.parametrize("tmax", [3.0, 1.0, 0.7, 1e-3])
+    @pytest.mark.parametrize("M, tol", [(18, 1e-10), (24, 1e-12)])
+    def test_halved_horizon_doubles_nodes_exactly(self, tmax, M, tol):
+        # lambdaop reads every dyadic block's image off the top block's
+        # nodes scaled by 2^b, which needs these nodes bit for bit
+        p0 = fraccalc._dehoog_contour(tmax, M, tol)[2]
+        for b in range(1, 12):
+            pb = fraccalc._dehoog_contour(tmax / 2.0**b, M, tol)[2]
+            assert np.array_equal(pb, 2.0**b * p0)
+
+    def test_batched_columns_within_sampled_error_estimate(self):
+        # the three columns of test_lambdaop_batch_matches_full_table,
+        # inverted as one batch (matrix-matrix inner sum) and one at a time
+        # (matrix-vector): the summation-order gap must stay inside the
+        # spread of the two sampled-input inversions at the same times
+        from subdiff.lambdaop import GOperator, _dehoog_values, eval_G_grid
+
+        op = GOperator(0.4, 0.4)
+        tg = np.linspace(0.0, 3.0, 121)
+        cols = np.column_stack([np.exp(-tg), (1.0 + tg) * np.exp(-tg),
+                                np.sin(tg) * np.exp(-tg)])
+        t = np.array([0.9, 0.6, 0.75, 1.0])
+        batch = _dehoog_values(op, lambda z: fraccalc._transform_matrix(tg, z)
+                               @ cols, 0.0, t, op.contour.degree, 1e-10,
+                               n_cols=3)
+        for j in range(3):
+            one, est = eval_G_grid(op, SampledFunction(tg, cols[:, j]), t)
+            assert np.all(np.abs(batch[:, j] - one) <= est)
 
     def test_peak_memory_linear_in_nodes_times_batch(self):
         import tracemalloc

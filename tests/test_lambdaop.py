@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from subdiff import lambdaop
 from subdiff.errors import NumericsError
 from subdiff.fraccalc import (
     SampledFunction,
+    _dehoog_contour,
     caputo_l1,
     riemann_liouville_integral,
 )
@@ -230,6 +232,93 @@ class TestFrozenValues:
         lam = LambdaOperator(FROZEN_CLOCKS[clock], FROZEN_MODELS[model])
         got, _ = eval_Lambda_grid(lam, ONE, FROZEN_T)
         assert_frozen(got, LAMBDA_ON_ONE_FROZEN[model, clock])
+
+
+class TestKernelReuse:
+    """A pure clock with a power profile has a homogeneous kernel,
+    K(r s, r z) = r^-(beta p) K(s, z), so each inversion rule builds it
+    once and reads every time (Stehfest) or dyadic block (de Hoog) off the
+    one array."""
+
+    T100 = np.linspace(0.02, 2.0, 100)
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        fresh = lambdaop._kernel_on_line
+
+        def counted(op, s, z):
+            calls.append(len(s))
+            return fresh(op, s, z)
+
+        monkeypatch.setattr(lambdaop, "_kernel_on_line", counted)
+        return calls
+
+    def test_one_build_per_rule(self, builds):
+        lam = LambdaOperator(SubordinatorSpec.pure(0.5),
+                             FractionalBrownian(0.7))
+        eval_Lambda_grid(lam, ONE, self.T100)
+        # Stehfest 12 and 16, then de Hoog on the top block's 37 nodes
+        assert builds == [12, 16, 2 * ContourConfig.degree + 1]
+
+    def test_field_residual_builds_once(self, builds):
+        tg = np.linspace(0.0, 1.0, 81)
+        xg = np.linspace(-4.0, 4.0, 101)
+        dens = GridDensity(tg, xg, np.zeros((81, 101)), np.zeros(81))
+        fbm_fpke_residual(0.5, SubordinatorSpec.pure(0.5), dens)
+        assert len(builds) == 1
+
+    def test_ou_builds_per_time_and_block(self, builds):
+        lam = LambdaOperator(SubordinatorSpec.pure(0.7),
+                             OrnsteinUhlenbeck(1.0, 1.0))
+        eval_Lambda_grid(lam, ONE, self.T100)
+        n_blocks = len({int(math.floor(math.log2(2.0 / t)))
+                        for t in self.T100})
+        assert n_blocks == 7
+        assert len(builds) == 2 * len(self.T100) + n_blocks
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("make", [
+        lambda b: GOperator(b, 0.4),
+        lambda b: LambdaOperator(SubordinatorSpec.pure(b),
+                                 FractionalBrownian(0.8)),
+    ])
+    def test_scaled_kernel_matches_fresh_build(self, beta, make):
+        op = make(beta)
+        cc = op.contour
+        degree = lambdaop._kernel_degree(op)
+        assert degree is not None
+        s_steh = np.arange(1, 17) * math.log(2.0) + 0j
+        s_dh = _dehoog_contour(2.0, cc.degree, 1e-10)[2]
+        dh_spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
+        for s, spacing in ((s_steh, cc.node_spacing), (s_dh, dh_spacing)):
+            zeta, _ = lambdaop._line_nodes(
+                cc.offset_ratio * float(s.real.min()), spacing,
+                lambdaop._vmax_for(op, 1.0))
+            ref = lambdaop._kernel_on_line(op, s, zeta)
+            for r in (1.0 / 0.02, 1.0 / 2.0, 8.0, 64.0):
+                fresh = lambdaop._kernel_on_line(op, r * s, r * zeta)
+                scaled = r**degree * ref
+                assert np.max(np.abs(scaled - fresh) / np.abs(fresh)) <= 1e-12
+
+    def test_no_degree_for_rational_profile_or_mixture(self):
+        assert lambdaop._kernel_degree(LambdaOperator(
+            SubordinatorSpec.pure(0.5), OrnsteinUhlenbeck(1.0, 1.0))) is None
+        assert lambdaop._kernel_degree(LambdaOperator(
+            SubordinatorSpec(((0.4, 0.5), (0.8, 0.5))), Brownian())) is None
+
+    # worst relative error of G on the constant input over T100 before the
+    # kernel was reused (Stehfest line fixed, one kernel per time)
+    CLOSED_FORM_ERR = {(0.1, 0.2): 6.684e-9, (0.3, 0.35): 1.100e-8,
+                       (0.5, 0.5): 1.268e-7, (0.7, 0.65): 1.999e-7,
+                       (0.9, 0.8): 2.920e-7}
+
+    @pytest.mark.parametrize("beta, gamma", sorted(CLOSED_FORM_ERR))
+    def test_closed_form_accuracy_kept(self, beta, gamma):
+        got, _ = eval_G_grid(GOperator(beta, gamma), ONE, self.T100)
+        want = g_of_one(beta, gamma, self.T100)
+        err = np.max(np.abs(got / want - 1.0))
+        assert err <= 2.0 * self.CLOSED_FORM_ERR[beta, gamma]
 
 
 def test_lambda_grid_peak_memory():
