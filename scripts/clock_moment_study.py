@@ -1,7 +1,13 @@
 #!/usr/bin/env python3
-"""Inverse-clock moments: first-passage Monte Carlo and exact one-time
-draws against closed forms."""
+"""Inverse-clock moments by three sampling routes against closed forms:
+the level-crossing walk, exact passage-law paths and exact one-time draws,
+then the cross moment E[E_s E_t] of both path routes.  Exits 1 when any
+route is 4 or more standard errors from its closed form."""
 import math
+import sys
+
+import numpy as np
+from scipy.integrate import quad
 
 from subdiff import (
     SeededRng,
@@ -9,21 +15,61 @@ from subdiff import (
     sample_inverse_ensemble,
     sample_inverse_marginal,
 )
+from subdiff.subordinators import _level_crossing_paths
 
+N = 100_000
 times = [0.5, 1.0, 2.0]
-print(f"{'beta':>5} {'gamma':>6} {'t':>4} {'level cross':>12} {'dev/se':>7} "
-      f"{'exact draw':>12} {'dev/se':>7} {'closed form':>12}")
+devs = []  # every dev/se printed
+
+
+def cells(samples, closed):
+    """'mean dev/se' for each sample array."""
+    out = []
+    for x in samples:
+        dev = (x.mean() - closed) / (x.std() / math.sqrt(len(x)))
+        devs.append(dev)
+        out.append(f"{x.mean():12.6f} {dev:+7.2f}")
+    return " ".join(out)
+
+
+def cross_moment(beta, s, t):
+    """E[E_s E_t], s <= t (Leonenko, Meerschaert & Sikorskii, 2013)."""
+    val, _ = quad(lambda u: (t - u) ** beta + (s - u) ** beta, 0.0, s,
+                  weight="alg", wvar=(beta - 1.0, 0.0))
+    return val / (math.gamma(beta) * math.gamma(1.0 + beta))
+
+
+routes = ("level cross", "exact paths", "exact draw")
+print(f"{'beta':>5} {'gamma':>6} {'t':>4} "
+      + " ".join(f"{r:>12} {'dev/se':>7}" for r in routes)
+      + f" {'closed form':>12}")
+paths = {}
 for i, (beta, gam) in enumerate(((0.5, 1.0), (0.7, 2.0), (0.9, 0.5))):
     spec = SubordinatorSpec.pure(beta)
-    E = sample_inverse_ensemble(spec, times, 100_000, SeededRng(42 + i))
+    walk = _level_crossing_paths(spec, np.array(times), N,
+                                 SeededRng(42 + i).generator())
+    exact = sample_inverse_ensemble(spec, times, N, SeededRng(42 + i, 10))
+    paths[beta] = (walk, exact)
     for k, t in enumerate(times):
         closed = (math.gamma(gam + 1.0) * t ** (gam * beta)
                   / math.gamma(gam * beta + 1.0))
-        exact = sample_inverse_marginal(spec, t, 100_000,
-                                        SeededRng(42 + i, 1 + k))
-        cells = []
-        for x in (E[:, k] ** gam, exact ** gam):
-            se = x.std() / math.sqrt(len(x))
-            cells.append(f"{x.mean():12.6f} {(x.mean() - closed) / se:+7.2f}")
-        print(f"{beta:5.1f} {gam:6.1f} {t:4.1f} {' '.join(cells)} "
+        draw = sample_inverse_marginal(spec, t, N, SeededRng(42 + i, 1 + k))
+        row = cells([walk[:, k] ** gam, exact[:, k] ** gam, draw ** gam],
+                    closed)
+        print(f"{beta:5.1f} {gam:6.1f} {t:4.1f} {row} {closed:12.6f}")
+
+print()
+print(f"{'beta':>5} {'s':>4} {'t':>4} "
+      + " ".join(f"{r:>12} {'dev/se':>7}" for r in routes[:2])
+      + f" {'E[E_s E_t]':>12}")
+for beta, (walk, exact) in paths.items():
+    for i, k in ((0, 1), (1, 2), (0, 2)):
+        closed = cross_moment(beta, times[i], times[k])
+        row = cells([walk[:, i] * walk[:, k], exact[:, i] * exact[:, k]],
+                    closed)
+        print(f"{beta:5.1f} {times[i]:4.1f} {times[k]:4.1f} {row} "
               f"{closed:12.6f}")
+
+worst = max(abs(d) for d in devs)
+print(f"\nworst |dev/se| = {worst:.2f} (gate 4)")
+sys.exit(1 if worst >= 4.0 else 0)

@@ -7,7 +7,10 @@ E_t = inf{u : W_u > t} is the random clock used by the time-change module.
 
 Four routes to the law of E_t coexist on purpose:
 
-* pathwise Monte Carlo (`sample_inverse_ensemble`), joint over many times,
+* pathwise Monte Carlo (`sample_inverse_ensemble`), joint over many times:
+  exact paths from the first-passage law for one-component clocks (one
+  passage draw per time at most; Bertoin, *Levy Processes*, 1996, ch.
+  III), a level-crossing walk of W for mixtures,
 * exact one-time draws from Kanter's representation
   (`sample_inverse_marginal`; one-component clocks),
 * Laplace inversion of the known transform (`inverse_time_density`),
@@ -244,27 +247,14 @@ def _pilot_step(spec, t_max, gen):
     return max(float(np.mean(s_cross)), step) / 400
 
 
-def sample_inverse_ensemble(
-    spec: SubordinatorSpec,
-    t_grid,
-    n_paths: int,
-    rng: SeededRng,
-) -> np.ndarray:
-    """First-passage Monte Carlo: E at every t in t_grid for n_paths paths.
+def _level_crossing_paths(spec, t_grid, n_paths, gen) -> np.ndarray:
+    """E at every level of the increasing t_grid by walking W in steps.
 
     Paths are advanced level by level with independent stable increments
     (exact skeleton); the crossing step is linearly interpolated.  The
     step, from a pilot run, keeps the interpolation bias around 1/400 of
     the typical crossing time, well under Monte Carlo noise at desk scale.
-    Returns an array shaped (n_paths, len(t_grid)).
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0) or np.any(t_grid <= 0.0):
-        raise ValueError("t_grid must be strictly increasing and positive")
-    if spec.is_deterministic:
-        w1 = spec.components[0][1]
-        return np.tile(t_grid / w1, (n_paths, 1))
-    gen = rng.generator()
     step = _pilot_step(spec, float(t_grid[-1]), gen)
 
     out = np.empty((n_paths, len(t_grid)))
@@ -307,6 +297,120 @@ def sample_inverse_ensemble(
     return out
 
 
+def _log_uniform(n: int, gen) -> np.ndarray:
+    """log V for V uniform on (0, 1]: finite, unlike log of a draw on [0, 1)."""
+    return np.log1p(-gen.uniform(size=n))
+
+
+def _log_gamma_draws(a: float, n: int, gen) -> np.ndarray:
+    """log G for G ~ Gamma(a, 1), accurate where G underflows (a << 1):
+    G_a =d G_{a+1} U^{1/a}."""
+    return np.log(gen.gamma(a + 1.0, size=n)) + _log_uniform(n, gen) / a
+
+
+def _log_kanter_a(beta: float, u: np.ndarray) -> np.ndarray:
+    """log A(u) of ``kanter_a``, finite where A itself overflows (u near
+    pi at beta near 1)."""
+    return (
+        beta * np.log(np.sin(beta * u))
+        + (1.0 - beta) * np.log(np.sin((1.0 - beta) * u))
+        - np.log(np.sin(u))
+    ) / (1.0 - beta)
+
+
+def _passage_draws(beta, levels, gen):
+    """First passage of the weight-1 beta-stable subordinator over each of
+    the given positive levels: (E, log W_E - log level) per level.
+
+    The undershoot is y = level B with B ~ Beta(beta, 1 - beta), the
+    overshooting jump is (level - y) V^(-1/beta) with V uniform, and given
+    y the passage time is y^beta (G / A(U'))^(1-beta) with G ~ Gamma(2 -
+    beta) and U' of density proportional to A^-(1-beta) on (0, pi), drawn
+    by rejection against A(0+).  Every piece is formed from logarithms, so
+    neither a Beta draw that underflows to 0 nor V^(-1/beta) at small beta
+    nor A near pi at beta near 1 leaves the float range.
+    """
+    n = len(levels)
+    b1 = 1.0 - beta
+    log_ga = _log_gamma_draws(beta, n, gen)
+    log_gb = _log_gamma_draws(b1, n, gen)
+    log_sum = np.logaddexp(log_ga, log_gb)
+    log_lv = np.log(levels)
+    log_y = log_lv + log_ga - log_sum            # y = level B
+    log_gap = log_lv + log_gb - log_sum          # level - y = level (1 - B)
+    log_jump = log_gap - _log_uniform(n, gen) / beta
+    # W_E = y + jump, above level; kept as its log ratio to the level
+    log_over = np.logaddexp(log_y, log_jump) - log_lv
+
+    log_a0 = (beta * math.log(beta) + b1 * math.log(b1)) / b1  # log A(0+)
+    log_a = np.empty(n)
+    todo = np.arange(n)
+    while todo.size:
+        # on (0, pi]: sin(pi) rounds to 1.2e-16, so log A stays finite
+        u = np.pi * (1.0 - gen.uniform(size=todo.size))
+        la = _log_kanter_a(beta, u)
+        ok = _log_uniform(todo.size, gen) < b1 * (log_a0 - la)
+        log_a[todo[ok]] = la[ok]
+        todo = todo[~ok]
+    log_g = np.log(gen.gamma(2.0 - beta, size=n))
+    e = np.exp(beta * log_y + b1 * (log_g - log_a))
+    return e, log_over
+
+
+def _exact_paths(beta, weight, t_grid, n_paths, gen) -> np.ndarray:
+    """E at every level of the increasing t_grid from passage draws.
+
+    At a passage the clock restarts from W_E (strong Markov property): a
+    later level below W_E keeps the current E, any other level adds a
+    fresh passage over the level minus W_E.  A weight-w clock is the
+    weight-1 clock run at speed w, so its E is the weight-1 E over w.
+    """
+    out = np.empty((n_paths, len(t_grid)))
+    e_cur = np.zeros(n_paths)
+    w_cur = np.zeros(n_paths)  # W at the latest passage
+    for j, level in enumerate(t_grid):
+        need = np.flatnonzero(w_cur < level)
+        if need.size:
+            gap = level - w_cur[need]
+            e, log_over = _passage_draws(beta, gap, gen)
+            e_cur[need] += e
+            # an overshoot past the top level covers every later level
+            w_cur[need] += gap * np.exp(
+                np.minimum(log_over, np.log(t_grid[-1] / gap + 2.0)))
+        out[:, j] = e_cur
+    return out / weight
+
+
+def sample_inverse_ensemble(
+    spec: SubordinatorSpec,
+    t_grid,
+    n_paths: int,
+    rng: SeededRng,
+) -> np.ndarray:
+    """First-passage Monte Carlo: E at every t in t_grid for n_paths paths.
+
+    A one-component clock is drawn exactly, level by level, from the
+    first-passage law of its subordinator (Bertoin, *Levy Processes*,
+    1996, ch. III): at most one passage draw per time and path, with no
+    step and no interpolation.  Mixtures have no such law and walk W in
+    pilot-sized steps with the crossing step linearly interpolated, which
+    leaves a bias around 1/400 of the typical crossing time, well under
+    Monte Carlo noise at desk scale.  The deterministic clock gives t / w.
+    Returns an array shaped (n_paths, len(t_grid)).
+    """
+    t_grid = np.asarray(t_grid, dtype=float)
+    if np.any(np.diff(t_grid) <= 0) or np.any(t_grid <= 0.0):
+        raise ValueError("t_grid must be strictly increasing and positive")
+    if spec.is_deterministic:
+        w1 = spec.components[0][1]
+        return np.tile(t_grid / w1, (n_paths, 1))
+    gen = rng.generator()
+    if len(spec.components) == 1:
+        b, w = spec.components[0]
+        return _exact_paths(b, w, t_grid, n_paths, gen)
+    return _level_crossing_paths(spec, t_grid, n_paths, gen)
+
+
 def sample_inverse_marginal(
     spec: SubordinatorSpec,
     t: float,
@@ -333,7 +437,8 @@ def sample_inverse_marginal(
     gen = rng.generator()
     u = gen.uniform(0.0, np.pi, n_paths)
     e = gen.exponential(1.0, n_paths)
-    return t**b / w * (e / kanter_a(b, u)) ** (1.0 - b)
+    # in logs: A(u) overflows near pi at b near 1
+    return t**b / w * np.exp((1.0 - b) * (np.log(e) - _log_kanter_a(b, u)))
 
 
 # ---------------------------------------------------------------------------

@@ -97,17 +97,61 @@ class GridDensity:
 # path-level composition
 # ---------------------------------------------------------------------------
 
+def _markov_draws(model, E: np.ndarray, gen) -> np.ndarray:
+    """A Brownian or OU component at the clock values E (rows nondecreasing),
+    by exact Gaussian increments over each row, vectorised over rows.
+
+    OU steps X <- e^{-alpha d} X + sigma sqrt((1 - e^{-2 alpha d}) / (2
+    alpha)) Z over a clock increment d; alpha = 0 (and Brownian, sigma 1)
+    is X <- X + sigma sqrt(d) Z.  A zero increment leaves X unchanged, so a
+    clock plateau repeats one value.
+    """
+    alpha, sigma = ((model.alpha, model.sigma) if model.kind == "ou"
+                    else (0.0, 1.0))
+    d = np.diff(E, axis=1, prepend=0.0)
+    if alpha == 0.0:
+        decay, var = np.ones_like(d), d
+    else:
+        decay = np.exp(-alpha * d)
+        var = -np.expm1(-2.0 * alpha * d) / (2.0 * alpha)
+    step = sigma * np.sqrt(var) * gen.standard_normal(E.shape)
+    x = np.empty_like(E)
+    prev = np.zeros(len(E))
+    for k in range(E.shape[1]):
+        prev = decay[:, k] * prev + step[:, k]
+        x[:, k] = prev
+    return x
+
+
+def _cholesky_draws(model, E: np.ndarray, gen) -> np.ndarray:
+    """Any covariance model at the clock values E, one path at a time: a
+    Cholesky factor of R at the row's distinct positive values (a process
+    evaluated twice at one time is one random variable)."""
+    x = np.zeros_like(E)
+    for p, row in enumerate(E):
+        taus, inverse = np.unique(row, return_inverse=True)
+        live = taus > 0.0
+        if np.any(live):
+            L = _checked_cholesky(covariance_matrix(model, taus[live]))
+            full = np.zeros(len(taus))
+            full[live] = L @ gen.standard_normal(int(live.sum()))
+            x[p] = full[inverse]
+    return x
+
+
 def sample_timechanged_paths(
     spec: TimeChangedSpec, grid, n_paths: int, rng: SeededRng
 ) -> PathEnsemble:
     """Sample X at the random times E_t, exactly in distribution.
 
-    The clock is sampled first; the Gaussian part is then drawn jointly at
-    the realized times via a per-path Cholesky of R(E_i, E_j) (conditioning
-    on the clock keeps the non-Markov covariance exact), assembled by
-    ``covariance_matrix`` so every model in the catalog works.  Repeated
-    clock values reuse the same Gaussian value, since a process evaluated
-    twice at one time is one random variable.
+    The clock is sampled first; each Gaussian component is then drawn
+    jointly at the realized times, conditioning on the clock.  Brownian and
+    OU components are Markov and take exact increments over the clock
+    values of all paths at once; every other model takes a per-path
+    Cholesky of R(E_i, E_j), assembled by ``covariance_matrix`` so every
+    model in the catalog works.  Repeated clock values reuse the same
+    Gaussian value, since a process evaluated twice at one time is one
+    random variable.
     """
     grid = np.asarray(grid, dtype=float)
     has_zero = grid[0] == 0.0
@@ -117,19 +161,11 @@ def sample_timechanged_paths(
     n_dim = spec.gauss.dimension
     out = np.zeros((n_paths, len(grid), n_dim))
     col0 = 1 if has_zero else 0
-    for p in range(n_paths):
-        taus, inverse = np.unique(E[p], return_inverse=True)
-        live = taus > 0.0
-        taus_live = taus[live]
-        if taus_live.size:
-            for j, model in enumerate(spec.gauss.components):
-                L = _checked_cholesky(covariance_matrix(model, taus_live))
-                draws = L @ gen.standard_normal(len(taus_live))
-                full = np.zeros(len(taus))
-                full[live] = draws
-                out[p, col0:, j] = full[inverse]
-    for j in range(n_dim):
-        out[:, col0:, j] += spec.gauss.mean_at(j, E)
+    for j, model in enumerate(spec.gauss.components):
+        draw = (_markov_draws
+                if getattr(model, "kind", "") in ("brownian", "ou")
+                else _cholesky_draws)
+        out[:, col0:, j] = draw(model, E, gen) + spec.gauss.mean_at(j, E)
     return PathEnsemble(grid, out, seed=rng)
 
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,7 @@ from subdiff.config import DEFAULT_CONFIG
 from subdiff.errors import InversionError
 from subdiff.subordinators import (
     MonotonePath,
+    _level_crossing_paths,
     SeededRng,
     SubordinatorSpec,
     clock_density_fast,
@@ -227,7 +229,8 @@ class TestMarginal:
     def test_matches_level_crossing(self, rng, rng2, beta, weight):
         spec = SubordinatorSpec(((beta, weight),))
         exact = sample_inverse_marginal(spec, 1.0, 20_000, rng)
-        paths = sample_inverse_ensemble(spec, [1.0], 20_000, rng2)[:, 0]
+        paths = _level_crossing_paths(spec, np.array([1.0]), 20_000,
+                                      rng2.generator())[:, 0]
         assert ks_2samp(exact, paths).pvalue > 1e-3
 
     @pytest.mark.parametrize("beta, weight", MARGINAL_CLOCKS)
@@ -251,6 +254,16 @@ class TestMarginal:
         se = E.std() / math.sqrt(len(E))
         assert abs(E.mean() - 2.0**0.01 / math.gamma(1.01)) < 4.0 * se
 
+    def test_beta_near_one_stays_finite(self, rng):
+        # A(U) overflows near pi here, which once gave E = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = sample_inverse_marginal(SubordinatorSpec.pure(0.99), 1.0,
+                                        1_000_000, rng)
+        assert np.all(np.isfinite(E)) and np.all(E > 0.0)
+        se = E.std() / math.sqrt(len(E))
+        assert abs(E.mean() - 1.0 / math.gamma(1.99)) < 4.0 * se
+
     def test_deterministic_and_mixture_routes(self, rng):
         assert_allclose(
             sample_inverse_marginal(SubordinatorSpec(((1.0, 2.0),)), 3.0, 4,
@@ -258,6 +271,76 @@ class TestMarginal:
         # a mixture falls back to the level-crossing column, stream for stream
         assert_allclose(sample_inverse_marginal(MIX, 0.7, 50, rng),
                         sample_inverse_ensemble(MIX, [0.7], 50, rng)[:, 0])
+
+def flat_period_atom(beta: float, s: float, t: float) -> float:
+    """P(E_s = E_t) = P(W at the passage over s exceeds t)
+    = E_B[((s - sB) / (t - sB))^beta] with B ~ Beta(beta, 1 - beta)."""
+    val, _ = quad(lambda b: ((s - s * b) / (t - s * b)) ** beta, 0.0, 1.0,
+                  weight="alg", wvar=(beta - 1.0, -beta))
+    return val * math.sin(math.pi * beta) / math.pi
+
+
+def cross_moment(beta: float, weight: float, s: float, t: float) -> float:
+    """E[E_s E_t] for s <= t (Leonenko, Meerschaert & Sikorskii, Comput.
+    Math. Appl. 66, 2013); a weight-w clock's E is the weight-1 E over w."""
+    val, _ = quad(lambda u: (t - u) ** beta + (s - u) ** beta, 0.0, s,
+                  weight="alg", wvar=(beta - 1.0, 0.0))
+    return val / (math.gamma(beta) * math.gamma(1.0 + beta) * weight**2)
+
+
+# one-component clocks (beta, weight) for the exact multi-time paths
+PATH_CLOCKS = [(0.1, 1.0), (0.5, 1.0), (0.9, 1.0), (0.6, 0.5)]
+
+
+class TestExactPaths:
+    """Passage-law paths of one-component clocks against closed forms and
+    against the level-crossing walk."""
+
+    @pytest.mark.parametrize("beta, weight", PATH_CLOCKS)
+    def test_flat_period_atom(self, rng, beta, weight):
+        # one jump covers both levels exactly when E_1 = E_1.2
+        spec = SubordinatorSpec(((beta, weight),))
+        E = sample_inverse_ensemble(spec, [1.0, 1.2], 200_000, rng)
+        got = np.mean(E[:, 0] == E[:, 1])
+        want = flat_period_atom(beta, 1.0, 1.2)
+        assert abs(got - want) < 4.0 * math.sqrt(want * (1 - want) / len(E))
+
+    @pytest.mark.parametrize("beta, weight", PATH_CLOCKS)
+    def test_cross_moments(self, rng, beta, weight):
+        spec = SubordinatorSpec(((beta, weight),))
+        times = [0.5, 1.0, 1.2, 2.0]
+        E = sample_inverse_ensemble(spec, times, 200_000, rng)
+        for i, k in ((1, 2), (0, 3), (2, 2)):
+            x = E[:, i] * E[:, k]
+            want = cross_moment(beta, weight, times[i], times[k])
+            se = x.std() / math.sqrt(len(x))
+            assert abs(x.mean() - want) < 4.0 * se, (times[i], times[k])
+
+    @pytest.mark.parametrize("beta, weight", PATH_CLOCKS)
+    def test_matches_level_crossing(self, rng, rng2, beta, weight):
+        spec = SubordinatorSpec(((beta, weight),))
+        times = np.array([0.5, 1.0, 2.0])
+        exact = sample_inverse_ensemble(spec, times, 20_000, rng)
+        walk = _level_crossing_paths(spec, times, 20_000, rng2.generator())
+        for k in range(len(times)):
+            assert ks_2samp(exact[:, k], walk[:, k]).pvalue > 1e-3
+
+    @pytest.mark.parametrize("beta", [0.01, 0.99])
+    def test_tail_betas_stay_finite(self, rng, beta):
+        # a Beta(0.01, 0.99) draw underflows to 0, V^(-1/0.01) overflows,
+        # and A(u) overflows near pi at 0.99: every piece is drawn in logs
+        times = [0.5, 1.0, 2.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            E = sample_inverse_ensemble(SubordinatorSpec.pure(beta), times,
+                                        100_000, rng)
+        assert np.all(np.isfinite(E)) and np.all(E > 0.0)
+        assert np.all(np.diff(E, axis=1) >= 0.0)
+        for k, t in enumerate(times):
+            se = E[:, k].std() / math.sqrt(len(E))
+            want = t**beta / math.gamma(1.0 + beta)
+            assert abs(E[:, k].mean() - want) < 4.0 * se
+
 
 class TestDensity:
     def test_half_closed_form(self):

@@ -25,6 +25,7 @@ from subdiff.subordinators import (
     SeededRng,
     SubordinatorSpec,
     inverse_time_moment,
+    sample_inverse_ensemble,
 )
 import subdiff.timechange as tc
 from subdiff.timechange import (
@@ -139,6 +140,49 @@ class TestPathComposition:
         L = np.linalg.cholesky(covariance_matrix(vh, clock[0]))
         want = L @ rng.stream(1).generator().standard_normal(2)
         assert_allclose(ens.paths[0, :, 0], want, rtol=1e-12)
+
+
+class TestMarkovComposition:
+    """Exact Markov increments over the clock against the per-path Cholesky
+    route, at one shared clock draw (beta 1/2)."""
+
+    TIMES = [0.25, 0.5, 1.0, 2.0]
+
+    @pytest.mark.parametrize("model", [Brownian(),
+                                       OrnsteinUhlenbeck(0.8, 1.3)])
+    def test_product_moments_match_cholesky(self, rng, model):
+        n = 5000
+        E = sample_inverse_ensemble(SubordinatorSpec.pure(0.5), self.TIMES,
+                                    n, rng.stream(0))
+        a = tc._markov_draws(model, E, rng.stream(1).generator())
+        b = tc._cholesky_draws(model, E, rng.stream(2).generator())
+        for i in range(len(self.TIMES)):
+            for k in range(i, len(self.TIMES)):
+                # both routes share the clock: the per-path difference of
+                # the products has mean 0
+                d = a[:, i] * a[:, k] - b[:, i] * b[:, k]
+                assert abs(d.mean()) < 4.0 * d.std() / math.sqrt(n), (i, k)
+        for k in range(len(self.TIMES)):
+            assert ks_2samp(a[:, k], b[:, k]).pvalue > 1e-3
+
+    def test_brownian_cross_moment_is_mean_clock(self, rng):
+        # E[B(E_s) B(E_t)] = E[min(E_s, E_t)] = E[E_s] = s^beta / Gamma(1+beta)
+        n = 40_000
+        ens = sample_timechanged_paths(SPEC_HALF, self.TIMES, n, rng)
+        x = ens.component()
+        for i in range(len(self.TIMES)):
+            for k in range(i, len(self.TIMES)):
+                p = x[:, i] * x[:, k]
+                want = self.TIMES[i] ** 0.5 / math.gamma(1.5)
+                assert abs(p.mean() - want) < 4.0 * p.std() / math.sqrt(n)
+
+    def test_ou_at_alpha_zero_is_scaled_brownian(self, rng):
+        E = sample_inverse_ensemble(SubordinatorSpec.pure(0.5), self.TIMES,
+                                    50, rng.stream(0))
+        ou = tc._markov_draws(OrnsteinUhlenbeck(0.0, 2.0), E,
+                              rng.stream(1).generator())
+        bm = tc._markov_draws(Brownian(), E, rng.stream(1).generator())
+        assert_array_equal(ou, 2.0 * bm)
 
 
 class TestSubordinatedDensity:
