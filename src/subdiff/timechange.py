@@ -35,6 +35,7 @@ from .subordinators import (
     inverse_time_density,
     sample_inverse_ensemble,
     sample_inverse_marginal,
+    unit_clock_density,
 )
 
 __all__ = [
@@ -188,34 +189,47 @@ def sample_timechanged_marginal(
 # subordination integral
 # ---------------------------------------------------------------------------
 
+#: a mixture's support ratio per (clock, decade of t, tolerances); pure
+#: clocks read theirs from the exact density and never enter it
 _SUPPORT_RATIO: dict = {}
+
+#: probe grid of the support ratio, in units of the clock's scale
+_SUPPORT_PROBE = np.geomspace(1e-3, 80.0, 120)
+
+
+def _support_edge(probe: np.ndarray, f: np.ndarray) -> float:
+    """The probe point two past the last clock-density value above 1e-13
+    of the peak."""
+    live = np.flatnonzero(f > 1e-13 * f.max())
+    if live.size == 0:
+        raise NumericsError("clock density vanished on the probe grid")
+    return float(probe[min(live[-1] + 2, len(probe) - 1)])
 
 
 def _clock_support(spec: TimeChangedSpec, t: float, config) -> float:
     """tau* with the clock density negligible beyond it.
 
-    For a pure clock the support/scale ratio is t-free (self-similarity),
-    so one probe per spec suffices; a mixture's profile shape drifts with
-    t, so its ratio is cached per decade of t.  The key also holds the
-    tolerances the probe's inversion reads.
+    For a pure clock the support/scale ratio is t-free (self-similarity)
+    and comes from the exact f_{E_1} on the probe grid, at every call.  A
+    mixture's profile shape drifts with t, so its ratio comes from a probe
+    inversion at mid-decade, cached per decade of t; the key also holds
+    the tolerances that inversion reads.
     """
     sub = spec.sub
     scale = sub.inverse_scale(t)
-    decade = None if sub.is_pure else math.floor(math.log10(t))
+    if sub.is_pure and not sub.is_deterministic:
+        beta = sub.components[0][0]
+        f = unit_clock_density(beta, _SUPPORT_PROBE)
+        return _support_edge(_SUPPORT_PROBE, f) * scale
+    decade = math.floor(math.log10(t))
     key = (sub, decade, *_inversion_tolerances(config))
     ratio = _SUPPORT_RATIO.get(key)
     if ratio is None:
-        t_ref = 1.0 if decade is None else 10.0 ** (decade + 0.5)
+        t_ref = 10.0 ** (decade + 0.5)
         ref_scale = sub.inverse_scale(t_ref)
-        probe = ref_scale * np.geomspace(1e-3, 80.0, 120)
+        probe = ref_scale * _SUPPORT_PROBE
         f = inverse_time_density(sub, t_ref, probe, config=config)
-        peak = f.max()
-        live = np.flatnonzero(f > 1e-13 * peak)
-        if live.size == 0:
-            raise NumericsError("clock density vanished on the probe grid")
-        ratio = float(probe[min(live[-1] + 2, len(probe) - 1)]) / ref_scale
-        if not sub.is_pure:
-            ratio *= 1.5
+        ratio = _support_edge(probe, f) / ref_scale * 1.5
         _SUPPORT_RATIO[key] = ratio
     return ratio * scale
 
@@ -334,12 +348,13 @@ def _subordinate_slices(spec, ts, pts, config):
     """Mixing integral at every time in ``ts`` on shared nodes; returns
     (values (n_t, n_pts), clock-mass defects (n_t,)).
 
-    Panel counts double, 16 -> 32 -> 64, until a row stabilizes; a
+    Panel counts double, 16 -> 32 -> 64 -> 128, until a row stabilizes; a
     stabilized row drops out of the finer levels, and a row still moving
-    at 64 panels raises.  The x-integral of the product form is exactly
-    the clock mass, so a row's defect |1 - sum w f| at its final level
-    measures the quadrature itself with no spatial discretization in the
-    way.
+    at 128 panels raises (near beta = 1 the clock density is a narrow bump
+    that fBm rows need 128 panels to resolve).  The x-integral of the
+    product form is exactly the clock mass, so a row's defect |1 - sum w
+    f| at its final level measures the quadrature itself with no spatial
+    discretization in the way.
     """
     ts = np.asarray(ts, dtype=float)
     if np.any(ts <= 0.0):
@@ -361,12 +376,13 @@ def _subordinate_slices(spec, ts, pts, config):
     defects = np.empty(len(ts))
     rows = np.arange(len(ts))  # rows not yet stable
     prev = None
-    for n_panels in (16, 32, 64):
+    for n_panels in (16, 32, 64, 128):
         taus, clock_w = _slice_nodes(spec, ts[rows], kappa, n_panels, config)
         level = _mix(spec.gauss, taus, clock_w, pts)
         if prev is not None:
             err = np.max(np.abs(level - prev), axis=1)
-            # clock values carry inversion noise ~10x the quadrature target
+            # a mixture's inverted clock values carry noise ~10x the
+            # quadrature target
             done = err <= np.maximum(1e-9, 10.0 * config.quadrature_tol
                                      * np.maximum(level.max(axis=1), 1e-12))
             mass = np.abs(1.0 - clock_w.sum(axis=1))

@@ -23,9 +23,10 @@ from subdiff.subordinators import (
     sample_inverse_marginal,
     sample_positive_stable,
     sample_subordinator_path,
+    unit_clock_density,
 )
 
-from oracles import inverse_half_density, mc_laplace_check
+from oracles import UNIT_CLOCK_MPMATH, inverse_half_density, mc_laplace_check
 
 MIX = SubordinatorSpec(((0.4, 1.0), (0.8, 1.0)))
 
@@ -385,16 +386,95 @@ class TestDensity:
         with pytest.raises(ValueError):
             inverse_time_density(SubordinatorSpec.pure(0.5), 1.0, -0.1)
 
-
-    def test_spline_cache_keys_on_tolerances(self):
-        # a spline tabulated at the default tolerances must not answer a
-        # call at a tolerance the inversion cannot meet
-        spec = SubordinatorSpec.pure(0.55)
+    def test_mixture_density_keys_on_tolerances(self):
+        # a mixture's clock density is inverted at the caller's tolerances:
+        # values computed at the defaults must not answer a call at a
+        # tolerance the inversion cannot meet
         taus = np.array([0.5, 1.0])
-        clock_density_fast(spec, 1.0, taus)
+        clock_density_fast(MIX, 1.0, taus)
         tight = replace(DEFAULT_CONFIG, inversion_tol=1e-13)
         with pytest.raises(InversionError):
-            clock_density_fast(spec, 1.0, taus, config=tight)
+            clock_density_fast(MIX, 1.0, taus, config=tight)
+        # a pure clock's density is exact and reads no tolerance
+        pure = SubordinatorSpec.pure(0.55)
+        assert_allclose(clock_density_fast(pure, 1.0, taus, config=tight),
+                        clock_density_fast(pure, 1.0, taus), rtol=0.0)
+
+
+class TestUnitClockDensity:
+    """The exact f_{E_1} (M-Wright series, Kanter-Zolotarev integral)."""
+
+    @pytest.mark.parametrize("key", sorted(UNIT_CLOCK_MPMATH),
+                             ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_mpmath_values(self, key):
+        beta, u = key
+        want = float(UNIT_CLOCK_MPMATH[key])
+        got = float(unit_clock_density(beta, u)[0])
+        if want > 1e-250:
+            assert abs(got / want - 1.0) <= 1e-12
+        else:
+            assert abs(got - want) <= 1e-262
+
+    def test_vectorised_over_both_branches(self):
+        # one call over the series and the integral ranges gives each
+        # value it gives alone
+        u = np.array([0.0, 1e-6, 0.9, 1.3, 2.0, 3.0, 1e3])
+        one_by_one = [float(unit_clock_density(0.6, x)[0]) for x in u]
+        assert_allclose(unit_clock_density(0.6, u), one_by_one, rtol=1e-15)
+        assert unit_clock_density(0.6, 0.0)[0] == pytest.approx(
+            1.0 / math.gamma(0.4), rel=1e-15)
+        assert unit_clock_density(0.6, 1e3)[0] == 0.0
+
+    @pytest.mark.parametrize("beta", [0.1, 0.3, 0.5, 0.6, 0.72, 0.78, 0.84,
+                                      0.9, 0.94, 0.95])
+    def test_monotone_beyond_mode(self, beta):
+        f = unit_clock_density(beta, np.geomspace(1e-6, 120.0, 20_000))
+        assert np.all(np.isfinite(f)) and np.all(f >= 0.0)
+        assert np.all(np.diff(f[int(np.argmax(f)):]) <= 0.0)
+
+    @pytest.mark.parametrize("beta", [0.72, 0.75, 0.78, 0.82])
+    def test_no_value_above_the_mode(self, beta):
+        # regression: a log-log spline through inverted values of f_{E_1}
+        # spiked between its knots in the tail, up to 1e88 at beta 0.78
+        # where the density is O(1).  The mode value comes from the dual
+        # inversion, which is accurate there, near its own argmax.
+        spec = SubordinatorSpec.pure(beta)
+        coarse = np.geomspace(1e-3, 5.0, 400)
+        k = int(np.argmax(inverse_time_density(spec, 1.0, coarse)))
+        near = np.linspace(coarse[k - 1], coarse[k + 1], 2001)
+        mode = inverse_time_density(spec, 1.0, near).max()
+        fine = clock_density_fast(spec, 1.0, np.geomspace(1e-6, 120.0,
+                                                          200_000))
+        assert fine.max() <= mode * (1.0 + DEFAULT_CONFIG.inversion_tol)
+
+    @pytest.mark.parametrize("beta", [0.2, 0.5, 0.78, 0.95])
+    @pytest.mark.parametrize("t", [0.3, 1.0, 3.0])
+    def test_matches_dual_inversion(self, beta, t):
+        spec = SubordinatorSpec.pure(beta)
+        taus = t**beta * np.geomspace(1e-3, 20.0, 200)
+        inverted = inverse_time_density(spec, t, taus)
+        exact = clock_density_fast(spec, t, taus)
+        assert np.max(np.abs(exact - inverted)) <= (
+            DEFAULT_CONFIG.inversion_tol * inverted.max())
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.85, 0.95])
+    def test_mass_and_moments(self, beta):
+        spec = SubordinatorSpec.pure(beta)
+
+        def f(u):
+            return float(unit_clock_density(beta, u)[0])
+
+        for gamma in (0.0, 1.0, 2.0):
+            val, _ = quad(lambda u: u**gamma * f(u), 0.0, np.inf,
+                          epsabs=0.0, epsrel=1e-13, limit=200)
+            want = 1.0 if gamma == 0.0 else inverse_time_moment(spec, 1.0,
+                                                                 gamma)
+            assert abs(val / want - 1.0) <= 1e-12
+
+    def test_beta_outside_open_interval_rejected(self):
+        for beta in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                unit_clock_density(beta, [0.5])
 
 
 class TestMoments:

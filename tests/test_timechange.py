@@ -24,6 +24,7 @@ from subdiff.gaussian import (
 from subdiff.subordinators import (
     SeededRng,
     SubordinatorSpec,
+    inverse_time_density,
     inverse_time_moment,
     sample_inverse_ensemble,
 )
@@ -257,7 +258,7 @@ SPEC_OU = TimeChangedSpec(GaussianSpec.univariate(OrnsteinUhlenbeck(1.0, 1.0)),
 class TestBatchedSubordination:
     """One quadrature over an array of times against the per-time route."""
 
-    @pytest.mark.parametrize("n_panels", [16, 32, 64])
+    @pytest.mark.parametrize("n_panels", [16, 32, 64, 128])
     @pytest.mark.parametrize("u_max", [0.37, 3.0, 41.5])
     def test_panel_rule_matches_per_panel_loop(self, u_max, n_panels):
         u, w = tc._panel_rule(u_max, n_panels)
@@ -299,29 +300,55 @@ class TestBatchedSubordination:
 
     def test_rows_stabilize_at_their_own_level(self):
         # fBm on a beta 0.9 clock at x near 0.5: the two early times settle
-        # at 32 panels and the two late ones need 64
+        # at 32 panels and the three late ones need 64 (t 0.07 never
+        # settled while the clock density came from a spline)
         spec = TimeChangedSpec(GaussianSpec.univariate(FractionalBrownian(0.7)),
                                SubordinatorSpec.pure(0.9))
-        ts, xs = [0.001, 0.0137, 0.2111, 1.0], np.array([0.499, 0.5])
+        ts, xs = [0.001, 0.0137, 0.07, 0.2111, 1.0], np.array([0.499, 0.5])
         gd = subordinated_grid_density(spec, ts, xs)
         for i, t in enumerate(ts):
             q0, defect0 = subordinate_slice_loop(spec, t, xs[:, None],
                                                  DEFAULT_CONFIG)
             assert np.max(np.abs(gd.values[i] - q0)) <= 1e-12 * q0.max()
             assert abs(gd.mass_error[i] - defect0) <= 1e-13
-        # one row still moving at 64 panels fails the whole call
+        # one row still moving at 128 panels fails the whole call: at beta
+        # 0.97 the clock density is a bump too narrow for t 0.07
+        steep = TimeChangedSpec(spec.gauss, SubordinatorSpec.pure(0.97))
         with pytest.raises(QuadratureError):
-            subordinate_slice_loop(spec, 0.07, xs[:, None], DEFAULT_CONFIG)
+            subordinate_slice_loop(steep, 0.07, xs[:, None], DEFAULT_CONFIG)
         with pytest.raises(QuadratureError):
-            subordinated_grid_density(spec, [0.001, 0.07, 1.0], xs)
+            subordinated_grid_density(steep, [0.001, 0.07, 1.0], xs)
 
-    def test_failing_band_raises_on_both_routes(self):
-        # beta 0.78 lies in the band whose clock spline spikes (ROADMAP
-        # item 1): both routes give up alike, neither returns a number
+    def test_former_band_matches_dual_inversion(self, monkeypatch):
+        # beta 0.78 lay in the band where the clock spline spiked and both
+        # routes raised: both now return one profile, and it is the profile
+        # the dual Laplace inversion gives as the clock density, within
+        # that inversion's tolerance of the profile's maximum
         spec = TimeChangedSpec(BM, SubordinatorSpec.pure(0.78))
-        for route in (tc._subordinated_profile, subordinated_profile_loop):
-            with pytest.raises(QuadratureError):
-                route(spec, 0.0, 16.0, 700, DEFAULT_CONFIG)
+        args = (spec, 0.0, 16.0, 700, DEFAULT_CONFIG)
+        _, got = tc._subordinated_profile(*args)
+        _, want = subordinated_profile_loop(*args)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
+        monkeypatch.setattr(tc, "clock_density_fast", inverse_time_density)
+        _, inverted = tc._subordinated_profile(*args)
+        assert np.max(np.abs(got - inverted)) <= (
+            DEFAULT_CONFIG.inversion_tol * np.max(inverted))
+
+    @pytest.mark.parametrize("model", [Brownian(), OrnsteinUhlenbeck(1.0, 1.0),
+                                       FractionalBrownian(0.7)],
+                             ids=["brownian", "ou", "fbm"])
+    def test_beta_grid_scan_raises_nowhere(self, model):
+        # every beta of 0.10, 0.11, ..., 0.95 at 25 times from 1e-4 to 50:
+        # the spline's tail spikes made a band of them raise, and fBm rows
+        # near beta 0.95 and OU rows at t <= 2e-4 need the 128-panel level
+        spec = GaussianSpec.univariate(model)
+        ts = np.geomspace(1e-4, 50.0, 25)
+        xs = np.linspace(-4.0, 4.0, 33)
+        for k in range(10, 96):
+            gd = subordinated_grid_density(
+                TimeChangedSpec(spec, SubordinatorSpec.pure(k / 100)), ts, xs)
+            assert np.all(np.isfinite(gd.values)) and np.all(gd.values >= 0.0)
+            assert np.all(gd.mass_error <= DEFAULT_CONFIG.quadrature_tol)
 
     def test_pure_profile_evaluates_the_clock_once_per_level(self,
                                                              monkeypatch):
@@ -375,13 +402,18 @@ class TestLaplaceResidual:
 
 
 def test_clock_support_cache_keys_on_tolerances():
-    # a support ratio probed at the default tolerances must not answer a
-    # call at a tolerance the probe's inversion cannot meet
-    spec = TimeChangedSpec(BM, SubordinatorSpec.pure(0.45))
-    tc._clock_support(spec, 1.0, DEFAULT_CONFIG)
+    # a mixture's support ratio probed at the default tolerances must not
+    # answer a call at a tolerance the probe's inversion cannot meet
+    tc._clock_support(SPEC_MIX, 1.0, DEFAULT_CONFIG)
     tight = replace(DEFAULT_CONFIG, inversion_tol=1e-13)
     with pytest.raises(InversionError):
-        tc._clock_support(spec, 1.0, tight)
+        tc._clock_support(SPEC_MIX, 1.0, tight)
+    # a pure clock reads its ratio from the exact density: no inversion,
+    # no tolerance and no cache entry
+    cached = dict(tc._SUPPORT_RATIO)
+    assert tc._clock_support(SPEC_HALF, 1.0, tight) == tc._clock_support(
+        SPEC_HALF, 1.0, DEFAULT_CONFIG)
+    assert tc._SUPPORT_RATIO == cached
 
 
 class TestEmpiricalDensity:
