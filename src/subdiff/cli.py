@@ -24,7 +24,7 @@ import time
 
 import numpy as np
 
-from .config import SolverConfig
+from .config import MASS_TOL, NONNEG_TOL, SolverConfig
 from .errors import NumericsError
 from . import io as artifact_io
 from .fpke import (
@@ -298,6 +298,16 @@ def _outdir(args) -> str:
     return out
 
 
+def _emit(args, name: str, csv: str, meta: dict, echo: bool = False) -> int:
+    """Write ``name``.csv and its sidecar, echo the CSV to stdout if asked,
+    then print the written paths."""
+    written = artifact_io.write_artifact(_outdir(args), name, csv, meta)
+    if echo:
+        sys.stdout.write(csv)
+    print("\n".join(written))
+    return 0
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if cfg["model"] is None:
@@ -316,11 +326,7 @@ def cmd_simulate(args) -> int:
     else:
         ens = sample_gaussian_paths(gauss, grid, n_paths, rng)
     meta = artifact_io.provenance(cfg["raw"], seed=cfg["seed"])
-    written = artifact_io.write_artifact(
-        _outdir(args), "paths", artifact_io.paths_csv(ens), meta
-    )
-    print("\n".join(written))
-    return 0
+    return _emit(args, "paths", artifact_io.paths_csv(ens), meta)
 
 
 def cmd_density(args) -> int:
@@ -335,11 +341,7 @@ def cmd_density(args) -> int:
     gd = subordinated_grid_density(spec, times, xg, config=solver)
     meta = artifact_io.provenance(cfg["raw"], seed=cfg["seed"])
     meta["mass_error"] = [float(m) for m in gd.mass_error]
-    written = artifact_io.write_artifact(
-        _outdir(args), "density", artifact_io.grid_density_csv(gd), meta
-    )
-    print("\n".join(written))
-    return 0
+    return _emit(args, "density", artifact_io.grid_density_csv(gd), meta)
 
 
 def _solver_route(cfg):
@@ -393,11 +395,7 @@ def cmd_solve(args) -> int:
     meta = artifact_io.provenance(cfg["raw"], seed=cfg["seed"])
     meta["equation"] = eq
     meta["mass_error_max"] = float(gd.mass_error.max())
-    written = artifact_io.write_artifact(
-        _outdir(args), "solution", artifact_io.grid_density_csv(gd), meta
-    )
-    print("\n".join(written))
-    return 0
+    return _emit(args, "solution", artifact_io.grid_density_csv(gd), meta)
 
 
 def cmd_moments(args) -> int:
@@ -431,12 +429,7 @@ def cmd_moments(args) -> int:
             rows.append([float(t), float(g),
                          inverse_time_moment(sub, float(t), float(g))])
     csv = artifact_io.table_csv(["t", "gamma", "moment"], rows)
-    written = artifact_io.write_artifact(
-        _outdir(args), "moments", csv, artifact_io.provenance(raw)
-    )
-    sys.stdout.write(csv)
-    print("\n".join(written))
-    return 0
+    return _emit(args, "moments", csv, artifact_io.provenance(raw), echo=True)
 
 
 def cmd_operators(args) -> int:
@@ -466,13 +459,8 @@ def cmd_operators(args) -> int:
             lv = eval_Lambda(lam, one, float(t))
             row += [lv.value, lv.error]
     csv = artifact_io.table_csv(header, rows)
-    written = artifact_io.write_artifact(
-        _outdir(args), "operators", csv,
-        artifact_io.provenance(cfg["raw"])
-    )
-    sys.stdout.write(csv)
-    print("\n".join(written))
-    return 0
+    return _emit(args, "operators", csv, artifact_io.provenance(cfg["raw"]),
+                 echo=True)
 
 
 def cmd_validate(args) -> int:
@@ -509,16 +497,15 @@ def cmd_validate(args) -> int:
                                           gd.x_grid)
         record("classical_solver_vs_density",
                np.abs(gd.values[-1] - ref).max(), tol)
-        record("mass_conservation", gd.mass_error.max(), solver.mass_tol * 10)
+        record("mass_conservation", gd.mass_error.max(), MASS_TOL * 10)
     else:
         eq, gd = _solver_route(cfg)
         t_check = time.perf_counter()
         spec = TimeChangedSpec(GaussianSpec.univariate(model), sub)
         q = subordinated_density(spec, solver.t_max, gd.x_grid, config=solver)
         record("solver_vs_subordination", np.abs(gd.values[-1] - q).max(), tol)
-        record("mass_conservation", gd.mass_error.max(), solver.mass_tol * 10)
-        record("positivity_defect", max(-gd.values.min(), 0.0),
-               solver.nonneg_tol)
+        record("mass_conservation", gd.mass_error.max(), MASS_TOL * 10)
+        record("positivity_defect", max(-gd.values.min(), 0.0), NONNEG_TOL)
         sym = np.abs(q - q[::-1]).max()
         record("density_symmetry", sym, 10 * tol)
         if isinstance(model, Brownian) and sub.is_pure:
@@ -571,13 +558,8 @@ def cmd_convergence(args) -> int:
         rows.append([h, err, order])
         prev_err = err
     csv = artifact_io.table_csv(["h", "error", "order"], rows)
-    written = artifact_io.write_artifact(
-        _outdir(args), "convergence", csv,
-        artifact_io.provenance(cfg["raw"])
-    )
-    sys.stdout.write(csv)
-    print("\n".join(written))
-    return 0
+    return _emit(args, "convergence", csv, artifact_io.provenance(cfg["raw"]),
+                 echo=True)
 
 
 # ---------------------------------------------------------------------------

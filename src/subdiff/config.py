@@ -1,14 +1,20 @@
 """Solver grid and tolerance configuration.
 
-The PDE grid and the four tolerances every numerical contract (and
-``validate``) is stated against live here.  Fixed layouts are constants of
-their modules: the inversion degrees are ``fraccalc.TALBOT_DEGREE`` and
-``fraccalc.DEHOOG_DEGREE``.  Instances are immutable; use
-`dataclasses.replace` to derive variants.
+The PDE grid and the tolerances every numerical contract (and
+``validate``) is stated against live here: the two a config may set in
+``SolverConfig``, the two fixed ones as module constants.  Fixed layouts
+are constants of their modules: the inversion degrees are
+``fraccalc.TALBOT_DEGREE`` and ``fraccalc.DEHOOG_DEGREE``.  Instances are
+immutable; use `dataclasses.replace` to derive variants.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+#: clamp band for density ringing and the solvers' positivity budget
+NONNEG_TOL = 1e-8
+#: mass conservation budget per unit time
+MASS_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -28,8 +34,6 @@ class SolverConfig:
     # tolerances
     quadrature_tol: float = 1e-8
     inversion_tol: float = 1e-6      # cross-method agreement, relative
-    nonneg_tol: float = 1e-8         # clamp band for density ringing
-    mass_tol: float = 1e-6           # conservation budget per unit time
 
     def __post_init__(self):
         if self.n_t < 16 or self.n_x < 16:

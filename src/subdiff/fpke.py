@@ -24,10 +24,11 @@ from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import DEFAULT_CONFIG, MASS_TOL, NONNEG_TOL, SolverConfig
 from .errors import StabilityError
 from .fraccalc import caputo_l1  # noqa: F401 -- kept importable as fpke.caputo_l1
 from .fraccalc import caputo_l1_columns, l1_weight_blocks
+from .gaussian import OrnsteinUhlenbeck
 from .subordinators import SubordinatorSpec
 from .timechange import GridDensity
 
@@ -207,14 +208,12 @@ def _integrate_coeff(fn, a: float, b: float) -> float:
 def _variance_profile(op, t: float, breakpoints=()) -> float:
     """v(t) = variance of the delta-started solution at time t.
 
-    Adaptive quadrature; theta may have an integrable singularity at 0 and
-    kinks at the breakpoints (quad splits there and never evaluates a
-    coefficient exactly on one).
+    OU's closed form; otherwise adaptive quadrature, where theta may have
+    an integrable singularity at 0 and kinks at the breakpoints (quad
+    splits there and never evaluates a coefficient exactly on one).
     """
     if isinstance(op, OUGenerator):
-        if op.alpha == 0.0:
-            return op.sigma**2 * t
-        return op.sigma**2 / (2.0 * op.alpha) * (1.0 - math.exp(-2.0 * op.alpha * t))
+        return float(OrnsteinUhlenbeck(op.alpha, op.sigma).var(t))
     from scipy.integrate import quad
 
     interior = [b for b in breakpoints if 0.0 < b < t] or None
@@ -366,12 +365,12 @@ def solve_fractional(
 
 def _package(t_grid, x, values, cfg) -> GridDensity:
     floor = values.min()
-    if floor < -1e-8:
+    if floor < -NONNEG_TOL:
         raise StabilityError(f"solution went negative beyond budget: {floor:.2e}")
     values = np.maximum(values, 0.0)
     mass = np.abs(1.0 - np.trapezoid(values, x, axis=1))
     worst = mass.max()
-    if worst > cfg.mass_tol * max(cfg.t_max, 1.0) * 10.0:
+    if worst > MASS_TOL * max(cfg.t_max, 1.0) * 10.0:
         raise StabilityError(f"mass defect {worst:.2e} beyond budget")
     return GridDensity(t_grid, x, values, mass)
 

@@ -104,9 +104,10 @@ class SampledFunction:
 class LaplaceFunction:
     """A Laplace image F(s), analytic for Re s > 0.
 
-    ``log_evaluator`` optionally returns log F(s); the inversion uses it to
-    fold F into its own exponential factor, which avoids overflow for
-    images like exp(-tau * s^beta) evaluated far out on a Talbot contour.
+    ``log_evaluator`` optionally returns log F(s); Talbot folds log F into
+    its own exponential factor, and a closed-form log avoids the overflow
+    of images like exp(-tau * s^beta) far out on a Talbot contour (without
+    one, the inversion takes the log of F itself).
     ``right_plane_only`` marks evaluators that are meaningless left of the
     abscissa (numerical forward transforms); the inversion then replaces
     the Talbot leg of its cross-check with a second, independently placed
@@ -471,29 +472,26 @@ def _eval_batch(F, s, n_batch):
     return out
 
 
-def _talbot_batch(F, logF, t: float, M: int, n_batch: int):
-    """Fixed-Talbot rule; returns (values, cancellation_error_estimate)."""
+def _talbot_batch(logF, t: float, M: int, n_batch: int):
+    """Fixed-Talbot rule on the image's logarithm, so that e^{ts} F(s) is
+    one exponential; returns (values, cancellation_error_estimate).  A
+    column whose exponent is nan or has real part above 690 at some node
+    leaves that node out and gets an infinite error estimate."""
     r = 2.0 * M / 5.0
     theta = np.pi * np.arange(1, M) / M
     cot = 1.0 / np.tan(theta)
     s0 = np.array([r / t + 0j])
     sk = (r / t) * theta * (cot + 1j)
     mult = 1.0 + 1j * theta * (1.0 + cot * cot) - 1j * cot
-    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        if logF is not None:
-            e0 = t * s0[0] + _eval_batch(logF, s0, n_batch)[:, 0]
-            ek = t * sk[None, :] + _eval_batch(logF, sk, n_batch)
-            bad = (ek.real > 690.0).any(axis=1) | (e0.real > 690.0)
-            g0 = 0.5 * np.exp(np.where(e0.real > 690.0, -np.inf, e0))
-            gk = np.exp(np.where(ek.real > 690.0, -np.inf, ek)) * mult[None, :]
-        else:
-            f0 = _eval_batch(F, s0, n_batch)[:, 0]
-            fk = _eval_batch(F, sk, n_batch)
-            g0 = 0.5 * np.exp(t * s0[0]) * f0
-            gk = np.exp(t * sk[None, :]) * fk * mult[None, :]
-            bad = ~(np.isfinite(g0) & np.all(np.isfinite(gk), axis=1))
-            g0 = np.where(np.isfinite(g0), g0, 0.0)
-            gk = np.where(np.isfinite(gk), gk, 0.0)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore",
+                     divide="ignore"):
+        e0 = t * s0[0] + _eval_batch(logF, s0, n_batch)[:, 0]
+        ek = t * sk[None, :] + _eval_batch(logF, sk, n_batch)
+        skip0 = ~(e0.real <= 690.0) | np.isnan(e0.imag)
+        skipk = ~(ek.real <= 690.0) | np.isnan(ek.imag)
+        bad = skipk.any(axis=1) | skip0
+        g0 = 0.5 * np.exp(np.where(skip0, -np.inf, e0))
+        gk = np.exp(np.where(skipk, -np.inf, ek)) * mult[None, :]
     vals = (2.0 / (5.0 * t)) * (g0.real + gk.real.sum(axis=1))
     mag = (2.0 / (5.0 * t)) * (np.abs(g0) + np.abs(gk).sum(axis=1))
     err = _EPS * mag * M
@@ -583,9 +581,10 @@ def laplace_inverse_batch(
 ) -> np.ndarray:
     """Invert a family of transforms sharing contours at a single time t.
 
-    ``F`` (and optionally ``logF``) map an array of contour nodes s to an
-    array shaped (n_batch, len(s)).  Fixed Talbot and de Hoog both run and
-    must agree within ``config.inversion_tol`` relative to the batch scale.
+    ``F`` and ``logF`` (log F when not given; Talbot sums exp(ts + logF))
+    map an array of contour nodes s to an array shaped (n_batch, len(s)).
+    Fixed Talbot and de Hoog both run and must agree within
+    ``config.inversion_tol`` relative to the batch scale.
     Where Talbot's own cancellation estimate already explains the gap
     (deep tails), a second de Hoog evaluation at shifted parameters
     arbitrates instead.
@@ -607,9 +606,12 @@ def laplace_inverse_batch(
                 f"{vd2[i]:.6e}"
             )
         return 0.5 * (vd + vd2)
+    if logF is None:
+        def logF(s):
+            return np.log(np.asarray(F(s), dtype=complex))
     M = TALBOT_DEGREE
-    vt, tcanc = _talbot_batch(F, logF, t, M, n_batch)
-    vt2, _ = _talbot_batch(F, logF, t, max(16, (3 * M) // 4), n_batch)
+    vt, tcanc = _talbot_batch(logF, t, M, n_batch)
+    vt2, _ = _talbot_batch(logF, t, max(16, (3 * M) // 4), n_batch)
     # cancellation plus degree-convergence estimate of Talbot's error
     terr = np.maximum(tcanc, 2.0 * np.abs(vt - vt2))
     vd = _dehoog_batch(F, t, DEHOOG_DEGREE, n_batch)[:, 0]

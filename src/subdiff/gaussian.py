@@ -255,20 +255,20 @@ class OrnsteinUhlenbeck:
         if self.alpha == 0.0:
             return self.sigma**2 * np.minimum(s, t)
         a = self.alpha
+        # expm1: e^x - 1 keeps its digits as t -> 0
         return (
             self.sigma**2
             / (2.0 * a)
             * np.exp(-a * (s + t))
-            * (np.exp(2.0 * a * np.minimum(s, t)) - 1.0)
+            * np.expm1(2.0 * a * np.minimum(s, t))
         )
 
     def var(self, t):
         t = np.asarray(t, dtype=float)
         if self.alpha == 0.0:
             return self.sigma**2 * t
-        return self.sigma**2 / (2.0 * self.alpha) * (
-            1.0 - np.exp(-2.0 * self.alpha * t)
-        )
+        return self.sigma**2 / (2.0 * self.alpha) * -np.expm1(
+            -2.0 * self.alpha * t)
 
     def dvar(self, t):
         t = np.asarray(t, dtype=float)

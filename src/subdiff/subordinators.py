@@ -20,7 +20,9 @@ Five routes to the law of E_t coexist on purpose:
   only density route for mixtures),
 * closed-form moments where they exist (`inverse_time_moment`),
 
-and the test suite plays them against each other.
+and the test suite plays them against each other.  Kanter's function A,
+which the samplers and the exact density share, is formed once, as its
+logarithm (`_log_kanter_a`): A itself overflows near pi at beta near 1.
 """
 from __future__ import annotations
 
@@ -32,7 +34,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import DEFAULT_CONFIG, NONNEG_TOL, SolverConfig
 from .errors import NumericsError
 from .fraccalc import laplace_inverse_batch
 
@@ -152,20 +154,22 @@ class SeededRng:
 # sampling
 # ---------------------------------------------------------------------------
 
-def kanter_a(beta: float, u: np.ndarray) -> np.ndarray:
-    """Kanter's function A(u) = [sin(beta u)^beta sin((1-beta) u)^(1-beta)
-    / sin u]^(1/(1-beta)) on (0, pi)."""
+def _log_kanter_a(beta: float, u: np.ndarray) -> np.ndarray:
+    """log of Kanter's function A(u) = [sin(beta u)^beta sin((1-beta)
+    u)^(1-beta) / sin u]^(1/(1-beta)) on (0, pi), finite where A itself
+    overflows (u near pi at beta near 1)."""
     return (
-        np.sin(beta * u) ** beta
-        * np.sin((1.0 - beta) * u) ** (1.0 - beta)
-        / np.sin(u)
-    ) ** (1.0 / (1.0 - beta))
+        beta * np.log(np.sin(beta * u))
+        + (1.0 - beta) * np.log(np.sin((1.0 - beta) * u))
+        - np.log(np.sin(u))
+    ) / (1.0 - beta)
 
 
 def _kanter(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Kanter's representation of the standard positive stable law:
-    (A(U)/W)^((1-beta)/beta) for U uniform on (0, pi), W exponential."""
-    return (kanter_a(beta, u) / w) ** ((1.0 - beta) / beta)
+    (A(U)/W)^((1-beta)/beta) for U uniform on (0, pi), W exponential,
+    formed from log A so that A never leaves the float range."""
+    return np.exp((1.0 - beta) / beta * (_log_kanter_a(beta, u) - np.log(w)))
 
 
 def sample_positive_stable(beta, scale, rng: SeededRng, size=None):
@@ -314,16 +318,6 @@ def _log_gamma_draws(a: float, n: int, gen) -> np.ndarray:
     """log G for G ~ Gamma(a, 1), accurate where G underflows (a << 1):
     G_a =d G_{a+1} U^{1/a}."""
     return np.log(gen.gamma(a + 1.0, size=n)) + _log_uniform(n, gen) / a
-
-
-def _log_kanter_a(beta: float, u: np.ndarray) -> np.ndarray:
-    """log A(u) of ``kanter_a``, finite where A itself overflows (u near
-    pi at beta near 1)."""
-    return (
-        beta * np.log(np.sin(beta * u))
-        + (1.0 - beta) * np.log(np.sin((1.0 - beta) * u))
-        - np.log(np.sin(u))
-    ) / (1.0 - beta)
 
 
 def _passage_draws(beta, levels, gen):
@@ -482,7 +476,7 @@ def inverse_time_density(
     Pure case: invert s^{beta-1} exp(-tau s^beta); mixtures invert
     (rho(s)/s) exp(-tau rho(s)).  Scalar tau gives a float; an array of
     tau values is inverted in one batched call (shared contours).
-    Ringing in (-nonneg_tol, 0) is clamped to 0; anything more negative
+    Ringing in (-NONNEG_TOL, 0) is clamped to 0; anything more negative
     raises.
     """
     if t <= 0.0:
@@ -518,7 +512,7 @@ def inverse_time_density(
     floor = vals.min()
     # ringing within the inversion gate's own guarantee is clamped; worse
     # than that means the transform was not inverted reliably
-    band = max(config.nonneg_tol, 10.0 * config.inversion_tol) * scale
+    band = max(NONNEG_TOL, 10.0 * config.inversion_tol) * scale
     if floor < -band:
         raise NumericsError(
             f"density negative beyond tolerance: {floor:.3e} at "
@@ -526,12 +520,6 @@ def inverse_time_density(
         )
     vals = np.maximum(vals, 0.0)
     return float(vals[0]) if np.isscalar(tau) or np.ndim(tau) == 0 else vals
-
-
-def _inversion_tolerances(config: SolverConfig) -> tuple[float, float]:
-    """The only config fields ``inverse_time_density`` reads; every cache
-    of its results keys on them."""
-    return config.inversion_tol, config.nonneg_tol
 
 
 def _mwright_series(beta: float, u: np.ndarray) -> np.ndarray:
@@ -581,8 +569,9 @@ def _kanter_rule():
 
 def _kanter_integral(beta: float, u: np.ndarray) -> np.ndarray:
     """f_{E_1}(u) = u^(b/(1-b)) / (pi (1-b)) int_0^pi A exp(-z A) dphi with
-    z = u^(1/(1-b)) and A = ``kanter_a`` (Kanter, Ann. Probab. 3, 1975;
-    Zolotarev, *One-dimensional Stable Distributions*, 1986), for u beyond
+    z = u^(1/(1-b)) and A Kanter's function, read from ``_log_kanter_a``
+    (Kanter, Ann. Probab. 3, 1975; Zolotarev, *One-dimensional Stable
+    Distributions*, 1986), for u beyond
     1 / (b^b (1-b)^(1-b)), where z A(0) >= 1 and the positive integrand
     decreases in phi.
 
@@ -699,9 +688,14 @@ def inverse_time_moment(
         rho = spec.laplace_exponent(s)
         return (lg / (s * rho**gamma))[None, :]
 
+    def logF(s):
+        rho = spec.laplace_exponent(s)
+        return (math.log(lg) - np.log(s) - gamma * np.log(rho))[None, :]
+
     scale = lg * spec.inverse_scale(t) ** gamma
     return float(
-        laplace_inverse_batch(F, t, 1, config=config, abs_scale=scale)[0]
+        laplace_inverse_batch(F, t, 1, logF=logF, config=config,
+                              abs_scale=scale)[0]
     )
 
 

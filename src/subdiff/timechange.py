@@ -30,7 +30,6 @@ from .gaussian import (
 from .subordinators import (
     SeededRng,
     SubordinatorSpec,
-    _inversion_tolerances,
     clock_density_fast,
     inverse_time_density,
     sample_inverse_ensemble,
@@ -87,12 +86,6 @@ class GridDensity:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "mass_error", m)
 
-    def slice_at(self, t: float) -> np.ndarray:
-        i = int(np.argmin(np.abs(self.t_grid - t)))
-        if abs(self.t_grid[i] - t) > 1e-9 * max(1.0, abs(t)):
-            raise ValueError(f"t={t} not on the density grid")
-        return self.values[i]
-
 
 # ---------------------------------------------------------------------------
 # path-level composition
@@ -102,20 +95,14 @@ def _markov_draws(model, E: np.ndarray, gen) -> np.ndarray:
     """A Brownian or OU component at the clock values E (rows nondecreasing),
     by exact Gaussian increments over each row, vectorised over rows.
 
-    OU steps X <- e^{-alpha d} X + sigma sqrt((1 - e^{-2 alpha d}) / (2
-    alpha)) Z over a clock increment d; alpha = 0 (and Brownian, sigma 1)
-    is X <- X + sigma sqrt(d) Z.  A zero increment leaves X unchanged, so a
-    clock plateau repeats one value.
+    Over a clock increment d, X <- e^{-alpha d} X + sqrt(R(d)) Z with R the
+    model's variance (Brownian motion: alpha = 0).  A zero increment leaves
+    X unchanged, so a clock plateau repeats one value.
     """
-    alpha, sigma = ((model.alpha, model.sigma) if model.kind == "ou"
-                    else (0.0, 1.0))
+    alpha = model.alpha if model.kind == "ou" else 0.0
     d = np.diff(E, axis=1, prepend=0.0)
-    if alpha == 0.0:
-        decay, var = np.ones_like(d), d
-    else:
-        decay = np.exp(-alpha * d)
-        var = -np.expm1(-2.0 * alpha * d) / (2.0 * alpha)
-    step = sigma * np.sqrt(var) * gen.standard_normal(E.shape)
+    decay = np.exp(-alpha * d)
+    step = np.sqrt(model.var(d)) * gen.standard_normal(E.shape)
     x = np.empty_like(E)
     prev = np.zeros(len(E))
     for k in range(E.shape[1]):
@@ -189,8 +176,7 @@ def sample_timechanged_marginal(
 # subordination integral
 # ---------------------------------------------------------------------------
 
-#: a mixture's support ratio per (clock, decade of t, tolerances); pure
-#: clocks read theirs from the exact density and never enter it
+#: always empty (no clock support is cached); perfbench/workloads.py clears it
 _SUPPORT_RATIO: dict = {}
 
 #: probe grid of the support ratio, in units of the clock's scale
@@ -206,32 +192,29 @@ def _support_edge(probe: np.ndarray, f: np.ndarray) -> float:
     return float(probe[min(live[-1] + 2, len(probe) - 1)])
 
 
-def _clock_support(spec: TimeChangedSpec, t: float, config) -> float:
-    """tau* with the clock density negligible beyond it.
+def _clock_support(sub: SubordinatorSpec, ts, config) -> np.ndarray:
+    """tau* per time in ``ts``, with the clock density negligible beyond it.
 
     For a pure clock the support/scale ratio is t-free (self-similarity)
-    and comes from the exact f_{E_1} on the probe grid, at every call.  A
-    mixture's profile shape drifts with t, so its ratio comes from a probe
-    inversion at mid-decade, cached per decade of t; the key also holds
-    the tolerances that inversion reads.
+    and comes from one probe of the exact f_{E_1}.  A mixture's profile
+    shape drifts with t, so each decade of t present in ``ts`` gets its
+    ratio from one probe inversion at mid-decade.  Nothing is kept between
+    calls.
     """
-    sub = spec.sub
-    scale = sub.inverse_scale(t)
+    scales = np.array([sub.inverse_scale(t) for t in ts])
     if sub.is_pure and not sub.is_deterministic:
         beta = sub.components[0][0]
         f = unit_clock_density(beta, _SUPPORT_PROBE)
-        return _support_edge(_SUPPORT_PROBE, f) * scale
-    decade = math.floor(math.log10(t))
-    key = (sub, decade, *_inversion_tolerances(config))
-    ratio = _SUPPORT_RATIO.get(key)
-    if ratio is None:
+        return _support_edge(_SUPPORT_PROBE, f) * scales
+    decades = [math.floor(math.log10(t)) for t in ts]
+    ratio = {}
+    for decade in sorted(set(decades)):
         t_ref = 10.0 ** (decade + 0.5)
         ref_scale = sub.inverse_scale(t_ref)
         probe = ref_scale * _SUPPORT_PROBE
         f = inverse_time_density(sub, t_ref, probe, config=config)
-        ratio = _support_edge(probe, f) / ref_scale * 1.5
-        _SUPPORT_RATIO[key] = ratio
-    return ratio * scale
+        ratio[decade] = _support_edge(probe, f) / ref_scale * 1.5
+    return np.array([ratio[d] for d in decades]) * scales
 
 
 _GL12 = leggauss(12)
@@ -305,19 +288,19 @@ def subordinated_density(
 _MIX_BLOCK_CELLS = 1 << 18
 
 
-def _slice_nodes(spec, ts, kappa, n_panels, config):
+def _slice_nodes(spec, ts, supports, kappa, n_panels, config):
     """(taus (len(ts), nodes), clock weights (1 or len(ts), nodes)).
 
     A pure clock is self-similar, E_t = t^beta E_1 in law: the nodes are
     t^beta v with t-free v, and the weights w(v) f_{E_1}(v) are t-free, so
-    one clock evaluation at t = 1 serves every row.  A mixture's support
-    and clock values are computed per row.
+    one clock evaluation at t = 1 serves every row.  A mixture's clock
+    values are computed per row.  ``supports`` holds tau* per row of
+    ``ts``, or, for a pure clock, the one tau* at t = 1.
     """
     sub = spec.sub
     taus, weights = [], []
-    for t in [1.0] if sub.is_pure else ts:
-        u, wu = _panel_rule(_clock_support(spec, t, config) ** (1.0 / kappa),
-                            n_panels)
+    for t, tau_star in zip([1.0] if sub.is_pure else ts, supports):
+        u, wu = _panel_rule(tau_star ** (1.0 / kappa), n_panels)
         tau = u**kappa
         jac = kappa * u ** (kappa - 1.0)
         taus.append(tau)
@@ -371,13 +354,17 @@ def _subordinate_slices(spec, ts, pts, config):
             "subordinated density diverges at the origin for n*e/2 >= 1"
         )
     kappa = float(math.ceil(1.0 / max(1.0 - sing, 0.25)) + 1)
+    pure = spec.sub.is_pure
+    support = _clock_support(spec.sub, [1.0] if pure else ts, config)
 
     vals = np.empty((len(ts), len(pts)))
     defects = np.empty(len(ts))
     rows = np.arange(len(ts))  # rows not yet stable
     prev = None
     for n_panels in (16, 32, 64, 128):
-        taus, clock_w = _slice_nodes(spec, ts[rows], kappa, n_panels, config)
+        taus, clock_w = _slice_nodes(spec, ts[rows],
+                                     support if pure else support[rows],
+                                     kappa, n_panels, config)
         level = _mix(spec.gauss, taus, clock_w, pts)
         if prev is not None:
             err = np.max(np.abs(level - prev), axis=1)

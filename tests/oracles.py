@@ -294,7 +294,7 @@ def subordinate_slice_loop(spec, t, pts, config):
         )
     kappa = float(math.ceil(1.0 / max(1.0 - sing, 0.25)) + 1)
 
-    tau_star = _clock_support(spec, t, config)
+    tau_star = _clock_support(spec.sub, [t], config)[0]
     u_max = tau_star ** (1.0 / kappa)
 
     prev = None

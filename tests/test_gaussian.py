@@ -88,6 +88,14 @@ class TestVarianceData:
         _, dv1 = variance_and_derivative(OU, 1.0 + 5e-7)
         assert_allclose((v2 - v1) / 1e-6, dv1, rtol=1e-5)
 
+    def test_ou_small_time_closed_form(self):
+        # 1 - e^{-2t} formed directly lost 2.2e-5 relative at t = 1e-12
+        ou = OrnsteinUhlenbeck(1.0, 1.0)
+        t = np.geomspace(1e-12, 1e-4, 33)
+        want = -np.expm1(-2.0 * t) / 2.0
+        assert np.max(np.abs(ou.var(t) / want - 1.0)) <= 1e-14
+        assert np.max(np.abs(ou.cov(t, t) / want - 1.0)) <= 1e-14
+
     def test_variable_hurst_constant_reduces_to_fbm(self):
         vh = VariableHurst(MobiusHurst(0.75, 0.0), horizon=3.0)
         for t in (0.5, 1.0, 2.0):

@@ -89,6 +89,13 @@ class TestStableSampling:
         with pytest.raises(ValueError):
             sample_positive_stable(1.0, 1.0, rng)
 
+    @pytest.mark.parametrize("beta", [0.99, 0.995])
+    def test_finite_near_beta_one(self, beta):
+        # Kanter's A overflows as u -> pi at beta near 1; formed directly it
+        # turned 7 (beta 0.99) and 267 (beta 0.995) of these draws into inf
+        x = sample_positive_stable(beta, 1.0, SeededRng(1), size=2_000_000)
+        assert np.all(np.isfinite(x))
+
 
 class TestPaths:
     def test_path_laplace_transform(self, rng):
@@ -119,6 +126,14 @@ class TestPaths:
         grid = np.linspace(0.0, 1.0, 11)
         p = sample_subordinator_path(SubordinatorSpec.pure(1.0), grid, rng)
         assert_allclose(p.values, grid, rtol=0, atol=0)
+
+    def test_finite_near_beta_one(self):
+        # this stream drew an infinite increment while Kanter's A was
+        # formed directly, and the path was refused as not finite
+        grid = np.linspace(0.0, 1.0, 10001)
+        p = sample_subordinator_path(SubordinatorSpec.pure(0.99), grid,
+                                     SeededRng(3, 5))
+        assert np.all(np.isfinite(p.values))
 
 
 class TestInversion:

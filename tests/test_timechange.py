@@ -401,19 +401,24 @@ class TestLaplaceResidual:
             laplace_subordination_residual(spec, 2.0, 0.3, profile_nodes=40)
 
 
-def test_clock_support_cache_keys_on_tolerances():
-    # a mixture's support ratio probed at the default tolerances must not
-    # answer a call at a tolerance the probe's inversion cannot meet
-    tc._clock_support(SPEC_MIX, 1.0, DEFAULT_CONFIG)
+def test_clock_support_keeps_no_state():
+    # every call probes afresh under its own tolerances: a mixture support
+    # found at the defaults does not answer a call at a tolerance the
+    # probe's inversion cannot meet
+    ts = [0.3, 1.0]
+    tc._clock_support(SPEC_MIX.sub, ts, DEFAULT_CONFIG)
     tight = replace(DEFAULT_CONFIG, inversion_tol=1e-13)
     with pytest.raises(InversionError):
-        tc._clock_support(SPEC_MIX, 1.0, tight)
-    # a pure clock reads its ratio from the exact density: no inversion,
-    # no tolerance and no cache entry
-    cached = dict(tc._SUPPORT_RATIO)
-    assert tc._clock_support(SPEC_HALF, 1.0, tight) == tc._clock_support(
-        SPEC_HALF, 1.0, DEFAULT_CONFIG)
-    assert tc._SUPPORT_RATIO == cached
+        tc._clock_support(SPEC_MIX.sub, ts, tight)
+    # a pure clock reads its support from the exact density: no inversion
+    # and no tolerance
+    assert_array_equal(tc._clock_support(SPEC_HALF.sub, ts, tight),
+                       tc._clock_support(SPEC_HALF.sub, ts, DEFAULT_CONFIG))
+
+
+def test_mixture_density_leaves_no_cache():
+    subordinated_grid_density(SPEC_MIX, [0.3, 1.0], np.linspace(-2, 2, 9))
+    assert tc._SUPPORT_RATIO == {}
 
 
 class TestEmpiricalDensity:
