@@ -17,7 +17,6 @@ from .errors import (
     StabilityError,
 )
 from .fraccalc import (
-    LaplaceFunction,
     SampledFunction,
     caputo_l1,
     laplace_forward,

@@ -16,6 +16,7 @@ configuration/schema error, 3 an internal numerical failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -155,7 +156,10 @@ def parse_model(obj, path="model"):
             _reject_unknown(term, {"coef", "model"}, tp)
             coef = _number(term, "coef", tp, required=True)
             parsed.append((coef, parse_model(term.get("model"), f"{tp}.model")))
-        return Mixed(tuple(parsed))
+        try:
+            return Mixed(tuple(parsed))
+        except ValueError as ex:
+            raise ConfigError(f"{path}.terms: {ex}") from ex
     if kind == "variable_hurst":
         _reject_unknown(obj, {"kind", "preset", "a", "b", "coeffs", "horizon"},
                         path)
@@ -344,6 +348,23 @@ def cmd_density(args) -> int:
     return _emit(args, "density", artifact_io.grid_density_csv(gd), meta)
 
 
+def _classical_solve(cfg, **grid):
+    """``solve_classical`` of the configured model on the configured solver
+    grid, with ``grid`` fields replaced.
+
+    A mollifier too narrow for the grid or too wide for the horizon is a
+    configuration error: it names ``solver.init_width`` when the config
+    sets it and ``solver.t_max`` otherwise.
+    """
+    try:
+        solver = dataclasses.replace(cfg["solver"], **grid)
+        return solve_classical(operator_from_model(cfg["model"]), solver)
+    except ValueError as ex:
+        field = ("init_width" if "init_width" in cfg["raw"].get("solver", {})
+                 else "t_max")
+        raise ConfigError(f"solver.{field}: {ex}") from ex
+
+
 def _solver_route(cfg):
     """(equation kind, GridDensity) for the configured model/clock."""
     model = cfg["model"]
@@ -355,7 +376,7 @@ def _solver_route(cfg):
             "fractional" if sub.is_pure else "distributed"
         )
     if eq == "classical":
-        return eq, solve_classical(operator_from_model(model), solver)
+        return eq, _classical_solve(cfg)
     if isinstance(model, OrnsteinUhlenbeck):
         op = OUGenerator(model.alpha, model.sigma)
     elif isinstance(model, Brownian):
@@ -490,7 +511,7 @@ def cmd_validate(args) -> int:
 
     t0 = time.time()
     if sub is None:
-        gd = solve_classical(operator_from_model(model), solver)
+        gd = _classical_solve(cfg)
         t_check = time.perf_counter()
         gauss = GaussianSpec.univariate(model)
         ref = gaussian_transition_density(gauss, solver.t_max,
@@ -545,12 +566,7 @@ def cmd_convergence(args) -> int:
     prev_err = None
     for level in range(3):
         n = base * 2**level
-        c = SolverConfig(
-            t_max=solver.t_max, n_t=n, x_min=solver.x_min,
-            x_max=solver.x_max, n_x=n, init_width=width,
-            breakpoints=solver.breakpoints,
-        )
-        gd = solve_classical(operator_from_model(model), c)
+        gd = _classical_solve(cfg, n_t=n, n_x=n, init_width=width)
         ref = gaussian_transition_density(gauss, solver.t_max, gd.x_grid)
         err = float(np.abs(gd.values[-1] - ref).max())
         h = (solver.x_max - solver.x_min) / (n - 1)

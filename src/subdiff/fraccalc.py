@@ -21,7 +21,11 @@ row blocks.
 
 The inversion is deliberately redundant: two unrelated algorithms must
 agree or an ``InversionError`` is raised, so an ill-suited transform shows
-up as a failure instead of a quietly wrong number.  The de Hoog contour
+up as a failure instead of a quietly wrong number.  ``laplace_inverse_batch``
+takes each image once, as its logarithm: fixed Talbot folds log F into its
+own exponential, and de Hoog reads exp(log F) on its right-half-plane
+nodes.  ``laplace_inverse`` takes F, or a closed-form log F when the
+caller has one.  The de Hoog contour
 (nodes, quotient-difference table, continued fraction) lives only in
 ``_dehoog_batch``, which inverts a batch of transforms at a vector of
 times sharing one horizon; ``lambdaop`` feeds it one dyadic block of
@@ -44,7 +48,6 @@ from .errors import InversionError, NumericsError, QuadratureError
 
 __all__ = [
     "SampledFunction",
-    "LaplaceFunction",
     "TransformResult",
     "caputo_l1",
     "caputo_l1_columns",
@@ -98,28 +101,6 @@ class SampledFunction:
 
     def __len__(self) -> int:
         return len(self.grid)
-
-
-@dataclass(frozen=True)
-class LaplaceFunction:
-    """A Laplace image F(s), analytic for Re s > 0.
-
-    ``log_evaluator`` optionally returns log F(s); Talbot folds log F into
-    its own exponential factor, and a closed-form log avoids the overflow
-    of images like exp(-tau * s^beta) far out on a Talbot contour (without
-    one, the inversion takes the log of F itself).
-    ``right_plane_only`` marks evaluators that are meaningless left of the
-    abscissa (numerical forward transforms); the inversion then replaces
-    the Talbot leg of its cross-check with a second, independently placed
-    Fourier contour.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    log_evaluator: Callable[[np.ndarray], np.ndarray] | None = None
-    right_plane_only: bool = False
-
-    def __call__(self, s):
-        return self.evaluator(np.asarray(s, dtype=complex))
 
 
 class TransformResult(NamedTuple):
@@ -570,20 +551,18 @@ def _dehoog_batch(F, t, M: int, n_batch: int, *,
 
 
 def laplace_inverse_batch(
-    F,
+    logF,
     t: float,
     n_batch: int,
     *,
-    logF=None,
     config: SolverConfig = DEFAULT_CONFIG,
     abs_scale: float | None = None,
-    right_plane_only: bool = False,
 ) -> np.ndarray:
     """Invert a family of transforms sharing contours at a single time t.
 
-    ``F`` and ``logF`` (log F when not given; Talbot sums exp(ts + logF))
-    map an array of contour nodes s to an array shaped (n_batch, len(s)).
-    Fixed Talbot and de Hoog both run and must agree within
+    ``logF`` maps an array of contour nodes s to log F(s), an array shaped
+    (n_batch, len(s)): Talbot sums exp(ts + log F), and de Hoog reads
+    exp(log F) on its right-half-plane nodes.  The two must agree within
     ``config.inversion_tol`` relative to the batch scale.
     Where Talbot's own cancellation estimate already explains the gap
     (deep tails), a second de Hoog evaluation at shifted parameters
@@ -591,24 +570,11 @@ def laplace_inverse_batch(
     """
     if t <= 0.0:
         raise ValueError("t must be positive")
-    if right_plane_only:
-        vd = _dehoog_batch(F, t, DEHOOG_DEGREE, n_batch)[:, 0]
-        vd2 = _dehoog_batch(F, t, DEHOOG_DEGREE + 7, n_batch, tol=1e-10)[:, 0]
-        scale = abs_scale if abs_scale is not None else max(
-            np.max(np.abs(vd)), 1e-300
-        )
-        gap = np.abs(vd - vd2)
-        bad = gap > config.inversion_tol * np.maximum(np.abs(vd), scale)
-        if np.any(bad):
-            i = int(np.argmax(gap))
-            raise InversionError(
-                f"Fourier contours disagree at t={t}: {vd[i]:.6e} vs "
-                f"{vd2[i]:.6e}"
-            )
-        return 0.5 * (vd + vd2)
-    if logF is None:
-        def logF(s):
-            return np.log(np.asarray(F(s), dtype=complex))
+
+    def F(s):
+        with np.errstate(over="ignore", under="ignore"):
+            return np.exp(_eval_batch(logF, s, n_batch))
+
     M = TALBOT_DEGREE
     vt, tcanc = _talbot_batch(logF, t, M, n_batch)
     vt2, _ = _talbot_batch(logF, t, max(16, (3 * M) // 4), n_batch)
@@ -629,7 +595,7 @@ def laplace_inverse_batch(
         explained = terr[bad] >= 0.25 * gap[bad]
         # only the disputed columns are inverted again (each column's
         # arithmetic is its own, so their values are unchanged)
-        vd2 = _dehoog_batch(lambda s: _eval_batch(F, s, n_batch)[bad], t,
+        vd2 = _dehoog_batch(lambda s: F(s)[bad], t,
                             DEHOOG_DEGREE + 7, len(bad), tol=1e-10)[:, 0]
         agree2 = np.abs(vd2 - vd[bad]) <= 10.0 * tol * np.maximum(
             np.abs(vd[bad]), scale
@@ -653,26 +619,26 @@ def laplace_inverse_batch(
 
 
 def laplace_inverse(
-    F: LaplaceFunction | Callable[[np.ndarray], np.ndarray],
+    F: Callable[[np.ndarray], np.ndarray],
     t: float,
     *,
+    logF: Callable[[np.ndarray], np.ndarray] | None = None,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> float:
-    """Invert a single Laplace image at time t > 0 with the dual-method gate."""
-    if isinstance(F, LaplaceFunction):
-        fn, logfn, rp = F.evaluator, F.log_evaluator, F.right_plane_only
-    else:
-        fn, logfn, rp = F, None, False
+    """Invert a single Laplace image at time t > 0 with the dual-method gate.
 
-    def batched(s):
-        return np.asarray(fn(s), dtype=complex)[None, :]
-
-    logbatched = None
-    if logfn is not None:
-        def logbatched(s):  # noqa: E731 - small adapter
-            return np.asarray(logfn(s), dtype=complex)[None, :]
+    A closed-form ``logF`` avoids the overflow of images like
+    exp(-tau * s^beta) far out on the Talbot contour; F is then not read.
+    Without one, the inversion takes the log of F itself.
+    """
+    if logF is None:
+        def logF(s):
+            with np.errstate(divide="ignore"):
+                return np.log(np.asarray(F(s), dtype=complex))
 
     return float(
-        laplace_inverse_batch(batched, t, 1, logF=logbatched, config=config,
-                              right_plane_only=rp)[0]
+        laplace_inverse_batch(
+            lambda s: np.asarray(logF(s), dtype=complex)[None, :], t, 1,
+            config=config,
+        )[0]
     )

@@ -294,6 +294,9 @@ class Mixed:
     def __post_init__(self):
         if len(self.terms) == 0:
             raise ValueError("mixed model needs at least one term")
+        if all(a == 0.0 for a, _ in self.terms):
+            raise ValueError("mixed model needs a nonzero coefficient "
+                             "(all zero is the zero process)")
 
     def cov(self, s, t):
         return sum(a * a * m.cov(s, t) for a, m in self.terms)

@@ -13,8 +13,8 @@ Five routes to the law of E_t coexist on purpose:
   III), a level-crossing walk of W for mixtures,
 * exact one-time draws from Kanter's representation
   (`sample_inverse_marginal`; one-component clocks),
-* the exact density of a pure clock (`unit_clock_density`, at any t by
-  self-similarity through `clock_density_fast`): the M-Wright series for
+* the exact density of a one-component clock (`unit_clock_density`, at
+  any t and weight by self-similarity through `clock_density_fast`): the M-Wright series for
   small arguments, the Kanter-Zolotarev integral of positive terms beyond,
 * Laplace inversion of the known transform (`inverse_time_density`; the
   only density route for mixtures),
@@ -494,12 +494,6 @@ def inverse_time_density(
     if np.any(live):
         taus_live = taus[live]
 
-        def F(s):
-            rho = spec.laplace_exponent(s)
-            return (rho / s)[None, :] * np.exp(
-                -taus_live[:, None] * rho[None, :]
-            )
-
         def logF(s):
             rho = spec.laplace_exponent(s)
             return (np.log(rho) - np.log(s))[None, :] - taus_live[
@@ -507,7 +501,7 @@ def inverse_time_density(
             ] * rho[None, :]
 
         vals[live] = laplace_inverse_batch(
-            F, t, int(live.sum()), logF=logF, config=config, abs_scale=scale
+            logF, t, int(live.sum()), config=config, abs_scale=scale
         )
     floor = vals.min()
     # ringing within the inversion gate's own guarantee is clamped; worse
@@ -638,18 +632,19 @@ def clock_density_fast(
     *,
     config: SolverConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
-    """f_{E_t} at the nodes ``taus``, exactly for a pure clock.
+    """f_{E_t} at the nodes ``taus``, exactly for a one-component clock.
 
-    A single stable component is self-similar, f_{E_t}(tau) = t^-b
-    f_{E_1}(tau t^-b), and f_{E_1} is ``unit_clock_density``: the M-Wright
-    series for small arguments, the Kanter-Zolotarev integral beyond, no
-    table and no cache.  Mixtures go through ``inverse_time_density``
-    (dual Laplace inversion), which alone reads ``config``.
+    A single stable component of weight w is self-similar, f_{E_t}(tau) =
+    f_{E_1}(tau / c) / c with c = t^b / w (``inverse_scale``) and f_{E_1}
+    the weight-1 unit density ``unit_clock_density``: the M-Wright series
+    for small arguments, the Kanter-Zolotarev integral beyond, no table and
+    no cache.  Mixtures go through ``inverse_time_density`` (dual Laplace
+    inversion), which alone reads ``config``.
     """
-    if not spec.is_pure or spec.is_deterministic:
+    if len(spec.components) > 1 or spec.is_deterministic:
         return inverse_time_density(spec, t, taus, config=config)
     beta = spec.components[0][0]
-    scale = t**beta
+    scale = spec.inverse_scale(t)
     u = np.asarray(taus, dtype=float).ravel() / scale
     return unit_clock_density(beta, u).reshape(np.shape(taus)) / scale
 
@@ -684,17 +679,13 @@ def inverse_time_moment(
     lg = _in_float_range(lambda: math.gamma(gamma + 1.0),
                          math.lgamma(gamma + 1.0), f"Gamma({gamma} + 1)")
 
-    def F(s):
-        rho = spec.laplace_exponent(s)
-        return (lg / (s * rho**gamma))[None, :]
-
     def logF(s):
         rho = spec.laplace_exponent(s)
         return (math.log(lg) - np.log(s) - gamma * np.log(rho))[None, :]
 
     scale = lg * spec.inverse_scale(t) ** gamma
     return float(
-        laplace_inverse_batch(F, t, 1, logF=logF, config=config,
+        laplace_inverse_batch(logF, t, 1, config=config,
                               abs_scale=scale)[0]
     )
 

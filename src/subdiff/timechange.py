@@ -4,9 +4,9 @@ The composed process X. E inherits its one-time law from the mixing
 identity q(t, x) = int_0^inf f_{E_t}(tau) p(tau, x) dtau, which this module
 evaluates by shared-node quadrature over many times at once.  The clock
 nodes are shared across x: one clock-density batch serves a whole x-grid.
-For a pure clock they are shared across t as well, since E_t = t^beta E_1
-in law: one set of nodes v and weights w(v) f_{E_1}(v) serves every time,
-and only the Gaussian factor p(t^beta v, x) changes.  Monte Carlo path
+For a one-component clock they are shared across t as well, since
+E_t = t^beta E_1 in law: one set of nodes v and weights w(v) f_{E_1}(v)
+serves every time, and only the Gaussian factor p(t^beta v, x) changes.  Monte Carlo path
 composition and a Laplace-domain residual check of the same identity
 provide two independent routes to the same numbers.
 """
@@ -19,7 +19,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import NumericsError, QuadratureError
+from .errors import DegenerateDensityError, NumericsError, QuadratureError
 from .fraccalc import laplace_forward
 from .gaussian import (
     GaussianSpec,
@@ -167,7 +167,7 @@ def sample_timechanged_marginal(
     n_dim = spec.gauss.dimension
     out = np.empty((n_paths, n_dim))
     for j, model in enumerate(spec.gauss.components):
-        sd = np.sqrt(np.maximum(model.var(E), 0.0))
+        sd = np.sqrt(model.var(E))
         out[:, j] = sd * gen.standard_normal(n_paths) + spec.gauss.mean_at(j, E)
     return out
 
@@ -195,14 +195,14 @@ def _support_edge(probe: np.ndarray, f: np.ndarray) -> float:
 def _clock_support(sub: SubordinatorSpec, ts, config) -> np.ndarray:
     """tau* per time in ``ts``, with the clock density negligible beyond it.
 
-    For a pure clock the support/scale ratio is t-free (self-similarity)
-    and comes from one probe of the exact f_{E_1}.  A mixture's profile
-    shape drifts with t, so each decade of t present in ``ts`` gets its
-    ratio from one probe inversion at mid-decade.  Nothing is kept between
-    calls.
+    For a one-component clock the support/scale ratio is t-free
+    (self-similarity) and comes from one probe of the exact f_{E_1}.  A
+    mixture's profile shape drifts with t, so each decade of t present in
+    ``ts`` gets its ratio from one probe inversion at mid-decade.  Nothing
+    is kept between calls.
     """
     scales = np.array([sub.inverse_scale(t) for t in ts])
-    if sub.is_pure and not sub.is_deterministic:
+    if len(sub.components) == 1 and not sub.is_deterministic:
         beta = sub.components[0][0]
         f = unit_clock_density(beta, _SUPPORT_PROBE)
         return _support_edge(_SUPPORT_PROBE, f) * scales
@@ -231,19 +231,25 @@ def _panel_rule(u_max: float, n_panels: int):
 
 
 def _product_density(spec: GaussianSpec, taus: np.ndarray, x: np.ndarray):
-    """p(tau_m, x_i) for all nodes and points; shape (len(taus), npts)."""
+    """p(tau_m, x_i) for all nodes and points; shape (len(taus), npts).
+
+    A zero variance at a node is a point mass, which has no density there:
+    it raises, as ``gaussian_transition_density`` does.
+    """
     dens = np.ones((len(taus), x.shape[0]))
     for j, model in enumerate(spec.components):
-        v = np.maximum(np.asarray(model.var(taus), dtype=float), 0.0)[:, None]
+        v = np.asarray(model.var(taus), dtype=float)[:, None]
+        if not np.all(v > 0.0):
+            raise DegenerateDensityError(
+                "transition law is a point mass at a clock node (zero "
+                "variance)"
+            )
         xj = x[:, j][None, :]
         # centered models skip the (nodes x points) shift
         mus = spec.mean_at(j, taus)[:, None] if spec.means else 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            d = np.exp(-((xj - mus) ** 2) / (2.0 * v)) / np.sqrt(
-                2.0 * math.pi * v
-            )
-        d = np.where(v > 0.0, d, 0.0)
-        dens *= d
+        dens *= np.exp(-((xj - mus) ** 2) / (2.0 * v)) / np.sqrt(
+            2.0 * math.pi * v
+        )
     return dens
 
 
@@ -291,15 +297,16 @@ _MIX_BLOCK_CELLS = 1 << 18
 def _slice_nodes(spec, ts, supports, kappa, n_panels, config):
     """(taus (len(ts), nodes), clock weights (1 or len(ts), nodes)).
 
-    A pure clock is self-similar, E_t = t^beta E_1 in law: the nodes are
-    t^beta v with t-free v, and the weights w(v) f_{E_1}(v) are t-free, so
-    one clock evaluation at t = 1 serves every row.  A mixture's clock
-    values are computed per row.  ``supports`` holds tau* per row of
-    ``ts``, or, for a pure clock, the one tau* at t = 1.
+    A one-component clock is self-similar, E_t = t^beta E_1 in law: the
+    nodes are t^beta v with t-free v, and the weights w(v) f_{E_1}(v) are
+    t-free, so one clock evaluation at t = 1 serves every row.  A
+    mixture's clock values are computed per row.  ``supports`` holds tau*
+    per row of ``ts``, or, for one component, the one tau* at t = 1.
     """
     sub = spec.sub
+    single = len(sub.components) == 1
     taus, weights = [], []
-    for t, tau_star in zip([1.0] if sub.is_pure else ts, supports):
+    for t, tau_star in zip([1.0] if single else ts, supports):
         u, wu = _panel_rule(tau_star ** (1.0 / kappa), n_panels)
         tau = u**kappa
         jac = kappa * u ** (kappa - 1.0)
@@ -307,7 +314,7 @@ def _slice_nodes(spec, ts, supports, kappa, n_panels, config):
         weights.append(wu * jac * clock_density_fast(sub, t, tau,
                                                      config=config))
     taus = np.array(taus)
-    if sub.is_pure:
+    if single:
         taus = ts[:, None] ** sub.components[0][0] * taus
     return taus, np.array(weights)
 
@@ -354,8 +361,8 @@ def _subordinate_slices(spec, ts, pts, config):
             "subordinated density diverges at the origin for n*e/2 >= 1"
         )
     kappa = float(math.ceil(1.0 / max(1.0 - sing, 0.25)) + 1)
-    pure = spec.sub.is_pure
-    support = _clock_support(spec.sub, [1.0] if pure else ts, config)
+    single = len(spec.sub.components) == 1
+    support = _clock_support(spec.sub, [1.0] if single else ts, config)
 
     vals = np.empty((len(ts), len(pts)))
     defects = np.empty(len(ts))
@@ -363,7 +370,7 @@ def _subordinate_slices(spec, ts, pts, config):
     prev = None
     for n_panels in (16, 32, 64, 128):
         taus, clock_w = _slice_nodes(spec, ts[rows],
-                                     support if pure else support[rows],
+                                     support if single else support[rows],
                                      kappa, n_panels, config)
         level = _mix(spec.gauss, taus, clock_w, pts)
         if prev is not None:
@@ -373,7 +380,7 @@ def _subordinate_slices(spec, ts, pts, config):
             done = err <= np.maximum(1e-9, 10.0 * config.quadrature_tol
                                      * np.maximum(level.max(axis=1), 1e-12))
             mass = np.abs(1.0 - clock_w.sum(axis=1))
-            vals[rows[done]] = np.maximum(level[done], 0.0)
+            vals[rows[done]] = level[done]
             defects[rows[done]] = np.broadcast_to(mass, done.shape)[done]
             rows, level = rows[~done], level[~done]
             if rows.size == 0:
@@ -434,6 +441,14 @@ def _subordinated_profile(spec, x, horizon, n_nodes, config):
     return tg, np.concatenate([[0.0], vals[:, 0]])
 
 
+def _power_at_zero(t1: float, f1: float, t2: float, f2: float) -> float:
+    """p with f ~ t^-p from the samples f1 at t1 < t2 and f2 at t2, clamped
+    to [0, 0.95]; 0 unless both samples are positive."""
+    if f1 > 0.0 and f2 > 0.0:
+        return min(max(-math.log(f2 / f1) / math.log(t2 / t1), 0.0), 0.95)
+    return 0.0
+
+
 def laplace_subordination_residual(
     spec: TimeChangedSpec,
     s,
@@ -486,11 +501,7 @@ def laplace_subordination_residual(
     tg, q_prof = _subordinated_profile(spec, x, horizon, profile_nodes,
                                        config)
     # split a power from the t -> 0 end so the interpolant is tame
-    if q_prof[1] > 0.0 and q_prof[3] > 0.0:
-        p_pow = -math.log(q_prof[3] / q_prof[1]) / math.log(tg[3] / tg[1])
-        p_pow = min(max(p_pow, 0.0), 0.95)
-    else:
-        p_pow = 0.0
+    p_pow = _power_at_zero(tg[1], q_prof[1], tg[3], q_prof[3])
     with np.errstate(divide="ignore", invalid="ignore"):
         w_prof = q_prof * np.where(tg > 0.0, tg**p_pow, 1.0)
     w_prof[0] = w_prof[1] - (w_prof[2] - w_prof[1]) / (tg[2] - tg[1]) * tg[1]
@@ -500,19 +511,17 @@ def laplace_subordination_residual(
             return 0.0
         return float(gaussian_transition_density(spec.gauss, t, x))
 
+    # the same power of the base density, for its forward quadrature
+    t_probe = 1e-5 * horizon
+    p_pow_base = _power_at_zero(t_probe, pfun(t_probe),
+                                2.0 * t_probe, pfun(2.0 * t_probe))
     out = np.empty_like(s_arr)
     for i, sv in enumerate(s_arr):
         q_tilde = _weighted_profile_transform(tg, w_prof, p_pow, sv)
         rho = float(np.real(spec.sub.laplace_exponent(sv)))
-        p_probe = pfun(1e-5 * horizon)
-        p_pow2 = 0.0
-        if p_probe > 0.0:
-            hi = pfun(2e-5 * horizon)
-            if hi > 0.0:
-                p_pow2 = min(max(-math.log(hi / p_probe) / math.log(2.0),
-                                 0.0), 0.95)
         p_tilde, _ = laplace_forward(pfun, rho, config=config,
-                                     power_at_zero=-p_pow2, t_max=horizon)
+                                     power_at_zero=-p_pow_base,
+                                     t_max=horizon)
         lhs = q_tilde
         rhs = (rho / sv) * complex(p_tilde).real
         out[i] = abs(lhs - rhs) / abs(lhs)

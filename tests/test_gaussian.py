@@ -57,6 +57,10 @@ class TestCovariance:
         t = 2.0
         assert_allclose(covariance(m, t, t), t + 0.25 * t**1.4)
 
+    def test_mixed_all_zero_rejected(self):
+        with pytest.raises(ValueError, match="nonzero coefficient"):
+            Mixed(((0.0, Brownian()), (0.0, FBM7)))
+
     def test_negative_inputs_rejected(self):
         with pytest.raises(ValueError):
             covariance(FBM7, -1.0, 2.0)

@@ -378,6 +378,16 @@ class TestDensity:
                                       taus)
         assert_allclose(pure, single, atol=1e-8)
 
+    @pytest.mark.parametrize("beta", [0.3, 0.7])
+    def test_weighted_single_clock_matches_inversion(self, beta):
+        # the exact self-similar route at scale t^b / w against the dual
+        # Laplace inversion of (w s^b / s) exp(-tau w s^b)
+        spec = SubordinatorSpec(((beta, 2.5),))
+        taus = np.linspace(0.0, 3.0, 31) * spec.inverse_scale(1.5)
+        exact = clock_density_fast(spec, 1.5, taus)
+        assert_allclose(exact, inverse_time_density(spec, 1.5, taus),
+                        rtol=0.0, atol=1e-7 * exact.max())
+
     def test_laplace_forward_recovers_transform(self):
         # numerically transform f_{E_t}(tau) in t; compare s^{b-1}e^{-tau s^b}
         from subdiff.fraccalc import laplace_forward

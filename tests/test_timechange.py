@@ -8,7 +8,12 @@ from scipy.integrate import quad
 from scipy.stats import chi2, ks_2samp
 
 from subdiff.config import DEFAULT_CONFIG, SolverConfig
-from subdiff.errors import InversionError, NumericsError, QuadratureError
+from subdiff.errors import (
+    DegenerateDensityError,
+    InversionError,
+    NumericsError,
+    QuadratureError,
+)
 from subdiff.gaussian import (
     Brownian,
     FractionalBrownian,
@@ -241,6 +246,35 @@ class TestSubordinatedDensity:
             TimeChangedSpec(BM, SubordinatorSpec(((0.5, 1.0),))), 1.0, xs
         )
         assert_allclose(a, b, atol=1e-8)
+
+    @pytest.mark.parametrize("beta", [0.3, 0.6, 0.9])
+    def test_weighted_single_clock_is_rescaled_pure(self, beta):
+        # a weight-w clock is the unit clock run at speed w, E_t = t^b E_1 / w
+        # in law: the weight-1 clock at time t / w^(1/b)
+        w, ts = 2.0, np.array([0.25, 0.5, 1.0])
+        xs = np.linspace(-12.0, 12.0, 400)
+        for model in (Brownian(), OrnsteinUhlenbeck(1.0, 1.0)):
+            gauss = GaussianSpec.univariate(model)
+            got = subordinated_grid_density(
+                TimeChangedSpec(gauss, SubordinatorSpec(((beta, w),))), ts, xs
+            ).values
+            want = subordinated_grid_density(
+                TimeChangedSpec(gauss, SubordinatorSpec.pure(beta)),
+                ts / w ** (1.0 / beta), xs,
+            ).values
+            assert_allclose(got, want, rtol=0.0,
+                            atol=1e-13 * want.max())
+
+    def test_zero_variance_raises(self):
+        # a point-mass transition law has no density at the clock nodes
+        class Frozen(Brownian):
+            def var(self, t):
+                return np.zeros_like(np.asarray(t, dtype=float))
+
+        spec = TimeChangedSpec(GaussianSpec.univariate(Frozen()),
+                               SubordinatorSpec.pure(0.5))
+        with pytest.raises(DegenerateDensityError):
+            subordinated_density(spec, 1.0, [0.5, 1.0])
 
     def test_origin_divergence_flagged(self):
         spec2 = TimeChangedSpec(
