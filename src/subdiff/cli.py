@@ -221,6 +221,8 @@ def parse_solver(obj, path="solver"):
     kw["t_max"] = _number(obj, "t_max", path, lo=0.0, lo_open=True, default=1.0)
     for key, dflt in (("n_t", 400), ("n_x", 400)):
         v = _number(obj, key, path, lo=16, default=dflt)
+        if v != int(v):
+            raise ConfigError(f"{path}.{key}: expected a whole number")
         kw[key] = int(v)
     kw["x_min"] = _number(obj, "x_min", path, default=-8.0)
     kw["x_max"] = _number(obj, "x_max", path, default=8.0)
@@ -265,8 +267,8 @@ def load_config(path: str) -> dict:
     )
     out["solver"] = parse_solver(raw.get("solver", {}))
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("config.seed: expected an integer")
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        raise ConfigError("config.seed: expected an integer >= 0")
     out["seed"] = seed
     paths = raw.get("paths", 100)
     if not isinstance(paths, int) or isinstance(paths, bool) or paths < 1:
@@ -316,9 +318,9 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if cfg["model"] is None:
         raise ConfigError("config.model: required for simulate")
-    n_paths = args.paths if args.paths is not None else cfg["paths"]
-    if n_paths < 1:
-        raise ConfigError("config.paths: expected an integer >= 1")
+    if args.paths is not None and args.paths < 1:
+        raise ConfigError("--paths: expected an integer >= 1")
+    n_paths = cfg["paths"] if args.paths is None else args.paths
     solver = cfg["solver"]
     grid = np.linspace(0.0, solver.t_max, cfg["sample_points"] + 1)
     gauss = GaussianSpec.univariate(cfg["model"])
@@ -560,8 +562,13 @@ def cmd_convergence(args) -> int:
     solver = cfg["solver"]
     gauss = GaussianSpec.univariate(model)
     base = max(solver.n_x // 4, 80)
-    dx0 = (solver.x_max - solver.x_min) / (base - 1)
-    width = min(4.0 * dx0, 0.5 * math.sqrt(float(model.var(solver.t_max))))
+    # the configured mollifier serves every level; without one the study
+    # takes 4 cells of its coarsest grid, at most half the final spread
+    width = solver.init_width
+    if width is None:
+        dx0 = (solver.x_max - solver.x_min) / (base - 1)
+        width = min(4.0 * dx0,
+                    0.5 * math.sqrt(float(model.var(solver.t_max))))
     rows = []
     prev_err = None
     for level in range(3):

@@ -20,14 +20,13 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG, MASS_TOL, NONNEG_TOL, SolverConfig
 from .errors import StabilityError
 from .fraccalc import caputo_l1  # noqa: F401 -- kept importable as fpke.caputo_l1
-from .fraccalc import caputo_l1_columns, l1_weight_blocks
+from .fraccalc import _gauss_panels, caputo_l1_columns, l1_weight_blocks
 from .gaussian import OrnsteinUhlenbeck
 from .subordinators import SubordinatorSpec
 from .timechange import GridDensity
@@ -192,13 +191,11 @@ def _banded(rows_scaled, shift=1.0):
     return ab
 
 
-_GL8 = leggauss(8)
-
-
-def _integrate_coeff(fn, a: float, b: float) -> float:
-    xg, wg = _GL8
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(half * np.sum(wg * np.array([fn(mid + half * u) for u in xg])))
+def _panel_integrals(fn, edges) -> np.ndarray:
+    """int fn over each panel between consecutive ``edges``, by the
+    8-point Gauss-Legendre rule."""
+    nodes, w = _gauss_panels(edges, 8)
+    return (w * np.array([fn(u) for u in nodes])).reshape(-1, 8).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,29 +259,31 @@ def solve_classical(
     drift_fn = op.drift if isinstance(op, DiffusionWithDrift) else None
     mean0 = 0.0
     if drift_fn is not None:
-        mean0 = _integrate_coeff(drift_fn, 0.0, t_init)
+        mean0 = float(_panel_integrals(drift_fn, (0.0, t_init))[0])
     p = np.exp(-((x - mean0) ** 2) / (2.0 * w * w)) / (w * math.sqrt(2 * math.pi))
 
     t_grid = _time_grid(cfg, t_init)
+    steps = np.diff(t_grid)
     lap = _laplacian_rows(x)
     der = _first_deriv_rows(x)
     if isinstance(op, OUGenerator):
         flux = _drift_flux_rows(op.alpha, op.sigma, x)
+    else:
+        tbar = _panel_integrals(op.theta, t_grid) / steps
+        if drift_fn is not None:
+            mbar = _panel_integrals(drift_fn, t_grid) / steps
 
     out = np.empty((len(t_grid), cfg.n_x))
     out[0] = p
     for k in range(1, len(t_grid)):
-        a, b = t_grid[k - 1], t_grid[k]
-        dt = b - a
+        dt = steps[k - 1]
         if isinstance(op, OUGenerator):
             rows = tuple(dt * r for r in flux)
         else:
-            tbar = _integrate_coeff(lambda u: op.theta(u), a, b) / dt
-            rows = tuple(dt * tbar * r for r in lap)
+            rows = tuple(dt * tbar[k - 1] * r for r in lap)
             if drift_fn is not None:
-                mbar = _integrate_coeff(drift_fn, a, b) / dt
                 rows = tuple(
-                    r - dt * mbar * d for r, d in zip(rows, der)
+                    r - dt * mbar[k - 1] * d for r, d in zip(rows, der)
                 )
         rhs = p + 0.5 * _apply_rows(rows, p)
         rhs[0] = rhs[-1] = 0.0

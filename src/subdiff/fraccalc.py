@@ -4,7 +4,8 @@ Everything downstream (subordinator densities, nonlocal operators, the
 fractional solvers) is built on the five operations in this module:
 
 * ``caputo_l1``                 -- Caputo derivative, L1 product rule
-* ``riemann_liouville_integral``-- fractional integral, exact on linears
+* ``riemann_liouville_integral``-- fractional integral, the L1 rule at
+                                   order -alpha, exact on linears
 * ``mittag_leffler``            -- E_alpha(z) to 1e-10 relative
 * ``laplace_forward``           -- numerical transform with error estimate
 * ``laplace_inverse``           -- fixed-Talbot / de Hoog dual inversion
@@ -16,8 +17,12 @@ column form ``caputo_l1_columns`` (behind ``fpke.residual_norm`` and
 ``fpke.solve_distributed_order`` all draw their weights from it, one fixed
 block of rows at a time (``l1_weight_blocks``), so the solvers and their
 residual diagnostics discretise the memory term identically.  The
-Riemann-Liouville product quadrature is built and applied in the same
-row blocks.
+Riemann-Liouville integral is the same rule at order -alpha (the power
+kernel is one cell rule for every order below 1), so it has no weights
+of its own.  The composite Gauss-Legendre rule is written once too, in
+``_gauss_panels``: the subordination panels, the Kanter-Zolotarev
+integral and the classical solver's coefficient averages all take their
+nodes from it.
 
 The inversion is deliberately redundant: two unrelated algorithms must
 agree or an ``InversionError`` is raised, so an ill-suited transform shows
@@ -35,11 +40,13 @@ degree M, and the arbiter contour inverts only the disputed columns.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -109,6 +116,24 @@ class TransformResult(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
+# composite Gauss-Legendre rule
+# ---------------------------------------------------------------------------
+
+_leggauss = functools.cache(leggauss)
+
+
+def _gauss_panels(edges, n: int):
+    """Composite n-point Gauss-Legendre rule on the panels between
+    consecutive ``edges``: (nodes, weights), flat and panel by panel.
+    The reference rule is built once per n; callers never write it."""
+    xg, wg = _leggauss(n)
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1, None], edges[1:, None]
+    return ((0.5 * (b - a) * xg + 0.5 * (a + b)).ravel(),
+            (0.5 * (b - a) * wg).ravel())
+
+
+# ---------------------------------------------------------------------------
 # Caputo derivative (L1 scheme, nonuniform grid)
 # ---------------------------------------------------------------------------
 
@@ -123,7 +148,9 @@ def l1_weights(t: np.ndarray, components, start: int, stop: int) -> np.ndarray:
     """Rows ``start..stop-1`` of the L1 memory-weight matrix on the grid t.
 
     With h_k = t_{k+1} - t_k and ``components`` the (beta_j, w_j) pairs of
-    a mixture (a pure clock is the one pair (beta, 1)),
+    a mixture (a pure clock is the one pair (beta, 1); any beta < 1 works,
+    and beta = -alpha gives J^(alpha+1) of the piecewise-constant
+    derivative, as ``riemann_liouville_integral`` uses it),
 
         W[i, k] = sum_j w_j / Gamma(2 - beta_j)
                   * ((t_i - t_k)^(1-beta_j) - (t_i - t_{k+1})^(1-beta_j)) / h_k
@@ -135,8 +162,8 @@ def l1_weights(t: np.ndarray, components, start: int, stop: int) -> np.ndarray:
     increasing grid works; every entry depends on its own (i, k) only.
     """
     for beta, _ in components:
-        if not 0.0 < beta < 1.0:
-            raise ValueError("L1 weights need beta in (0, 1)")
+        if not beta < 1.0:
+            raise ValueError("L1 weights need beta < 1")
     t = np.asarray(t, dtype=float)
     # zero on and above the diagonal, where the power below is then 0 too
     gap = np.maximum(t[start:stop, None] - t[None, :stop], 0.0)
@@ -199,35 +226,19 @@ def riemann_liouville_integral(
 ) -> SampledFunction:
     """J^alpha g by product quadrature, exact for piecewise-linear g.
 
-    The kernel (t - tau)^(alpha-1) is integrated in closed form against the
-    linear interpolant on every cell, so the endpoint singularity at
-    tau = t costs nothing.  The cell weights are built ``_L1_BLOCK_ROWS``
-    rows at a time, as the L1 weights are, and applied as matmuls.
+    This is the L1 rule at order -alpha: J^alpha g = g(0) t^alpha /
+    Gamma(alpha+1) + J^(alpha+1) g', and with g' piecewise constant the
+    last term is exactly ``caputo_l1_columns`` with beta = -alpha, whose
+    weights integrate the kernel in closed form on every cell, so the
+    endpoint singularity at tau = t costs nothing.
     """
     a = float(alpha)
     if a <= 0.0:
         raise ValueError("alpha must be positive")
     t = g.grid
     y = g.values
-    n = len(t)
-    out = np.zeros(n)
-    slopes = np.diff(y) / np.diff(t)
-    inv_gamma = 1.0 / _gamma(a)
-    for start in range(1, n, _L1_BLOCK_ROWS):
-        stop = min(start + _L1_BLOCK_ROWS, n)
-        # cell k of row i spans kernel arguments [t_i - t_{k+1}, t_i - t_k];
-        # the cells k >= i a row does not reach get [0, 0], so weight 0
-        gap = np.maximum(t[start:stop, None] - t[None, :stop], 0.0)
-        bb = gap[:, :-1]
-        p = gap**a
-        p1 = gap ** (a + 1.0)
-        pa = (p[:, :-1] - p[:, 1:]) / a
-        pa1 = (p1[:, :-1] - p1[:, 1:]) / (a + 1.0)
-        # int u^{a-1} (g_left + m (b - u)) du over each cell's span
-        out[start:stop] = inv_gamma * (pa @ y[: stop - 1]) + inv_gamma * (
-            (bb * pa - pa1) @ slopes[: stop - 1]
-        )
-    return SampledFunction(t, out)
+    memory = caputo_l1_columns(t, y[:, None], ((-a, 1.0),))[:, 0]
+    return SampledFunction(t, memory + y[0] * t**a / _gamma(a + 1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,11 @@ R~'(u), the transform of R' (power, OU-rational or a weighted sum; ``None``
 without a closed form), read only here: by ``profile_derivative`` and
 ``profile_decay`` for the nonlocal operators, and by ``variance_laplace``.
 
+The normal density is written once, in ``gaussian_transition_density``:
+at one time, or at an array of times with a row per time, which is how
+the subordination integral reads it on its clock nodes.  Its rules (a
+negative time is refused, a zero variance raises) hold for every caller.
+
 Models:
 
 * ``Brownian``            R(s,t) = min(s,t)
@@ -436,11 +441,7 @@ class PiecewiseHurst:
     def var(self, t):
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
-            k = self.segment(float(t))
-            Ta = self._edges()[k]
-            return self._var_to_edge(k) + (float(t) - Ta) ** (
-                2.0 * self.hursts[k]
-            )
+            return self.cov(float(t), float(t))
         return np.array([self.var(float(u)) for u in t])
 
     def dvar(self, t):
@@ -674,29 +675,35 @@ def sample_gaussian_paths(
     return PathEnsemble(grid, out, seed=rng)
 
 
-def gaussian_transition_density(spec: GaussianSpec, t: float, x) -> np.ndarray:
+def gaussian_transition_density(spec: GaussianSpec, t, x) -> np.ndarray:
     """Product of centered (or mean-shifted) normal densities at time t.
 
     ``x`` is a point in n-space or an array of points (..., n); for n = 1 a
-    bare scalar/vector is accepted.
+    bare scalar/vector is accepted.  ``t`` is one time, or a 1-D array of
+    times, which gives one row per time: shape (len(t),) + points shape.
+    A zero variance is a point mass, which has no density, and raises.
     """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
     n = spec.dimension
     x = np.asarray(x, dtype=float)
     if n == 1 and (x.ndim == 0 or x.shape[-1] != 1):
         x = x[..., None]
     if x.shape[-1] != n:
         raise ValueError(f"points must have dimension {n}")
-    variances = [float(m.var(t)) for m in spec.components]
-    if t == 0.0 or min(variances) <= 0.0:
-        raise DegenerateDensityError(
-            "transition law is a point mass at t = 0 (zero variance)"
-        )
-    dens = np.ones(x.shape[:-1])
-    for j, v in enumerate(variances):
-        mu = float(spec.mean_at(j, t))
-        dens = dens * np.exp(-((x[..., j] - mu) ** 2) / (2.0 * v)) / math.sqrt(
-            2.0 * math.pi * v
-        )
+    t = np.asarray(t, dtype=float)
+    if t.min() < 0.0:
+        raise ValueError("t must be nonnegative")
+    # models take t as given (some loop over a 1-D t); each row of their
+    # values then broadcasts over the points
+    rows = t.shape + (1,) * (x.ndim - 1) if t.ndim else ()
+    dens = 1.0
+    for j, model in enumerate(spec.components):
+        v = np.asarray(model.var(t), dtype=float).reshape(rows)
+        if not v.min() > 0.0:
+            raise DegenerateDensityError(
+                "transition law is a point mass (zero variance)"
+            )
+        # centered models skip the shift
+        mu = spec.mean_at(j, t).reshape(rows) if spec.means else 0.0
+        dens = dens * (np.exp(-((x[..., j] - mu) ** 2) / (2.0 * v))
+                       / np.sqrt(2.0 * math.pi * v))
     return dens

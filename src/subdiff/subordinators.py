@@ -31,12 +31,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
 from .config import DEFAULT_CONFIG, NONNEG_TOL, SolverConfig
 from .errors import NumericsError
-from .fraccalc import laplace_inverse_batch
+from .fraccalc import _gauss_panels, laplace_inverse_batch
 
 __all__ = [
     "SubordinatorSpec",
@@ -552,13 +551,9 @@ def _kanter_rule():
     (beta z A(0))^(-1/2), and 12 (ratio 0.7) toward pi, where A blows up
     like (pi - phi)^(-1/(1-beta)) and exp(-z A) cuts the integrand off.
     Built on first use; callers share the arrays and never write them."""
-    xg, wg = leggauss(16)
     lo = 0.5 * np.pi * 0.5 ** np.arange(11.0, -1.0, -1.0)
     hi = np.pi - 0.5 * np.pi * 0.7 ** np.arange(1.0, 12.0)
-    edges = np.concatenate([[0.0], lo, hi, [np.pi]])
-    a, b = edges[:-1, None], edges[1:, None]
-    return ((0.5 * (b - a) * xg + 0.5 * (a + b)).ravel(),
-            (0.5 * (b - a) * wg).ravel())
+    return _gauss_panels(np.concatenate([[0.0], lo, hi, [np.pi]]), 16)
 
 
 def _kanter_integral(beta: float, u: np.ndarray) -> np.ndarray:

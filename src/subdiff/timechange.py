@@ -6,9 +6,12 @@ evaluates by shared-node quadrature over many times at once.  The clock
 nodes are shared across x: one clock-density batch serves a whole x-grid.
 For a one-component clock they are shared across t as well, since
 E_t = t^beta E_1 in law: one set of nodes v and weights w(v) f_{E_1}(v)
-serves every time, and only the Gaussian factor p(t^beta v, x) changes.  Monte Carlo path
-composition and a Laplace-domain residual check of the same identity
-provide two independent routes to the same numbers.
+serves every time, and only the Gaussian factor p(t^beta v, x) changes.
+That factor is ``gaussian.gaussian_transition_density`` with one row per
+node, and the panels are ``fraccalc._gauss_panels``: neither formula is
+written here.  Monte Carlo path composition and a Laplace-domain residual
+check of the same identity provide two independent routes to the same
+numbers.
 """
 from __future__ import annotations
 
@@ -16,16 +19,16 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import DegenerateDensityError, NumericsError, QuadratureError
-from .fraccalc import laplace_forward
+from .errors import NumericsError, QuadratureError
+from .fraccalc import _gauss_panels, laplace_forward
 from .gaussian import (
     GaussianSpec,
     PathEnsemble,
     _checked_cholesky,
     covariance_matrix,
+    gaussian_transition_density,
 )
 from .subordinators import (
     SeededRng,
@@ -217,40 +220,10 @@ def _clock_support(sub: SubordinatorSpec, ts, config) -> np.ndarray:
     return np.array([ratio[d] for d in decades]) * scales
 
 
-_GL12 = leggauss(12)
-
-
 def _panel_rule(u_max: float, n_panels: int):
     """Composite 12-point Gauss-Legendre nodes/weights, panels graded
     toward 0."""
-    xg, wg = _GL12
-    edges = u_max * (np.linspace(0.0, 1.0, n_panels + 1) ** 2)
-    a, b = edges[:-1, None], edges[1:, None]
-    nodes = 0.5 * (b - a) * xg + 0.5 * (a + b)
-    return nodes.ravel(), (0.5 * (b - a) * wg).ravel()
-
-
-def _product_density(spec: GaussianSpec, taus: np.ndarray, x: np.ndarray):
-    """p(tau_m, x_i) for all nodes and points; shape (len(taus), npts).
-
-    A zero variance at a node is a point mass, which has no density there:
-    it raises, as ``gaussian_transition_density`` does.
-    """
-    dens = np.ones((len(taus), x.shape[0]))
-    for j, model in enumerate(spec.components):
-        v = np.asarray(model.var(taus), dtype=float)[:, None]
-        if not np.all(v > 0.0):
-            raise DegenerateDensityError(
-                "transition law is a point mass at a clock node (zero "
-                "variance)"
-            )
-        xj = x[:, j][None, :]
-        # centered models skip the (nodes x points) shift
-        mus = spec.mean_at(j, taus)[:, None] if spec.means else 0.0
-        dens *= np.exp(-((xj - mus) ** 2) / (2.0 * v)) / np.sqrt(
-            2.0 * math.pi * v
-        )
-    return dens
+    return _gauss_panels(u_max * np.linspace(0.0, 1.0, n_panels + 1) ** 2, 12)
 
 
 def _as_points(spec: TimeChangedSpec, x):
@@ -328,7 +301,7 @@ def _mix(gauss, taus, clock_w, pts):
     step = max(1, _MIX_BLOCK_CELLS // (n_nodes * len(pts)))
     for a in range(0, n_rows, step):
         b = min(a + step, n_rows)
-        P = _product_density(gauss, taus[a:b].ravel(), pts)
+        P = gaussian_transition_density(gauss, taus[a:b].ravel(), pts)
         w = clock_w if len(clock_w) == 1 else clock_w[a:b]
         out[a:b] = (w[:, None, :] @ P.reshape(b - a, n_nodes, -1))[:, 0]
     return out
@@ -352,7 +325,8 @@ def _subordinate_slices(spec, ts, pts, config):
     if spec.sub.is_deterministic:
         # the clock is the point mass E_t = t / w
         w1 = spec.sub.components[0][1]
-        return _product_density(spec.gauss, ts / w1, pts), np.zeros(len(ts))
+        return (gaussian_transition_density(spec.gauss, ts / w1, pts),
+                np.zeros(len(ts)))
     n = pts.shape[1]
     e_min = min(m.small_time_exponent for m in spec.gauss.components)
     sing = 0.5 * n * e_min  # p(tau, 0) ~ tau^{-sing}
@@ -465,6 +439,7 @@ def laplace_subordination_residual(
     An eventual t -> 0 power of the profile is split off and transformed
     exactly.  A failing base density raises; it is never read as 0.
     """
+    # the right side reads the kernel from its module at call time
     from .gaussian import gaussian_transition_density
 
     s_arr = np.atleast_1d(np.asarray(s, dtype=float))

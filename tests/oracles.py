@@ -282,8 +282,8 @@ def subordinate_slice_loop(spec, t, pts, config):
     the per-time reference for the library's batched quadrature over t.
     Returns (values, clock-mass defect)."""
     from subdiff.errors import QuadratureError
-    from subdiff.timechange import (_clock_support, _product_density,
-                                    clock_density_fast)
+    from subdiff.gaussian import gaussian_transition_density
+    from subdiff.timechange import _clock_support, clock_density_fast
 
     n = pts.shape[1]
     e_min = min(m.small_time_exponent for m in spec.gauss.components)
@@ -304,7 +304,7 @@ def subordinate_slice_loop(spec, t, pts, config):
         jac = kappa * u ** (kappa - 1.0)
         f = clock_density_fast(spec.sub, t, taus, config=config)
         clock_w = wu * jac * f
-        P = _product_density(spec.gauss, taus, pts)
+        P = gaussian_transition_density(spec.gauss, taus, pts)
         vals = clock_w @ P
         if prev is not None:
             err = np.max(np.abs(vals - prev))

@@ -238,6 +238,9 @@ class TestCommands:
      "config.times[0]: expected a finite number"),
     ({**BM_CFG, "times": [True]}, "config.times[0]: expected a number"),
     ({**BM_CFG, "times": [0.5, 0.0]}, "config.times[1]: must be > 0"),
+    # a seed is a SeedSequence entropy value, which cannot be negative
+    ({**BM_CFG, "seed": -3}, "config.seed: expected an integer >= 0"),
+    ({**BM_CFG, "seed": 1.5}, "config.seed: expected an integer >= 0"),
 ])
 def test_bad_config_value_exits_2_with_field(tmp_path, capsys, body, field):
     rc = main(["simulate", "--config", write_config(tmp_path, body),
@@ -365,9 +368,14 @@ def test_simulate_mixed_model_with_piecewise_term(tmp_path):
      "--gamma: must be < 1.0"),
     (["operators", "--config", "CFG", "--gamma", "-1"],
      "--gamma: must be > -1.0"),
+    (["simulate", "--config", "CFG", "--paths", "0"],
+     "--paths: expected an integer >= 1"),
+    (["simulate", "--config", "CFG", "--paths", "-2"],
+     "--paths: expected an integer >= 1"),
 ], ids=["beta-high", "beta-zero", "gamma-nan", "gamma-zero", "t-nan",
         "t-zero", "config-gamma-zero", "config-gamma-inf",
-        "operators-gamma-high", "operators-gamma-low"])
+        "operators-gamma-high", "operators-gamma-low", "paths-zero",
+        "paths-negative"])
 def test_bad_flag_exits_2_naming_it(tmp_path, capsys, argv, message):
     cfg = write_config(tmp_path, BM_CFG)
     out = tmp_path / "o"
@@ -375,6 +383,73 @@ def test_bad_flag_exits_2_naming_it(tmp_path, capsys, argv, message):
     assert rc == 2
     assert message in capsys.readouterr().err
     assert not any(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_x", 120.9), ("n_t", 40.5), ("n_x", 16.5),
+])
+def test_fractional_grid_size_exits_2_naming_it(tmp_path, capsys, key,
+                                                value):
+    # a grid size is a count: 120.9 is not silently read as 120
+    body = {**BM_CFG, "solver": {**BM_CFG["solver"], key: value}}
+    out = tmp_path / "o"
+    rc = main(["density", "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 2
+    assert f"solver.{key}: expected a whole number" in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("key", ["n_x", "n_t"])
+def test_whole_float_grid_size_accepted(tmp_path, key):
+    body = {**BM_CFG, "solver": {**BM_CFG["solver"], key: 200.0}}
+    solver = load_config(write_config(tmp_path, body))["solver"]
+    assert getattr(solver, key) == 200
+    assert isinstance(getattr(solver, key), int)
+
+
+CONVERGENCE_CFG = {"model": {"kind": "brownian"},
+                   "solver": {"n_t": 160, "n_x": 160}}
+
+
+def test_convergence_uses_configured_init_width(tmp_path, monkeypatch):
+    import subdiff.cli as cli
+
+    widths = []
+
+    def recording(op, solver):
+        widths.append(solver.init_width)
+        return solve_classical(op, solver)
+
+    solve_classical = cli.solve_classical
+    monkeypatch.setattr(cli, "solve_classical", recording)
+    tables = []
+    for name, extra in (("a", {}), ("b", {"init_width": 0.6})):
+        body = {**CONVERGENCE_CFG,
+                "solver": {**CONVERGENCE_CFG["solver"], **extra}}
+        out = tmp_path / name
+        assert main(["convergence", "--config",
+                     write_config(tmp_path, body, f"{name}.json"),
+                     "--out", str(out)]) == 0
+        tables.append((out / "convergence.csv").read_text())
+    # the study's own width is min(4 cells of its coarsest grid, half the
+    # final spread) = min(0.81, 0.5); the configured one serves all levels
+    assert widths[:3] == [0.5] * 3
+    assert widths[3:] == [0.6] * 3
+    assert tables[0] != tables[1]
+
+
+def test_convergence_init_width_too_narrow_exits_2(tmp_path, capsys):
+    # 0.1 is 2.5 cells of the configured 400-point grid, but under 2 cells
+    # of the study's coarsest (100 points)
+    body = {"model": {"kind": "brownian"}, "solver": {"init_width": 0.1}}
+    out = tmp_path / "o"
+    rc = main(["convergence", "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 2
+    assert ("solver.init_width: init_width must be at least 2 grid cells"
+            in capsys.readouterr().err)
+    assert not any(out.glob("*"))
 
 
 def test_moments_config_takes_the_gamma_flag(tmp_path):

@@ -253,6 +253,47 @@ class TestTransitionDensity:
                                         0.0, 0.0)
 
 
+TIMES = np.array([0.05, 0.3, 0.5, 1.0, 2.5])
+DRIFT = MeanFunction(lambda t: 0.4 * t - t * t, lambda t: 0.4 - 2.0 * t)
+
+
+class TestTransitionDensityOverTimes:
+    """An array of times gives one row per time, each the per-time call."""
+
+    @pytest.mark.parametrize("spec, x", [
+        (GaussianSpec.univariate(FBM7), np.linspace(-4.0, 4.0, 33)),
+        (GaussianSpec.univariate(OU), 0.7),
+        (GaussianSpec.univariate(PW), np.linspace(-3.0, 3.0, 9)[:, None]),
+        (GaussianSpec((Brownian(), FBM7)),
+         np.column_stack([np.linspace(-2.0, 2.0, 7),
+                          np.linspace(1.5, -1.0, 7)])),
+        (GaussianSpec((Brownian(), FBM7)), [0.3, -0.2]),
+        (GaussianSpec.univariate(Brownian(), DRIFT), np.linspace(-3, 3, 13)),
+        (GaussianSpec((OU, Brownian()), (None, DRIFT)),
+         np.array([[0.1, -0.4], [1.2, 0.8], [-0.5, 0.0]])),
+    ], ids=["fbm-1d", "ou-scalar", "piecewise-column", "2d", "2d-point",
+            "mean", "2d-mean"])
+    def test_rows_match_per_time_calls(self, spec, x):
+        got = gaussian_transition_density(spec, TIMES, x)
+        want = np.stack([gaussian_transition_density(spec, t, x)
+                         for t in TIMES])
+        assert got.shape == want.shape
+        assert want.shape[0] == len(TIMES)
+        # rows and single times differ only in the rounding of array powers
+        assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("times", [[0.5, 0.0, 1.0], [0.0]])
+    def test_zero_variance_at_any_time_raises(self, times):
+        spec = GaussianSpec((Brownian(), FBM7))
+        with pytest.raises(DegenerateDensityError):
+            gaussian_transition_density(spec, np.array(times), [0.1, 0.2])
+
+    def test_negative_time_rejected(self):
+        spec = GaussianSpec.univariate(Brownian())
+        with pytest.raises(ValueError, match="nonnegative"):
+            gaussian_transition_density(spec, np.array([1.0, -0.5]), 0.0)
+
+
 class TestVolterra:
     def test_calibration_positive(self):
         for H in (0.6, 0.75, 0.9):
