@@ -33,10 +33,11 @@ nodes.  ``laplace_inverse`` takes F, or a closed-form log F when the
 caller has one.  The de Hoog contour
 (nodes, quotient-difference table, continued fraction) lives only in
 ``_dehoog_batch``, which inverts a batch of transforms at a vector of
-times sharing one horizon; ``lambdaop`` feeds it one dyadic block of
-times at a time.  It works batch-last and keeps only the current columns
-of the quotient-difference table, so its memory is O(M * n_batch) for
-degree M, and the arbiter contour inverts only the disputed columns.
+times sharing one horizon, summing the continued fraction for all of
+them at once; ``lambdaop`` feeds it one dyadic block of times at a time.
+It works batch-last and keeps only the current columns of the
+quotient-difference table, so its memory is O(M * n_batch) for degree M,
+and the arbiter contour inverts only the disputed columns.
 """
 from __future__ import annotations
 
@@ -364,10 +365,18 @@ def _transform_matrix(t: np.ndarray, s: np.ndarray) -> np.ndarray:
     e_j/s terms cancel) and d_{n-1} - e_n/s at the right end.
     """
     sc = np.asarray(s, dtype=complex)[:, None]
-    T = np.exp(-sc * t[None, :])
+    return _transform_from_exponentials(t, sc, np.exp(-sc * t[None, :]))
+
+
+def _transform_from_exponentials(t: np.ndarray, sc: np.ndarray,
+                                 T: np.ndarray) -> np.ndarray:
+    """``_transform_matrix`` on the nodes sc (a column) from the given
+    exponentials exp(-sc t), which are overwritten."""
     d = T[:, :-1] - T[:, 1:]
     d *= 1.0 / (sc * sc)
-    d /= np.diff(t)[None, :]
+    # numpy divides a complex by a real h as a complex by h + 0i, which
+    # scales both parts by 1/h; doing that on the parts skips the cast
+    d.view(float)[...] *= np.repeat(1.0 / np.diff(t), 2)[None, :]
     first = T[:, 0] / sc[:, 0] - d[:, 0]
     last = d[:, -1] - T[:, -1] / sc[:, 0]
     np.subtract(d[:, :-1], d[:, 1:], out=T[:, 1:-1])
@@ -506,21 +515,24 @@ def _dehoog_batch(F, t, M: int, n_batch: int, *,
 
     ``t`` is one time or a vector of times sharing the horizon ``tmax``
     (default: the largest time).  F is evaluated once on the 2M+1 contour
-    nodes and the quotient-difference (QD) table is built once; only the
-    continued fraction, which is cheap, is summed per time.  The result
-    is (n_batch, len(t)), each column exactly what a call with that one
-    time would give, and every column's arithmetic is its own.
+    nodes and the quotient-difference (QD) table is built once; the
+    continued fraction is then summed for all times together, as one
+    (n_times, n_batch) recurrence.  The result is (n_batch, len(t)), each
+    column bitwise what a call with that one time would give: every
+    element sees the same operations in the same order, and every
+    column's arithmetic is its own.
 
     Layout: the image is transposed to node-major (2M+1, n_batch), so
     every array operation runs over contiguous rows of the batch.  The QD
     table is never held whole: only its current q and e columns are kept,
     and the continued-fraction coefficients d[2r-1] = -q_0 and
     d[2r] = -e_0 are written as each column appears; the A/B recurrence
-    keeps its last two rows.  Memory is O((2M+1) n_batch), against
-    O(M^2 n_batch) for the full table.  The values are bitwise those of
-    the full table: each element sees the same operations in the same
-    order, and the one entry dropped per column (the last q, a product
-    with a never-written zero e entry) is never read.
+    keeps its last two rows per time, in blocks of under 2^14 entries.
+    Memory is O((2M+1) n_batch), against O(M^2 n_batch) for the full
+    table.  The values are bitwise those of the full table: each element
+    sees the same operations in the same order, and the one entry dropped
+    per column (the last q, a product with a never-written zero e entry)
+    is never read.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     T, gam, p = _dehoog_contour(tmax if tmax is not None else float(t.max()),
@@ -545,19 +557,31 @@ def _dehoog_batch(F, t, M: int, n_batch: int, *,
         if r < M:
             denom = np.where(np.abs(e[: mr - 1]) < tiny, tiny, e[: mr - 1])
             q = q[1:mr] * e[1:mr] / denom
+    # the continued fraction runs over a block of times at once, one row
+    # per time.  Every operand is 2-D, so a lone time and column rounds as
+    # in a 1-D call, and a block stays under 2^14 entries unless one row
+    # is that long: numpy reuses a temporary of 256 KiB or more in place,
+    # swapping a product's operands, and FMA complex products round the
+    # two orders differently
     out = np.empty((n_batch, len(t)))
-    for j, tj in enumerate(t.tolist()):
-        z = complex(np.exp(1j * np.pi * tj / T))
-        a0, a1 = np.zeros(n_batch, dtype=complex), d[0]
-        b0, b1 = np.ones(n_batch, dtype=complex), np.ones(n_batch, dtype=complex)
+    rows = max(1, (2**14 - 1) // n_batch)
+    dr = d[:, None, :]
+    for lo in range(0, len(t), rows):
+        tb = t[lo : lo + rows].tolist()
+        z = np.array([complex(np.exp(1j * np.pi * tj / T)) for tj in tb])
+        z = z[:, None]
+        a0 = np.zeros((len(tb), n_batch), dtype=complex)
+        a1 = np.broadcast_to(dr[0], a0.shape)
+        b0 = b1 = np.ones(a0.shape, dtype=complex)
         for i in range(1, 2 * M):
-            a0, a1 = a1, a1 + d[i] * a0 * z
-            b0, b1 = b1, b1 + d[i] * b0 * z
-        brem = (1.0 + (d[2 * M - 1] - d[2 * M]) * z) / 2.0
-        rem = brem * (np.sqrt(1.0 + d[2 * M] * z / (brem * brem)) - 1.0)
-        out[:, j] = (math.exp(gam * tj) / T) * (
-            (a1 + rem * a0) / (b1 + rem * b0)
-        ).real
+            a0, a1 = a1, a1 + dr[i] * a0 * z
+            b0, b1 = b1, b1 + dr[i] * b0 * z
+        brem = (1.0 + (dr[2 * M - 1] - dr[2 * M]) * z) / 2.0
+        rem = brem * (np.sqrt(1.0 + dr[2 * M] * z / (brem * brem)) - 1.0)
+        scale = np.array([math.exp(gam * tj) / T for tj in tb])[:, None]
+        out[:, lo : lo + rows] = (
+            scale * ((a1 + rem * a0) / (b1 + rem * b0)).real
+        ).T
     return out
 
 

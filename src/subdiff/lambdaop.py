@@ -13,9 +13,10 @@ inversion back to the time domain:
   kernel on a pure clock; the outer fractional integral is folded into
   the inversion as s^(beta-1)
 
-The inner line is a sinh-stretched vertical contour; the integrand's
-non-integer power is kept on one analytic branch by unwrapping the
-argument along the line, anchored at the real axis.  The line scales with
+The inner line is a sinh-stretched vertical contour, built on v >= 0 and
+mirrored, so that z(-v) = conj z(v) and dz(-v) = dz(v) bit for bit; the
+integrand's non-integer power is kept on one analytic branch by unwrapping
+the argument along the line, anchored at the real axis.  The line scales with
 the time: the outer nodes of an inversion rule are reference nodes s times
 a scale r (1/t for Stehfest's k ln2 / t, 2^b for de Hoog's dyadic block
 b), and the inner line is the reference line zeta times the same r.
@@ -26,7 +27,12 @@ Brownian motion or fBm) the kernel is homogeneous,
 K(r s, r z) = r^(-beta p) K(s, z), so it is built once per call on
 (s, zeta) and each scale costs one evaluation of g~ on the scaled line,
 one contraction and a scalar factor; rational profiles and mixture clocks
-rebuild it per scale on the same scaled line.
+rebuild it per scale on the same scaled line.  Sampled columns on one real
+time grid (the field residual's Laplacians) are handed over as the grid
+and the columns: their transform matrix T satisfies T(conj z) = conj T(z),
+so it is formed on the line's upper half only, the kernel times dz is
+contracted into it first, and the small (outer nodes x times) result maps
+every column at once.
 
 The outer inversion of an analytic input is the linear Gaver-Stehfest
 rule at degree 12, cross-checked by degree 16 and by a de Hoog inversion;
@@ -34,9 +40,11 @@ a sampled input gets two de Hoog inversions at unrelated abscissas and
 degrees.  The largest spread is the error estimate.  Every de Hoog
 inversion, the field residual's included, goes through ``_dehoog_values``:
 one ``_image`` call for all dyadic blocks of times, then one
-``fraccalc._dehoog_batch`` call per block.  The top block's line is the
-one its own nodes would give (offset_ratio times the abscissa); a lower
-block reads the top line scaled by 2^b.  Everything here is validated
+``fraccalc._dehoog_batch`` call per block, whose continued fraction sums
+all of the block's times at once.  The top block's line is the one its
+own nodes would give (offset_ratio times the abscissa); a lower block
+reads the top line scaled by 2^b, so its exponentials exp(-z t) are the
+top block's squared b times.  Everything here is validated
 downstream against scalar moment identities, which is where these
 operators meet hard data.
 """
@@ -54,7 +62,7 @@ from .fraccalc import (
     _dehoog_batch,
     _dehoog_contour,
     _interp_transform,
-    _transform_matrix,
+    _transform_from_exponentials,
     caputo_l1_columns,
 )
 from .gaussian import profile_decay, profile_derivative
@@ -210,10 +218,15 @@ def _as_gtilde(g):
 # ---------------------------------------------------------------------------
 
 def _line_nodes(C: float, spacing: float, vmax: float):
+    """Nodes z = C + i sinh(v) and weights dz = i cosh(v) h at v = k h,
+    k = -n..n, built on v >= 0 and mirrored: z(-v) = conj z(v) and
+    dz(-v) = dz(v) bit for bit, and the centre node is C."""
     n_half = max(int(vmax / spacing), 400)
-    v = np.linspace(-vmax, vmax, 2 * n_half + 1)
-    z = C + 1j * np.sinh(v)
-    dz = 1j * np.cosh(v) * (v[1] - v[0])
+    h = vmax / n_half
+    v = np.arange(n_half + 1) * h
+    y, w = np.sinh(v), np.cosh(v) * h
+    z = C + 1j * np.concatenate([-y[:0:-1], y])
+    dz = 1j * np.concatenate([w[:0:-1], w])
     return z, dz
 
 
@@ -254,6 +267,22 @@ def _kernel_degree(op) -> float | None:
     return None
 
 
+def _mirror_weights(kd: np.ndarray) -> np.ndarray:
+    """Real matrix W with W @ [Re T; Im T] = [Re A; Im A], A the sum over a
+    mirrored line of kd[:, j] T(z_j), for T formed on the v >= 0 half
+    (centre first) and a real time grid, where T(conj z) = conj T(z).
+
+    With K+ the half's columns of kd and K- their mirrors (zero at the
+    centre, which is counted once), A = (K+ + K-) Re T + i (K+ - K-) Im T.
+    """
+    n = kd.shape[1] // 2
+    kp = kd[:, n:]
+    km = np.zeros_like(kp)
+    km[:, 1:] = kd[:, n - 1 :: -1]
+    P, Q = kp + km, kp - km
+    return np.block([[P.real, -Q.imag], [P.imag, Q.real]])
+
+
 def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float) -> list:
     """Laplace images of the operator applied to g, one per scale r, on the
     outer nodes r s.
@@ -262,10 +291,17 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float) -> list:
     line at C = offset_ratio * min Re s; each scale's line must clear g~'s
     rightmost singularity by the contour's margin.  ``gt`` maps line nodes
     z to g~(z), shaped (n_z,) for one transform or (n_z, n_cols) for a
-    batch; each image is (len(s),) or (n_cols, len(s)).  A homogeneous
-    kernel is built once, on (s, zeta), and every scale's contraction is
-    multiplied by r^(1+d) (dz = r dzeta); any other kernel is built per
-    scale on (r s, r zeta).
+    batch; each image is (len(s),) or (n_cols, len(s)).  ``gt`` may also be
+    a pair (t_grid, Y) of real columns sampled on one grid, whose
+    transforms are T(z) @ Y (``_transform_matrix``): T is then formed on
+    the line's v >= 0 half only, the kernel times dz is contracted into it
+    first (``_mirror_weights``), and the (len(s), len(t_grid)) result is
+    applied to Y once; a scale 2^n times the one before it squares that
+    scale's exponentials exp(-z t) n times instead of exponentiating
+    afresh (``_dehoog_values`` passes its dyadic scales in ascending
+    order).  A homogeneous kernel is built once, on (s, zeta),
+    and every scale's contraction is multiplied by r^(1+d) (dz = r dzeta);
+    any other kernel is built per scale on (r s, r zeta).
     """
     cc = op.contour
     re_min = float(s.real.min())
@@ -278,20 +314,46 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float) -> list:
     zeta, dzeta = _line_nodes(C, spacing, vmax)
     degree = _kernel_degree(op)
     kern = None if degree is None else _kernel_on_line(op, s, zeta)
+    sampled = isinstance(gt, tuple)
+    if sampled:
+        tg, Y = gt
+        if degree is not None:
+            W_kern = _mirror_weights(kern * dzeta)
+        E, r_last = None, None
     images = []
     for r in scales:
         z = r * zeta
-        gz = gt(z)
-        gz = gz * (dzeta if gz.ndim == 1 else dzeta[:, None])
-        if degree is None:
-            # the rebuilt kernel is a per-scale array anyway, so one
-            # transform keeps numpy's pairwise sum over it: a BLAS
-            # mat-vec's roundoff, amplified by the Salzer weights, moves
-            # OU's values by 1e-8 relative
-            k = _kernel_on_line(op, r * s, z)
-            phi = r * ((k * gz).sum(axis=1) if gz.ndim == 1 else k @ gz)
+        if sampled:
+            if degree is None:
+                k = _kernel_on_line(op, r * s, z)
+                W, f = _mirror_weights(k * dzeta), r
+            else:
+                W, f = W_kern, r ** (1.0 + degree)
+            zh = z[len(z) // 2 :, None]
+            # exp(-2 r z t) = exp(-r z t)^2
+            n_sq = math.log2(r / r_last) if E is not None else 0.0
+            if n_sq >= 1.0 and n_sq.is_integer():
+                for _ in range(int(n_sq)):
+                    E = E * E
+            else:
+                E = np.exp(-zh * tg[None, :])
+            r_last = r
+            T = _transform_from_exponentials(tg, zh, E.copy())
+            # rows: Re and Im of the sum over the line of kernel dz T(z) Y
+            AY = (W @ np.concatenate([T.real, T.imag])) @ Y
+            phi = f * (AY[: len(s)] + 1j * AY[len(s) :])
         else:
-            phi = r ** (1.0 + degree) * (kern @ gz)
+            gz = gt(z)
+            gz = gz * (dzeta if gz.ndim == 1 else dzeta[:, None])
+            if degree is None:
+                # the rebuilt kernel is a per-scale array anyway, so one
+                # transform keeps numpy's pairwise sum over it: a BLAS
+                # mat-vec's roundoff, amplified by the Salzer weights,
+                # moves OU's values by 1e-8 relative
+                k = _kernel_on_line(op, r * s, z)
+                phi = r * ((k * gz).sum(axis=1) if gz.ndim == 1 else k @ gz)
+            else:
+                phi = r ** (1.0 + degree) * (kern @ gz)
         # the order factor m(z) lives in the kernel, so every operator
         # shares the 1/2 out front
         fold = np.exp(op.fold_power * np.log(r * s))
@@ -366,6 +428,8 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     for idx, t in enumerate(t_grid):
         b = max(int(math.floor(math.log2(t_top / t))), 0)
         blocks.setdefault(b, []).append(idx)
+    # ascending scales, so that a sampled input squares its exponentials
+    blocks = dict(sorted(blocks.items()))
     spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
     images = _image(op, gt, g_sing, _dehoog_contour(t_top, M, tol)[2],
                     [2.0**b for b in blocks], spacing, _vmax_for(op, g_tail))
@@ -468,13 +532,19 @@ def fbm_fpke_residual(
 
     Per interior x the memory derivative of the density column is compared
     with the gamma = 2H-1 operator applied to the spatial Laplacian's
-    column; at H = 1/2 this degenerates to the Brownian check.  One
-    transform matrix serves every column (they share the time grid), so
-    the double transform runs as dense linear algebra over the field.
-    The operator is causal but sampled columns end at the grid's horizon,
-    so the window [0.25, 0.75] (fractions of the horizon) keeps the
-    evaluation away from both the rough start and the truncated end, and
-    bands of max(3, n_x // 12) points keep it off the x boundaries.
+    column; at H = 1/2 this degenerates to the Brownian check.  The
+    columns share the time grid, so the double transform runs as dense
+    real linear algebra over the field: per dyadic block, the kernel times
+    dz is contracted into the transform matrix of the mirrored line's
+    upper half first, and the (nodes x times) result maps every Laplacian
+    column at once (``_image``); the de Hoog continued fraction then sums
+    all of a block's times together.  The operator is causal but sampled
+    columns end at the grid's horizon, so the rows from 0.25 n_t to
+    0.75 n_t (the window [0.25, 0.75] of the horizon on a uniform grid)
+    keep the evaluation away from both the rough start and the truncated
+    end, and bands of max(3, n_x // 12) points keep it off the x
+    boundaries.  The l2 norm over the window weights row i by
+    (t_{i+1} - t_{i-1}) / 2, so it holds on any increasing grid.
     """
     if not 0.0 < H < 1.0:
         raise ValueError("H must lie in (0, 1)")
@@ -502,13 +572,14 @@ def fbm_fpke_residual(
     i_start = max(int(0.25 * n_t), 1)
     i_stop = min(int(0.75 * n_t) + 1, n_t)
     t_eval = tg[i_start:i_stop]
-    # one transform matrix per contour maps every Laplacian column at once
-    gvals = _dehoog_values(op, lambda z: _transform_matrix(tg, z) @ lap, 0.0,
-                           t_eval, op.contour.degree, 1e-10, n_cols=len(cols),
-                           g_tail=2.0)
+    gvals = _dehoog_values(op, (tg, lap), 0.0, t_eval, op.contour.degree,
+                           1e-10, n_cols=len(cols), g_tail=2.0)
 
     resid = dbeta[i_start:i_stop] - H * gvals
-    l2 = np.sqrt(np.sum(resid * resid, axis=0) * (tg[1] - tg[0]))
+    # each row's trapezoid weight: half the span of its two neighbours
+    tp = np.concatenate([tg[:1], tg, tg[-1:]])
+    w = 0.5 * (tp[2:] - tp[:-2])[i_start:i_stop]
+    l2 = np.sqrt(w @ (resid * resid))
     linf = np.abs(resid).max(axis=0)
     return FbmResidualReport(x[cols], l2, linf,
                              (float(t_eval[0]), float(t_eval[-1])))

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from subdiff import lambdaop
+import subdiff
+from subdiff import fpke, lambdaop
 from subdiff.errors import NumericsError
 from subdiff.fraccalc import (
     SampledFunction,
     _dehoog_contour,
+    _transform_matrix,
     caputo_l1,
     riemann_liouville_integral,
 )
@@ -43,6 +45,7 @@ from oracles import (
     G_ON_EXP_FROZEN,
     G_ON_ONE_FROZEN,
     LAMBDA_ON_ONE_FROZEN,
+    field_residual_full_line,
 )
 
 ONE = constant_transform(1.0)
@@ -321,6 +324,29 @@ class TestKernelReuse:
         assert err <= 2.0 * self.CLOSED_FORM_ERR[beta, gamma]
 
 
+@pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("g_tail", [1.0, 2.0])
+@pytest.mark.parametrize("rule", ["stehfest", "dehoog"])
+def test_line_nodes_exact_mirror(beta, g_tail, rule):
+    # the sampled route forms the transform matrix on v >= 0 only and reads
+    # the lower half as its conjugate, which needs the line mirrored exactly
+    op = GOperator(beta, 0.4)
+    cc = op.contour
+    if rule == "stehfest":
+        s, spacing = np.arange(1, 13) * math.log(2.0) + 0j, cc.node_spacing
+    else:
+        s = _dehoog_contour(2.0, cc.degree, 1e-10)[2]
+        spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
+    C = cc.offset_ratio * float(s.real.min())
+    vmax = lambdaop._vmax_for(op, g_tail)
+    z, dz = lambdaop._line_nodes(C, spacing, vmax)
+    assert len(z) % 2 == 1 and len(z) > 800
+    assert np.array_equal(z[::-1], np.conj(z))
+    assert np.array_equal(dz[::-1], dz)
+    assert z[len(z) // 2] == C
+    assert np.isclose(np.arcsinh(z[-1].imag), vmax, rtol=1e-12)
+
+
 def test_lambda_grid_peak_memory():
     # the (nodes x line) kernel arrays, 30 MB each at beta 0.1, must be
     # freed when the kernel returns; a reference cycle through the profile
@@ -410,3 +436,81 @@ class TestFieldResidual:
         with pytest.raises(ValueError):
             fbm_fpke_residual(0.5, SubordinatorSpec(((0.4, 0.5), (0.8, 0.5))),
                               dens)
+
+
+def _fractional_brownian(beta, n=200):
+    cfg = subdiff.SolverConfig(t_max=1.0, n_t=n, n_x=n, x_min=-12.0,
+                               x_max=12.0)
+    return fpke.solve_fractional(fpke.ScaledLaplacian(0.5), beta, cfg)
+
+
+class TestFieldResidualRoute:
+    """The kernel-first route on the mirrored half line against the
+    full-line route it replaced (``oracles.field_residual_full_line``)."""
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_matches_full_line_route(self, beta):
+        spec = SubordinatorSpec.pure(beta)
+        dens = _fractional_brownian(beta)
+        for H in (0.5, 0.7):
+            want = field_residual_full_line(H, spec, dens, x_exclude=0.3)
+            scale = np.max(np.abs(want["dbeta"]))
+            op = GOperator(beta, 2.0 * H - 1.0)
+            got = lambdaop._dehoog_values(
+                op, (dens.t_grid, want["lap"]), 0.0, want["t"],
+                op.contour.degree, 1e-10, n_cols=want["lap"].shape[1],
+                g_tail=2.0)
+            assert np.max(np.abs(got - want["g"])) <= 1e-6 * scale
+            rep = fbm_fpke_residual(H, spec, dens, x_exclude=0.3)
+            resid = want["resid"]
+            gap = H * 1e-6 * scale
+            assert np.max(np.abs(rep.linf_per_x
+                                 - np.abs(resid).max(axis=0))) <= gap
+            l2 = np.sqrt(want["w"] @ (resid * resid))
+            assert np.max(np.abs(rep.l2_per_x - l2)) <= gap * np.sqrt(
+                want["w"].sum())
+
+    @pytest.mark.parametrize("op", [
+        LambdaOperator(SubordinatorSpec.pure(0.7),
+                       OrnsteinUhlenbeck(1.0, 1.0)),
+        LambdaOperator(SubordinatorSpec(((0.4, 0.5), (0.8, 0.5))),
+                       FractionalBrownian(0.7)),
+    ], ids=["ou", "mixture"])
+    def test_rebuilt_kernel_columns_match_callable_route(self, op):
+        # kernels without a degree are folded per scale; times over three
+        # dyadic blocks, so two scales square the exponentials
+        tg = np.linspace(0.0, 2.0, 161)
+        cols = np.column_stack([np.exp(-tg), np.sin(3.0 * tg) * np.exp(-tg)])
+        t = np.linspace(0.3, 1.6, 12)
+        got = lambdaop._dehoog_values(op, (tg, cols), 0.0, t, 18, 1e-10,
+                                      n_cols=2)
+        want = lambdaop._dehoog_values(
+            op, lambda z: _transform_matrix(tg, z) @ cols, 0.0, t, 18, 1e-10,
+            n_cols=2)
+        # the lower blocks, whose exponentials are squared, agree to 1e-11;
+        # the top block carries the quotient-difference table's
+        # amplification of summation-order roundoff (about 3e-6 here)
+        scale = np.max(np.abs(want))
+        low = t <= 0.8
+        assert np.max(np.abs(got[low] - want[low])) <= 1e-10 * scale
+        assert np.max(np.abs(got - want)) <= 1e-5 * scale
+
+    def test_l2_weights_rows_on_a_graded_grid(self):
+        # t_j = (j/N)^2: each row's weight is half its neighbours' span,
+        # which a uniform step t_1 - t_0 misses by orders of magnitude
+        tg = (np.arange(161) / 160.0) ** 2
+        xg = np.linspace(-6.0, 6.0, 121)
+        var = 0.2 + tg[:, None]
+        q = np.exp(-0.5 * xg[None, :] ** 2 / var) / np.sqrt(2.0 * np.pi * var)
+        dens = GridDensity(tg, xg, q, np.zeros(len(tg)))
+        spec = SubordinatorSpec.pure(0.6)
+        rep = fbm_fpke_residual(0.7, spec, dens)
+        want = field_residual_full_line(0.7, spec, dens)
+        resid, w = want["resid"], want["w"]
+        # rows 40..120 of 161
+        assert np.array_equal(w, 0.5 * (tg[2:] - tg[:-2])[39:120])
+        l2 = np.sqrt(w @ (resid * resid))
+        gap = 0.7 * 1e-6 * np.max(np.abs(want["dbeta"])) * np.sqrt(w.sum())
+        assert np.max(np.abs(rep.l2_per_x - l2)) <= gap
+        uniform = np.sqrt(np.sum(resid * resid, axis=0) * (tg[1] - tg[0]))
+        assert np.min(np.abs(uniform - l2)) > 0.5 * np.min(l2)
