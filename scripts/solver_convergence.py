@@ -1,10 +1,19 @@
 #!/usr/bin/env python3
-"""Refinement study of the classical solver on the power-variance model."""
+"""Refinement studies of the classical and the L1 solvers.
+
+The classical table solves the power-variance model against its Gaussian
+endpoint.  The L1 table solves the fractional Brownian equation at beta 1/2
+against the closed-form density of B(E_1), the M-Wright function of order
+beta/2, away from its kink at x = 0, with the best of three wall times.
+"""
 import math
+import time
 
 import numpy as np
 
-from subdiff import ScaledLaplacian, SolverConfig, solve_classical
+from subdiff import (ScaledLaplacian, SolverConfig, solve_classical,
+                     solve_fractional)
+from subdiff.subordinators import unit_clock_density
 
 H = 0.7
 op = ScaledLaplacian(lambda t: H * t ** (2.0 * H - 1.0))
@@ -20,4 +29,24 @@ for n in (100, 200, 400, 800):
     err = float(np.abs(gd.values[-1] - ref).max())
     order = f"{math.log2(prev / err):7.3f}" if prev else "      -"
     print(f"{n:5d} {16.0 / (n - 1):10.5f} {err:12.3e} {order}")
+    prev = err
+
+BETA = 0.5
+print(f"\nL1 solve, beta {BETA}, t = 1, n_x 800 on [-12, 12], |x| > 0.5")
+print(f"{'n_t':>5} {'sup error':>12} {'order':>7} {'wall s':>8}")
+prev = None
+for n_t in (100, 200, 400, 800):
+    cfg = SolverConfig(t_max=1.0, n_t=n_t, x_min=-12.0, x_max=12.0, n_x=800)
+    walls = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        gd = solve_fractional(ScaledLaplacian(0.5), BETA, cfg)
+        walls.append(time.perf_counter() - t0)
+    keep = np.abs(gd.x_grid) > 0.5
+    # q(1, x) = M_{beta/2}(sqrt(2) |x|) / sqrt(2)
+    ref = unit_clock_density(BETA / 2.0,
+                             math.sqrt(2.0) * np.abs(gd.x_grid[keep]))
+    err = float(np.abs(gd.values[-1, keep] - ref / math.sqrt(2.0)).max())
+    order = f"{math.log2(prev / err):7.3f}" if prev else "      -"
+    print(f"{n_t:5d} {err:12.3e} {order} {min(walls):8.3f}")
     prev = err

@@ -7,6 +7,16 @@ conservative flux-form drift):
 * ``solve_fractional``         implicit L1 stepping for D*^beta q = A q
 * ``solve_distributed_order``  L1 with mixture-weighted memory kernels
 
+Every time step of both kinds is one LAPACK tridiagonal solve
+(``_step_solve``) of (shift I - A_k) q = rhs on the interior nodes, with
+exact zeros on the two Dirichlet boundary nodes.  Crank-Nicolson rows are
+fixed base rows times the integral of their coefficient over the step, so a
+step applies the base rows to p once and scales.  The L1 solvers take
+their memory weights one block of rows at a time (``l1_weight_blocks``):
+the history from before the block is one matrix product for all its rows,
+and each step adds only its in-block columns.  Nothing assumes a uniform
+time grid.
+
 The classical solver warm-starts: the mollified delta (a Gaussian of width
 ``init_width``) is placed at the time where the true solution has exactly
 that width, so no spurious variance enters.  The fractional solvers cannot
@@ -20,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG, MASS_TOL, NONNEG_TOL, SolverConfig
@@ -172,23 +182,27 @@ def _apply_rows(rows, q):
     """Tridiagonal rows applied along the last axis of q (one or many slices)."""
     lo, di, up = rows
     out = di * q
-    out[..., 1:] += lo[1:] * q[..., :-1]
-    out[..., :-1] += up[:-1] * q[..., 1:]
+    out[..., 1:] += lo[..., 1:] * q[..., :-1]
+    out[..., :-1] += up[..., :-1] * q[..., 1:]
     return out
 
 
-def _banded(rows_scaled, shift=1.0):
-    """Banded form of (shift I - rows) with Dirichlet boundary rows."""
-    lo, di, up = rows_scaled
-    n = len(di)
-    ab = np.zeros((3, n))
-    ab[0, 1:] = -up[:-1]
-    ab[1, :] = shift - di
-    ab[2, :-1] = -lo[1:]
-    ab[1, 0] = ab[1, -1] = 1.0
-    ab[0, 1] = 0.0
-    ab[2, -2] = 0.0
-    return ab
+def _step_solve(shift, rows, rhs):
+    """q with (shift I - rows) q = rhs on the interior nodes and q = 0 on
+    the two boundary nodes (Dirichlet).
+
+    With q = 0 on the boundary its couplings there drop out, so the
+    interior rows are one LAPACK ``dgtsv`` (partial pivoting): the boundary
+    values are exactly 0, and no pivot mixes them in.  ``rhs`` is
+    overwritten.  A singular system raises; it never yields a number.
+    """
+    lo, di, up = rows
+    *_, q, info = dgtsv(-lo[2:-1], shift - di[1:-1], -up[1:-2], rhs[1:-1],
+                        overwrite_dl=True, overwrite_d=True, overwrite_du=True,
+                        overwrite_b=True)
+    if info != 0:
+        raise StabilityError(f"singular time step (LAPACK dgtsv info {info})")
+    return np.concatenate(([0.0], q, [0.0]))
 
 
 def _panel_integrals(fn, edges) -> np.ndarray:
@@ -263,32 +277,25 @@ def solve_classical(
     p = np.exp(-((x - mean0) ** 2) / (2.0 * w * w)) / (w * math.sqrt(2 * math.pi))
 
     t_grid = _time_grid(cfg, t_init)
-    steps = np.diff(t_grid)
-    lap = _laplacian_rows(x)
-    der = _first_deriv_rows(x)
+    # step k's rows are sum_j coef[k, j] base[:, j]: fixed base rows times
+    # the integral of their coefficient over the step
     if isinstance(op, OUGenerator):
-        flux = _drift_flux_rows(op.alpha, op.sigma, x)
+        base = [_drift_flux_rows(op.alpha, op.sigma, x)]
+        coef = [np.diff(t_grid)]
     else:
-        tbar = _panel_integrals(op.theta, t_grid) / steps
+        base = [_laplacian_rows(x)]
+        coef = [_panel_integrals(op.theta, t_grid)]
         if drift_fn is not None:
-            mbar = _panel_integrals(drift_fn, t_grid) / steps
+            base.append(_first_deriv_rows(x))
+            coef.append(-_panel_integrals(drift_fn, t_grid))
+    base = np.stack(base, axis=1)  # (3 diagonals, terms, n_x)
+    coef = np.stack(coef, axis=1)  # (steps, terms)
 
     out = np.empty((len(t_grid), cfg.n_x))
     out[0] = p
     for k in range(1, len(t_grid)):
-        dt = steps[k - 1]
-        if isinstance(op, OUGenerator):
-            rows = tuple(dt * r for r in flux)
-        else:
-            rows = tuple(dt * tbar[k - 1] * r for r in lap)
-            if drift_fn is not None:
-                rows = tuple(
-                    r - dt * mbar[k - 1] * d for r, d in zip(rows, der)
-                )
-        rhs = p + 0.5 * _apply_rows(rows, p)
-        rhs[0] = rhs[-1] = 0.0
-        ab = _banded(tuple(0.5 * r for r in rows))
-        p = solve_banded((1, 1), ab, rhs)
+        half = 0.5 * coef[k - 1]
+        p = _step_solve(1.0, half @ base, p + half @ _apply_rows(base, p))
         out[k] = p
 
     return _package(t_grid, x, out, cfg)
@@ -339,11 +346,12 @@ def solve_distributed_order(
     out[0] = _split_delta(x)
     diffs = np.empty((n_t, cfg.n_x))  # diffs[k] = q_{k+1} - q_k
     for start, w_block in l1_weight_blocks(t_grid, spec.components):
-        for n, w in enumerate(w_block, start):
+        # the memory of every step in the block up to its start, as one GEMM
+        past = w_block[:, : start - 1] @ diffs[: start - 1]
+        for n, (w, memory) in enumerate(zip(w_block, past), start):
             b0 = w[n - 1]
-            rhs = b0 * out[n - 1] - w[: n - 1] @ diffs[: n - 1]
-            rhs[0] = rhs[-1] = 0.0
-            out[n] = solve_banded((1, 1), _banded(rows, shift=b0), rhs)
+            memory += w[start - 1 : n - 1] @ diffs[start - 1 : n - 1]
+            out[n] = _step_solve(b0, rows, b0 * out[n - 1] - memory)
             diffs[n - 1] = out[n] - out[n - 1]
 
     return _package(t_grid, x, out, cfg)

@@ -16,7 +16,10 @@ column form ``caputo_l1_columns`` (behind ``fpke.residual_norm`` and
 ``lambdaop.fbm_fpke_residual``) and the time stepping of
 ``fpke.solve_distributed_order`` all draw their weights from it, one fixed
 block of rows at a time (``l1_weight_blocks``), so the solvers and their
-residual diagnostics discretise the memory term identically.  The
+residual diagnostics discretise the memory term identically.  The solver
+applies a block's columns before its first row to the history in one
+matrix product and steps through the block with only its in-block
+columns, so it too takes any increasing grid.  The
 Riemann-Liouville integral is the same rule at order -alpha (the power
 kernel is one cell rule for every order below 1), so it has no weights
 of its own.  The composite Gauss-Legendre rule is written once too, in

@@ -521,6 +521,17 @@ class FbmResidualReport:
         }
 
 
+def _time_window(tg: np.ndarray) -> tuple[int, int]:
+    """Row range [i0, i1) of the grid points with 0.25 T <= t <= 0.75 T,
+    T = tg[-1].  A grid point meant to sit on an end of the window may
+    miss it by round-off, so the ends are widened by a few ulps of T."""
+    T = float(tg[-1])
+    slack = 4.0 * np.finfo(float).eps * T
+    i0 = int(np.searchsorted(tg, 0.25 * T - slack, side="left"))
+    i1 = int(np.searchsorted(tg, 0.75 * T + slack, side="right"))
+    return i0, i1
+
+
 def fbm_fpke_residual(
     H: float,
     spec: SubordinatorSpec,
@@ -539,12 +550,12 @@ def fbm_fpke_residual(
     upper half first, and the (nodes x times) result maps every Laplacian
     column at once (``_image``); the de Hoog continued fraction then sums
     all of a block's times together.  The operator is causal but sampled
-    columns end at the grid's horizon, so the rows from 0.25 n_t to
-    0.75 n_t (the window [0.25, 0.75] of the horizon on a uniform grid)
-    keep the evaluation away from both the rough start and the truncated
-    end, and bands of max(3, n_x // 12) points keep it off the x
-    boundaries.  The l2 norm over the window weights row i by
-    (t_{i+1} - t_{i-1}) / 2, so it holds on any increasing grid.
+    columns end at the grid's horizon T, so only the rows with
+    0.25 T <= t <= 0.75 T are compared (``_time_window``), which keeps the
+    evaluation away from both the rough start and the truncated end on
+    any increasing grid, and bands of max(3, n_x // 12) points keep it off
+    the x boundaries.  The l2 norm over the window weights row i by
+    (t_{i+1} - t_{i-1}) / 2.
     """
     if not 0.0 < H < 1.0:
         raise ValueError("H must lie in (0, 1)")
@@ -556,7 +567,7 @@ def fbm_fpke_residual(
         raise ValueError("residual needs the time grid to start at 0")
     x = density.x_grid
     q = density.values
-    n_t, n_x = q.shape
+    n_x = q.shape[1]
     dx = x[1] - x[0]
     nb = max(3, n_x // 12)
     cols = np.arange(nb, n_x - nb)
@@ -569,8 +580,7 @@ def fbm_fpke_residual(
     dbeta = caputo_l1_columns(tg, q[:, cols], ((beta, 1.0),))
 
     op = GOperator(beta, 2.0 * H - 1.0)
-    i_start = max(int(0.25 * n_t), 1)
-    i_stop = min(int(0.75 * n_t) + 1, n_t)
+    i_start, i_stop = _time_window(tg)
     t_eval = tg[i_start:i_stop]
     gvals = _dehoog_values(op, (tg, lap), 0.0, t_eval, op.contour.degree,
                            1e-10, n_cols=len(cols), g_tail=2.0)

@@ -21,7 +21,11 @@ it was when the transform matrix was formed on every node of a
 was when the kernel core was an inner quadrature, and
 ``KERNEL_CORE_MPMATH`` holds that core to 40 digits.
 ``UNIT_CLOCK_MPMATH`` holds the inverse-stable density f_{E_1} to 30
-digits, from the far left into the far tail.
+digits, from the far left into the far tail.  ``bm_pure_clock_density``
+is the closed form of Brownian motion on a pure clock, an M-Wright
+function read from the library's clock density (itself held to the
+mpmath table), which neither the subordination quadrature nor the L1
+solve uses.
 """
 import math
 
@@ -135,11 +139,11 @@ def field_residual_full_line(H, spec, density, *, x_exclude=0.0):
     from subdiff.fraccalc import (_dehoog_batch, _dehoog_contour,
                                   _transform_matrix, caputo_l1_columns)
     from subdiff.lambdaop import (GOperator, _kernel_degree, _kernel_on_line,
-                                  _vmax_for)
+                                  _time_window, _vmax_for)
 
     beta = spec.components[0][0]
     tg, x, q = density.t_grid, density.x_grid, density.values
-    n_t, n_x = q.shape
+    n_x = q.shape[1]
     nb = max(3, n_x // 12)
     cols = np.arange(nb, n_x - nb)
     if x_exclude > 0.0:
@@ -147,7 +151,7 @@ def field_residual_full_line(H, spec, density, *, x_exclude=0.0):
     dx = x[1] - x[0]
     lap = (q[:, cols - 1] - 2.0 * q[:, cols] + q[:, cols + 1]) / dx**2
     dbeta = caputo_l1_columns(tg, q[:, cols], ((beta, 1.0),))
-    i0, i1 = max(int(0.25 * n_t), 1), min(int(0.75 * n_t) + 1, n_t)
+    i0, i1 = _time_window(tg)
     t_eval = tg[i0:i1]
 
     op = GOperator(beta, 2.0 * H - 1.0)
@@ -274,6 +278,21 @@ def ou_flux_rows_loop(alpha, sigma, x):
         di[i] = -(vh[i] / 2.0 + D / dx) / dx + (vh[i - 1] / 2.0 - D / dx) / dx
         lo[i] = (vh[i - 1] / 2.0 + D / dx) / dx
     return lo, di, up
+
+
+def bm_pure_clock_density(beta, t, x):
+    """Density of B(E_t) on the pure beta clock, in closed form.
+
+    B(E_t) = t^(beta/2) E_1^(1/2) Z in law, whose density is the M-Wright
+    function of order beta/2 (Mainardi, Mura & Pagnini, Int. J. Differ.
+    Equ. 2010): q(t, x) = M_{beta/2}(sqrt(2) |x| / s) / (sqrt(2) s) with
+    s = t^(beta/2), and M_nu = f_{E_1} of the nu clock.
+    """
+    from subdiff.subordinators import unit_clock_density
+
+    s = t ** (beta / 2.0)
+    u = math.sqrt(2.0) * np.abs(np.asarray(x, dtype=float)) / s
+    return unit_clock_density(beta / 2.0, u) / (math.sqrt(2.0) * s)
 
 
 def inverse_half_density(t, tau):

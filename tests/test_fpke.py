@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from subdiff.config import SolverConfig
+from subdiff.errors import StabilityError
 from subdiff.fpke import (
     ClassicalEquation,
     DiffusionWithDrift,
@@ -13,6 +14,8 @@ from subdiff.fpke import (
     OUGenerator,
     ScaledLaplacian,
     _drift_flux_rows,
+    _laplacian_rows,
+    _step_solve,
     operator_from_model,
     residual_norm,
     solve_classical,
@@ -31,7 +34,7 @@ from subdiff.gaussian import (
 from subdiff.subordinators import SubordinatorSpec
 from subdiff.timechange import GridDensity, TimeChangedSpec, subordinated_density
 
-from oracles import l1_uniform_solve, ou_flux_rows_loop
+from oracles import bm_pure_clock_density, l1_uniform_solve, ou_flux_rows_loop
 
 CFG400 = SolverConfig(t_max=1.0, n_t=400, x_min=-8.0, x_max=8.0, n_x=400)
 MIX = SubordinatorSpec(((0.4, 0.5), (0.8, 0.5)))
@@ -169,6 +172,21 @@ class TestFractional:
         order = math.log2(errs[0] / errs[1])
         assert order > 0.9 or errs[1] < 5e-4
 
+    @pytest.mark.parametrize("beta", [0.5, 0.8])
+    def test_time_order_against_closed_form(self, beta):
+        # first order in dt against the exact M-Wright density; the kink
+        # at x = 0 limits the spatial order there, so |x| <= 0.5 is left out
+        errs = []
+        for n_t in (100, 200, 400):
+            cfg = SolverConfig(t_max=1.0, n_t=n_t, x_min=-12.0, x_max=12.0,
+                               n_x=800)
+            gd = solve_fractional(ScaledLaplacian(0.5), beta, cfg)
+            keep = np.abs(gd.x_grid) > 0.5
+            want = bm_pure_clock_density(beta, 1.0, gd.x_grid[keep])
+            errs.append(np.max(np.abs(gd.values[-1, keep] - want)))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders >= 0.9), orders
+
     def test_mass_and_positivity(self):
         # subdiffusive tails are heavier than Gaussian: at beta = 0.4 the
         # 1e-6 mass budget needs the boundary out near 12 deviations
@@ -301,6 +319,51 @@ class TestResiduals:
             residual_norm(GridDensity(tg, xg, np.zeros((21, 10)),
                                       np.zeros(21)),
                           ClassicalEquation(ScaledLaplacian(0.5)))
+
+
+SOLVES = {
+    "heat": lambda cfg: solve_classical(ScaledLaplacian(0.5), cfg),
+    "ou": lambda cfg: solve_classical(OUGenerator(1.0, 1.0), cfg),
+    "drift": lambda cfg: solve_classical(
+        DiffusionWithDrift(lambda t: 0.5, lambda t: 0.3), cfg),
+    "fractional": lambda cfg: solve_fractional(ScaledLaplacian(0.5), 0.5, cfg),
+    "fractional_ou": lambda cfg: solve_fractional(OUGenerator(1.0, 1.0), 0.7,
+                                                  cfg),
+    "distributed": lambda cfg: solve_distributed_order(ScaledLaplacian(0.5),
+                                                       MIX, cfg),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SOLVES))
+def test_dirichlet_boundary_exactly_zero_every_step(kind):
+    cfg = SolverConfig(t_max=1.0, n_t=200, x_min=-8.0, x_max=8.0, n_x=200)
+    gd = SOLVES[kind](cfg)
+    assert np.all(gd.values[1:, [0, -1]] == 0.0)
+
+
+def test_step_solve_raises_on_singular_system():
+    # a zero pivot in an interior row with no coupling: no number comes back
+    x = np.linspace(-1.0, 1.0, 9)
+    rows = _laplacian_rows(x)
+    rows[1][4] = 1.0
+    rows[0][4] = rows[2][4] = 0.0
+    rows[2][3] = rows[0][5] = 0.0
+    with pytest.raises(StabilityError, match="singular"):
+        _step_solve(1.0, rows, np.ones(9))
+
+
+def test_step_solve_matches_dense_dirichlet_system():
+    x = np.linspace(-2.0, 2.0, 11)
+    rows = _drift_flux_rows(0.7, 1.3, x)
+    rhs = np.linspace(1.0, 2.0, 11)
+    A = 3.0 * np.eye(11) - (np.diag(rows[1]) + np.diag(rows[0][1:], -1)
+                            + np.diag(rows[2][:-1], 1))
+    A[[0, -1]] = 0.0
+    A[0, 0] = A[-1, -1] = 1.0
+    # the boundary entries of rhs are not read: q is 0 there
+    want = np.linalg.solve(A, np.concatenate(([0.0], rhs[1:-1], [0.0])))
+    assert_allclose(_step_solve(3.0, rows, rhs.copy()), want, rtol=0,
+                    atol=1e-14 * np.abs(want).max())
 
 
 def test_ou_flux_rows_match_per_node_loop():

@@ -507,10 +507,20 @@ class TestFieldResidualRoute:
         rep = fbm_fpke_residual(0.7, spec, dens)
         want = field_residual_full_line(0.7, spec, dens)
         resid, w = want["resid"], want["w"]
-        # rows 40..120 of 161
-        assert np.array_equal(w, 0.5 * (tg[2:] - tg[:-2])[39:120])
+        # the window is 0.25 <= t <= 0.75: rows 80..138 of 161
+        assert np.array_equal(w, 0.5 * (tg[2:] - tg[:-2])[79:138])
+        assert rep.t_window == (tg[80], tg[138])
+        assert 0.25 <= rep.t_window[0] and rep.t_window[1] <= 0.75
         l2 = np.sqrt(w @ (resid * resid))
         gap = 0.7 * 1e-6 * np.max(np.abs(want["dbeta"])) * np.sqrt(w.sum())
         assert np.max(np.abs(rep.l2_per_x - l2)) <= gap
         uniform = np.sqrt(np.sum(resid * resid, axis=0) * (tg[1] - tg[0]))
         assert np.min(np.abs(uniform - l2)) > 0.5 * np.min(l2)
+
+    @pytest.mark.parametrize("n", [160, 200, 400])
+    @pytest.mark.parametrize("t_max", [1.0, 0.7, 3.0])
+    def test_window_on_even_uniform_grids_is_the_index_window(self, n, t_max):
+        # rows n/4..3n/4, as when the window was chosen by index; a grid
+        # point meant for 0.25 T may sit an ulp below it
+        tg = np.linspace(0.0, t_max, n + 1)
+        assert lambdaop._time_window(tg) == (n // 4, 3 * n // 4 + 1)

@@ -46,6 +46,7 @@ from subdiff.timechange import (
 )
 
 from oracles import (
+    bm_pure_clock_density,
     fourier_ml_bm_half,
     inverse_half_density,
     panel_rule_loop,
@@ -204,6 +205,17 @@ class TestSubordinatedDensity:
             got = subordinated_density(SPEC_HALF, 1.0, x)
             want = fourier_ml_bm_half(1.0, x)
             assert abs(got - want) < 1e-5
+
+    @pytest.mark.parametrize("beta", [0.3, 0.5, 0.8])
+    def test_bm_matches_mwright_closed_form(self, beta):
+        # the quadrature over the clock against M_{beta/2} in closed form
+        spec = TimeChangedSpec(BM, SubordinatorSpec.pure(beta))
+        x = np.linspace(-6.0, 6.0, 241)
+        times = [0.01, 0.25, 1.0, 5.0]
+        gd = subordinated_grid_density(spec, times, x)
+        for row, t in zip(gd.values, times):
+            want = bm_pure_clock_density(beta, t, x)
+            assert np.max(np.abs(row - want)) <= 1e-7 * np.max(want)
 
     def test_frozen_peak_value(self):
         assert_allclose(subordinated_density(SPEC_HALF, 1.0, 0.0),
