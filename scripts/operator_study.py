@@ -8,10 +8,11 @@ H = (1 + gamma)/2 on a pure clock are evaluated on the constant input at
 G[1](t) = Gamma(gamma+1) t^(gamma beta) / Gamma(gamma beta + 1), and
 Lambda[1](t) = (1/2) d/dt E[E_t^(2H)]
              = Gamma(2H+1) t^(2H beta - 1) / (2 Gamma(2H beta)).
-Printed per operator: wall seconds, the largest relative error against the
-closed form, and the largest reported spread / |value|.  One untimed call
-first takes the process's first touch of the largest contour arrays out of
-the table.
+Printed per operator: wall seconds, the peak of memory traced by
+tracemalloc during a second, untimed call (MB), the largest relative error
+against the closed form, and the largest reported spread / |value|.  One
+untimed call first takes the process's first touch of the largest contour
+arrays out of the table.
 
 A second table times the field residual ``fbm_fpke_residual`` at H = 1/2
 on a 200 x 200 fractional Brownian solve (x in [-12, 12], t in [0, 1],
@@ -20,6 +21,7 @@ calls, after one untimed call, beside the residual's largest |value|.
 """
 import math
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -61,12 +63,19 @@ def row(fn, op, want):
     t0 = time.perf_counter()
     vals, errs = fn(op, ONE, T)
     wall = time.perf_counter() - t0
-    return (wall, float(np.max(np.abs(vals / want - 1.0))),
+    tracemalloc.start()
+    try:
+        fn(op, ONE, T)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (wall, peak / 1e6, float(np.max(np.abs(vals / want - 1.0))),
             float(np.max(errs / np.abs(vals))))
 
 
-print(f"{'beta':>5} {'gamma':>6} | {'G s':>7} {'G err':>8} {'G spread':>8} "
-      f"| {'Lam s':>7} {'Lam err':>8} {'Lam spread':>10}")
+print(f"{'beta':>5} {'gamma':>6} | {'G s':>7} {'G MB':>6} {'G err':>8} "
+      f"{'G spread':>8} | {'Lam s':>7} {'Lam MB':>6} {'Lam err':>8} "
+      f"{'Lam spread':>10}")
 eval_G_grid(GOperator(*CASES[0]), ONE, T)
 for beta, gamma in CASES:
     g = row(eval_G_grid, GOperator(beta, gamma), g_closed(beta, gamma))
@@ -74,8 +83,9 @@ for beta, gamma in CASES:
               LambdaOperator(SubordinatorSpec.pure(beta),
                              FractionalBrownian(0.5 * (1.0 + gamma))),
               lambda_closed(beta, gamma))
-    print(f"{beta:5.2f} {gamma:6.2f} | {g[0]:7.3f} {g[1]:8.1e} {g[2]:8.1e} "
-          f"| {lam[0]:7.3f} {lam[1]:8.1e} {lam[2]:10.1e}")
+    print(f"{beta:5.2f} {gamma:6.2f} | {g[0]:7.3f} {g[1]:6.1f} {g[2]:8.1e} "
+          f"{g[3]:8.1e} | {lam[0]:7.3f} {lam[1]:6.1f} {lam[2]:8.1e} "
+          f"{lam[3]:10.1e}")
 
 print()
 print(f"{'beta':>5} | {'field s':>7} {'field linf':>10}")

@@ -506,11 +506,11 @@ def profile_derivative(profile, u, log):
     """R~'(u) from a Laplace profile, elementwise in u.
 
     ``log`` gives the branch of log u the power terms use (the operators
-    unwrap it along their contour).  It is called at most once, and only
-    when the profile has a power term.  The recursion is a module-level
-    function, not a closure: a closure that calls itself is a reference
-    cycle, which keeps each call's u and log u arrays (30 MB apiece on an
-    operator contour at beta 0.1) alive until the cyclic collector runs.
+    take the principal branch, which their contour never leaves).  It is
+    called at most once, and only when the profile has a power term.  The
+    recursion is a module-level function, not a closure: a closure that
+    calls itself is a reference cycle, which keeps each call's u and log u
+    arrays alive until the cyclic collector runs.
     """
     logu = log(u) if _has_power(profile) else None
     return _profile_value(profile, u, logu)

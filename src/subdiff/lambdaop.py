@@ -14,10 +14,14 @@ inversion back to the time domain:
   the inversion as s^(beta-1)
 
 The inner line is a sinh-stretched vertical contour, built on v >= 0 and
-mirrored, so that z(-v) = conj z(v) and dz(-v) = dz(v) bit for bit; the
-integrand's non-integer power is kept on one analytic branch by unwrapping
-the argument along the line, anchored at the real axis.  The line scales with
-the time: the outer nodes of an inversion rule are reference nodes s times
+mirrored, so that z(-v) = conj z(v) and dz(-v) = dz(v) bit for bit.  On
+it, u = rho(s) - rho(z) never crosses the negative real axis, so the
+integrand's non-integer power takes log u on the principal branch, which
+is the branch continuous along the line (``_kernel_on_line`` has the
+proof).  The kernel is built in row blocks of about 2^16 entries (1 MiB),
+so no temporary is the kernel's size; a kernel rebuilt per scale for one
+transform is summed block by block and never held whole.  The line scales
+with the time: the outer nodes of an inversion rule are reference nodes s times
 a scale r (1/t for Stehfest's k ln2 / t, 2^b for de Hoog's dyadic block
 b), and the inner line is the reference line zeta times the same r.
 ``_image`` takes the reference nodes and the list of scales and returns
@@ -36,17 +40,18 @@ every column at once.
 
 The outer inversion of an analytic input is the linear Gaver-Stehfest
 rule at degree 12, cross-checked by degree 16 and by a de Hoog inversion;
-a sampled input gets two de Hoog inversions at unrelated abscissas and
-degrees.  The largest spread is the error estimate.  Every de Hoog
-inversion, the field residual's included, goes through ``_dehoog_values``:
-one ``_image`` call for all dyadic blocks of times, then one
-``fraccalc._dehoog_batch`` call per block, whose continued fraction sums
-all of the block's times at once.  The top block's line is the one its
-own nodes would give (offset_ratio times the abscissa); a lower block
-reads the top line scaled by 2^b, so its exponentials exp(-z t) are the
-top block's squared b times.  Everything here is validated
-downstream against scalar moment identities, which is where these
-operators meet hard data.
+degree 12's nodes are the first 12 of degree 16's, on the same line, so
+both read one image.  A sampled input gets two de Hoog inversions at
+unrelated abscissas and degrees.  The largest spread is the error
+estimate.  Every de Hoog inversion, the field residual's included, goes
+through ``_dehoog_values``: one ``_image`` call for all dyadic blocks of
+times, then one ``fraccalc._dehoog_batch`` call per block, whose
+continued fraction sums all of the block's times at once.  The top
+block's line is the one its own nodes would give (offset_ratio times the
+abscissa); a lower block reads the top line scaled by 2^b, so its
+exponentials exp(-z t) are the top block's squared b times.  Everything
+here is validated downstream against scalar moment identities, which is
+where these operators meet hard data.
 """
 from __future__ import annotations
 
@@ -185,9 +190,13 @@ def exp_transform(a: float = 1.0) -> AnalyticTransform:
 
 
 def power_transform(a: float) -> AnalyticTransform:
-    """Transform of t^a (a > -1)."""
+    """Transform of t^a (a > -1).
+
+    Taken as g exp(-(a+1) log z): numpy raises an integer power of z by
+    repeated products, and z^3 overflows where the inner line reaches
+    |z| ~ 1e108 (beta 0.1), although z^-3 only underflows."""
     g = math.gamma(a + 1.0)
-    return AnalyticTransform(lambda z: g * z ** (-a - 1.0))
+    return AnalyticTransform(lambda z: g * np.exp(-(a + 1.0) * np.log(z)))
 
 
 class OperatorValue(NamedTuple):
@@ -230,36 +239,60 @@ def _line_nodes(C: float, spacing: float, vmax: float):
     return z, dz
 
 
-def _unwrapped_log(w: np.ndarray) -> np.ndarray:
-    """log w continuous along the line's axis (last), anchored at center."""
-    aw = np.angle(w)
-    mid = w.shape[-1] // 2
-    left = np.unwrap(aw[..., mid::-1], axis=-1)[..., ::-1]
-    right = np.unwrap(aw[..., mid:], axis=-1)
-    aw_cont = np.concatenate([left[..., :-1], right], axis=-1)
-    return np.log(np.abs(w)) + 1j * aw_cont
-
-
 def _kernel_tail_power(op) -> float:
     """Algebraic decay exponent of the kernel factor for |z| -> inf."""
     return max(b for b, _ in op.sub.components) * profile_decay(op.profile)
 
 
-def _kernel_on_line(op, s_nodes: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Kernel factor R~'(rho(s) - rho(z)) m(z), shaped (len(s), len(z))."""
-    rho_s = op.sub.laplace_exponent(s_nodes)[:, None]
+# entries of a kernel built at once (1 MiB of complex): a block's
+# temporaries stay in cache, and none of them is the kernel's size
+_BLOCK_ENTRIES = 2**16
+
+
+def _principal_log(u: np.ndarray) -> np.ndarray:
+    """log u as log|u| + i arg u (``np.log(u)`` can differ by an ulp)."""
+    return np.log(np.abs(u)) + 1j * np.angle(u)
+
+
+def _kernel_on_line(op, s_nodes: np.ndarray, z: np.ndarray,
+                    g: np.ndarray | None = None) -> np.ndarray:
+    """Kernel factor R~'(rho(s) - rho(z)) m(z), shaped (len(s), len(z)); or,
+    given g on the line, the row sums of kernel * g, shaped (len(s),).
+
+    The power terms take log u, u = rho(s) - rho(z), on the principal
+    branch: u never crosses the negative real axis on the line.  Below the
+    real axis Im rho(z) < 0 <= Im rho(s).  Above it Im rho(z) increases
+    along the line, so u crosses the real axis at most once, on the level
+    curve Im rho = Im rho(s); along that curve d Re rho / dx =
+    |rho'|^2 / Re rho' > 0, since Re rho'(z) = Re sum_k w_k beta_k
+    z^(beta_k - 1) > 0 for Re z > 0, and the line sits at C < Re s, so
+    Re u > 0 at the crossing.
+
+    The kernel is built in blocks of rows of about ``_BLOCK_ENTRIES``
+    entries.  With g, each block is summed as it is built, by the same
+    per-row pairwise sum as the full product, and the full kernel is never
+    held.
+    """
+    rho_s = op.sub.laplace_exponent(s_nodes)
     rho_z = op.sub.laplace_exponent(z)[None, :]
     # the order factor m(z) is the constant beta for a pure clock
     m = (op.sub.components[0][0] if op.sub.is_pure
          else op.sub.order_mixture(z)[None, :])
-    return profile_derivative(op.profile, rho_s - rho_z, _unwrapped_log) * m
+    out = np.empty(len(s_nodes) if g is not None else (len(s_nodes), len(z)),
+                   dtype=complex)
+    rows = max(_BLOCK_ENTRIES // len(z), 1)
+    for i in range(0, len(s_nodes), rows):
+        u = rho_s[i : i + rows, None] - rho_z
+        k = profile_derivative(op.profile, u, _principal_log) * m
+        out[i : i + rows] = k if g is None else (k * g).sum(axis=1)
+    return out
 
 
 def _kernel_degree(op) -> float | None:
     """d with K(r s, r z) = r^d K(s, z) for every r > 0, or None.
 
     A pure stable clock with a power profile c u^-p has
-    K(s, z) = beta c (s^beta - z^beta)^-p, so d = -beta p; the unwrapped
+    K(s, z) = beta c (s^beta - z^beta)^-p, so d = -beta p; the principal
     log only shifts by beta log r.  Rational profiles and mixture clocks
     have no degree."""
     if op.sub.is_pure and op.profile[0] == "power":
@@ -345,15 +378,18 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float) -> list:
         else:
             gz = gt(z)
             gz = gz * (dzeta if gz.ndim == 1 else dzeta[:, None])
-            if degree is None:
-                # the rebuilt kernel is a per-scale array anyway, so one
-                # transform keeps numpy's pairwise sum over it: a BLAS
-                # mat-vec's roundoff, amplified by the Salzer weights,
-                # moves OU's values by 1e-8 relative
-                k = _kernel_on_line(op, r * s, z)
-                phi = r * ((k * gz).sum(axis=1) if gz.ndim == 1 else k @ gz)
-            else:
+            if degree is not None:
                 phi = r ** (1.0 + degree) * (kern @ gz)
+            elif gz.ndim == 1:
+                # one transform keeps numpy's pairwise sum over the rebuilt
+                # kernel, block by block: a BLAS mat-vec's roundoff,
+                # amplified by the Salzer weights, moves OU's values by
+                # 1e-8 relative
+                phi = r * _kernel_on_line(op, r * s, z, gz)
+            else:
+                # a batch: the full-line route that a pair (t_grid, Y)
+                # replaces, kept as the reference it is checked against
+                phi = r * (_kernel_on_line(op, r * s, z) @ gz)
         # the order factor m(z) lives in the kernel, so every operator
         # shares the 1/2 out front
         fold = np.exp(op.fold_power * np.log(r * s))
@@ -397,15 +433,19 @@ def _vmax_for(op, g_tail: float) -> float:
     return min(max(_LN2 + 30.0 / (tail - 1.0), 12.0), op.contour.v_cap)
 
 
-def _stehfest_values(op, gt, g_sing, t_grid, M):
-    """Gaver-Stehfest outer inversion: linear, real contour-admissible.
+def _stehfest_values(op, gt, g_sing, t_grid):
+    """Gaver-Stehfest outer inversions at degrees 12 and 16: linear, real
+    contour-admissible.
 
     Time t reads the image on the nodes k ln2 / t, the t = 1 nodes scaled
-    by 1/t, with the inner line scaled alike."""
-    F = np.array(_image(op, gt, g_sing, np.arange(1, M + 1) * _LN2 + 0j,
+    by 1/t, with the inner line scaled alike.  Degree 12's nodes are the
+    first 12 of degree 16's, and the line (C = offset_ratio ln2) is the
+    same, so one image serves both: degree 12 reads its first 12 rows."""
+    F = np.array(_image(op, gt, g_sing, np.arange(1, 17) * _LN2 + 0j,
                         1.0 / t_grid, op.contour.node_spacing,
                         _vmax_for(op, 1.0)))
-    return _LN2 / t_grid * (F.real @ _SALZER[M])
+    return tuple(_LN2 / t_grid * (F[:, :M].real @ _SALZER[M])
+                 for M in (12, 16))
 
 
 def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
@@ -465,8 +505,7 @@ def _eval_grid(op, g, t_grid):
     # degree 12 keeps the Salzer cancellation factor ~1e6, so the output
     # stays linear in g down to ~1e-9; degree 16 and the Fourier contour
     # serve as the cross-checks
-    v12 = _stehfest_values(op, gt, g_sing, t_grid, 12)
-    v16 = _stehfest_values(op, gt, g_sing, t_grid, 16)
+    v12, v16 = _stehfest_values(op, gt, g_sing, t_grid)
     vdh = _dehoog_values(op, gt, g_sing, t_grid, cc.degree, 1e-10)[:, 0]
     err = np.maximum(np.abs(v16 - v12), np.abs(v12 - vdh))
     return v12, err

@@ -21,7 +21,11 @@ it was when the transform matrix was formed on every node of a
 was when the kernel core was an inner quadrature, and
 ``KERNEL_CORE_MPMATH`` holds that core to 40 digits.
 ``UNIT_CLOCK_MPMATH`` holds the inverse-stable density f_{E_1} to 30
-digits, from the far left into the far tail.  ``bm_pure_clock_density``
+digits, from the far left into the far tail.  ``kernel_unwrapped`` is the
+operator kernel as it was when the whole array was built at once and its
+log was unwrapped along the line (``unwrapped_log``), not taken on the
+principal branch.  ``power_eigenvalue`` is the closed-form eigenvalue of
+G on a power of t.  ``bm_pure_clock_density``
 is the closed form of Brownian motion on a pure clock, an M-Wright
 function read from the library's clock density (itself held to the
 mpmath table), which neither the subordination quadrature nor the L1
@@ -184,6 +188,37 @@ def field_residual_full_line(H, spec, density, *, x_exclude=0.0):
     tp = np.concatenate([tg[:1], tg, tg[-1:]])
     return {"t": t_eval, "w": 0.5 * (tp[2:] - tp[:-2])[i0:i1], "lap": lap,
             "dbeta": dbeta[i0:i1], "g": g, "resid": dbeta[i0:i1] - H * g}
+
+
+def unwrapped_log(w):
+    """log w continuous along the line's axis (last), anchored at its
+    centre, by ``np.unwrap`` from the centre outward."""
+    aw = np.angle(w)
+    mid = w.shape[-1] // 2
+    left = np.unwrap(aw[..., mid::-1], axis=-1)[..., ::-1]
+    right = np.unwrap(aw[..., mid:], axis=-1)
+    aw_cont = np.concatenate([left[..., :-1], right], axis=-1)
+    return np.log(np.abs(w)) + 1j * aw_cont
+
+
+def kernel_unwrapped(op, s, z):
+    """``lambdaop._kernel_on_line(op, s, z)`` as one full-size build with
+    the log unwrapped along the line."""
+    from subdiff.gaussian import profile_derivative
+
+    rho_s = op.sub.laplace_exponent(s)[:, None]
+    rho_z = op.sub.laplace_exponent(z)[None, :]
+    m = (op.sub.components[0][0] if op.sub.is_pure
+         else op.sub.order_mixture(z)[None, :])
+    return profile_derivative(op.profile, rho_s - rho_z, unwrapped_log) * m
+
+
+def power_eigenvalue(beta, gam, a):
+    """c(a) with G[t^a](t) = c(a) t^(a + beta gam) for the G operator of
+    order beta and index gam (a > -1).  At a = 0 it is the constant
+    input's Gamma(1+gam) / Gamma(1+beta gam)."""
+    return (math.gamma(1.0 + a) * math.gamma(1.0 + gam + a / beta)
+            / (math.gamma(1.0 + a / beta) * math.gamma(1.0 + a + beta * gam)))
 
 
 def interp_transform_segments(t, y, s):
