@@ -7,15 +7,19 @@ conservative flux-form drift):
 * ``solve_fractional``         implicit L1 stepping for D*^beta q = A q
 * ``solve_distributed_order``  L1 with mixture-weighted memory kernels
 
-Every time step of both kinds is one LAPACK tridiagonal solve
-(``_step_solve``) of (shift I - A_k) q = rhs on the interior nodes, with
-exact zeros on the two Dirichlet boundary nodes.  Crank-Nicolson rows are
-fixed base rows times the integral of their coefficient over the step, so a
-step applies the base rows to p once and scales.  The L1 solvers take
-their memory weights one block of rows at a time (``l1_weight_blocks``):
-the history from before the block is one matrix product for all its rows,
-and each step adds only its in-block columns.  Nothing assumes a uniform
-time grid.
+Every time step of both kinds is one LAPACK tridiagonal solve of
+(shift I - A_k) q = rhs on the interior nodes, with exact zeros on the two
+Dirichlet boundary nodes: ``_step_factor`` (``dgttrf``) and ``_step_apply``
+(``dgttrs``), which ``_step_solve`` runs in a row.  Crank-Nicolson rows are
+fixed base rows times the integral of their coefficient over the step, so
+a step applies the base rows to p once and scales, and factors its own
+matrix.  The L1 solvers take their memory weights one block of rows at a
+time (``l1_weight_blocks``): the history from before the block is one
+matrix product for all its rows, and each step adds only its in-block
+columns.  An L1 step matrix is factored again only when its shift
+W[n, n-1] changes; on a uniform grid that shift is one lag weight, so a
+solve factors once and each step is one ``dgttrs``.  Nothing assumes a
+uniform time grid.
 
 The classical solver warm-starts: the mollified delta (a Gaussian of width
 ``init_width``) is placed at the time where the true solution has exactly
@@ -30,7 +34,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG, MASS_TOL, NONNEG_TOL, SolverConfig
@@ -187,22 +191,36 @@ def _apply_rows(rows, q):
     return out
 
 
-def _step_solve(shift, rows, rhs):
-    """q with (shift I - rows) q = rhs on the interior nodes and q = 0 on
-    the two boundary nodes (Dirichlet).
+def _step_factor(shift, rows):
+    """LU factors of (shift I - rows) on the interior nodes, for
+    ``_step_apply``.
 
     With q = 0 on the boundary its couplings there drop out, so the
-    interior rows are one LAPACK ``dgtsv`` (partial pivoting): the boundary
-    values are exactly 0, and no pivot mixes them in.  ``rhs`` is
-    overwritten.  A singular system raises; it never yields a number.
+    interior rows are one tridiagonal system, factored by LAPACK
+    ``dgttrf`` (partial pivoting); no pivot mixes the boundary in.  A
+    singular system raises; it never yields a number.
     """
     lo, di, up = rows
-    *_, q, info = dgtsv(-lo[2:-1], shift - di[1:-1], -up[1:-2], rhs[1:-1],
-                        overwrite_dl=True, overwrite_d=True, overwrite_du=True,
-                        overwrite_b=True)
+    dl, d, du, du2, ipiv, info = dgttrf(-lo[2:-1], shift - di[1:-1],
+                                        -up[1:-2], overwrite_dl=True,
+                                        overwrite_d=True, overwrite_du=True)
     if info != 0:
-        raise StabilityError(f"singular time step (LAPACK dgtsv info {info})")
+        raise StabilityError(f"singular time step (LAPACK dgttrf info {info})")
+    return dl, d, du, du2, ipiv
+
+
+def _step_apply(factor, rhs):
+    """q with the factored system times q = rhs on the interior nodes
+    (LAPACK ``dgttrs``) and q exactly 0 on the two boundary nodes."""
+    q, _ = dgttrs(*factor, rhs[1:-1], overwrite_b=True)
     return np.concatenate(([0.0], q, [0.0]))
+
+
+def _step_solve(shift, rows, rhs):
+    """q with (shift I - rows) q = rhs on the interior nodes and q = 0 on
+    the two boundary nodes (Dirichlet): one factorisation and one solve.
+    ``rhs`` is overwritten."""
+    return _step_apply(_step_factor(shift, rows), rhs)
 
 
 def _panel_integrals(fn, edges) -> np.ndarray:
@@ -329,8 +347,9 @@ def solve_distributed_order(
     a one-component mixture runs the identical arithmetic as the pure
     fractional solve and the residual on the solver's own grid is
     round-off.  Step n solves (W[n, n-1] - A) q_n = W[n, n-1] q_{n-1} -
-    sum_{k < n-1} W[n, k] (q_{k+1} - q_k).  Initial data is the
-    moment-preserving split delta.
+    sum_{k < n-1} W[n, k] (q_{k+1} - q_k); the step matrix is factored
+    again only when W[n, n-1] changes, so on this uniform grid once.
+    Initial data is the moment-preserving split delta.
     """
     for b, _ in spec.components:
         if not 0.0 < b < 1.0:
@@ -345,13 +364,16 @@ def solve_distributed_order(
     out = np.empty((n_t + 1, cfg.n_x))
     out[0] = _split_delta(x)
     diffs = np.empty((n_t, cfg.n_x))  # diffs[k] = q_{k+1} - q_k
+    factored = None  # the b0 that ``factor`` is the step matrix of
     for start, w_block in l1_weight_blocks(t_grid, spec.components):
         # the memory of every step in the block up to its start, as one GEMM
         past = w_block[:, : start - 1] @ diffs[: start - 1]
         for n, (w, memory) in enumerate(zip(w_block, past), start):
             b0 = w[n - 1]
+            if b0 != factored:
+                factor, factored = _step_factor(b0, rows), b0
             memory += w[start - 1 : n - 1] @ diffs[start - 1 : n - 1]
-            out[n] = _step_solve(b0, rows, b0 * out[n - 1] - memory)
+            out[n] = _step_apply(factor, b0 * out[n - 1] - memory)
             diffs[n - 1] = out[n] - out[n - 1]
 
     return _package(t_grid, x, out, cfg)

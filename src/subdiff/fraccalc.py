@@ -11,7 +11,10 @@ fractional solvers) is built on the five operations in this module:
 * ``laplace_inverse``           -- fixed-Talbot / de Hoog dual inversion
 
 The L1 rule is written once, in ``l1_weights``: the memory-weight matrix W
-of a pure clock or a mixture on any increasing grid.  ``caputo_l1``, the
+of a pure clock or a mixture on any increasing grid.  On a uniform grid W
+is Toeplitz, W[i, k] = a[i - k], so its rows are windows of one table of
+n lag weights per component (n powers, not n^2/2); any other grid takes
+one power per entry.  ``caputo_l1``, the
 column form ``caputo_l1_columns`` (behind ``fpke.residual_norm`` and
 ``lambdaop.fbm_fpke_residual``) and the time stepping of
 ``fpke.solve_distributed_order`` all draw their weights from it, one fixed
@@ -143,9 +146,78 @@ def _gauss_panels(edges, n: int):
 
 #: rows of the L1 weight matrix built at a time: an application holds at
 #: most this many rows of W, whatever the grid length, and blocks this
-#: small stay in cache (of 16-512 rows, 32-64 ran fastest for a
-#: 1601-point column on a 2-core host)
+#: small stay in cache (of 16-512 rows on a 2-core host, 64 ran fastest
+#: for a 1601-point uniform column, 16-64 for a graded one, and 16-128
+#: alike for a 400-step L1 solve)
 _L1_BLOCK_ROWS = 64
+
+#: a grid counts as uniform, and its L1 weights are read from one lag
+#: table, when every t_k lies within this many ulp of t_n of t_0 + k h
+_UNIFORM_ULPS = 4
+
+
+def _lag_table(t: np.ndarray, components):
+    """The L1 weights of a uniform grid by lag, or None if t is not uniform.
+
+    On t_k = t_0 + k h (h = (t_n - t_0) / n) the weights are Toeplitz,
+    W[i, k] = a[i - k], with
+
+        a[m] = sum_j w_j h^(-beta_j) / Gamma(2 - beta_j)
+               * (m^(1-beta_j) - (m-1)^(1-beta_j))
+
+    for m >= 1 and a[m] = 0 for m <= 0: n powers per component.  The
+    table is returned reversed and padded with zeros, r[p] = a[n - p], so
+    that row i of W is the window r[n - i :] (see ``_lag_rows``).  It
+    depends on the whole grid only, never on the rows asked for.
+    """
+    n = len(t) - 1
+    if n < 1:
+        return None
+    h = (t[-1] - t[0]) / n
+    drift = np.abs(t - (t[0] + np.arange(n + 1) * h))
+    if np.max(drift) > _UNIFORM_ULPS * np.spacing(abs(t[-1])):
+        return None
+    m = np.arange(n + 1, dtype=float)
+    a = 0.0
+    for beta, wgt in components:
+        p = m ** (1.0 - beta)
+        a = a + (p[1:] - p[:-1]) * (wgt * h**-beta / _gamma(2.0 - beta))
+    r = np.zeros(2 * n)
+    r[:n] = a[::-1]
+    return r
+
+
+def _lag_rows(r: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows ``start..stop-1`` of W, columns k < stop - 1, from the lag
+    table r of ``_lag_table``: a windowed view of r, copied once."""
+    n = len(r) // 2
+    windows = np.lib.stride_tricks.sliding_window_view(r, stop - 1)
+    return windows[n - stop + 1 : n - start + 1][::-1].copy()
+
+
+def _row_builder(t, components):
+    """rows(start, stop) -> rows start..stop-1 of W on the grid t: read
+    from one lag table if t is uniform, else one power per entry."""
+    for beta, _ in components:
+        if not beta < 1.0:
+            raise ValueError("L1 weights need beta < 1")
+    t = np.asarray(t, dtype=float)
+    r = _lag_table(t, components)
+    if r is not None:
+        return functools.partial(_lag_rows, r)
+    return functools.partial(_entry_weights, t, components)
+
+
+def _entry_weights(t, components, start, stop):
+    """Rows of W on any increasing grid, one power per entry."""
+    # zero on and above the diagonal, where the power below is then 0 too
+    gap = np.maximum(t[start:stop, None] - t[None, :stop], 0.0)
+    h = np.diff(t[:stop])
+    w = 0.0
+    for beta, wgt in components:
+        p = gap ** (1.0 - beta)
+        w = w + (p[:, :-1] - p[:, 1:]) * ((wgt / _gamma(2.0 - beta)) / h)
+    return w
 
 
 def l1_weights(t: np.ndarray, components, start: int, stop: int) -> np.ndarray:
@@ -162,30 +234,25 @@ def l1_weights(t: np.ndarray, components, start: int, stop: int) -> np.ndarray:
     for k < i and 0 otherwise, so that sum_k W[i, k] (y_{k+1} - y_k) is the
     L1 value of the memory derivative D^mu y at t_i.  Only the columns
     k < stop - 1, which hold every nonzero entry of these rows, are
-    returned: the shape is (stop - start, stop - 1).  Any strictly
-    increasing grid works; every entry depends on its own (i, k) only.
+    returned: the shape is (stop - start, stop - 1).
+
+    A uniform grid (every t_k within ``_UNIFORM_ULPS`` ulp of t_n of
+    t_0 + k h) reads its rows from one table of lag weights
+    (``_lag_table``), with no per-entry power; any other strictly
+    increasing grid evaluates every entry from its own (i, k).  Either
+    way a row does not depend on the rows asked for with it.
     """
-    for beta, _ in components:
-        if not beta < 1.0:
-            raise ValueError("L1 weights need beta < 1")
-    t = np.asarray(t, dtype=float)
-    # zero on and above the diagonal, where the power below is then 0 too
-    gap = np.maximum(t[start:stop, None] - t[None, :stop], 0.0)
-    h = np.diff(t[:stop])
-    w = 0.0
-    for beta, wgt in components:
-        p = gap ** (1.0 - beta)
-        w = w + (p[:, :-1] - p[:, 1:]) * ((wgt / _gamma(2.0 - beta)) / h)
-    return w
+    return _row_builder(t, components)(start, stop)
 
 
 def l1_weight_blocks(t: np.ndarray, components):
     """Yield (start, rows start.. of W) over all rows i >= 1 of the grid,
-    in blocks of ``_L1_BLOCK_ROWS`` (row 0 of W is empty)."""
+    in blocks of ``_L1_BLOCK_ROWS`` (row 0 of W is empty).  A uniform
+    grid's lag table is built once for all the blocks."""
+    rows = _row_builder(t, components)
     n = len(t)
     for start in range(1, n, _L1_BLOCK_ROWS):
-        yield start, l1_weights(t, components, start,
-                                min(start + _L1_BLOCK_ROWS, n))
+        yield start, rows(start, min(start + _L1_BLOCK_ROWS, n))
 
 
 def caputo_l1_columns(t: np.ndarray, Y: np.ndarray, components) -> np.ndarray:
@@ -450,8 +517,10 @@ def laplace_forward(
     u_max = upper ** (1.0 / kappa)
     vr, er = quad(real_part, 0.0, u_max, epsabs=1e-13,
                   epsrel=config.quadrature_tol, limit=400)
-    vi, ei = quad(imag_part, 0.0, u_max, epsabs=1e-13,
-                  epsrel=config.quadrature_tol, limit=400)
+    vi, ei = 0.0, 0.0  # a real s has a real transform: sin(0 t) is 0
+    if s.imag != 0.0:
+        vi, ei = quad(imag_part, 0.0, u_max, epsabs=1e-13,
+                      epsrel=config.quadrature_tol, limit=400)
     tail = abs(g(upper)) * math.exp(-re * upper) / re
     err = er + ei + tail
     value = vr + 1j * vi

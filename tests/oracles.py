@@ -350,23 +350,31 @@ def subordinated_bm_half(t, x):
 
 
 def fourier_ml_bm_half(t, x):
-    """Fourier route to the same density via E_{1/2}(-u) = erfcx(u)."""
+    """Fourier route to the same density via E_{1/2}(-u) = erfcx(u).
+
+    q(t, x) = (1/pi) int_0^inf cos(k x) erfcx(a k^2) dk with a = sqrt(t)/2.
+    The transform decays only like c/k^2, c = 1/(a sqrt(pi)), too slowly
+    for QUADPACK's Fourier rule, so its tail c/(b^2 + k^2) +
+    c b^2/(b^2 + k^2)^2 is taken off and transformed in closed form: the
+    two integrate against cos(k x) to pi c e^(-b x) (3 + b x) / (4 b).
+    The remainder decays like k^-6, and b^2 = 2c makes it vanish at k = 0.
+    """
     a = np.sqrt(t) / 2.0
     x = abs(x)
-    f = lambda k: erfcx(a * k * k)  # noqa: E731
+    c = 1.0 / (a * np.sqrt(np.pi))
+    b2 = 2.0 * c
+    b = np.sqrt(b2)
+
+    def rest(k):
+        return erfcx(a * k * k) - c / (b2 + k * k) - c * b2 / (b2 + k * k) ** 2
+
     if x < 1e-12:
-        K = 25.0
-        head, _ = quad(f, 0.0, K, epsabs=1e-13, epsrel=1e-12, limit=300)
-        sp = np.sqrt(np.pi)
-        tail = (
-            (1.0 / (a * sp)) / K
-            - (1.0 / (2.0 * a**3 * sp)) / (5.0 * K**5)
-            + (3.0 / (4.0 * a**5 * sp)) / (9.0 * K**9)
-        )
-        return (head + tail) / np.pi
-    val, _ = quad(f, 0.0, np.inf, weight="cos", wvar=x,
-                  epsabs=1e-12, epsrel=1e-11, limit=400)
-    return val / np.pi
+        val, _ = quad(rest, 0.0, np.inf, epsabs=1e-13, epsrel=1e-12,
+                      limit=400)
+    else:
+        val, _ = quad(rest, 0.0, np.inf, weight="cos", wvar=x,
+                      epsabs=1e-13, epsrel=1e-12, limit=400)
+    return val / np.pi + c * np.exp(-b * x) * (3.0 + b * x) / (4.0 * b)
 
 
 def subordinated_ou(t, x, alpha, sigma, beta, clock_density):

@@ -54,7 +54,8 @@ from subdiff.timechange import (
     subordinated_density,
 )
 
-from oracles import fourier_ml_bm_half, inverse_half_density
+from oracles import (bm_pure_clock_density, fourier_ml_bm_half,
+                     inverse_half_density)
 
 ONE = constant_transform(1.0)
 
@@ -112,6 +113,14 @@ def test_criterion_03_brownian_fractional_triangulation():
     el = time.time() - t0
     assert report(3, "BM solver/subordination/Fourier", pair, 5e-3, el)
     assert el < 120.0
+
+
+def test_fourier_oracle_matches_closed_form():
+    # criterion 3's Fourier route, at its points, against the M-Wright form
+    x = np.linspace(-8.5, 8.5, 400)
+    want = bm_pure_clock_density(0.5, 1.0, x)
+    got = np.array([fourier_ml_bm_half(1.0, v) for v in x])
+    assert np.abs(got - want).max() <= 1e-10 * want.max()
 
 
 def test_criterion_04_ou_equivalence():

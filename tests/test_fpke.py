@@ -15,6 +15,8 @@ from subdiff.fpke import (
     ScaledLaplacian,
     _drift_flux_rows,
     _laplacian_rows,
+    _step_apply,
+    _step_factor,
     _step_solve,
     operator_from_model,
     residual_norm,
@@ -364,6 +366,35 @@ def test_step_solve_matches_dense_dirichlet_system():
     want = np.linalg.solve(A, np.concatenate(([0.0], rhs[1:-1], [0.0])))
     assert_allclose(_step_solve(3.0, rows, rhs.copy()), want, rtol=0,
                     atol=1e-14 * np.abs(want).max())
+
+
+def test_factor_serves_every_right_hand_side():
+    x = np.linspace(-2.0, 2.0, 11)
+    rows = _drift_flux_rows(0.7, 1.3, x)
+    factor = _step_factor(3.0, rows)
+    for rhs in (np.linspace(1.0, 2.0, 11), np.cos(x)):
+        assert np.array_equal(_step_apply(factor, rhs.copy()),
+                              _step_solve(3.0, rows, rhs.copy()))
+
+
+@pytest.mark.parametrize("spec", [SubordinatorSpec.pure(0.6), MIX],
+                         ids=["pure", "mixture"])
+def test_l1_solve_factors_its_step_matrix_once(spec, monkeypatch):
+    # on a uniform time grid every step's shift W[n, n-1] is the same
+    # lag weight, so one factorisation serves all n_t steps
+    from subdiff import fpke
+
+    calls = []
+
+    def counted(shift, rows):
+        calls.append(shift)
+        return _step_factor(shift, rows)
+
+    monkeypatch.setattr(fpke, "_step_factor", counted)
+    cfg = SolverConfig(t_max=1.0, n_t=200, x_min=-8.0, x_max=8.0, n_x=200)
+    gd = solve_distributed_order(ScaledLaplacian(0.5), spec, cfg)
+    assert len(calls) == 1
+    assert len(gd.t_grid) == 201
 
 
 def test_ou_flux_rows_match_per_node_loop():

@@ -139,7 +139,13 @@ class TestCaputo:
 
 # graded mesh t_j = (j/N)^2: the L1 weights must not assume uniform steps
 GRADED = (np.arange(241) / 240.0) ** 2
+# a uniform mesh reads its weights from one lag table
+UNIFORM = np.linspace(0.0, 1.3, 241)
 MIXTURE = ((0.3, 0.25), (0.55, 0.35), (0.85, 0.4))
+
+
+def mixture_loop(t, y, components):
+    return sum(w * caputo_l1_loop(t, y, b) for b, w in components)
 
 
 class TestL1Weights:
@@ -179,12 +185,14 @@ class TestL1Weights:
         assert np.all(W[np.arange(39)[None, :] < rows] > 0.0)
 
     def test_rows_do_not_depend_on_block_split(self):
-        n = len(GRADED)
-        whole = l1_weights(GRADED, MIXTURE, 0, n)
-        for cuts in ([0, 1, 2, 77, n], [0, 120, 121, 239, n]):
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                assert np.array_equal(l1_weights(GRADED, MIXTURE, lo, hi),
-                                      whole[lo:hi, : hi - 1])
+        # on the per-entry route (graded) and the lag-table route (uniform)
+        for t in (GRADED, UNIFORM):
+            n = len(t)
+            whole = l1_weights(t, MIXTURE, 0, n)
+            for cuts in ([0, 1, 2, 77, n], [0, 120, 121, 239, n]):
+                for lo, hi in zip(cuts[:-1], cuts[1:]):
+                    assert np.array_equal(l1_weights(t, MIXTURE, lo, hi),
+                                          whole[lo:hi, : hi - 1])
 
     @pytest.mark.parametrize("rows", [1, 7, 1000])
     def test_application_does_not_depend_on_block_rows(self, rows,
@@ -198,6 +206,48 @@ class TestL1Weights:
     def test_order_outside_open_interval_rejected(self):
         with pytest.raises(ValueError):
             l1_weights(GRADED, ((1.0, 1.0),), 0, 10)
+
+
+class TestLagTable:
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_matches_per_row_loop_on_uniform_grid(self, beta):
+        assert fraccalc._lag_table(UNIFORM, ((beta, 1.0),)) is not None
+        y = UNIFORM**1.5 + np.sin(UNIFORM)
+        got = caputo_l1(SampledFunction(UNIFORM, y), beta).values
+        assert_allclose(got, caputo_l1_loop(UNIFORM, y, beta), rtol=1e-12,
+                        atol=0.0)
+
+    def test_mixture_matches_per_row_loop_on_uniform_grid(self):
+        Y = np.column_stack([UNIFORM**1.5 + np.sin(UNIFORM), UNIFORM])
+        got = caputo_l1_columns(UNIFORM, Y, MIXTURE)
+        for j in range(Y.shape[1]):
+            assert_allclose(got[:, j], mixture_loop(UNIFORM, Y[:, j], MIXTURE),
+                            rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.5, 0.9, 1.7])
+    def test_rl_integral_matches_per_row_loop_on_uniform_grid(self, alpha):
+        y = UNIFORM**1.5 + np.sin(UNIFORM)
+        got = riemann_liouville_integral(SampledFunction(UNIFORM, y), alpha)
+        assert_allclose(got.values, rl_integral_loop(UNIFORM, y, alpha),
+                        rtol=1e-12, atol=0.0)
+
+    def test_moved_point_takes_the_per_entry_route(self):
+        t = UNIFORM.copy()
+        t[100] += 1e-9
+        assert fraccalc._lag_table(t, MIXTURE) is None
+        y = t**1.5 + np.sin(t)
+        for beta in (0.1, 0.5, 0.9):
+            got = caputo_l1(SampledFunction(t, y), beta).values
+            assert_allclose(got, caputo_l1_loop(t, y, beta), rtol=1e-13,
+                            atol=0.0)
+        got = caputo_l1_columns(t, y[:, None], MIXTURE)[:, 0]
+        assert_allclose(got, mixture_loop(t, y, MIXTURE), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("T", [0.7, 1.0, 3.0, 50.0])
+    @pytest.mark.parametrize("n", [2, 11, 401, 1601, 6401])
+    def test_linspace_grids_are_uniform(self, T, n):
+        assert fraccalc._lag_table(np.linspace(0.0, T, n), ((0.5, 1.0),)) \
+            is not None
 
 
 class TestRiemannLiouville:
@@ -302,6 +352,30 @@ class TestLaplaceForward:
     def test_abscissa_guard(self):
         with pytest.raises(ValueError):
             laplace_forward(lambda t: 1.0, -1.0)
+
+    @pytest.mark.parametrize("g, p", [
+        (lambda t: math.exp(-t), 0.0),
+        (lambda t: math.exp(-t * t), 0.0),
+        (lambda t: t**-0.5 if t > 0 else 0.0, -0.5),
+    ])
+    def test_real_s_skips_the_imaginary_quadrature(self, g, p):
+        # a real s would integrate sin(0 t) = 0, one 21-point Gauss-Kronrod
+        # panel.  An s a hair off the axis runs that quadrature (here one
+        # panel too) on the same real part, since cos(1e-300 t) is 1
+        calls = []
+
+        def counted(t):
+            calls.append(t)
+            return g(t)
+
+        real = laplace_forward(counted, 1.5, power_at_zero=p)
+        n_real = len(calls)
+        calls.clear()
+        off = laplace_forward(counted, 1.5 + 1e-300j, power_at_zero=p)
+        assert len(calls) - n_real == 21
+        assert real.value.imag == 0.0
+        assert real.value.real == off.value.real
+        assert real.error == off.error
 
 
 class TestLaplaceInverse:
