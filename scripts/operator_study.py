@@ -18,6 +18,11 @@ A second table times the field residual ``fbm_fpke_residual`` at H = 1/2
 on a 200 x 200 fractional Brownian solve (x in [-12, 12], t in [0, 1],
 band |x| <= 0.3 excluded) at beta 0.1, 0.5 and 0.9: the best wall of three
 calls, after one untimed call, beside the residual's largest |value|.
+
+A last row times G(0.4, 0.4) on a sampled input, (1 + t) e^-t on 121
+points of [0, 3], at 29 times in [0.1, 2.9]: the best wall of three
+``eval_G_grid`` calls on the ``SampledFunction``, after one untimed call,
+beside the largest reported spread / |value|.
 """
 import math
 import time
@@ -27,6 +32,7 @@ import numpy as np
 
 from subdiff import (
     FractionalBrownian,
+    SampledFunction,
     ScaledLaplacian,
     SolverConfig,
     SubordinatorSpec,
@@ -46,6 +52,10 @@ T = np.linspace(0.02, 2.0, 100)
 CASES = ((0.1, 0.2), (0.3, 0.35), (0.5, 0.5), (0.7, 0.65), (0.9, 0.8))
 FIELD_BETAS = (0.1, 0.5, 0.9)
 FIELD_CFG = SolverConfig(t_max=1.0, n_t=200, n_x=200, x_min=-12.0, x_max=12.0)
+SAMPLE_GRID = np.linspace(0.0, 3.0, 121)
+SAMPLED = SampledFunction(SAMPLE_GRID,
+                          (1.0 + SAMPLE_GRID) * np.exp(-SAMPLE_GRID))
+SAMPLED_T = np.linspace(0.1, 2.9, 29)
 
 
 def g_closed(beta, gamma):
@@ -99,3 +109,15 @@ for beta in FIELD_BETAS:
         rep = fbm_fpke_residual(0.5, clock, gd, x_exclude=0.3)
         walls.append(time.perf_counter() - t0)
     print(f"{beta:5.2f} | {min(walls):7.3f} {rep.overall_linf:10.2e}")
+
+print()
+print(f"{'beta':>5} {'gamma':>6} | {'sampled s':>9} {'spread':>8}")
+op = GOperator(0.4, 0.4)
+eval_G_grid(op, SAMPLED, SAMPLED_T)
+walls = []
+for _ in range(3):
+    t0 = time.perf_counter()
+    vals, errs = eval_G_grid(op, SAMPLED, SAMPLED_T)
+    walls.append(time.perf_counter() - t0)
+print(f"{op.beta:5.2f} {op.gamma:6.2f} | {min(walls):9.3f} "
+      f"{float(np.max(errs / np.abs(vals))):8.1e}")

@@ -7,7 +7,8 @@ fractional solvers) is built on the five operations in this module:
 * ``riemann_liouville_integral``-- fractional integral, the L1 rule at
                                    order -alpha, exact on linears
 * ``mittag_leffler``            -- E_alpha(z) to 1e-10 relative
-* ``laplace_forward``           -- numerical transform with error estimate
+* ``laplace_forward``           -- numerical transform of a callable,
+                                   with error estimate
 * ``laplace_inverse``           -- fixed-Talbot / de Hoog dual inversion
 
 The L1 rule is written once, in ``l1_weights``: the memory-weight matrix W
@@ -28,7 +29,9 @@ kernel is one cell rule for every order below 1), so it has no weights
 of its own.  The composite Gauss-Legendre rule is written once too, in
 ``_gauss_panels``: the subordination panels, the Kanter-Zolotarev
 integral and the classical solver's coefficient averages all take their
-nodes from it.
+nodes from it.  Likewise the transform of sampled data, the closed form
+for its linear interpolant, lives only in ``_transform_from_exponentials``,
+and the operators in ``lambdaop`` are its one caller.
 
 The inversion is deliberately redundant: two unrelated algorithms must
 agree or an ``InversionError`` is raised, so an ill-suited transform shows
@@ -411,37 +414,18 @@ def mittag_leffler(alpha: float, z: float) -> float:
 # forward Laplace transform
 # ---------------------------------------------------------------------------
 
-def _forward_sampled(g: SampledFunction, s: complex) -> TransformResult:
-    """Exact transform of the linear interpolant plus a tail estimate."""
-    t = g.grid
-    y = g.values
-    value = _interp_transform(t, y, np.array([s], dtype=complex))[0]
-    re = s.real
-    tail = abs(y[-1]) * math.exp(-re * t[-1]) / max(re, 1e-300)
-    # local interpolation error ~ h^2/12 |g''|, estimated from 2nd differences
-    d2 = np.abs(np.diff(y, 2))
-    mids = t[1:-1]
-    interp_err = np.sum(d2 / 12.0 * np.exp(-re * mids) * np.diff(t)[1:])
-    return TransformResult(value, tail + interp_err)
+def _transform_from_exponentials(t: np.ndarray, sc: np.ndarray,
+                                 T: np.ndarray) -> np.ndarray:
+    """T with (T @ y) = Laplace transform of the linear interpolant of
+    (t, y) on the nodes sc (a column), from the exponentials
+    exp(-sc t), which are overwritten.
 
-
-def _transform_matrix(t: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """T with (T @ y) = Laplace transform of the linear interpolant of (t, y).
-
-    Shaped (len(s), len(t)), so a field of columns sharing one time grid
-    transforms as one matmul.  exp(-s t_j) is computed once per node: with
+    Shaped (len(sc), len(t)), so a field of columns sharing one time grid
+    transforms as one matmul.  With e_j = exp(-s t_j) and
     d_j = (e_j - e_{j+1}) / (s^2 (t_{j+1} - t_j)) a sample's coefficient is
     e_0/s - d_0 at the left end, d_{j-1} - d_j inside (its two segments'
     e_j/s terms cancel) and d_{n-1} - e_n/s at the right end.
     """
-    sc = np.asarray(s, dtype=complex)[:, None]
-    return _transform_from_exponentials(t, sc, np.exp(-sc * t[None, :]))
-
-
-def _transform_from_exponentials(t: np.ndarray, sc: np.ndarray,
-                                 T: np.ndarray) -> np.ndarray:
-    """``_transform_matrix`` on the nodes sc (a column) from the given
-    exponentials exp(-sc t), which are overwritten."""
     d = T[:, :-1] - T[:, 1:]
     d *= 1.0 / (sc * sc)
     # numpy divides a complex by a real h as a complex by h + 0i, which
@@ -455,35 +439,24 @@ def _transform_from_exponentials(t: np.ndarray, sc: np.ndarray,
     return T
 
 
-def _interp_transform(t: np.ndarray, y: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Laplace transform of the piecewise-linear interpolant of (t, y) on
-    the points s (complex)."""
-    return _transform_matrix(t, s) @ y
-
-
 def laplace_forward(
-    g: SampledFunction | Callable[[float], float],
+    g: Callable[[float], float],
     s: complex,
     *,
     config: SolverConfig = DEFAULT_CONFIG,
     power_at_zero: float = 0.0,
     t_max: float | None = None,
 ) -> TransformResult:
-    """Numerical Laplace transform at a single point s.
+    """Numerical Laplace transform of a callable g at a single point s.
 
-    Sampled input: the linear interpolant is transformed in closed form.
-    Callable input: adaptive quadrature on [0, U] with U pushed out until
-    the integrand is negligible; ``power_at_zero`` declares a t^p
-    (p > -1) singular factor at the origin so it can be absorbed by a
-    power substitution.  Returns the value together with a truncation plus
-    quadrature error estimate.
+    Adaptive quadrature on [0, U] with U pushed out until the integrand is
+    negligible; ``power_at_zero`` declares a t^p (p > -1) singular factor
+    at the origin so it can be absorbed by a power substitution.  Returns
+    the value together with a truncation plus quadrature error estimate.
+    Sampled data are transformed only inside the operators, as the linear
+    interpolant's closed form (``lambdaop._image``).
     """
     s = complex(s)
-    if isinstance(g, SampledFunction):
-        if s.real <= 0.0:
-            raise ValueError("sampled transform needs Re s > 0")
-        return _forward_sampled(g, s)
-
     re = s.real
     if re <= 0.0:
         raise ValueError("Re s must exceed the abscissa of convergence")

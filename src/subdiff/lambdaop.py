@@ -25,25 +25,27 @@ with the time: the outer nodes of an inversion rule are reference nodes s times
 a scale r (1/t for Stehfest's k ln2 / t, 2^b for de Hoog's dyadic block
 b), and the inner line is the reference line zeta times the same r.
 ``_image`` takes the reference nodes and the list of scales and returns
-one image per scale, for one transform or a batch of columns.  For a pure
-stable clock with a power variance profile (every G, and Lambda for
+one image per scale: of one transform, given as a callable g~(z), or of
+any number of sampled columns, given as a (grid, columns) pair.  For a
+pure stable clock with a power variance profile (every G, and Lambda for
 Brownian motion or fBm) the kernel is homogeneous,
 K(r s, r z) = r^(-beta p) K(s, z), so it is built once per call on
 (s, zeta) and each scale costs one evaluation of g~ on the scaled line,
 one contraction and a scalar factor; rational profiles and mixture clocks
-rebuild it per scale on the same scaled line.  Sampled columns on one real
-time grid (the field residual's Laplacians) are handed over as the grid
-and the columns: their transform matrix T satisfies T(conj z) = conj T(z),
-so it is formed on the line's upper half only, the kernel times dz is
-contracted into it first, and the small (outer nodes x times) result maps
-every column at once.
+rebuild it per scale on the same scaled line.  The pair is the one route
+for sampled data: a ``SampledFunction``'s values are one column, the
+field residual's Laplacians many.  The columns' transform matrix T
+satisfies T(conj z) = conj T(z), so it is formed on the line's upper half
+only, the kernel times dz is contracted into it first, and the small
+(outer nodes x times) result maps every column at once.
 
 The outer inversion of an analytic input is the linear Gaver-Stehfest
 rule at degree 12, cross-checked by degree 16 and by a de Hoog inversion;
 degree 12's nodes are the first 12 of degree 16's, on the same line, so
 both read one image.  A sampled input gets two de Hoog inversions at
 unrelated abscissas and degrees.  The largest spread is the error
-estimate.  Every de Hoog inversion, the field residual's included, goes
+estimate; a value or spread that is not finite raises ``NumericsError``.
+Every de Hoog inversion, the field residual's included, goes
 through ``_dehoog_values``: one ``_image`` call for all dyadic blocks of
 times, then one ``fraccalc._dehoog_batch`` call per block, whose
 continued fraction sums all of the block's times at once.  The top
@@ -66,7 +68,6 @@ from .fraccalc import (
     SampledFunction,
     _dehoog_batch,
     _dehoog_contour,
-    _interp_transform,
     _transform_from_exponentials,
     caputo_l1_columns,
 )
@@ -205,24 +206,6 @@ class OperatorValue(NamedTuple):
 
 
 # ---------------------------------------------------------------------------
-# transforms of inputs
-# ---------------------------------------------------------------------------
-
-def _as_gtilde(g):
-    """(callable z -> g~(z), rightmost singularity)."""
-    if isinstance(g, AnalyticTransform):
-        return g.fn, g.max_singularity_real
-    if isinstance(g, SampledFunction):
-        tg, vals = g.grid, g.values
-
-        def fn(z):
-            return _interp_transform(tg, vals, np.asarray(z, dtype=complex))
-
-        return fn, 0.0
-    raise TypeError("g must be an AnalyticTransform or SampledFunction")
-
-
-# ---------------------------------------------------------------------------
 # inner contour machinery
 # ---------------------------------------------------------------------------
 
@@ -322,19 +305,21 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float) -> list:
 
     The inner line for scale r is r zeta, where zeta is the sinh-stretched
     line at C = offset_ratio * min Re s; each scale's line must clear g~'s
-    rightmost singularity by the contour's margin.  ``gt`` maps line nodes
-    z to g~(z), shaped (n_z,) for one transform or (n_z, n_cols) for a
-    batch; each image is (len(s),) or (n_cols, len(s)).  ``gt`` may also be
-    a pair (t_grid, Y) of real columns sampled on one grid, whose
-    transforms are T(z) @ Y (``_transform_matrix``): T is then formed on
-    the line's v >= 0 half only, the kernel times dz is contracted into it
-    first (``_mirror_weights``), and the (len(s), len(t_grid)) result is
-    applied to Y once; a scale 2^n times the one before it squares that
-    scale's exponentials exp(-z t) n times instead of exponentiating
-    afresh (``_dehoog_values`` passes its dyadic scales in ascending
-    order).  A homogeneous kernel is built once, on (s, zeta),
-    and every scale's contraction is multiplied by r^(1+d) (dz = r dzeta);
-    any other kernel is built per scale on (r s, r zeta).
+    rightmost singularity by the contour's margin.  ``gt`` is one transform
+    or any number of sampled ones.  A callable maps line nodes z to one
+    transform g~(z), shaped (n_z,), and each image is (len(s),).  A pair
+    (t_grid, Y) holds n_cols real columns sampled on one grid, whose
+    transforms are T(z) @ Y with T the transform of the linear interpolant
+    (``_transform_from_exponentials``), and each image is
+    (n_cols, len(s)): T is formed on the line's v >= 0 half only, the
+    kernel times dz is contracted into it first (``_mirror_weights``), and
+    the (len(s), len(t_grid)) result is applied to Y once; a scale 2^n
+    times the one before it squares that scale's exponentials exp(-z t)
+    n times instead of exponentiating afresh (``_dehoog_values`` passes
+    its dyadic scales in ascending order).  A homogeneous kernel is built
+    once, on (s, zeta), and every scale's contraction is multiplied by
+    r^(1+d) (dz = r dzeta); any other kernel is built per scale on
+    (r s, r zeta).
     """
     cc = op.contour
     re_min = float(s.real.min())
@@ -376,20 +361,14 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float) -> list:
             AY = (W @ np.concatenate([T.real, T.imag])) @ Y
             phi = f * (AY[: len(s)] + 1j * AY[len(s) :])
         else:
-            gz = gt(z)
-            gz = gz * (dzeta if gz.ndim == 1 else dzeta[:, None])
+            gz = gt(z) * dzeta
             if degree is not None:
                 phi = r ** (1.0 + degree) * (kern @ gz)
-            elif gz.ndim == 1:
-                # one transform keeps numpy's pairwise sum over the rebuilt
-                # kernel, block by block: a BLAS mat-vec's roundoff,
-                # amplified by the Salzer weights, moves OU's values by
-                # 1e-8 relative
-                phi = r * _kernel_on_line(op, r * s, z, gz)
             else:
-                # a batch: the full-line route that a pair (t_grid, Y)
-                # replaces, kept as the reference it is checked against
-                phi = r * (_kernel_on_line(op, r * s, z) @ gz)
+                # numpy's pairwise sum over the rebuilt kernel, block by
+                # block: a BLAS mat-vec's roundoff, amplified by the Salzer
+                # weights, moves OU's values by 1e-8 relative
+                phi = r * _kernel_on_line(op, r * s, z, gz)
         # the order factor m(z) lives in the kernel, so every operator
         # shares the 1/2 out front
         fold = np.exp(op.fold_power * np.log(r * s))
@@ -449,7 +428,7 @@ def _stehfest_values(op, gt, g_sing, t_grid):
 
 
 def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
-                   n_cols: int = 1, g_tail: float = 1.0) -> np.ndarray:
+                   g_tail: float = 1.0) -> np.ndarray:
     """Accelerated-Fourier outer inversion on shared dyadic contours.
 
     Times are grouped into dyadic blocks (T/2, T] below the largest; each
@@ -457,9 +436,10 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     difference table is built once.  Block b's contour nodes are exactly
     2^b times the top block's, so all images come from one ``_image`` call
     with scales 2^b, and the inner line of block b is the top block's line
-    scaled by 2^b.  Returns (len(t_grid), n_cols).  The image's kernel
-    singularity sits at height Im s, where the sinh-stretched line is
-    coarse, so the spacing shrinks with the line-to-singularity margin.
+    scaled by 2^b.  Returns (len(t_grid), n_cols): one column for a
+    callable ``gt``, Y's columns for a pair (t_grid, Y).  The image's
+    kernel singularity sits at height Im s, where the sinh-stretched line
+    is coarse, so the spacing shrinks with the line-to-singularity margin.
     """
     cc = op.contour
     t_grid = np.asarray(t_grid, dtype=float)
@@ -473,6 +453,7 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
     images = _image(op, gt, g_sing, _dehoog_contour(t_top, M, tol)[2],
                     [2.0**b for b in blocks], spacing, _vmax_for(op, g_tail))
+    n_cols = gt[1].shape[1] if isinstance(gt, tuple) else 1
     out = np.empty((len(t_grid), n_cols))
     for (b, idxs), F in zip(blocks.items(), images):
         out[idxs] = _dehoog_batch(lambda p, F=F: F, t_grid[idxs], M, n_cols,
@@ -480,40 +461,53 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _eval_grid(op, g, t_grid):
     """G or Lambda operator values on a positive time grid, with errors.
 
     Analytic inputs: the primary values come from the linear Stehfest rule
     at degree 12; degree 16 and an accelerated-Fourier inversion on complex
-    contours arbitrate.  Sampled inputs: two Fourier inversions at
-    unrelated abscissas and degrees.  The reported error is the largest
-    spread among the inversions.
+    contours arbitrate.  Sampled inputs: the samples are one column of a
+    (grid, columns) pair, inverted on two Fourier contours at unrelated
+    abscissas and degrees.  The reported error is the largest spread among
+    the inversions.  A value or spread that is not finite raises
+    ``NumericsError`` naming its time; an overflow inside an inversion
+    shows only that way, not as a warning.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if np.any(t_grid <= 0.0):
         raise ValueError("operator evaluation needs t > 0")
-    gt, g_sing = _as_gtilde(g)
     cc = op.contour
     if isinstance(g, SampledFunction):
         # window-truncated transforms carry an edge the global Gaver
         # functionals smear across scales; two Fourier contours at
         # unrelated abscissas localize instead
-        v1 = _dehoog_values(op, gt, g_sing, t_grid, cc.degree, 1e-10)[:, 0]
-        v2 = _dehoog_values(op, gt, g_sing, t_grid, cc.degree_check,
+        pair = (g.grid, g.values[:, None])
+        vals = _dehoog_values(op, pair, 0.0, t_grid, cc.degree, 1e-10)[:, 0]
+        v2 = _dehoog_values(op, pair, 0.0, t_grid, cc.degree_check,
                             1e-12)[:, 0]
-        return v1, np.abs(v1 - v2)
-    # degree 12 keeps the Salzer cancellation factor ~1e6, so the output
-    # stays linear in g down to ~1e-9; degree 16 and the Fourier contour
-    # serve as the cross-checks
-    v12, v16 = _stehfest_values(op, gt, g_sing, t_grid)
-    vdh = _dehoog_values(op, gt, g_sing, t_grid, cc.degree, 1e-10)[:, 0]
-    err = np.maximum(np.abs(v16 - v12), np.abs(v12 - vdh))
-    return v12, err
+        err = np.abs(vals - v2)
+    elif isinstance(g, AnalyticTransform):
+        gt, g_sing = g.fn, g.max_singularity_real
+        # degree 12 keeps the Salzer cancellation factor ~1e6, so the output
+        # stays linear in g down to ~1e-9; degree 16 and the Fourier contour
+        # serve as the cross-checks
+        vals, v16 = _stehfest_values(op, gt, g_sing, t_grid)
+        vdh = _dehoog_values(op, gt, g_sing, t_grid, cc.degree, 1e-10)[:, 0]
+        err = np.maximum(np.abs(v16 - vals), np.abs(vals - vdh))
+    else:
+        raise TypeError("g must be an AnalyticTransform or SampledFunction")
+    bad = ~(np.isfinite(vals) & np.isfinite(err))
+    if bad.any():
+        raise NumericsError(
+            f"operator value or spread not finite at t = {t_grid[bad][0]:.6g}")
+    return vals, err
 
 
 def eval_G(op, g, t: float) -> OperatorValue:
     """G or Lambda operator value at one time, with a stacked error
-    estimate; raises ``NumericsError`` when the inversions disagree."""
+    estimate; raises ``NumericsError`` when the inversions disagree or a
+    value is not finite."""
     vals, errs = _eval_grid(op, g, [t])
     value, error = float(vals[0]), float(errs[0])
     if error > op.contour.fail_tol * max(abs(value), 1e-8):
@@ -622,7 +616,7 @@ def fbm_fpke_residual(
     i_start, i_stop = _time_window(tg)
     t_eval = tg[i_start:i_stop]
     gvals = _dehoog_values(op, (tg, lap), 0.0, t_eval, op.contour.degree,
-                           1e-10, n_cols=len(cols), g_tail=2.0)
+                           1e-10, g_tail=2.0)
 
     resid = dbeta[i_start:i_stop] - H * gvals
     # each row's trapezoid weight: half the span of its two neighbours

@@ -14,9 +14,11 @@ The ``*_csv_cells`` writers are the artifact writers as they were when
 every cell was formatted on its own: the byte contract of ``subdiff.io``.
 ``interp_transform_segments`` is the transform of a piecewise-linear
 interpolant summed segment by segment, as it was before the transform
-became one matrix.  ``field_residual_full_line`` is the field residual as
+became one matrix, and ``transform_matrix`` is that matrix formed on
+every point.  ``dehoog_full_line`` is the operator on sampled columns as
 it was when the transform matrix was formed on every node of a
-``linspace`` line and applied to the columns before the kernel.  The
+``linspace`` line and applied to the columns before the kernel, and
+``field_residual_full_line`` is the field residual on that route.  The
 ``volterra_*_nested`` functions are the variable-Hurst covariance as it
 was when the kernel core was an inner quadrature, and
 ``KERNEL_CORE_MPMATH`` holds that core to 40 digits.
@@ -128,22 +130,71 @@ def dehoog_table_loop(F, t, M, n_batch, *, tmax=None, tol=1e-12):
     return out
 
 
-def field_residual_full_line(H, spec, density, *, x_exclude=0.0):
-    """``lambdaop.fbm_fpke_residual`` by its earlier full-line route.
+def transform_matrix(t, s):
+    """T with T @ y the Laplace transform of the linear interpolant of
+    (t, y) on the points s, formed on every point."""
+    from subdiff.fraccalc import _transform_from_exponentials
+
+    sc = np.asarray(s, dtype=complex)[:, None]
+    return _transform_from_exponentials(t, sc, np.exp(-sc * t[None, :]))
+
+
+def dehoog_full_line(op, tg, cols, t_eval, M, tol, *, g_tail=1.0):
+    """``lambdaop._dehoog_values`` on sampled columns by the full-line route.
 
     The inner line is a ``linspace`` over [-vmax, vmax]; per dyadic block
-    the transform matrix is formed on every node and applied to the
-    Laplacian columns, then the kernel contracts the result, in that
-    order.  The window, the columns and the library's kernel and de Hoog
-    inverter are the residual's own.  Returns a dict with the window's
-    times ``t``, row weights ``w`` = (t_{i+1} - t_{i-1}) / 2, the
-    Laplacian columns ``lap`` (every row), the memory derivative
-    ``dbeta`` and operator values ``g`` on the window, and ``resid``.
+    of times the transform matrix is formed on every node of the block's
+    scaled line and applied to the columns, then the kernel contracts the
+    result, in that order.  A kernel with a degree is built once and
+    scaled; any other is built per scale.  The library's kernel and de
+    Hoog inverter are used as they are.  Returns (len(t_eval), n_cols).
     """
-    from subdiff.fraccalc import (_dehoog_batch, _dehoog_contour,
-                                  _transform_matrix, caputo_l1_columns)
-    from subdiff.lambdaop import (GOperator, _kernel_degree, _kernel_on_line,
-                                  _time_window, _vmax_for)
+    from subdiff.fraccalc import _dehoog_batch, _dehoog_contour
+    from subdiff.lambdaop import _kernel_degree, _kernel_on_line, _vmax_for
+
+    cc = op.contour
+    t_top = float(t_eval.max())
+    blocks = {}
+    for idx, t in enumerate(t_eval):
+        blocks.setdefault(max(int(math.floor(math.log2(t_top / t))), 0),
+                          []).append(idx)
+    s = _dehoog_contour(t_top, M, tol)[2]
+    C = cc.offset_ratio * float(s.real.min())
+    vmax = _vmax_for(op, g_tail)
+    spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
+    n_half = max(int(vmax / spacing), 400)
+    v = np.linspace(-vmax, vmax, 2 * n_half + 1)
+    zeta = C + 1j * np.sinh(v)
+    dzeta = 1j * np.cosh(v) * (v[1] - v[0])
+    degree = _kernel_degree(op)
+    kern = None if degree is None else _kernel_on_line(op, s, zeta)
+    out = np.empty((len(t_eval), cols.shape[1]))
+    for b, idxs in blocks.items():
+        r = 2.0**b
+        gz = (transform_matrix(tg, r * zeta) @ cols) * dzeta[:, None]
+        if degree is None:
+            phi = r * (_kernel_on_line(op, r * s, r * zeta) @ gz)
+        else:
+            phi = r ** (1.0 + degree) * (kern @ gz)
+        fold = np.exp(op.fold_power * np.log(r * s))
+        F = 0.5 / (2j * np.pi) * fold * phi.T
+        out[idxs] = _dehoog_batch(lambda p, F=F: F, t_eval[idxs], M,
+                                  cols.shape[1], tmax=t_top / r, tol=tol).T
+    return out
+
+
+def field_residual_full_line(H, spec, density, *, x_exclude=0.0):
+    """``lambdaop.fbm_fpke_residual`` by the full-line route
+    (``dehoog_full_line``).
+
+    The window, the columns and the library's kernel and de Hoog inverter
+    are the residual's own.  Returns a dict with the window's times ``t``,
+    row weights ``w`` = (t_{i+1} - t_{i-1}) / 2, the Laplacian columns
+    ``lap`` (every row), the memory derivative ``dbeta`` and operator
+    values ``g`` on the window, and ``resid``.
+    """
+    from subdiff.fraccalc import caputo_l1_columns
+    from subdiff.lambdaop import GOperator, _time_window
 
     beta = spec.components[0][0]
     tg, x, q = density.t_grid, density.x_grid, density.values
@@ -157,34 +208,9 @@ def field_residual_full_line(H, spec, density, *, x_exclude=0.0):
     dbeta = caputo_l1_columns(tg, q[:, cols], ((beta, 1.0),))
     i0, i1 = _time_window(tg)
     t_eval = tg[i0:i1]
-
     op = GOperator(beta, 2.0 * H - 1.0)
-    cc = op.contour
-    M, tol = cc.degree, 1e-10
-    t_top = float(t_eval.max())
-    blocks = {}
-    for idx, t in enumerate(t_eval):
-        blocks.setdefault(max(int(math.floor(math.log2(t_top / t))), 0),
-                          []).append(idx)
-    s = _dehoog_contour(t_top, M, tol)[2]
-    C = cc.offset_ratio * float(s.real.min())
-    vmax = _vmax_for(op, 2.0)
-    spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
-    n_half = max(int(vmax / spacing), 400)
-    v = np.linspace(-vmax, vmax, 2 * n_half + 1)
-    zeta = C + 1j * np.sinh(v)
-    dzeta = 1j * np.cosh(v) * (v[1] - v[0])
-    kern = _kernel_on_line(op, s, zeta)
-    degree = _kernel_degree(op)
-    g = np.empty((len(t_eval), len(cols)))
-    for b, idxs in blocks.items():
-        r = 2.0**b
-        gz = (_transform_matrix(tg, r * zeta) @ lap) * dzeta[:, None]
-        phi = r ** (1.0 + degree) * (kern @ gz)
-        fold = np.exp(op.fold_power * np.log(r * s))
-        F = 0.5 / (2j * np.pi) * fold * phi.T
-        g[idxs] = _dehoog_batch(lambda p, F=F: F, t_eval[idxs], M, len(cols),
-                                tmax=t_top / r, tol=tol).T
+    g = dehoog_full_line(op, tg, lap, t_eval, op.contour.degree, 1e-10,
+                         g_tail=2.0)
     tp = np.concatenate([tg[:1], tg, tg[-1:]])
     return {"t": t_eval, "w": 0.5 * (tp[2:] - tp[:-2])[i0:i1], "lap": lap,
             "dbeta": dbeta[i0:i1], "g": g, "resid": dbeta[i0:i1] - H * g}

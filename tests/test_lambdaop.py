@@ -10,7 +10,6 @@ from subdiff.errors import NumericsError
 from subdiff.fraccalc import (
     SampledFunction,
     _dehoog_contour,
-    _transform_matrix,
     caputo_l1,
     riemann_liouville_integral,
 )
@@ -45,6 +44,7 @@ from oracles import (
     G_ON_EXP_FROZEN,
     G_ON_ONE_FROZEN,
     LAMBDA_ON_ONE_FROZEN,
+    dehoog_full_line,
     field_residual_full_line,
     kernel_unwrapped,
     power_eigenvalue,
@@ -132,10 +132,26 @@ class TestGOperator:
                                   window * np.geomspace(1e-6, 1.0, n)])
             inner = np.zeros(n + 1)
             inner[1:], _ = eval_G_grid(GOperator(beta, g2), ONE, tau[1:])
-            outer = eval_G(GOperator(beta, g1),
-                           SampledFunction(tau, inner), t)
+            op = GOperator(beta, g1)
+            outer = eval_G(op, SampledFunction(tau, inner), t)
             want = g_of_one(beta, g1 + g2, t)
             assert_allclose(outer.value, want, rtol=5e-3)
+            # the full-line route on the same samples: the gap measured at
+            # most 9.5e-9 relative, three decades inside the spread
+            full = dehoog_full_line(op, tau, inner[:, None], np.array([t]),
+                                    op.contour.degree, 1e-10)[0, 0]
+            assert_allclose(outer.value, full, rtol=2e-8)
+
+    def test_non_finite_value_raises(self):
+        # a unit hat at t 0.885 on 801 samples: in the dyadic block of
+        # t 0.002 below a 0.95 horizon the de Hoog recurrence overflows,
+        # and a nan value and spread would pass a tolerance gate
+        tg = np.linspace(0.0, 1.0, 801)
+        y = np.zeros(801)
+        y[707] = 1.0
+        with pytest.raises(NumericsError, match="not finite at t = 0.002"):
+            eval_G_grid(GOperator(0.5, 0.4), SampledFunction(tg, y),
+                        [0.002, 0.004, 0.5, 0.95])
 
     def test_singularity_guard(self):
         # transform singularity on the wrong side of the line is refused
@@ -628,8 +644,7 @@ class TestFieldResidualRoute:
             op = GOperator(beta, 2.0 * H - 1.0)
             got = lambdaop._dehoog_values(
                 op, (dens.t_grid, want["lap"]), 0.0, want["t"],
-                op.contour.degree, 1e-10, n_cols=want["lap"].shape[1],
-                g_tail=2.0)
+                op.contour.degree, 1e-10, g_tail=2.0)
             assert np.max(np.abs(got - want["g"])) <= 1e-6 * scale
             rep = fbm_fpke_residual(H, spec, dens, x_exclude=0.3)
             resid = want["resid"]
@@ -648,15 +663,14 @@ class TestFieldResidualRoute:
     ], ids=["ou", "mixture"])
     def test_rebuilt_kernel_columns_match_callable_route(self, op):
         # kernels without a degree are folded per scale; times over three
-        # dyadic blocks, so two scales square the exponentials
+        # dyadic blocks, so two scales square the exponentials.  The
+        # reference is the full-line route that once took the columns as a
+        # callable (oracles.dehoog_full_line)
         tg = np.linspace(0.0, 2.0, 161)
         cols = np.column_stack([np.exp(-tg), np.sin(3.0 * tg) * np.exp(-tg)])
         t = np.linspace(0.3, 1.6, 12)
-        got = lambdaop._dehoog_values(op, (tg, cols), 0.0, t, 18, 1e-10,
-                                      n_cols=2)
-        want = lambdaop._dehoog_values(
-            op, lambda z: _transform_matrix(tg, z) @ cols, 0.0, t, 18, 1e-10,
-            n_cols=2)
+        got = lambdaop._dehoog_values(op, (tg, cols), 0.0, t, 18, 1e-10)
+        want = dehoog_full_line(op, tg, cols, t, 18, 1e-10)
         # the lower blocks, whose exponentials are squared, agree to 1e-11;
         # the top block carries the quotient-difference table's
         # amplification of summation-order roundoff (about 3e-6 here)
@@ -694,3 +708,49 @@ class TestFieldResidualRoute:
         # point meant for 0.25 T may sit an ulp below it
         tg = np.linspace(0.0, t_max, n + 1)
         assert lambdaop._time_window(tg) == (n // 4, 3 * n // 4 + 1)
+
+
+class TestSampledRoute:
+    """A ``SampledFunction`` reaches the operators as a one-column
+    (grid, columns) pair, held to the full-line route that forms the
+    transform matrix on every line node (``oracles.dehoog_full_line``)."""
+
+    TG = np.linspace(0.0, 3.0, 121)
+    COLS = np.column_stack([np.exp(-TG), (1.0 + TG) * np.exp(-TG),
+                            np.sin(TG) * np.exp(-TG)])
+    T = np.linspace(0.1, 2.9, 29)
+
+    def test_samples_are_a_one_column_pair(self):
+        op = GOperator(0.4, 0.4)
+        cc = op.contour
+        y = self.COLS[:, 1]
+        vals, errs = eval_G_grid(op, SampledFunction(self.TG, y), self.T)
+        pair = (self.TG, y[:, None])
+        v1 = lambdaop._dehoog_values(op, pair, 0.0, self.T, cc.degree,
+                                     1e-10)[:, 0]
+        v2 = lambdaop._dehoog_values(op, pair, 0.0, self.T, cc.degree_check,
+                                     1e-12)[:, 0]
+        assert np.array_equal(vals, v1)
+        assert np.array_equal(errs, np.abs(v1 - v2))
+
+    @pytest.mark.parametrize("op", [
+        GOperator(0.4, 0.4),
+        LambdaOperator(SubordinatorSpec.pure(0.7),
+                       OrnsteinUhlenbeck(1.0, 1.0)),
+        LambdaOperator(SubordinatorSpec(((0.4, 0.5), (0.8, 0.5))),
+                       FractionalBrownian(0.7)),
+    ], ids=["G", "ou", "mixture"])
+    def test_columns_match_full_line_route(self, op):
+        # the routes differ in rounding only (half line against full line,
+        # kernel first against transform first), which the top block's
+        # quotient-difference table amplifies: the gap reached 1.74 times
+        # the larger of the two routes' spreads (the mixture at t 2.0)
+        cc = op.contour
+        want = dehoog_full_line(op, self.TG, self.COLS, self.T, cc.degree,
+                                1e-10)
+        check = dehoog_full_line(op, self.TG, self.COLS, self.T,
+                                 cc.degree_check, 1e-12)
+        for j, y in enumerate(self.COLS.T):
+            got, spread = eval_G_grid(op, SampledFunction(self.TG, y), self.T)
+            spread = np.maximum(spread, np.abs(want[:, j] - check[:, j]))
+            assert np.all(np.abs(got - want[:, j]) <= 2.5 * spread)
