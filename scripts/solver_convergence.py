@@ -9,6 +9,10 @@ The caputo_l1 table takes t^1.5 at beta 1/2 on uniform grids (the lag-table
 route) and on a graded (j/N)^2 grid (one power per weight), with the best
 of three wall times beside the sup relative error against the closed form
 Gamma(2.5)/Gamma(2.5 - beta) t^(1.5 - beta) on t >= 0.25.
+The last row writes the CSV artifact of a 401 x 400 L1 solve: the best of
+three wall times of grid_density_csv beside whether its bytes equal those
+of formatting every cell on its own (the script fails if they differ), and
+how many cells took the scalar %.17g fallback.
 """
 import math
 import time
@@ -18,6 +22,7 @@ import numpy as np
 from subdiff import (ScaledLaplacian, SolverConfig, solve_classical,
                      solve_fractional)
 from subdiff.fraccalc import SampledFunction, caputo_l1
+from subdiff.io import format_float, grid_density_csv, scalar_fallbacks
 from subdiff.subordinators import unit_clock_density
 
 H = 0.7
@@ -72,3 +77,23 @@ for kind, n in (("uniform", 401), ("uniform", 1601), ("uniform", 6401),
     want = math.gamma(2.5) / math.gamma(2.5 - BETA) * t[keep] ** (1.5 - BETA)
     err = float(np.max(np.abs(d[keep] / want - 1.0)))
     print(f"{kind:>8} {n:7d} {err:14.3e} {1e3 * min(walls):8.2f}")
+
+print(f"\nsolution.csv of the L1 solve, beta {BETA}, n_t 400, n_x 400")
+print(f"{'cells':>7} {'bytes':>9} {'per-cell bytes':>15} {'fallbacks':>10} "
+      f"{'wall ms':>8}")
+cfg = SolverConfig(t_max=1.0, n_t=400, x_min=-8.5, x_max=8.5, n_x=400)
+gd = solve_fractional(ScaledLaplacian(0.5), BETA, cfg)
+walls = []
+for _ in range(3):
+    t0 = time.perf_counter()
+    text = grid_density_csv(gd)
+    walls.append(time.perf_counter() - t0)
+per_cell = "t,x,q\n" + "".join(
+    f"{format_float(t)},{format_float(x)},{format_float(q)}\n"
+    for t, row in zip(gd.t_grid.tolist(), gd.values.tolist())
+    for x, q in zip(gd.x_grid.tolist(), row))
+same = "equal" if text == per_cell else "DIFFER"
+print(f"{gd.values.size:7d} {len(text):9d} {same:>15} "
+      f"{scalar_fallbacks(gd.values):10d} {1e3 * min(walls):8.2f}")
+if text != per_cell:
+    raise SystemExit("grid_density_csv differs from the per-cell writer")

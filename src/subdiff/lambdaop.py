@@ -176,9 +176,6 @@ class AnalyticTransform:
     fn: Callable[[np.ndarray], np.ndarray]
     max_singularity_real: float = 0.0
 
-    def __call__(self, z):
-        return self.fn(z)
-
 
 def constant_transform(c: float = 1.0) -> AnalyticTransform:
     return AnalyticTransform(lambda z: c / z)
