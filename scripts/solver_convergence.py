@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
 """Refinement studies of the classical and the L1 solvers.
 
-The classical table solves the power-variance model against its Gaussian
-endpoint.  The L1 table solves the fractional Brownian equation at beta 1/2
+The classical table solves the fBm (H 0.7) equation against its Gaussian
+endpoint.  Beside the sup error and the order it gives the best of three
+wall times of the steps in the sine basis (the solver's route) and of the
+tridiagonal loop on the same time grid, mollifier and step integrals, and
+the sup gap between the two relative to the maximum (the script fails if
+it exceeds 1e-12).
+The L1 table solves the fractional Brownian equation at beta 1/2
 against the closed-form density of B(E_1), the M-Wright function of order
 beta/2, away from its kink at x = 0, with the best of three wall times.
 The caputo_l1 table takes t^1.5 at beta 1/2 on uniform grids (the lag-table
@@ -19,18 +24,36 @@ import time
 
 import numpy as np
 
-from subdiff import (ScaledLaplacian, SolverConfig, solve_classical,
-                     solve_fractional)
+from subdiff import (FractionalBrownian, ScaledLaplacian, SolverConfig,
+                     solve_classical, solve_fractional)
+from subdiff.fpke import _cn_loop, _cn_sine, _laplacian_rows
 from subdiff.fraccalc import SampledFunction, caputo_l1
 from subdiff.io import format_float, grid_density_csv, scalar_fallbacks
 from subdiff.subordinators import unit_clock_density
 
-H = 0.7
-op = ScaledLaplacian(lambda t: H * t ** (2.0 * H - 1.0))
+
+def best_of_3(step, gd, *args):
+    """Best wall time of three runs of ``step`` from the solve's first row,
+    and the rows it leaves."""
+    out = np.empty_like(gd.values)
+    walls = []
+    for _ in range(3):
+        out[0] = gd.values[0]
+        t0 = time.perf_counter()
+        step(out, *args)
+        walls.append(time.perf_counter() - t0)
+    return min(walls), out
+
+
+model = FractionalBrownian(0.7)
+op = ScaledLaplacian(model)
 width = 4.0 * (16.0 / 99.0)  # fixed across the ladder
 
-print(f"{'n':>5} {'h':>10} {'sup error':>12} {'order':>7}")
+print(f"classical solve, fBm H {model.hurst}, t = 1, sine basis vs loop")
+print(f"{'n':>5} {'h':>10} {'sup error':>12} {'order':>7} {'sine ms':>8} "
+      f"{'loop ms':>8} {'route gap':>10}")
 prev = None
+worst_gap = 0.0
 for n in (100, 200, 400, 800):
     cfg = SolverConfig(t_max=1.0, n_t=n, x_min=-8.0, x_max=8.0, n_x=n,
                        init_width=width)
@@ -38,8 +61,18 @@ for n in (100, 200, 400, 800):
     ref = np.exp(-gd.x_grid**2 / 2.0) / math.sqrt(2.0 * math.pi)
     err = float(np.abs(gd.values[-1] - ref).max())
     order = f"{math.log2(prev / err):7.3f}" if prev else "      -"
-    print(f"{n:5d} {16.0 / (n - 1):10.5f} {err:12.3e} {order}")
+    c = 0.5 * np.diff(model.var(gd.t_grid))
+    sine_s, sine = best_of_3(_cn_sine, gd, gd.x_grid, c)
+    loop_s, loop = best_of_3(_cn_loop, gd, [_laplacian_rows(gd.x_grid)],
+                             c[:, None])
+    gap = float(np.abs(sine - loop).max() / np.abs(loop).max())
+    worst_gap = max(worst_gap, gap)
+    print(f"{n:5d} {16.0 / (n - 1):10.5f} {err:12.3e} {order} "
+          f"{1e3 * sine_s:8.2f} {1e3 * loop_s:8.2f} {gap:10.2e}")
     prev = err
+if worst_gap > 1e-12:
+    raise SystemExit("the sine route and the loop differ by "
+                     f"{worst_gap:.2e} of the maximum")
 
 BETA = 0.5
 print(f"\nL1 solve, beta {BETA}, t = 1, n_x 800 on [-12, 12], |x| > 0.5")

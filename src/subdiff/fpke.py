@@ -7,41 +7,49 @@ conservative flux-form drift):
 * ``solve_fractional``         implicit L1 stepping for D*^beta q = A q
 * ``solve_distributed_order``  L1 with mixture-weighted memory kernels
 
-Every time step of both kinds is one LAPACK tridiagonal solve of
-(shift I - A_k) q = rhs on the interior nodes, with exact zeros on the two
-Dirichlet boundary nodes: ``_step_factor`` (``dgttrf``) and ``_step_apply``
-(``dgttrs``), which ``_step_solve`` runs in a row.  Crank-Nicolson rows are
-fixed base rows times the integral of their coefficient over the step, so
-a step applies the base rows to p once and scales, and factors its own
-matrix.  The L1 solvers take their memory weights one block of rows at a
-time (``l1_weight_blocks``): the history from before the block is one
-matrix product for all its rows, and each step adds only its in-block
-columns.  An L1 step matrix is factored again only when its shift
-W[n, n-1] changes; on a uniform grid that shift is one lag weight, so a
-solve factors once and each step is one ``dgttrs``.  Nothing assumes a
-uniform time grid.
+A classical step integrates its coefficient exactly: theta = R'/2 over a
+step is half the increment of the closed-form variance R, and a drift's is
+the increment of the mean.  On a scaled Laplacian every Crank-Nicolson step
+is diagonal in the sine (DST-I) basis, so ``_cn_sine`` takes all of them
+at once: one cumulative product of the per-mode amplification factors
+along time and one DST-I of every row, with no time loop.  The OU
+generator and drift, which that basis does not diagonalise, step in
+``_cn_loop``: one LAPACK tridiagonal solve of (I - A_k/2) q = rhs per step
+on the interior nodes, with exact zeros on the two Dirichlet boundary
+nodes (``_step_factor``, ``dgttrf``, and ``_step_apply``, ``dgttrs``,
+which ``_step_solve`` runs in a row).  Its step rows are fixed base rows
+times the step's coefficient integrals, and each distinct row of those is
+factored once per solve.  The L1 solvers take their memory weights one
+block of rows at a time (``l1_weight_blocks``): the history from before
+the block is one matrix product for all its rows, and each step adds only
+its in-block columns.  An L1 step matrix is factored again only when its
+shift W[n, n-1] changes; on a uniform grid that shift is one lag weight,
+so a solve factors once and each step is one ``dgttrs``.  Nothing assumes
+a uniform time grid.
 
 The classical solver warm-starts: the mollified delta (a Gaussian of width
 ``init_width``) is placed at the time where the true solution has exactly
-that width, so no spurious variance enters.  The fractional solvers cannot
-warm-start (the memory term needs the full history), so they start from a
-two-cell split of the delta that preserves mass and first moment exactly.
+that width, R(t_init) = init_width^2, so no spurious variance enters.  The
+fractional solvers cannot warm-start (the memory term needs the full
+history), so they start from a two-cell split of the delta that preserves
+mass and first moment exactly.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
+from scipy.fft import dst
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG, MASS_TOL, NONNEG_TOL, SolverConfig
 from .errors import StabilityError
 from .fraccalc import caputo_l1  # noqa: F401 -- kept importable as fpke.caputo_l1
-from .fraccalc import _gauss_panels, caputo_l1_columns, l1_weight_blocks
-from .gaussian import OrnsteinUhlenbeck
+from .fraccalc import caputo_l1_columns, l1_weight_blocks
+from .gaussian import MeanFunction, OrnsteinUhlenbeck
 from .subordinators import SubordinatorSpec
 from .timechange import GridDensity
 
@@ -66,17 +74,36 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ScaledLaplacian:
-    """A q = theta(t) q_xx; coefficient may be a constant or a callable."""
+    """A q = theta(t) q_xx.
 
-    coefficient: float | Callable[[float], float]
+    ``coefficient`` is a constant theta, or a Gaussian model whose variance
+    R (``var``) and slope R' (``dvar``) take arrays: theta = R'/2.
+    """
 
-    def theta(self, t: float) -> float:
+    coefficient: float | object
+
+    def __post_init__(self):
         c = self.coefficient
-        return float(c(t)) if callable(c) else float(c)
+        if not (isinstance(c, numbers.Real)
+                or (hasattr(c, "var") and hasattr(c, "dvar"))):
+            raise TypeError("coefficient must be a number or a model with "
+                            "var and dvar")
 
     @property
     def autonomous(self) -> bool:
-        return not callable(self.coefficient)
+        return isinstance(self.coefficient, numbers.Real)
+
+    def theta(self, t):
+        """theta at a time or at an array of times."""
+        if self.autonomous:
+            return np.full(np.shape(t), float(self.coefficient))
+        return 0.5 * self.coefficient.dvar(t)
+
+    def variance(self, t):
+        """R(t) = 2 int_0^t theta: the variance of the delta-started solution."""
+        if self.autonomous:
+            return 2.0 * float(self.coefficient) * np.asarray(t, dtype=float)
+        return self.coefficient.var(t)
 
 
 @dataclass(frozen=True)
@@ -92,16 +119,29 @@ class OUGenerator:
 
     autonomous = True
 
+    def variance(self, t):
+        """Variance of the delta-started solution: the OU variance."""
+        return OrnsteinUhlenbeck(self.alpha, self.sigma).var(t)
+
 
 @dataclass(frozen=True)
 class DiffusionWithDrift:
-    """A q = theta(t) q_xx - m'(t) q_x (drift from a mean derivative)."""
+    """A q = theta(t) q_xx - m'(t) q_x: a model's diffusion, theta = R'/2,
+    carried by the drift of its mean m."""
 
-    diffusion: Callable[[float], float]
-    drift: Callable[[float], float] | None = None
+    model: object
+    mean: MeanFunction
 
-    def theta(self, t: float) -> float:
-        return float(self.diffusion(t))
+    def theta(self, t):
+        """theta at a time or at an array of times."""
+        return 0.5 * self.model.dvar(t)
+
+    def variance(self, t):
+        """R(t): the model's variance."""
+        return self.model.var(t)
+
+    def drift(self, t: float) -> float:
+        return float(self.mean.dm(t))
 
     autonomous = False
 
@@ -112,8 +152,8 @@ SpatialOperator = ScaledLaplacian | OUGenerator | DiffusionWithDrift
 def operator_from_model(model, mean=None) -> SpatialOperator:
     """FPKE operator of a Gaussian model: theta(t) = R'(t)/2 (+ mean drift)."""
     if mean is None:
-        return ScaledLaplacian(lambda t: 0.5 * float(model.dvar(t)))
-    return DiffusionWithDrift(lambda t: 0.5 * float(model.dvar(t)), mean.dm)
+        return ScaledLaplacian(model)
+    return DiffusionWithDrift(model, mean)
 
 
 # ---------------------------------------------------------------------------
@@ -223,33 +263,9 @@ def _step_solve(shift, rows, rhs):
     return _step_apply(_step_factor(shift, rows), rhs)
 
 
-def _panel_integrals(fn, edges) -> np.ndarray:
-    """int fn over each panel between consecutive ``edges``, by the
-    8-point Gauss-Legendre rule."""
-    nodes, w = _gauss_panels(edges, 8)
-    return (w * np.array([fn(u) for u in nodes])).reshape(-1, 8).sum(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # classical Crank-Nicolson solver
 # ---------------------------------------------------------------------------
-
-def _variance_profile(op, t: float, breakpoints=()) -> float:
-    """v(t) = variance of the delta-started solution at time t.
-
-    OU's closed form; otherwise adaptive quadrature, where theta may have
-    an integrable singularity at 0 and kinks at the breakpoints (quad
-    splits there and never evaluates a coefficient exactly on one).
-    """
-    if isinstance(op, OUGenerator):
-        return float(OrnsteinUhlenbeck(op.alpha, op.sigma).var(t))
-    from scipy.integrate import quad
-
-    interior = [b for b in breakpoints if 0.0 < b < t] or None
-    val, _ = quad(lambda u: op.theta(u), 0.0, t, points=interior,
-                  epsabs=1e-13, epsrel=1e-11, limit=200)
-    return 2.0 * val
-
 
 def _time_grid(cfg: SolverConfig, t_start: float) -> np.ndarray:
     """Uniform-per-segment grid hitting every breakpoint exactly."""
@@ -262,59 +278,103 @@ def _time_grid(cfg: SolverConfig, t_start: float) -> np.ndarray:
     return np.concatenate(pieces)
 
 
+def _cn_sine(out, x, c):
+    """Crank-Nicolson steps of d_t p = theta(t) p_xx from ``out[0]`` into
+    ``out[1:]``, where ``c[k-1]`` is the integral of theta over step k.
+
+    With q = 0 on both ends the interior Laplacian is S diag(lambda) S in
+    the orthonormal DST-I basis S (S = S^-1), with lambda_j =
+    -(4/dx^2) sin^2(j pi / (2 (n_x - 1))).  Step k multiplies mode j by
+    g = (1 + h)/(1 - h), h = c_k lambda_j / 2, so the modes of every step
+    are one cumulative product along time and each row returns through one
+    DST-I.  The factors are built in ``out`` itself.  The first step's
+    right-hand side applies the full rows to ``out[0]``, whose boundary
+    values need not be 0, exactly as ``_cn_loop`` does.
+    """
+    n = len(x)
+    lam = (-4.0 / (x[1] - x[0]) ** 2
+           * np.sin(np.arange(1, n - 1) * (0.5 * np.pi / (n - 1))) ** 2)
+    rhs = out[0] + 0.5 * c[0] * _apply_rows(_laplacian_rows(x), out[0])
+    modes = out[1:, 1:-1]
+    np.multiply(-0.5 * c[:, None], lam, out=modes)
+    modes += 1.0  # 1 - h
+    first = dst(rhs[1:-1], type=1, norm="ortho") / modes[0]
+    np.divide(2.0, modes, out=modes)
+    modes -= 1.0  # (1 + h)/(1 - h) = 2/(1 - h) - 1
+    modes[0] = first
+    np.cumprod(modes, axis=0, out=modes)
+    out[1:, 1:-1] = dst(modes, type=1, norm="ortho", axis=1, overwrite_x=True)
+    out[1:, [0, -1]] = 0.0
+
+
+def _cn_loop(out, base, coef):
+    """Crank-Nicolson steps from ``out[0]`` into ``out[1:]``, one
+    tridiagonal solve each: step k's rows are sum_j coef[k-1, j] base[j].
+
+    A step's factors depend only on its coefficient row, and a time grid
+    has few distinct steps, so each distinct row is factored once per solve.
+    """
+    base = np.stack(base, axis=1)  # (3 diagonals, terms, n_x)
+    factors = {}
+    p = out[0]
+    for k, row in enumerate(coef, 1):
+        half = 0.5 * row
+        key = half.tobytes()
+        if key not in factors:
+            factors[key] = _step_factor(1.0, half @ base)
+        p = _step_apply(factors[key], p + half @ _apply_rows(base, p))
+        out[k] = p
+
+
 def solve_classical(
     op: SpatialOperator,
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> GridDensity:
     """Crank-Nicolson solve of d_t p = A p from a mollified delta.
 
-    The per-step diffusion coefficient is the exact average of theta over
-    the step (Gauss-Legendre), so integrable coefficient singularities at
-    t = 0 (fBm with H < 1/2) cost nothing.  Piecewise coefficients must
-    have their breakpoints listed in the config; each lands on the grid.
+    Step k's diffusion coefficient is the exact integral of theta over the
+    step, (R(t_k) - R(t_{k-1}))/2 from the operator's closed-form variance
+    R, so an integrable coefficient singularity at t = 0 (fBm with H < 1/2)
+    costs nothing; a drift's is the mean increment m(t_k) - m(t_{k-1}).
+    The start time solves R(t_init) = init_width^2.  Piecewise
+    coefficients must have their breakpoints listed in the config; each
+    lands on the grid.  A scaled Laplacian takes every step at once in the
+    sine basis (``_cn_sine``); the OU generator and drift step one
+    tridiagonal solve at a time (``_cn_loop``).
     """
     x = _x_grid(cfg)
-    dx = x[1] - x[0]
     w = cfg.delta_width
-    if w < 2.0 * dx:
+    if w < 2.0 * (x[1] - x[0]):
         raise ValueError("init_width must be at least 2 grid cells")
 
-    v_end = _variance_profile(op, cfg.t_max, cfg.breakpoints)
-    if w * w >= 0.8 * v_end:
+    def variance(t):
+        return float(op.variance(t))
+
+    if w * w >= 0.8 * variance(cfg.t_max):
         raise ValueError("init_width too large for the solve horizon")
     upper = cfg.breakpoints[0] if cfg.breakpoints else cfg.t_max
-    if w * w >= _variance_profile(op, upper, cfg.breakpoints):
+    if w * w >= variance(upper):
         raise ValueError("init_width too large for the first segment")
-    t_init = brentq(lambda u: _variance_profile(op, u, cfg.breakpoints) - w * w,
-                    1e-300, upper, xtol=1e-15)
-
-    drift_fn = op.drift if isinstance(op, DiffusionWithDrift) else None
-    mean0 = 0.0
-    if drift_fn is not None:
-        mean0 = float(_panel_integrals(drift_fn, (0.0, t_init))[0])
-    p = np.exp(-((x - mean0) ** 2) / (2.0 * w * w)) / (w * math.sqrt(2 * math.pi))
-
+    t_init = brentq(lambda u: variance(u) - w * w, 1e-300, upper, xtol=1e-15)
     t_grid = _time_grid(cfg, t_init)
-    # step k's rows are sum_j coef[k, j] base[:, j]: fixed base rows times
-    # the integral of their coefficient over the step
-    if isinstance(op, OUGenerator):
-        base = [_drift_flux_rows(op.alpha, op.sigma, x)]
-        coef = [np.diff(t_grid)]
-    else:
-        base = [_laplacian_rows(x)]
-        coef = [_panel_integrals(op.theta, t_grid)]
-        if drift_fn is not None:
-            base.append(_first_deriv_rows(x))
-            coef.append(-_panel_integrals(drift_fn, t_grid))
-    base = np.stack(base, axis=1)  # (3 diagonals, terms, n_x)
-    coef = np.stack(coef, axis=1)  # (steps, terms)
 
+    mean0 = 0.0
+    if isinstance(op, DiffusionWithDrift):
+        m = np.vectorize(op.mean.m, otypes=[float])(np.append(0.0, t_grid))
+        mean0 = m[1] - m[0]
     out = np.empty((len(t_grid), cfg.n_x))
-    out[0] = p
-    for k in range(1, len(t_grid)):
-        half = 0.5 * coef[k - 1]
-        p = _step_solve(1.0, half @ base, p + half @ _apply_rows(base, p))
-        out[k] = p
+    out[0] = (np.exp(-((x - mean0) ** 2) / (2.0 * w * w))
+              / (w * math.sqrt(2 * math.pi)))
+
+    if isinstance(op, OUGenerator):
+        _cn_loop(out, [_drift_flux_rows(op.alpha, op.sigma, x)],
+                 np.diff(t_grid)[:, None])
+    elif isinstance(op, ScaledLaplacian):
+        _cn_sine(out, x, 0.5 * np.diff(op.variance(t_grid)))
+    else:
+        _cn_loop(out, [_laplacian_rows(x), _first_deriv_rows(x)],
+                 np.stack([0.5 * np.diff(op.variance(t_grid)),
+                           -np.diff(m[1:])], axis=1))
 
     return _package(t_grid, x, out, cfg)
 
@@ -449,9 +509,8 @@ def _spatial_term(op: SpatialOperator, t: np.ndarray, x: np.ndarray,
     """A q for every time slice q[i] at time t[i]; the rows are built once."""
     if isinstance(op, OUGenerator):
         return _apply_rows(_drift_flux_rows(op.alpha, op.sigma, x), q)
-    th = np.array([op.theta(float(s)) for s in t])
-    out = th[:, None] * _apply_rows(_laplacian_rows(x), q)
-    if isinstance(op, DiffusionWithDrift) and op.drift is not None:
+    out = op.theta(t)[:, None] * _apply_rows(_laplacian_rows(x), q)
+    if isinstance(op, DiffusionWithDrift):
         drift = np.array([op.drift(float(s)) for s in t])
         out -= drift[:, None] * _apply_rows(_first_deriv_rows(x), q)
     return out

@@ -27,11 +27,11 @@ columns, so it too takes any increasing grid.  The
 Riemann-Liouville integral is the same rule at order -alpha (the power
 kernel is one cell rule for every order below 1), so it has no weights
 of its own.  The composite Gauss-Legendre rule is written once too, in
-``_gauss_panels``: the subordination panels, the Kanter-Zolotarev
-integral and the classical solver's coefficient averages all take their
-nodes from it.  Likewise the transform of sampled data, the closed form
-for its linear interpolant, lives only in ``_transform_from_exponentials``,
-and the operators in ``lambdaop`` are its one caller.
+``_gauss_panels``: the subordination panels and the Kanter-Zolotarev
+integral take their nodes from it.  Likewise the transform of sampled
+data, the closed form for its linear interpolant, lives only in
+``_transform_from_exponentials``, and the operators in ``lambdaop`` are
+its one caller.
 
 The inversion is deliberately redundant: two unrelated algorithms must
 agree or an ``InversionError`` is raised, so an ill-suited transform shows

@@ -31,7 +31,10 @@ G on a power of t.  ``bm_pure_clock_density``
 is the closed form of Brownian motion on a pure clock, an M-Wright
 function read from the library's clock density (itself held to the
 mpmath table), which neither the subordination quadrature nor the L1
-solve uses.
+solve uses.  ``panel_integrals`` is the classical solver's step
+coefficient as it was when theta was integrated over each step by an
+8-point Gauss-Legendre rule, before the steps took half the increment of
+the closed-form variance.
 """
 import math
 
@@ -322,6 +325,15 @@ def l1_uniform_solve(beta, coefficient, x, t_max, n_t):
         rhs[0] = rhs[-1] = 0.0
         q[m] = np.linalg.solve(M, rhs)
     return q
+
+
+def panel_integrals(fn, edges) -> np.ndarray:
+    """int fn over each panel between consecutive ``edges``, by the
+    8-point Gauss-Legendre rule, one scalar call of fn per node."""
+    from subdiff.fraccalc import _gauss_panels
+
+    nodes, w = _gauss_panels(edges, 8)
+    return (w * np.array([fn(u) for u in nodes])).reshape(-1, 8).sum(axis=1)
 
 
 def ou_flux_rows_loop(alpha, sigma, x):

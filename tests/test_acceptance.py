@@ -141,7 +141,7 @@ def test_criterion_04_ou_equivalence():
 def test_criterion_05_classical_fbm():
     t0 = time.time()
     H = 0.7
-    op = ScaledLaplacian(lambda t: H * t ** (2.0 * H - 1.0))
+    op = ScaledLaplacian(FractionalBrownian(H))
     cfg = SolverConfig(t_max=1.0, n_t=400, x_min=-8.0, x_max=8.0, n_x=400)
     gd = solve_classical(op, cfg)
     want = np.exp(-gd.x_grid**2 / 2.0) / math.sqrt(2.0 * math.pi)

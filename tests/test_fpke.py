@@ -1,9 +1,12 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.integrate import quad
 
+from subdiff import fpke
 from subdiff.config import SolverConfig
 from subdiff.errors import StabilityError
 from subdiff.fpke import (
@@ -29,6 +32,7 @@ from subdiff.gaussian import (
     FractionalBrownian,
     GaussianSpec,
     MeanFunction,
+    Mixed,
     OrnsteinUhlenbeck,
     PiecewiseHurst,
     gaussian_transition_density,
@@ -36,10 +40,32 @@ from subdiff.gaussian import (
 from subdiff.subordinators import SubordinatorSpec
 from subdiff.timechange import GridDensity, TimeChangedSpec, subordinated_density
 
-from oracles import bm_pure_clock_density, l1_uniform_solve, ou_flux_rows_loop
+from oracles import (
+    bm_pure_clock_density,
+    l1_uniform_solve,
+    ou_flux_rows_loop,
+    panel_integrals,
+)
 
 CFG400 = SolverConfig(t_max=1.0, n_t=400, x_min=-8.0, x_max=8.0, n_x=400)
 MIX = SubordinatorSpec(((0.4, 0.5), (0.8, 0.5)))
+DRIFT_03 = MeanFunction(lambda t: 0.3 * t, lambda t: 0.3)
+
+
+@dataclass(frozen=True)
+class GlobalPiecewise:
+    """R(t) = t up to T1, then T1 + t^1.6 - T1^1.6: theta is 1/2, then
+    0.8 t^0.6 in global time."""
+
+    T1: float
+
+    def var(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < self.T1, t, self.T1 + t**1.6 - self.T1**1.6)
+
+    def dvar(self, t):
+        t = np.asarray(t, dtype=float)
+        return np.where(t < self.T1, 1.0, 1.6 * t**0.6)
 
 
 def normal_pdf(x, var):
@@ -53,16 +79,14 @@ class TestClassical:
 
     def test_fbm_coefficient(self):
         H = 0.7
-        gd = solve_classical(ScaledLaplacian(lambda t: H * t ** (2 * H - 1)),
-                             CFG400)
+        gd = solve_classical(ScaledLaplacian(FractionalBrownian(H)), CFG400)
         want = normal_pdf(gd.x_grid, 1.0)
         assert np.abs(gd.values[-1] - want).max() < 1e-3
 
     def test_singular_coefficient_low_hurst(self):
         # H < 1/2 makes theta(t) singular-but-integrable at 0
         H = 0.3
-        gd = solve_classical(ScaledLaplacian(lambda t: H * t ** (2 * H - 1)),
-                             CFG400)
+        gd = solve_classical(ScaledLaplacian(FractionalBrownian(H)), CFG400)
         want = normal_pdf(gd.x_grid, 1.0)
         assert np.abs(gd.values[-1] - want).max() < 1e-3
 
@@ -70,24 +94,20 @@ class TestClassical:
         # a global-time piecewise coefficient integrates to
         # T1 + (1 - T1^{1.6}) when (H0, H1) = (0.5, 0.8), T1 = 0.5
         T1 = 0.5
-
-        def theta(t):
-            return 0.5 if t < T1 else 0.8 * t**0.6
-
         cfg = SolverConfig(t_max=1.0, n_t=400, x_min=-9, x_max=9, n_x=400,
                            breakpoints=(T1,))
-        gd = solve_classical(ScaledLaplacian(theta), cfg)
+        gd = solve_classical(ScaledLaplacian(GlobalPiecewise(T1)), cfg)
         var = np.trapezoid(gd.values[-1] * gd.x_grid**2, gd.x_grid)
         assert abs(var - (T1 + 1.0 - T1**1.6)) < 1e-3
 
     def test_classical_ou_form(self):
         # time-dependent form of the OU equation: theta(t) = s^2 e^{-2at}/2
         alpha, sigma = 1.0, 1.0
+        model = OrnsteinUhlenbeck(alpha, sigma)
         gd = solve_classical(
-            ScaledLaplacian(lambda t: 0.5 * sigma**2 * math.exp(-2 * alpha * t)),
+            ScaledLaplacian(model),
             SolverConfig(t_max=1.0, n_t=400, x_min=-6, x_max=6, n_x=400),
         )
-        model = OrnsteinUhlenbeck(alpha, sigma)
         want = normal_pdf(gd.x_grid, float(model.var(1.0)))
         assert np.abs(gd.values[-1] - want).max() < 1e-3
 
@@ -101,7 +121,8 @@ class TestClassical:
         assert np.abs(gd.values[-1] - want).max() < 1.5e-3
 
     def test_drift_shifts_density(self):
-        op = DiffusionWithDrift(lambda t: 0.5, lambda t: 1.0)  # m(t) = t
+        op = DiffusionWithDrift(Brownian(), MeanFunction(lambda t: t,
+                                                         lambda t: 1.0))
         gd = solve_classical(op, SolverConfig(t_max=1.0, n_t=400,
                                               x_min=-7, x_max=9, n_x=400))
         want = normal_pdf(gd.x_grid - 1.0, 1.0)
@@ -114,9 +135,7 @@ class TestClassical:
         for n in (100, 200, 400):
             cfg = SolverConfig(t_max=1.0, n_t=n, x_min=-8, x_max=8, n_x=n,
                                init_width=w)
-            gd = solve_classical(
-                ScaledLaplacian(lambda t: H * t ** (2 * H - 1)), cfg
-            )
+            gd = solve_classical(ScaledLaplacian(FractionalBrownian(H)), cfg)
             errs.append(np.abs(gd.values[-1]
                                - normal_pdf(gd.x_grid, 1.0)).max())
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
@@ -200,7 +219,8 @@ class TestFractional:
 
     def test_nonautonomous_rejected(self):
         with pytest.raises(ValueError):
-            solve_fractional(ScaledLaplacian(lambda t: t), 0.5, CFG400)
+            solve_fractional(ScaledLaplacian(FractionalBrownian(0.7)), 0.5,
+                             CFG400)
 
     def test_beta_range(self):
         with pytest.raises(ValueError):
@@ -251,7 +271,7 @@ class TestResiduals:
         xg = np.linspace(-8.0, 8.0, 601)
         vals = np.array([normal_pdf(xg, t ** (2 * H)) for t in tg])
         dens = GridDensity(tg, xg, vals, np.zeros(len(tg)))
-        eq = ClassicalEquation(ScaledLaplacian(lambda t: H * t ** (2 * H - 1)))
+        eq = ClassicalEquation(ScaledLaplacian(FractionalBrownian(H)))
         rep = residual_norm(dens, eq)
         assert rep.overall_linf < 1e-3
 
@@ -327,7 +347,7 @@ SOLVES = {
     "heat": lambda cfg: solve_classical(ScaledLaplacian(0.5), cfg),
     "ou": lambda cfg: solve_classical(OUGenerator(1.0, 1.0), cfg),
     "drift": lambda cfg: solve_classical(
-        DiffusionWithDrift(lambda t: 0.5, lambda t: 0.3), cfg),
+        DiffusionWithDrift(Brownian(), DRIFT_03), cfg),
     "fractional": lambda cfg: solve_fractional(ScaledLaplacian(0.5), 0.5, cfg),
     "fractional_ou": lambda cfg: solve_fractional(OUGenerator(1.0, 1.0), 0.7,
                                                   cfg),
@@ -420,3 +440,125 @@ def test_piecewise_model_route():
     gd = solve_classical(operator_from_model(pw), cfg)
     var = np.trapezoid(gd.values[-1] * gd.x_grid**2, gd.x_grid)
     assert abs(var - float(pw.var(1.0))) < 1e-3
+
+
+def test_scaled_laplacian_rejects_a_bare_callable():
+    with pytest.raises(TypeError, match="var and dvar"):
+        ScaledLaplacian(lambda t: 0.5)
+
+
+def _sine_and_loop(x, t_grid, p0, c):
+    """Both Crank-Nicolson routes from p0 with step integrals c."""
+    sine = np.empty((len(t_grid), len(x)))
+    sine[0] = p0
+    loop = sine.copy()
+    fpke._cn_sine(sine, x, c)
+    fpke._cn_loop(loop, [_laplacian_rows(x)], c[:, None])
+    return sine, loop
+
+
+FBM07 = FractionalBrownian(0.7)
+SINE_CASES = {
+    "fbm07_n400": (FBM07, CFG400),
+    "fbm07_n200": (FBM07, SolverConfig(n_t=200, n_x=200)),  # n_x - 1 prime
+    "fbm07_n401": (FBM07, SolverConfig(n_x=401)),  # n_x - 1 = 2^4 5^2
+    "fbm03_n400": (FractionalBrownian(0.3), CFG400),
+    "fbm03_n200": (FractionalBrownian(0.3), SolverConfig(n_t=200, n_x=200)),
+    "ou_variance": (OrnsteinUhlenbeck(1.0, 1.0),
+                    SolverConfig(x_min=-6.0, x_max=6.0)),
+    "mixed": (Mixed(((1.0, FBM07), (0.5, Brownian()))),
+              SolverConfig(x_min=-9.0, x_max=9.0)),
+    "piecewise": (PiecewiseHurst((0.5,), (0.5, 0.8)),
+                  SolverConfig(breakpoints=(0.5,))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SINE_CASES))
+def test_sine_route_matches_loop(case):
+    # the loop on the Laplacian rows is the sine route's reference: the
+    # same steps, one tridiagonal solve each
+    model, cfg = SINE_CASES[case]
+    gd = solve_classical(ScaledLaplacian(model), cfg)
+    c = 0.5 * np.diff(model.var(gd.t_grid))
+    sine, loop = _sine_and_loop(gd.x_grid, gd.t_grid, gd.values[0], c)
+    assert np.array_equal(np.maximum(sine, 0.0), gd.values)
+    assert_allclose(sine, loop, rtol=0, atol=1e-13 * loop.max())
+
+
+def test_sine_route_matches_loop_with_mollifier_on_the_ends():
+    # a narrow domain: the mollifier is 4% of its peak at x = +-1, which
+    # the first step's full rows must read as the loop does
+    x = np.linspace(-1.0, 1.0, 201)
+    t_grid = np.linspace(0.2, 0.5, 101)
+    p0 = normal_pdf(x, 0.16)
+    c = 0.5 * np.diff(FBM07.var(t_grid))
+    sine, loop = _sine_and_loop(x, t_grid, p0, c)
+    assert p0[0] > 0.04 * p0.max()
+    assert_allclose(sine, loop, rtol=0, atol=1e-13 * loop.max())
+
+
+@pytest.mark.parametrize("model", [
+    FBM07, FractionalBrownian(0.3), Brownian(), OrnsteinUhlenbeck(1.0, 1.0),
+    Mixed(((1.0, FBM07), (0.5, Brownian()))),
+], ids=["fbm07", "fbm03", "bm", "ou", "mixed"])
+def test_step_integrals_match_panel_rule(model):
+    # on smooth panels the exact increments agree with the 8-point rule
+    # they replaced
+    gd = solve_classical(ScaledLaplacian(model), CFG400)
+    want = panel_integrals(lambda u: 0.5 * float(model.dvar(u)), gd.t_grid)
+    assert_allclose(0.5 * np.diff(model.var(gd.t_grid)), want, rtol=1e-12)
+
+
+def test_step_integral_after_breakpoint_matches_adaptive_quadrature():
+    # theta ~ (t - 1/2)^0.6 right after the breakpoint: the 8-point rule
+    # misses that panel by 1.6e-4 relative, the exact increment does not
+    pw = PiecewiseHurst((0.5,), (0.5, 0.8))
+    gd = solve_classical(ScaledLaplacian(pw),
+                         SolverConfig(breakpoints=(0.5,)))
+    t = gd.t_grid
+    k = int(np.flatnonzero(t == 0.5)[0])
+
+    def theta(u):
+        return 0.5 * float(pw.dvar(u))
+
+    got = 0.5 * np.diff(pw.var(t))
+    want, _ = quad(theta, t[k], t[k + 1], epsabs=0.0, epsrel=1e-13)
+    assert_allclose(got[k], want, rtol=1e-12)
+    assert abs(panel_integrals(theta, t[k:k + 2])[0] / want - 1.0) > 1e-5
+    assert_allclose(got[:k], panel_integrals(theta, t[:k + 1]), rtol=1e-12)
+
+
+def test_sine_route_negative_floor_is_rounding(monkeypatch):
+    # the sine route leaves cells a few ulps below 0 where the loop had
+    # none; _package clamps them, far inside NONNEG_TOL
+    seen = []
+
+    def capture(t_grid, x, values, cfg):
+        seen.append(values.copy())
+        return package(t_grid, x, values, cfg)
+
+    package = fpke._package
+    monkeypatch.setattr(fpke, "_package", capture)
+    solve_classical(ScaledLaplacian(FBM07), CFG400)
+    (values,) = seen
+    assert values.min() >= -1e-13 * values.max()
+
+
+@pytest.mark.parametrize("op, rows", [
+    (OUGenerator(1.0, 1.0), lambda t: np.diff(t)[:, None]),
+    (DiffusionWithDrift(Brownian(), DRIFT_03),
+     lambda t: np.stack([0.5 * np.diff(t), -np.diff(0.3 * t)], axis=1)),
+], ids=["ou", "drift"])
+def test_cn_loop_factors_each_distinct_step_once(op, rows, monkeypatch):
+    # a step's factors depend only on its coefficient row, and linspace
+    # steps take few distinct values
+    calls = []
+
+    def counted(shift, rows):
+        calls.append(shift)
+        return _step_factor(shift, rows)
+
+    monkeypatch.setattr(fpke, "_step_factor", counted)
+    gd = solve_classical(op, CFG400)
+    assert len(calls) == len(np.unique(rows(gd.t_grid), axis=0))
+    assert len(calls) <= 32 < len(gd.t_grid) - 1
