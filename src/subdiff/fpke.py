@@ -16,16 +16,16 @@ along time and one DST-I of every row, with no time loop.  The OU
 generator and drift, which that basis does not diagonalise, step in
 ``_cn_loop``: one LAPACK tridiagonal solve of (I - A_k/2) q = rhs per step
 on the interior nodes, with exact zeros on the two Dirichlet boundary
-nodes (``_step_factor``, ``dgttrf``, and ``_step_apply``, ``dgttrs``,
-which ``_step_solve`` runs in a row).  Its step rows are fixed base rows
-times the step's coefficient integrals, and each distinct row of those is
-factored once per solve.  The L1 solvers take their memory weights one
-block of rows at a time (``l1_weight_blocks``): the history from before
-the block is one matrix product for all its rows, and each step adds only
-its in-block columns.  An L1 step matrix is factored again only when its
-shift W[n, n-1] changes; on a uniform grid that shift is one lag weight,
-so a solve factors once and each step is one ``dgttrs``.  Nothing assumes
-a uniform time grid.
+nodes (``_step_factor``, ``dgttrf``, and ``_step_apply``, ``dgttrs``).
+Its step rows are fixed base rows times the step's coefficient integrals,
+and each distinct row of those is factored once per solve.  The L1
+solvers take their memory weights one block of rows at a time
+(``l1_weight_blocks``): the history from before the block is one matrix
+product for all its rows, and each step adds only its in-block columns.
+An L1 step matrix is factored again only when its shift W[n, n-1]
+changes; on a uniform grid that shift is one lag weight, so a solve
+factors once and each step is one ``dgttrs``.  Nothing assumes a uniform
+time grid.
 
 The classical solver warm-starts: the mollified delta (a Gaussian of width
 ``init_width``) is placed at the time where the true solution has exactly
@@ -254,13 +254,6 @@ def _step_apply(factor, rhs):
     (LAPACK ``dgttrs``) and q exactly 0 on the two boundary nodes."""
     q, _ = dgttrs(*factor, rhs[1:-1], overwrite_b=True)
     return np.concatenate(([0.0], q, [0.0]))
-
-
-def _step_solve(shift, rows, rhs):
-    """q with (shift I - rows) q = rhs on the interior nodes and q = 0 on
-    the two boundary nodes (Dirichlet): one factorisation and one solve.
-    ``rhs`` is overwritten."""
-    return _step_apply(_step_factor(shift, rows), rhs)
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,11 @@ it was when the transform matrix was formed on every node of a
 ``volterra_*_nested`` functions are the variable-Hurst covariance as it
 was when the kernel core was an inner quadrature, and
 ``KERNEL_CORE_MPMATH`` holds that core to 40 digits.
+``volterra_product_qawse`` is that covariance as it was before the
+product rule: one QAWSE quadrature per entry over ``kernel_core_hyp2f1``,
+the scalar closed-form core of that time.  ``piecewise_cov_loop`` is the
+piecewise-Hurst covariance at one pair of times, summed segment by
+segment, as it was before it took arrays.
 ``UNIT_CLOCK_MPMATH`` holds the inverse-stable density f_{E_1} to 30
 digits, from the far left into the far tail.  ``kernel_unwrapped`` is the
 operator kernel as it was when the whole array was built at once and its
@@ -40,7 +45,7 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import erfcx, gamma
+from scipy.special import erfcx, gamma, hyp2f1
 from scipy.stats import chi2
 
 
@@ -623,6 +628,52 @@ def volterra_cov_nested(hurst, s, t):
     Ht, Hs = hurst(t), hurst(s)
     return volterra_product_nested(Ht, Hs, t, s) / math.sqrt(
         volterra_norm_nested(Ht) * volterra_norm_nested(Hs))
+
+
+def kernel_core_hyp2f1(H, t, r):
+    """int_r^t (u-r)^{H-3/2} u^{H-1/2} du at one point: with a = H - 1/2
+    and w = r/t, Euler's (t(t-r))^a / a 2F1(-a, 1; a+1; 1-w), or for
+    w < 1/4 its z -> 1 connection formula t^{2a}/a [(1-w)^a 2F1(-a, 1;
+    1-2a; w) / 2 + Gamma(a+1) Gamma(-2a) / Gamma(-a) w^{2a}]."""
+    if r >= t:
+        return 0.0
+    a = H - 0.5
+    w = r / t
+    if w < 0.25:
+        tail = math.gamma(a + 1.0) * math.gamma(-2.0 * a) / math.gamma(-a)
+        f = (0.5 * (1.0 - w) ** a * hyp2f1(-a, 1.0, 1.0 - 2.0 * a, w)
+             + tail * w ** (2.0 * a))
+        return float(t ** (2.0 * a) / a * f)
+    return float((t * (t - r)) ** a / a * hyp2f1(-a, 1.0, a + 1.0, 1.0 - w))
+
+
+def volterra_product_qawse(Ht, Hs, t, s):
+    """int_0^s r^{1-Ht-Hs} core(Ht,t,r) core(Hs,s,r) dr for s <= t, one
+    adaptive QAWSE quadrature (the algebraic weight r^{1-Ht-Hs} exact)."""
+    return quad(
+        lambda r: kernel_core_hyp2f1(Ht, t, r) * kernel_core_hyp2f1(Hs, s, r),
+        0.0, s, weight="alg", wvar=(1.0 - Ht - Hs, 0.0), epsabs=1e-13,
+        epsrel=1e-10, limit=200,
+    )[0]
+
+
+def piecewise_cov_loop(model, s, t):
+    """PiecewiseHurst covariance at one pair of times: the variance of the
+    completed segments before min(s, t), plus the fBm covariance of the
+    shared increment over min(s, t)'s own segment."""
+    s, t = min(s, t), max(s, t)
+    if s <= 0.0:
+        return 0.0
+    edges = (0.0,) + tuple(model.breakpoints) + (math.inf,)
+    a, b = (sum(bp <= u for bp in model.breakpoints) for u in (s, t))
+    total = 0.0
+    for j in range(a):
+        total += (edges[j + 1] - edges[j]) ** (2.0 * model.hursts[j])
+    h2 = 2.0 * model.hursts[a]
+    right = t if a == b else edges[a + 1]
+    Ta = edges[a]
+    return total + 0.5 * ((s - Ta) ** h2 + (right - Ta) ** h2
+                          - (right - s) ** h2)
 
 
 # core(H, 1, r) = int_r^1 (u-r)^{H-3/2} u^{H-1/2} du keyed by (H, r), at

@@ -9,6 +9,9 @@ import pytest
 from subdiff.cli import ConfigError, load_config, main, parse_model
 
 
+CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
 def write_config(tmp_path, body, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(body))
@@ -345,6 +348,28 @@ def test_simulate_mixed_model_with_piecewise_term(tmp_path):
                  "--out", out]) == 0
     lines = open(os.path.join(out, "paths.csv")).read().splitlines()
     assert len(lines) == 1 + 3 * 5
+
+
+def test_simulate_headline_config_is_reproducible(tmp_path):
+    # Moebius variable Hurst on a beta 0.7 clock: a per-path Cholesky of
+    # the Volterra covariance at each path's distinct clock values
+    cfg = os.path.join(CONFIGS, "mobius_beta07.json")
+    data = []
+    for d in ("a", "b"):
+        out = str(tmp_path / d)
+        assert main(["simulate", "--config", cfg, "--paths", "3",
+                     "--out", out]) == 0
+        data.append(open(os.path.join(out, "paths.csv"), "rb").read())
+    assert data[0] == data[1]
+    assert len(data[0].splitlines()) == 1 + 3 * 51
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_headline_config_has_no_solve(tmp_path, command, capsys):
+    # a fractional solve needs an autonomous operator (Brownian or OU)
+    cfg = os.path.join(CONFIGS, "mobius_beta07.json")
+    assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+    assert "autonomous operator" in capsys.readouterr().err
 
 
 # each flag is held to the range its config field or the library needs

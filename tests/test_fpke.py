@@ -20,7 +20,6 @@ from subdiff.fpke import (
     _laplacian_rows,
     _step_apply,
     _step_factor,
-    _step_solve,
     operator_from_model,
     residual_norm,
     solve_classical,
@@ -361,6 +360,13 @@ def test_dirichlet_boundary_exactly_zero_every_step(kind):
     cfg = SolverConfig(t_max=1.0, n_t=200, x_min=-8.0, x_max=8.0, n_x=200)
     gd = SOLVES[kind](cfg)
     assert np.all(gd.values[1:, [0, -1]] == 0.0)
+
+
+def _step_solve(shift, rows, rhs):
+    """q with (shift I - rows) q = rhs on the interior nodes and q = 0 on
+    the two boundary nodes (Dirichlet): one factorisation and one solve.
+    ``rhs`` is overwritten."""
+    return _step_apply(_step_factor(shift, rows), rhs)
 
 
 def test_step_solve_raises_on_singular_system():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-from subdiff.errors import DegenerateDensityError
+from subdiff import gaussian
+from subdiff.errors import DegenerateDensityError, NumericsError
 from subdiff.gaussian import (
     Brownian,
     FractionalBrownian,
@@ -18,8 +19,10 @@ from subdiff.gaussian import (
     PiecewiseHurst,
     PolynomialHurst,
     VariableHurst,
+    _checked_cholesky,
     _kernel_core,
     _volterra_norm,
+    _volterra_products,
     calibrate_volterra_constant,
     covariance,
     covariance_matrix,
@@ -32,8 +35,10 @@ from subdiff.subordinators import SeededRng
 
 from oracles import (
     KERNEL_CORE_MPMATH,
+    piecewise_cov_loop,
     volterra_cov_nested,
     volterra_norm_nested,
+    volterra_product_qawse,
 )
 
 FBM7 = FractionalBrownian(0.7)
@@ -201,7 +206,7 @@ class TestSampling:
             assert abs(d.var() - want) < 5.0 * want / math.sqrt(len(d)) + 0.1 * want
 
     def test_mixed_with_piecewise_term(self, rng):
-        # a mixture holding a scalar-only kernel: sample variance against
+        # a mixture holding a piecewise term: sample variance against
         # the closed form, with the exact sd of a Gaussian sample variance
         model = Mixed(((1.0, PW), (0.5, Brownian())))
         grid = [0.3, 0.8]
@@ -327,14 +332,12 @@ class TestVolterra:
         assert abs(a - b) < 1e-8
 
     def test_verification_runs_once_per_h(self, monkeypatch):
-        import subdiff.gaussian as gaussian
-
         c = calibrate_volterra_constant(0.65)
 
-        def no_quadrature(*args, **kwargs):
-            raise AssertionError("calibration re-ran a quadrature")
+        def no_rule(*args, **kwargs):
+            raise AssertionError("calibration re-ran the product rule")
 
-        monkeypatch.setattr(gaussian, "quad", no_quadrature)
+        monkeypatch.setattr(gaussian, "_volterra_products", no_rule)
         assert calibrate_volterra_constant(0.65) == c
 
     @pytest.mark.parametrize("key", sorted(KERNEL_CORE_MPMATH),
@@ -363,6 +366,44 @@ class TestVolterra:
                             volterra_cov_nested(vh.hurst, s, t),
                             rtol=1e-9)
 
+    @pytest.mark.parametrize("ratio", [1.0, 1.0 + 1e-9, 1.0 + 1e-3, 2.0,
+                                       300.0])
+    def test_product_rule_matches_qawse(self, ratio):
+        # every (H_t, H_s) pair on [0.51, 0.95], one entry each, in one call
+        hs = (0.51, 0.6, 0.75, 0.9, 0.95)
+        pairs = [(a, b) for a in hs for b in hs if ratio != 1.0 or a == b]
+        Ht, Hs = (np.array(v) for v in zip(*pairs))
+        s = 0.7
+        got = _volterra_products(Ht, Hs, s * ratio, s)
+        want = [volterra_product_qawse(a, b, s * ratio, s) for a, b in pairs]
+        assert_allclose(got, want, rtol=1e-10, atol=0.0)
+
+    def test_matrix_matches_entry_by_entry(self):
+        # one broadcast call against each entry on its own, through zero
+        grid = np.array([0.0, 0.3, 0.3 + 1e-12, 0.9, 1.7, 2.4])
+        R = covariance_matrix(VH, grid)
+        want = np.array([[covariance(VH, a, b) for b in grid] for a in grid])
+        assert np.array_equal(R, R.T)
+        assert np.all(R[0] == 0.0)
+        assert_allclose(R, want, rtol=1e-14, atol=0.0)
+
+    def test_verification_failure_raises(self, monkeypatch):
+        # a wrong rule at the held-out point (1, 2) is refused in the batch
+        rule = gaussian._volterra_products
+        monkeypatch.setattr(gaussian, "_volterra_products",
+                            lambda *a: rule(*a) * 1.001)
+        with pytest.raises(NumericsError, match="verification failed"):
+            covariance_matrix(VH, np.array([0.5, 1.0]))
+
+    @pytest.mark.parametrize("hurst", [
+        MobiusHurst(0.6, 0.3), PolynomialHurst((0.55, 0.1, -0.02, 0.003))])
+    def test_variance_arrays_match_scalars_exactly(self, hurst):
+        vh = VariableHurst(hurst, horizon=3.0)
+        t = np.concatenate(([0.0], np.geomspace(1e-6, 3.0, 61)))
+        assert np.array_equal(vh.var(t), [vh.var(float(u)) for u in t])
+        assert np.array_equal(vh.dvar(t[1:]),
+                              [vh.dvar(float(u)) for u in t[1:]])
+
     def test_matrix_assembly_time(self):
         # 55 entries and 10 calibrations; the nested quadrature took 9 s
         _volterra_norm.cache_clear()
@@ -377,6 +418,41 @@ class TestVolterra:
             VariableHurst(MobiusHurst(0.4, 0.0))
         with pytest.raises(ValueError):
             calibrate_volterra_constant(0.4)
+
+
+class TestCheckedCholesky:
+    """The factorisation is its own certificate: the eigenvalue check runs
+    only when a plain Cholesky fails."""
+
+    def test_indefinite_still_raises(self):
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((6, 6)))
+        w = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 0.0])
+        w[-1] = -1e-6 * w.sum() / (1.0 + 1e-6)  # lambda_min = -1e-6 trace
+        R = (q * w) @ q.T
+        R = 0.5 * (R + R.T)
+        assert_allclose(np.linalg.eigvalsh(R).min(), -1e-6 * np.trace(R),
+                        rtol=1e-6)
+        with pytest.raises(NumericsError, match="indefinite"):
+            _checked_cholesky(R)
+
+    def test_rank_deficient_returns_through_jitter(self):
+        # a repeated time: two identical rows, an exact zero pivot
+        R = covariance_matrix(Brownian(), np.array([0.5, 1.0, 1.0, 2.0]))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(R)
+        L = _checked_cholesky(R)
+        assert np.max(np.abs(L @ L.T - R)) <= 1e-10 * np.trace(R)
+
+    def test_definite_skips_eigenvalues_and_is_lapack_bitwise(
+            self, monkeypatch):
+        R = covariance_matrix(FBM7, np.linspace(0.01, 1.0, 100))
+        want = np.linalg.cholesky(R)
+
+        def no_eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh ran on a definite matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+        assert np.array_equal(_checked_cholesky(R), want)
 
 
 class TestPiecewise:
@@ -407,6 +483,14 @@ class TestPiecewise:
         want = PW.cov(0.3, 0.9)
         se = np.std(xs * xt) / math.sqrt(n)
         assert abs(got - want) < 3.0 * se
+
+    def test_matrix_matches_segment_sums(self):
+        model = PiecewiseHurst((0.3, 1.0, 1.7), (0.6, 0.3, 0.9, 0.55))
+        grid = np.array([0.0, 0.1, 0.3, 0.5, 1.0, 1.2, 1.7, 2.0, 3.5])
+        want = [[piecewise_cov_loop(model, a, b) for b in grid] for a in grid]
+        # array and scalar powers may round apart by an ulp
+        assert_allclose(covariance_matrix(model, grid), want, rtol=1e-15,
+                        atol=0.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
