@@ -26,7 +26,7 @@ import time
 import numpy as np
 
 from .config import MASS_TOL, NONNEG_TOL, SolverConfig
-from .errors import NumericsError
+from .errors import HurstRangeError, NumericsError
 from . import io as artifact_io
 from .fpke import (
     OUGenerator,
@@ -215,7 +215,7 @@ def parse_subordinator(obj, path="subordinator"):
 def parse_solver(obj, path="solver"):
     _expect_mapping(obj, path)
     allowed = {"t_max", "n_t", "x_min", "x_max", "n_x", "init_width",
-               "breakpoints", "quadrature_tol", "inversion_tol"}
+               "quadrature_tol", "inversion_tol"}
     _reject_unknown(obj, allowed, path)
     kw = {}
     kw["t_max"] = _number(obj, "t_max", path, lo=0.0, lo_open=True, default=1.0)
@@ -229,8 +229,6 @@ def parse_solver(obj, path="solver"):
     if "init_width" in obj:
         kw["init_width"] = _number(obj, "init_width", path, lo=0.0,
                                    lo_open=True)
-    if "breakpoints" in obj:
-        kw["breakpoints"] = _numbers(obj, "breakpoints", path)
     for key in ("quadrature_tol", "inversion_tol"):
         if key in obj:
             kw[key] = _number(obj, key, path, lo=0.0, lo_open=True)
@@ -241,7 +239,7 @@ def parse_solver(obj, path="solver"):
 
 
 TOP_KEYS = {"model", "subordinator", "solver", "seed", "paths", "times",
-            "sample_points", "tolerance", "equation"}
+            "sample_points", "tolerance"}
 
 
 def load_config(path: str) -> dict:
@@ -285,12 +283,6 @@ def load_config(path: str) -> dict:
     out["times"] = times
     out["tolerance"] = _number(raw, "tolerance", "config", lo=0.0,
                                lo_open=True, default=5e-3)
-    eq = raw.get("equation")
-    if eq is not None and eq not in ("classical", "fractional", "distributed"):
-        raise ConfigError(
-            "config.equation: expected classical|fractional|distributed"
-        )
-    out["equation"] = eq
     return out
 
 
@@ -325,12 +317,16 @@ def cmd_simulate(args) -> int:
     grid = np.linspace(0.0, solver.t_max, cfg["sample_points"] + 1)
     gauss = GaussianSpec.univariate(cfg["model"])
     rng = SeededRng(cfg["seed"])
+    spec, sample = gauss, sample_gaussian_paths
     if cfg["subordinator"] is not None:
-        ens = sample_timechanged_paths(
-            TimeChangedSpec(gauss, cfg["subordinator"]), grid, n_paths, rng
-        )
-    else:
-        ens = sample_gaussian_paths(gauss, grid, n_paths, rng)
+        spec = TimeChangedSpec(gauss, cfg["subordinator"])
+        sample = sample_timechanged_paths
+    # VariableHurst checks H(t) on [0, horizon] only; a clock may run past it
+    try:
+        ens = sample(spec, grid, n_paths, rng)
+    except HurstRangeError as ex:
+        raise ConfigError("model.horizon: H(t) leaves (1/2, 1) at a time the "
+                          "paths reach past the horizon") from ex
     meta = artifact_io.provenance(cfg["raw"], seed=cfg["seed"])
     return _emit(args, "paths", artifact_io.paths_csv(ens), meta)
 
@@ -368,24 +364,20 @@ def _classical_solve(cfg, **grid):
 
 
 def _solver_route(cfg):
-    """(equation kind, GridDensity) for the configured model/clock."""
+    """(equation kind, GridDensity) for the configured model; the clock
+    picks the kind: none classical, pure fractional, mixture distributed."""
     model = cfg["model"]
     sub = cfg["subordinator"]
     solver = cfg["solver"]
-    eq = cfg["equation"]
-    if eq is None:
-        eq = "classical" if sub is None else (
-            "fractional" if sub.is_pure else "distributed"
-        )
-    if eq == "classical":
-        return eq, _classical_solve(cfg)
+    if sub is None:
+        return "classical", _classical_solve(cfg)
     if isinstance(model, OrnsteinUhlenbeck):
         op = OUGenerator(model.alpha, model.sigma)
     elif isinstance(model, Brownian):
         op = ScaledLaplacian(0.5)
     else:
         raise ConfigError(
-            "config.equation: fractional solves need an autonomous operator "
+            "model.kind: fractional solves need an autonomous operator "
             "(brownian or ou model)"
         )
     # the fractional solvers start from a split delta at x = 0
@@ -395,19 +387,9 @@ def _solver_route(cfg):
         raise ConfigError(
             "solver.x_min/solver.x_max: domain must contain the origin"
         )
-    # the L1 memory spans the whole history; only the classical solve
-    # steps segment by segment between breakpoints
-    if solver.breakpoints:
-        raise ConfigError(
-            "solver.breakpoints: fractional memory does not admit breakpoints"
-        )
-    if eq == "fractional":
-        if sub is None or not sub.is_pure:
-            raise ConfigError("config.subordinator: pure beta required")
-        return eq, solve_fractional(op, sub.components[0][0], solver)
-    if sub is None:
-        raise ConfigError("config.subordinator: required for distributed")
-    return eq, solve_distributed_order(op, sub, solver)
+    if sub.is_pure:
+        return "fractional", solve_fractional(op, sub.components[0][0], solver)
+    return "distributed", solve_distributed_order(op, sub, solver)
 
 
 def cmd_solve(args) -> int:
@@ -495,9 +477,6 @@ def cmd_validate(args) -> int:
     solver = cfg["solver"]
     tol = cfg["tolerance"]
     checks = []
-    # a check's runtime_s is the wall time since the previous check ended
-    # (or since the shared solve), which is the computation of its figure
-    t_check = time.perf_counter()
 
     def record(name, measured, tolerance):
         nonlocal t_check
@@ -512,18 +491,17 @@ def cmd_validate(args) -> int:
         t_check = now
 
     t0 = time.time()
+    _, gd = _solver_route(cfg)
+    # a check's runtime_s is the wall time since the previous check ended
+    # (or since the shared solve), which is the computation of its figure
+    t_check = time.perf_counter()
     if sub is None:
-        gd = _classical_solve(cfg)
-        t_check = time.perf_counter()
-        gauss = GaussianSpec.univariate(model)
-        ref = gaussian_transition_density(gauss, solver.t_max,
-                                          gd.x_grid)
+        ref = gaussian_transition_density(GaussianSpec.univariate(model),
+                                          solver.t_max, gd.x_grid)
         record("classical_solver_vs_density",
                np.abs(gd.values[-1] - ref).max(), tol)
         record("mass_conservation", gd.mass_error.max(), MASS_TOL * 10)
     else:
-        eq, gd = _solver_route(cfg)
-        t_check = time.perf_counter()
         spec = TimeChangedSpec(GaussianSpec.univariate(model), sub)
         q = subordinated_density(spec, solver.t_max, gd.x_grid, config=solver)
         record("solver_vs_subordination", np.abs(gd.values[-1] - q).max(), tol)

@@ -28,8 +28,6 @@ class SolverConfig:
     #: std of the Gaussian mollifier standing in for the delta initial
     #: condition; None means 4 grid cells.
     init_width: float | None = None
-    #: times that must land exactly on the time grid (piecewise coefficients)
-    breakpoints: tuple[float, ...] = ()
 
     # tolerances
     quadrature_tol: float = 1e-8
@@ -42,9 +40,6 @@ class SolverConfig:
             raise ValueError("t_max must be positive")
         if self.x_min >= self.x_max:
             raise ValueError("x_min must be below x_max")
-        for b in self.breakpoints:
-            if not 0.0 < b < self.t_max:
-                raise ValueError(f"breakpoint {b} outside (0, t_max)")
         if self.init_width is not None and self.init_width < 2 * self.dx:
             raise ValueError("init_width must be at least 2 grid cells")
 

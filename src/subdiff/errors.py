@@ -19,3 +19,7 @@ class StabilityError(NumericsError):
 
 class DegenerateDensityError(ValueError):
     """Density requested where the law is a point mass (zero variance)."""
+
+
+class HurstRangeError(ValueError):
+    """A variable-Hurst kernel met a time where H(t) leaves (1/2, 1)."""

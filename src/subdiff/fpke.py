@@ -29,7 +29,8 @@ time grid.
 
 The classical solver warm-starts: the mollified delta (a Gaussian of width
 ``init_width``) is placed at the time where the true solution has exactly
-that width, R(t_init) = init_width^2, so no spurious variance enters.  The
+that width, R(t_init) = init_width^2, so no spurious variance enters; its
+steps are uniform, since exact increments cross a kink in theta.  The
 fractional solvers cannot warm-start (the memory term needs the full
 history), so they start from a two-cell split of the delta that preserves
 mass and first moment exactly.
@@ -260,17 +261,6 @@ def _step_apply(factor, rhs):
 # classical Crank-Nicolson solver
 # ---------------------------------------------------------------------------
 
-def _time_grid(cfg: SolverConfig, t_start: float) -> np.ndarray:
-    """Uniform-per-segment grid hitting every breakpoint exactly."""
-    edges = [t_start] + [b for b in cfg.breakpoints if b > t_start] + [cfg.t_max]
-    total = cfg.t_max - t_start
-    pieces = [np.array([t_start])]
-    for a, b in zip(edges[:-1], edges[1:]):
-        n = max(int(round(cfg.n_t * (b - a) / total)), 2)
-        pieces.append(np.linspace(a, b, n + 1)[1:])
-    return np.concatenate(pieces)
-
-
 def _cn_sine(out, x, c):
     """Crank-Nicolson steps of d_t p = theta(t) p_xx from ``out[0]`` into
     ``out[1:]``, where ``c[k-1]`` is the integral of theta over step k.
@@ -329,27 +319,23 @@ def solve_classical(
     step, (R(t_k) - R(t_{k-1}))/2 from the operator's closed-form variance
     R, so an integrable coefficient singularity at t = 0 (fBm with H < 1/2)
     costs nothing; a drift's is the mean increment m(t_k) - m(t_{k-1}).
-    The start time solves R(t_init) = init_width^2.  Piecewise
-    coefficients must have their breakpoints listed in the config; each
-    lands on the grid.  A scaled Laplacian takes every step at once in the
-    sine basis (``_cn_sine``); the OU generator and drift step one
-    tridiagonal solve at a time (``_cn_loop``).
+    The start time solves R(t_init) = init_width^2; the steps are uniform
+    from there to t_max, and one holding a kink in theta costs nothing.  A
+    scaled Laplacian takes every step at once in the sine basis
+    (``_cn_sine``); the OU generator and drift step one tridiagonal solve
+    at a time (``_cn_loop``).
     """
     x = _x_grid(cfg)
     w = cfg.delta_width
-    if w < 2.0 * (x[1] - x[0]):
-        raise ValueError("init_width must be at least 2 grid cells")
 
     def variance(t):
         return float(op.variance(t))
 
     if w * w >= 0.8 * variance(cfg.t_max):
         raise ValueError("init_width too large for the solve horizon")
-    upper = cfg.breakpoints[0] if cfg.breakpoints else cfg.t_max
-    if w * w >= variance(upper):
-        raise ValueError("init_width too large for the first segment")
-    t_init = brentq(lambda u: variance(u) - w * w, 1e-300, upper, xtol=1e-15)
-    t_grid = _time_grid(cfg, t_init)
+    t_init = brentq(lambda u: variance(u) - w * w, 1e-300, cfg.t_max,
+                    xtol=1e-15)
+    t_grid = np.linspace(t_init, cfg.t_max, cfg.n_t + 1)
 
     mean0 = 0.0
     if isinstance(op, DiffusionWithDrift):
@@ -407,8 +393,6 @@ def solve_distributed_order(
     for b, _ in spec.components:
         if not 0.0 < b < 1.0:
             raise ValueError("distributed orders need beta_k in (0, 1)")
-    if cfg.breakpoints:
-        raise ValueError("fractional memory does not admit breakpoints")
     x = _x_grid(cfg)
     rows = _operator_rows(op, x)
     n_t = cfg.n_t

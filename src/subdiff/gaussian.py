@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import beta as beta_fn, gamma, hyp2f1
 
-from .errors import DegenerateDensityError, NumericsError
+from .errors import DegenerateDensityError, HurstRangeError, NumericsError
 from .fraccalc import _leggauss, laplace_forward
 from .subordinators import SeededRng
 
@@ -279,7 +279,7 @@ def _verify_norms(H, norm, check):
 
 def _check_hurst_range(H):
     if not np.all((H > 0.5) & (H < 1.0)):
-        raise ValueError("variable-Hurst kernels need H in (1/2, 1)")
+        raise HurstRangeError("variable-Hurst kernels need H in (1/2, 1)")
 
 
 @lru_cache(maxsize=None)
@@ -496,8 +496,7 @@ class VariableHurst:
     kind = "variable_hurst"
 
     def __post_init__(self):
-        ts = np.linspace(1e-6, self.horizon, 64)
-        hs = np.array([self.hurst(u) for u in ts])
+        hs = self.hurst(np.linspace(1e-6, self.horizon, 64))
         if np.any(hs <= 0.5) or np.any(hs >= 1.0):
             raise ValueError("H(t) must stay inside (1/2, 1) on the horizon")
 
@@ -580,15 +579,13 @@ class PiecewiseHurst:
 
     def dvar(self, t):
         t = np.asarray(t, dtype=float)
-        if t.ndim == 0:
-            tt = float(t)
-            if any(abs(tt - b) < 1e-12 for b in self.breakpoints):
-                raise ValueError(f"variance not differentiable at t={tt}")
-            k = int(self.segment(tt))
-            Ta = self._edges()[k]
-            h2 = 2.0 * self.hursts[k]
-            return h2 * (tt - Ta) ** (h2 - 1.0)
-        return np.array([self.dvar(float(u)) for u in t])
+        near = np.abs(t[..., None] - np.array(self.breakpoints)) < 1e-12
+        if near.any():
+            tt = float(t[near.any(axis=-1)].flat[0])
+            raise ValueError(f"variance not differentiable at t={tt}")
+        k = self.segment(t)
+        h2 = 2.0 * np.array(self.hursts)[k]
+        return (h2 * (t - np.array(self._edges())[k]) ** (h2 - 1.0))[()]
 
     @property
     def small_time_exponent(self):

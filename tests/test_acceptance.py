@@ -246,8 +246,7 @@ def test_criterion_09_distributed_order_reduction():
 def test_criterion_10_piecewise_hurst():
     t0 = time.time()
     model = PiecewiseHurst((0.5,), (0.5, 0.8))
-    cfg = SolverConfig(t_max=1.0, n_t=400, x_min=-8.0, x_max=8.0, n_x=400,
-                       breakpoints=(0.5,))
+    cfg = SolverConfig(t_max=1.0, n_t=400, x_min=-8.0, x_max=8.0, n_x=400)
     gd = solve_classical(operator_from_model(model), cfg)
     var = float(np.trapezoid(gd.values[-1] * gd.x_grid**2, gd.x_grid))
     want = float(model.var(1.0))  # segment-integrated closed form

@@ -165,15 +165,18 @@ class TestCommands:
         rc = main(["validate", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 1
 
-    def test_solve_fbm_fractional_rejected(self, tmp_path):
+    def test_solve_fbm_fractional_rejected(self, tmp_path, capsys):
+        # the pure clock picks the fractional equation, which needs an
+        # autonomous operator; fBm's coefficient varies in time
         body = {
             "model": {"kind": "fbm", "h": 0.7},
             "subordinator": {"components": [{"beta": 0.5}]},
-            "equation": "fractional",
         }
         cfg = write_config(tmp_path, body)
         rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert ("model.kind: fractional solves need an autonomous operator "
+                "(brownian or ou model)" in capsys.readouterr().err)
 
     def test_numerics_failure_exits_3(self, tmp_path, monkeypatch):
         import subdiff.cli as cli
@@ -219,8 +222,10 @@ class TestCommands:
 
 
 @pytest.mark.parametrize("body, field", [
-    ({**BM_CFG, "solver": {**BM_CFG["solver"], "breakpoints": [0.5, "x"]}},
-     "solver.breakpoints[1]: expected a number"),
+    # a solve is set by its model, clock and grid: no key picks its
+    # equation or its time steps
+    ({**BM_CFG, "solver": {**BM_CFG["solver"], "breakpoints": [0.5]}},
+     "solver.breakpoints: unknown key"),
     ({"model": {"kind": "variable_hurst", "preset": "poly",
                 "coeffs": [0.7, "a"]}},
      "model.coeffs[1]: expected a number"),
@@ -244,6 +249,7 @@ class TestCommands:
     # a seed is a SeedSequence entropy value, which cannot be negative
     ({**BM_CFG, "seed": -3}, "config.seed: expected an integer >= 0"),
     ({**BM_CFG, "seed": 1.5}, "config.seed: expected an integer >= 0"),
+    ({**BM_CFG, "equation": "fractional"}, "config.equation: unknown key"),
 ])
 def test_bad_config_value_exits_2_with_field(tmp_path, capsys, body, field):
     rc = main(["simulate", "--config", write_config(tmp_path, body),
@@ -312,22 +318,6 @@ def test_fractional_solve_without_origin_exits_2_with_field(tmp_path, capsys,
             in capsys.readouterr().err)
 
 
-@pytest.mark.parametrize("clock", [
-    [{"beta": 0.5, "weight": 1.0}],
-    [{"beta": 0.4, "weight": 0.5}, {"beta": 0.8, "weight": 0.5}],
-], ids=["fractional", "distributed"])
-@pytest.mark.parametrize("command", ["solve", "validate"])
-def test_fractional_solve_with_breakpoints_exits_2_with_field(
-        tmp_path, capsys, command, clock):
-    body = {**BM_CFG, "subordinator": {"components": clock},
-            "solver": {**BM_CFG["solver"], "breakpoints": [0.5]}}
-    rc = main([command, "--config", write_config(tmp_path, body),
-               "--out", str(tmp_path / "o")])
-    assert rc == 2
-    assert ("solver.breakpoints: fractional memory does not admit "
-            "breakpoints" in capsys.readouterr().err)
-
-
 @pytest.mark.parametrize("command", ["density", "simulate"])
 def test_off_origin_window_needs_no_solver(tmp_path, command):
     # neither subcommand builds the solvers' initial delta
@@ -362,6 +352,23 @@ def test_simulate_headline_config_is_reproducible(tmp_path):
         data.append(open(os.path.join(out, "paths.csv"), "rb").read())
     assert data[0] == data[1]
     assert len(data[0].splitlines()) == 1 + 3 * 51
+
+
+def test_simulate_past_the_hurst_horizon_exits_2(tmp_path, capsys):
+    # H(t) = 0.6 + 0.1 t is checked on the horizon [0, 2] and reaches 1 at
+    # t = 4, which a beta 0.7 clock run to t 20 passes
+    body = {"model": {"kind": "variable_hurst", "preset": "poly",
+                      "coeffs": [0.6, 0.1], "horizon": 2.0},
+            "subordinator": {"components": [{"beta": 0.7}]},
+            "solver": {"t_max": 20.0}, "paths": 3}
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "model.horizon: H(t) leaves (1/2, 1)" in err
+    assert "Traceback" not in err
+    assert not any(out.glob("*"))
 
 
 @pytest.mark.parametrize("command", ["solve", "validate"])

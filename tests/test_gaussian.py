@@ -404,6 +404,17 @@ class TestVolterra:
         assert np.array_equal(vh.dvar(t[1:]),
                               [vh.dvar(float(u)) for u in t[1:]])
 
+    def test_horizon_check_is_one_array_call(self):
+        calls = []
+
+        class Recording(MobiusHurst):
+            def __call__(self, t):
+                calls.append(np.shape(t))
+                return super().__call__(t)
+
+        VariableHurst(Recording(0.6, 0.3), horizon=2.0)
+        assert calls == [(64,)]
+
     def test_matrix_assembly_time(self):
         # 55 entries and 10 calibrations; the nested quadrature took 9 s
         _volterra_norm.cache_clear()
@@ -491,6 +502,20 @@ class TestPiecewise:
         # array and scalar powers may round apart by an ulp
         assert_allclose(covariance_matrix(model, grid), want, rtol=1e-15,
                         atol=0.0)
+
+    def test_slope_arrays_match_segment_formula(self):
+        model = PiecewiseHurst((0.3, 0.55), (0.7, 0.5, 0.9))
+        t = np.linspace(0.001, 1.0, 997)
+        want = []
+        for u in t:
+            k = int(np.searchsorted((0.0, 0.3, 0.55), u, side="right")) - 1
+            h2 = 2.0 * model.hursts[k]
+            want.append(h2 * (float(u) - (0.0, 0.3, 0.55)[k]) ** (h2 - 1.0))
+        assert_allclose(model.dvar(t), want, rtol=1e-15, atol=0.0)
+        assert np.ndim(model.dvar(0.7)) == 0
+        # within 1e-12 of a breakpoint the slope is refused, in an array too
+        with pytest.raises(ValueError, match="not differentiable"):
+            model.dvar(np.array([0.2, 0.55 + 5e-13]))
 
     def test_validation(self):
         with pytest.raises(ValueError):
