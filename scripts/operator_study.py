@@ -12,7 +12,10 @@ Printed per operator: wall seconds, the peak of memory traced by
 tracemalloc during a second, untimed call (MB), the largest relative error
 against the closed form, and the largest reported spread / |value|.  One
 untimed call first takes the process's first touch of the largest contour
-arrays out of the table.
+arrays out of the table.  Beside them, the de Hoog inversion that checks
+each reported value: the node count of its inner line (graded, on the
+contour of the largest time), and its own largest relative error against
+the closed form, for G and for Lambda.
 
 A second table times the field residual ``fbm_fpke_residual`` at H = 1/2
 on a 200 x 200 fractional Brownian solve (x in [-12, 12], t in [0, 1],
@@ -38,6 +41,8 @@ from subdiff import (
     SubordinatorSpec,
     solve_fractional,
 )
+from subdiff import lambdaop
+from subdiff.fraccalc import _dehoog_contour
 from subdiff.lambdaop import (
     GOperator,
     LambdaOperator,
@@ -83,19 +88,33 @@ def row(fn, op, want):
             float(np.max(errs / np.abs(vals))))
 
 
+def dehoog_check(op, want):
+    """(inner line nodes, largest relative error) of the de Hoog check."""
+    cc = op.contour
+    s = _dehoog_contour(float(T.max()), cc.degree, 1e-10)[2]
+    zeta, _ = lambdaop._inner_line(
+        op, s, cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0,
+        lambdaop._vmax_for(op, 1.0), graded=True)
+    vals = lambdaop._dehoog_values(op, ONE.fn, 0.0, T, cc.degree, 1e-10)
+    return len(zeta), float(np.max(np.abs(vals[:, 0] / want - 1.0)))
+
+
 print(f"{'beta':>5} {'gamma':>6} | {'G s':>7} {'G MB':>6} {'G err':>8} "
       f"{'G spread':>8} | {'Lam s':>7} {'Lam MB':>6} {'Lam err':>8} "
-      f"{'Lam spread':>10}")
+      f"{'Lam spread':>10} | {'dH nodes':>8} {'dH G err':>8} "
+      f"{'dH Lam err':>10}")
 eval_G_grid(GOperator(*CASES[0]), ONE, T)
 for beta, gamma in CASES:
-    g = row(eval_G_grid, GOperator(beta, gamma), g_closed(beta, gamma))
-    lam = row(eval_Lambda_grid,
-              LambdaOperator(SubordinatorSpec.pure(beta),
-                             FractionalBrownian(0.5 * (1.0 + gamma))),
-              lambda_closed(beta, gamma))
+    gop = GOperator(beta, gamma)
+    lop = LambdaOperator(SubordinatorSpec.pure(beta),
+                         FractionalBrownian(0.5 * (1.0 + gamma)))
+    g = row(eval_G_grid, gop, g_closed(beta, gamma))
+    lam = row(eval_Lambda_grid, lop, lambda_closed(beta, gamma))
+    nodes, g_check = dehoog_check(gop, g_closed(beta, gamma))
+    _, lam_check = dehoog_check(lop, lambda_closed(beta, gamma))
     print(f"{beta:5.2f} {gamma:6.2f} | {g[0]:7.3f} {g[1]:6.1f} {g[2]:8.1e} "
           f"{g[3]:8.1e} | {lam[0]:7.3f} {lam[1]:6.1f} {lam[2]:8.1e} "
-          f"{lam[3]:10.1e}")
+          f"{lam[3]:10.1e} | {nodes:8d} {g_check:8.1e} {lam_check:10.1e}")
 
 print()
 print(f"{'beta':>5} | {'field s':>7} {'field linf':>10}")

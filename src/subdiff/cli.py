@@ -306,6 +306,11 @@ def _emit(args, name: str, csv: str, meta: dict, echo: bool = False) -> int:
     return 0
 
 
+# VariableHurst checks H(t) on [0, horizon] only; a clock may run past it
+_PAST_HORIZON = ("model.horizon: H(t) leaves (1/2, 1) at a clock value past "
+                 "the horizon")
+
+
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
     if cfg["model"] is None:
@@ -321,12 +326,10 @@ def cmd_simulate(args) -> int:
     if cfg["subordinator"] is not None:
         spec = TimeChangedSpec(gauss, cfg["subordinator"])
         sample = sample_timechanged_paths
-    # VariableHurst checks H(t) on [0, horizon] only; a clock may run past it
     try:
         ens = sample(spec, grid, n_paths, rng)
     except HurstRangeError as ex:
-        raise ConfigError("model.horizon: H(t) leaves (1/2, 1) at a time the "
-                          "paths reach past the horizon") from ex
+        raise ConfigError(_PAST_HORIZON) from ex
     meta = artifact_io.provenance(cfg["raw"], seed=cfg["seed"])
     return _emit(args, "paths", artifact_io.paths_csv(ens), meta)
 
@@ -340,7 +343,10 @@ def cmd_density(args) -> int:
                            cfg["subordinator"])
     times = cfg["times"] or [solver.t_max]
     xg = np.linspace(solver.x_min, solver.x_max, solver.n_x)
-    gd = subordinated_grid_density(spec, times, xg, config=solver)
+    try:
+        gd = subordinated_grid_density(spec, times, xg, config=solver)
+    except HurstRangeError as ex:
+        raise ConfigError(_PAST_HORIZON) from ex
     meta = artifact_io.provenance(cfg["raw"], seed=cfg["seed"])
     meta["mass_error"] = [float(m) for m in gd.mass_error]
     return _emit(args, "density", artifact_io.grid_density_csv(gd), meta)

@@ -504,8 +504,12 @@ class VariableHurst:
         return _volterra_cov(self.hurst, s, t)
 
     def var(self, t):
+        """t^(2 H(t)); raises ``HurstRangeError`` where H leaves (1/2, 1)
+        at a t > 0 (a clock may run past the horizon)."""
         t = np.asarray(t, dtype=float)
-        return np.where(t > 0.0, t ** (2.0 * self.hurst(t)), 0.0)
+        h = np.asarray(self.hurst(t))
+        _check_hurst_range(h[t > 0.0])
+        return np.where(t > 0.0, t ** (2.0 * h), 0.0)
 
     def dvar(self, t):
         t = np.asarray(t, dtype=float)

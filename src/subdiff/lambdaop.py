@@ -13,14 +13,25 @@ inversion back to the time domain:
   kernel on a pure clock; the outer fractional integral is folded into
   the inversion as s^(beta-1)
 
-The inner line is a sinh-stretched vertical contour, built on v >= 0 and
-mirrored, so that z(-v) = conj z(v) and dz(-v) = dz(v) bit for bit.  On
-it, u = rho(s) - rho(z) never crosses the negative real axis, so the
-integrand's non-integer power takes log u on the principal branch, which
-is the branch continuous along the line (``_kernel_on_line`` has the
-proof).  The kernel is built in row blocks of about 2^16 entries (1 MiB),
-so no temporary is the kernel's size; a kernel rebuilt per scale for one
-transform is summed block by block and never held whole.  The line scales
+The inner line is a sinh-stretched vertical contour z = C + i sinh(v),
+built on v >= 0 and mirrored, so that z(-v) = conj z(v) and
+dz(-v) = dz(v) bit for bit, and summed by the trapezoid rule in a
+variable w with v = phi(w) (``_line_nodes``).  For the de Hoog image of
+an analytic input the line is graded: half the de Hoog step out to a
+margin past the kernel singularity z = s, at height v = asinh(Im s), and
+a step about 16 times coarser beyond, where the integrand is smooth,
+does not oscillate and decays algebraically; phi is analytic in a strip,
+so the rule keeps its geometric convergence at about a sixth of the
+nodes.  Stehfest images and sampled inputs keep a uniform line: the
+Salzer weights amplify any change in the inner rule about 1e6, and a
+sampled transform oscillates as exp(-z t) along the line, where coarse
+steps lose it.  On the line, u = rho(s) - rho(z) never crosses the
+negative real axis, so the integrand's non-integer power takes log u on
+the principal branch, which is the branch continuous along the line
+(``_kernel_on_line`` has the proof).  The kernel is built in row blocks
+of about 2^14 entries (256 KiB), so no temporary is the kernel's size; a
+kernel rebuilt per scale for one transform is summed block by block and
+never held whole.  The line scales
 with the time: the outer nodes of an inversion rule are reference nodes s times
 a scale r (1/t for Stehfest's k ln2 / t, 2^b for de Hoog's dyadic block
 b), and the inner line is the reference line zeta times the same r.
@@ -122,6 +133,16 @@ class ContourConfig:
             raise ValueError("offset_ratio must lie in (0, 1)")
 
 
+# layout of the graded line of an analytic de Hoog image (``_inner_line``):
+# the step rises from fine to _COARSE_STRETCH times that across
+# _FINE_MARGIN past the kernel singularity's height in v, by a logistic
+# step of width _RISE_WIDTH; at the singularity's height, eight widths
+# below, it is still within 0.5% of the fine step
+_FINE_MARGIN = 2.0
+_COARSE_STRETCH = 16.0
+_RISE_WIDTH = 0.25
+
+
 @dataclass(frozen=True)
 class GOperator:
     """The Lambda kernel's power case 2 Gamma(gamma+1) u^-(gamma+1) on a
@@ -206,17 +227,60 @@ class OperatorValue(NamedTuple):
 # inner contour machinery
 # ---------------------------------------------------------------------------
 
-def _line_nodes(C: float, spacing: float, vmax: float):
-    """Nodes z = C + i sinh(v) and weights dz = i cosh(v) h at v = k h,
-    k = -n..n, built on v >= 0 and mirrored: z(-v) = conj z(v) and
-    dz(-v) = dz(v) bit for bit, and the centre node is C."""
-    n_half = max(int(vmax / spacing), 400)
-    h = vmax / n_half
-    v = np.arange(n_half + 1) * h
-    y, w = np.sinh(v), np.cosh(v) * h
+def _line_nodes(C: float, spacing: float, vmax: float,
+                v_fine: float = math.inf):
+    """Nodes z = C + i sinh(v) and weights dz = i cosh(v) phi'(w) h at
+    v = phi(w), w = k h, k = -n..n, built on w >= 0 and mirrored:
+    z(-v) = conj z(v) and dz(-v) = dz(v) bit for bit, the centre node is C
+    and the end nodes sit at v = +-vmax.
+
+    phi is the identity when v_fine >= vmax: a uniform line of step about
+    ``spacing``.  Otherwise h is about half of ``spacing``, phi is odd and
+    monotone, and phi' is 1 well below v_fine and rises across it to about
+    ``_COARSE_STRETCH``, by a logistic step of width ``_RISE_WIDTH``, so
+    that phi is analytic in a strip and the trapezoid rule keeps its
+    geometric convergence; the stretch is set so that phi reaches vmax at
+    the end node."""
+    graded = v_fine < vmax
+    w_end, step = vmax, spacing
+    if graded:
+        w_end = (vmax + (_COARSE_STRETCH - 1.0) * v_fine) / _COARSE_STRETCH
+        step = 0.5 * spacing
+    n_half = max(int(w_end / step), 400)
+    h = w_end / n_half
+    w = np.arange(n_half + 1) * h
+    v, dv = w, h
+    if graded:
+        def rise(x):  # odd in x, and its derivative times _RISE_WIDTH
+            a = (x - v_fine) / _RISE_WIDTH
+            b = (-x - v_fine) / _RISE_WIDTH
+            return (np.logaddexp(0.0, a) - np.logaddexp(0.0, b),
+                    1.0 + 0.5 * (np.tanh(0.5 * a) + np.tanh(0.5 * b)))
+
+        stretch = (vmax - w_end) / (_RISE_WIDTH * rise(w_end)[0])
+        r, dr = rise(w)
+        v = w + stretch * _RISE_WIDTH * r
+        dv = h * (1.0 + stretch * dr)
+        # the end node's cell reaches half a fine step past vmax, as on
+        # the uniform line, not half a coarse one
+        dv[-1] = 0.5 * (h + dv[-1])
+    y, wt = np.sinh(v), np.cosh(v) * dv
     z = C + 1j * np.concatenate([-y[:0:-1], y])
-    dz = 1j * np.concatenate([w[:0:-1], w])
+    dz = 1j * np.concatenate([wt[:0:-1], wt])
     return z, dz
+
+
+def _inner_line(op, s, spacing: float, vmax: float, graded: bool = False):
+    """The inner line (zeta, dzeta) for reference outer nodes ``s``, at
+    C = offset_ratio * min Re s: uniform at ``spacing``, or ``graded``
+    (an analytic de Hoog image) at half that step out to
+    v_fine = asinh(max |Im s|) + ``_FINE_MARGIN``, past the kernel
+    singularity z = s, and coarse beyond, where the integrand is smooth
+    and decays algebraically."""
+    v_fine = (math.asinh(float(np.abs(s.imag).max())) + _FINE_MARGIN
+              if graded else math.inf)
+    return _line_nodes(op.contour.offset_ratio * float(s.real.min()),
+                       spacing, vmax, v_fine)
 
 
 def _kernel_tail_power(op) -> float:
@@ -224,9 +288,9 @@ def _kernel_tail_power(op) -> float:
     return max(b for b, _ in op.sub.components) * profile_decay(op.profile)
 
 
-# entries of a kernel built at once (1 MiB of complex): a block's
+# entries of a kernel built at once (256 KiB of complex): a block's
 # temporaries stay in cache, and none of them is the kernel's size
-_BLOCK_ENTRIES = 2**16
+_BLOCK_ENTRIES = 2**14
 
 
 def _principal_log(u: np.ndarray) -> np.ndarray:
@@ -296,18 +360,21 @@ def _mirror_weights(kd: np.ndarray) -> np.ndarray:
     return np.block([[P.real, -Q.imag], [P.imag, Q.real]])
 
 
-def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float) -> list:
+def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float,
+           graded: bool = False) -> list:
     """Laplace images of the operator applied to g, one per scale r, on the
     outer nodes r s.
 
     The inner line for scale r is r zeta, where zeta is the sinh-stretched
-    line at C = offset_ratio * min Re s; each scale's line must clear g~'s
-    rightmost singularity by the contour's margin.  ``gt`` is one transform
-    or any number of sampled ones.  A callable maps line nodes z to one
-    transform g~(z), shaped (n_z,), and each image is (len(s),).  A pair
-    (t_grid, Y) holds n_cols real columns sampled on one grid, whose
-    transforms are T(z) @ Y with T the transform of the linear interpolant
-    (``_transform_from_exponentials``), and each image is
+    line at C = offset_ratio * min Re s (``_inner_line``): uniform at
+    ``spacing``, or, with ``graded``, at half that step out past the
+    kernel singularity and coarse beyond; each scale's line must clear
+    g~'s rightmost singularity by the contour's margin.  ``gt`` is one
+    transform or any number of sampled ones.  A callable maps line nodes
+    z to one transform g~(z), shaped (n_z,), and each image is (len(s),).
+    A pair (t_grid, Y) holds n_cols real columns sampled on one grid,
+    whose transforms are T(z) @ Y with T the transform of the linear
+    interpolant (``_transform_from_exponentials``), and each image is
     (n_cols, len(s)): T is formed on the line's v >= 0 half only, the
     kernel times dz is contracted into it first (``_mirror_weights``), and
     the (len(s), len(t_grid)) result is applied to Y once; a scale 2^n
@@ -326,7 +393,7 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float) -> list:
         raise NumericsError(
             "inner contour too close to a transform singularity"
         )
-    zeta, dzeta = _line_nodes(C, spacing, vmax)
+    zeta, dzeta = _inner_line(op, s, spacing, vmax, graded)
     degree = _kernel_degree(op)
     kern = None if degree is None else _kernel_on_line(op, s, zeta)
     sampled = isinstance(gt, tuple)
@@ -437,6 +504,7 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     callable ``gt``, Y's columns for a pair (t_grid, Y).  The image's
     kernel singularity sits at height Im s, where the sinh-stretched line
     is coarse, so the spacing shrinks with the line-to-singularity margin.
+    A callable's line is graded (``_inner_line``); a pair's is uniform.
     """
     cc = op.contour
     t_grid = np.asarray(t_grid, dtype=float)
@@ -448,9 +516,11 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     # ascending scales, so that a sampled input squares its exponentials
     blocks = dict(sorted(blocks.items()))
     spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
+    sampled = isinstance(gt, tuple)
     images = _image(op, gt, g_sing, _dehoog_contour(t_top, M, tol)[2],
-                    [2.0**b for b in blocks], spacing, _vmax_for(op, g_tail))
-    n_cols = gt[1].shape[1] if isinstance(gt, tuple) else 1
+                    [2.0**b for b in blocks], spacing, _vmax_for(op, g_tail),
+                    graded=not sampled)
+    n_cols = gt[1].shape[1] if sampled else 1
     out = np.empty((len(t_grid), n_cols))
     for (b, idxs), F in zip(blocks.items(), images):
         out[idxs] = _dehoog_batch(lambda p, F=F: F, t_grid[idxs], M, n_cols,

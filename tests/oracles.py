@@ -31,7 +31,10 @@ segment, as it was before it took arrays.
 digits, from the far left into the far tail.  ``kernel_unwrapped`` is the
 operator kernel as it was when the whole array was built at once and its
 log was unwrapped along the line (``unwrapped_log``), not taken on the
-principal branch.  ``power_eigenvalue`` is the closed-form eigenvalue of
+principal branch.  ``uniform_line`` is the inner line as it was before
+the analytic de Hoog image took a graded one: the trapezoid of one step
+on the sinh-stretched line, which the Stehfest and sampled images keep.
+``power_eigenvalue`` is the closed-form eigenvalue of
 G on a power of t.  ``bm_pure_clock_density``
 is the closed form of Brownian motion on a pure clock, an M-Wright
 function read from the library's clock density (itself held to the
@@ -245,6 +248,19 @@ def kernel_unwrapped(op, s, z):
     m = (op.sub.components[0][0] if op.sub.is_pure
          else op.sub.order_mixture(z)[None, :])
     return profile_derivative(op.profile, rho_s - rho_z, unwrapped_log) * m
+
+
+def uniform_line(C, spacing, vmax):
+    """Nodes C + i sinh(v) and weights i cosh(v) h at v = k h, |k| <= n,
+    h = vmax / n, n = max(int(vmax / spacing), 400), built on v >= 0 and
+    mirrored."""
+    n_half = max(int(vmax / spacing), 400)
+    h = vmax / n_half
+    v = np.arange(n_half + 1) * h
+    y, w = np.sinh(v), np.cosh(v) * h
+    z = C + 1j * np.concatenate([-y[:0:-1], y])
+    dz = 1j * np.concatenate([w[:0:-1], w])
+    return z, dz
 
 
 def power_eigenvalue(beta, gam, a):

@@ -371,6 +371,30 @@ def test_simulate_past_the_hurst_horizon_exits_2(tmp_path, capsys):
     assert not any(out.glob("*"))
 
 
+def test_density_past_the_hurst_horizon_exits_2(tmp_path, capsys):
+    # the subordination integral reads the variance at clock values up to
+    # the clock's support at t 20, where H(tau) = 0.6 + 0.1 tau passes 1
+    body = {"model": {"kind": "variable_hurst", "preset": "poly",
+                      "coeffs": [0.6, 0.1], "horizon": 2.0},
+            "subordinator": {"components": [{"beta": 0.7}]},
+            "solver": {"t_max": 20.0}}
+    out = tmp_path / "o"
+    rc = main(["density", "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "model.horizon: H(t) leaves (1/2, 1)" in err
+    assert "Traceback" not in err
+    assert not any(out.glob("*"))
+
+
+def test_density_headline_config_stays_in_range(tmp_path):
+    # Moebius H(t) = 0.6 + 0.3 t / (1 + t) stays in (1/2, 1) at every
+    # clock value
+    cfg = os.path.join(CONFIGS, "mobius_beta07.json")
+    assert main(["density", "--config", cfg, "--out", str(tmp_path)]) == 0
+
+
 @pytest.mark.parametrize("command", ["solve", "validate"])
 def test_headline_config_has_no_solve(tmp_path, command, capsys):
     # a fractional solve needs an autonomous operator (Brownian or OU)

@@ -48,6 +48,7 @@ from oracles import (
     field_residual_full_line,
     kernel_unwrapped,
     power_eigenvalue,
+    uniform_line,
 )
 
 ONE = constant_transform(1.0)
@@ -353,10 +354,12 @@ class TestKernelReuse:
         s_steh = np.arange(1, 17) * math.log(2.0) + 0j
         s_dh = _dehoog_contour(2.0, cc.degree, 1e-10)[2]
         dh_spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
-        for s, spacing in ((s_steh, cc.node_spacing), (s_dh, dh_spacing)):
-            zeta, _ = lambdaop._line_nodes(
-                cc.offset_ratio * float(s.real.min()), spacing,
-                lambdaop._vmax_for(op, 1.0))
+        # Stehfest's line, the sampled de Hoog line and the analytic one
+        for s, spacing, graded in ((s_steh, cc.node_spacing, False),
+                                   (s_dh, dh_spacing, False),
+                                   (s_dh, dh_spacing, True)):
+            zeta, _ = lambdaop._inner_line(op, s, spacing,
+                                           lambdaop._vmax_for(op, 1.0), graded)
             ref = lambdaop._kernel_on_line(op, s, zeta)
             for r in (1.0 / 0.02, 1.0 / 2.0, 8.0, 64.0):
                 fresh = lambdaop._kernel_on_line(op, r * s, r * zeta)
@@ -384,26 +387,30 @@ class TestKernelReuse:
 
 
 def _node_sets(op):
-    """(s, spacing, scale, g_tail) of the kernel builds the inversions
-    make: Stehfest's 16 nodes (degree 12 reads the first 12) at scales
-    1/t, and de Hoog's degree 18 and 24 contours at scales 2^b.  A
-    homogeneous kernel is built only at scale 1, and only its line's
-    shape matters, so one horizon serves; it also takes the field
-    residual's line (g_tail 2).  Any other kernel is built per scale, at
-    horizons 0.1 and 10."""
+    """(s, spacing, scale, g_tail, graded) of the kernel builds the
+    inversions make: Stehfest's 16 nodes (degree 12 reads the first 12) at
+    scales 1/t, de Hoog's degree 18 contour on the graded line of an
+    analytic input, and de Hoog's degree 18 and 24 contours on the uniform
+    line of a sampled one, at scales 2^b.  A homogeneous kernel is built
+    only at scale 1, and only its line's shape matters, so one horizon
+    serves; it also takes the field residual's line (g_tail 2).  Any other
+    kernel is built per scale, at horizons 0.1 and 10."""
     cc = op.contour
     steh = np.arange(1, 17) * math.log(2.0) + 0j
     dh_spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
-    dh_rules = ((cc.degree, 1e-10), (cc.degree_check, 1e-12))
+    dh_rules = ((cc.degree, 1e-10, True), (cc.degree, 1e-10, False),
+                (cc.degree_check, 1e-12, False))
     if lambdaop._kernel_degree(op) is not None:
         s18 = _dehoog_contour(2.0, cc.degree, 1e-10)[2]
-        return ([(steh, cc.node_spacing, 1.0, 1.0),
-                 (s18, dh_spacing, 1.0, 2.0)]
-                + [(_dehoog_contour(2.0, M, tol)[2], dh_spacing, 1.0, 1.0)
-                   for M, tol in dh_rules])
-    return ([(steh, cc.node_spacing, r, 1.0) for r in (1.0 / 0.1, 1.0 / 10.0)]
-            + [(_dehoog_contour(horizon, M, tol)[2], dh_spacing, r, 1.0)
-               for M, tol in dh_rules for horizon in (0.1, 10.0)
+        return ([(steh, cc.node_spacing, 1.0, 1.0, False),
+                 (s18, dh_spacing, 1.0, 2.0, False)]
+                + [(_dehoog_contour(2.0, M, tol)[2], dh_spacing, 1.0, 1.0,
+                    graded) for M, tol, graded in dh_rules])
+    return ([(steh, cc.node_spacing, r, 1.0, False)
+             for r in (1.0 / 0.1, 1.0 / 10.0)]
+            + [(_dehoog_contour(horizon, M, tol)[2], dh_spacing, r, 1.0,
+                graded)
+               for M, tol, graded in dh_rules for horizon in (0.1, 10.0)
                for r in (1.0, 8.0)])
 
 
@@ -436,10 +443,10 @@ def test_principal_branch_kernel_is_the_unwrapped_one(name):
     # also summed against one transform block by block, by the same
     # per-row pairwise sum as the full product
     op = BRANCH_OPERATORS[name]
-    for s, spacing, r, g_tail in _node_sets(op):
-        C = op.contour.offset_ratio * float(s.real.min())
-        zeta, dzeta = lambdaop._line_nodes(C, spacing,
-                                           lambdaop._vmax_for(op, g_tail))
+    for s, spacing, r, g_tail, graded in _node_sets(op):
+        zeta, dzeta = lambdaop._inner_line(op, s, spacing,
+                                           lambdaop._vmax_for(op, g_tail),
+                                           graded)
         want = kernel_unwrapped(op, r * s, r * zeta)
         assert np.array_equal(lambdaop._kernel_on_line(op, r * s, r * zeta),
                               want)
@@ -451,13 +458,13 @@ def test_principal_branch_kernel_is_the_unwrapped_one(name):
 
 
 def _dehoog_kernel_bytes(op):
-    """Bytes of the de Hoog kernel on 10 times up to 2 at scale 1."""
+    """Bytes of the analytic de Hoog kernel, on its graded line, on 10
+    times up to 2 at scale 1."""
     cc = op.contour
     s = _dehoog_contour(2.0, cc.degree, 1e-10)[2]
-    z, _ = lambdaop._line_nodes(
-        cc.offset_ratio * float(s.real.min()),
-        cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0,
-        lambdaop._vmax_for(op, 1.0))
+    z, _ = lambdaop._inner_line(
+        op, s, cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0,
+        lambdaop._vmax_for(op, 1.0), graded=True)
     return len(s) * len(z) * np.dtype(complex).itemsize
 
 
@@ -476,8 +483,10 @@ def _traced_peak(evaluate, op):
 
 
 def test_g_grid_peak_memory_is_one_kernel():
-    # the de Hoog kernel at beta 0.1 (37 x 40111 complex, 23.7 MB) is the
-    # one full-size array: its row blocks keep every temporary small
+    # the de Hoog kernel at beta 0.1 (37 x 6825 complex on the graded
+    # line, 4.0 MB) is the one full-size array: its row blocks keep every
+    # temporary small (measured 1.36 kernels; 5.1 with the whole kernel's
+    # temporaries at once)
     op = GOperator(0.1, 0.2)
     assert _traced_peak(eval_G_grid, op) <= 1.5 * _dehoog_kernel_bytes(op)
 
@@ -485,7 +494,7 @@ def test_g_grid_peak_memory_is_one_kernel():
 def test_rebuilt_kernel_is_never_held_whole():
     # OU has no degree, so each scale's kernel is rebuilt and summed
     # against g block by block: the peak stays below half of one de Hoog
-    # kernel (measured 0.24 of it; 2.1 when each kernel is held whole)
+    # kernel (measured 0.38 of it; 3.1 when each kernel is held whole)
     op = LambdaOperator(SubordinatorSpec.pure(0.1),
                         OrnsteinUhlenbeck(1.0, 1.0))
     assert _traced_peak(eval_Lambda_grid, op) <= 0.5 * _dehoog_kernel_bytes(op)
@@ -512,7 +521,7 @@ def test_stehfest_12_reads_the_first_rows_of_16(op, g):
 
 @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
 @pytest.mark.parametrize("g_tail", [1.0, 2.0])
-@pytest.mark.parametrize("rule", ["stehfest", "dehoog"])
+@pytest.mark.parametrize("rule", ["stehfest", "dehoog", "graded"])
 def test_line_nodes_exact_mirror(beta, g_tail, rule):
     # the sampled route forms the transform matrix on v >= 0 only and reads
     # the lower half as its conjugate, which needs the line mirrored exactly
@@ -525,12 +534,117 @@ def test_line_nodes_exact_mirror(beta, g_tail, rule):
         spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
     C = cc.offset_ratio * float(s.real.min())
     vmax = lambdaop._vmax_for(op, g_tail)
-    z, dz = lambdaop._line_nodes(C, spacing, vmax)
+    z, dz = lambdaop._inner_line(op, s, spacing, vmax, rule == "graded")
     assert len(z) % 2 == 1 and len(z) > 800
     assert np.array_equal(z[::-1], np.conj(z))
     assert np.array_equal(dz[::-1], dz)
     assert z[len(z) // 2] == C
     assert np.isclose(np.arcsinh(z[-1].imag), vmax, rtol=1e-12)
+    if rule == "graded":
+        # steps in v: half the de Hoog step up to the kernel singularity's
+        # height, then rising monotonically to at most 16 times that (13.3
+        # at beta 0.9 on g_tail 2, whose coarse part ends within two rise
+        # widths of v_fine)
+        v = np.arcsinh(z[len(z) // 2 :].imag)
+        dv = np.diff(v)
+        fine = v[1:] <= np.arcsinh(float(s.imag.max()))
+        assert np.allclose(dv[fine], 0.5 * spacing, rtol=0.01)
+        assert np.all(np.diff(dv) > -1e-12 * vmax)
+        assert 13.0 < dv[-2] / dv[0] <= 16.0
+
+
+def test_only_the_analytic_dehoog_image_is_graded(monkeypatch):
+    # Stehfest images, sampled pairs and the field residual keep the
+    # uniform line as it was: the Salzer weights amplify any change in the
+    # inner rule about 1e6, and a sampled transform oscillates as exp(-z t)
+    # along the line, where coarse steps lose it
+    calls = []
+    fresh = lambdaop._line_nodes
+
+    def recorded(C, spacing, vmax, v_fine=math.inf):
+        z, dz = fresh(C, spacing, vmax, v_fine)
+        calls.append((C, spacing, vmax, v_fine, z, dz))
+        return z, dz
+
+    monkeypatch.setattr(lambdaop, "_line_nodes", recorded)
+    op = GOperator(0.3, 0.4)
+    cc = op.contour
+    dh_spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
+    t = np.array([0.3, 1.0, 2.5])
+    eval_G_grid(op, ONE, t)
+    tg = np.linspace(0.0, 3.0, 61)
+    eval_G_grid(op, SampledFunction(tg, np.exp(-tg)), t)
+    dens = GridDensity(tg, np.linspace(-4.0, 4.0, 41), np.zeros((61, 41)),
+                       np.zeros(61))
+    fbm_fpke_residual(0.7, SubordinatorSpec.pure(0.3), dens)
+    # Stehfest, the analytic de Hoog image, sampled de Hoog 18 and 24, and
+    # the residual's de Hoog 18
+    assert [c[1] for c in calls] == [cc.node_spacing] + [dh_spacing] * 4
+    assert [c[3] < c[2] for c in calls] == [False, True, False, False, False]
+    for C, spacing, vmax, v_fine, z, dz in calls[:1] + calls[2:]:
+        assert v_fine == math.inf
+        want_z, want_dz = uniform_line(C, spacing, vmax)
+        assert np.array_equal(z, want_z) and np.array_equal(dz, want_dz)
+
+
+@pytest.mark.parametrize("op", [
+    GOperator(0.5, 0.4),
+    LambdaOperator(SubordinatorSpec(((0.4, 0.5), (0.8, 0.5))), Brownian()),
+], ids=["G 0.5", "bm mixture"])
+def test_dehoog_values_linear_on_analytic_inputs(op):
+    # the graded line depends on the outer nodes only, never on g, so the
+    # image is linear in g; de Hoog's continued fraction is not, at about
+    # 1e-13 here (2e-12 at beta 0.1 and on OU, on either line)
+    t = np.array([0.05, 0.3, 0.7, 1.0, 3.0])
+
+    def dehoog(fn, sing):
+        return lambdaop._dehoog_values(op, fn, sing, t, op.contour.degree,
+                                       1e-10)[:, 0]
+
+    combined = dehoog(lambda z: 2.0 / z + 3.0 / (z + 1.0), -1.0)
+    parts = (2.0 * dehoog(lambda z: 1.0 / z, 0.0)
+             + 3.0 * dehoog(lambda z: 1.0 / (z + 1.0), -1.0))
+    assert_allclose(combined, parts, rtol=1e-12, atol=0.0)
+
+
+GRADED_CASES = {
+    # v_max reaches v_cap, where the integrand is still alive at the end
+    "G(0.1, -0.5)": GOperator(0.1, -0.5),
+    "G(0.5, 0.2)": GOperator(0.5, 0.2),
+    "G(0.97, 0.8)": GOperator(0.97, 0.8),
+    "ou pure 0.5": LambdaOperator(SubordinatorSpec.pure(0.5),
+                                  OrnsteinUhlenbeck(1.0, 1.0)),
+    "bm mixture": LambdaOperator(SubordinatorSpec(((0.4, 0.5), (0.8, 0.5))),
+                                 Brownian()),
+}
+
+
+def _line_image(op, g, s, line):
+    """The image of g on the outer nodes s at scale 1, summed on ``line``
+    row block by row block, so that no kernel is held whole."""
+    zeta, dzeta = line
+    phi = lambdaop._kernel_on_line(op, s, zeta, g.fn(zeta) * dzeta)
+    return 0.5 / (2j * np.pi) * np.exp(op.fold_power * np.log(s)) * phi
+
+
+@pytest.mark.parametrize("horizon", [0.05, 50.0])
+@pytest.mark.parametrize("g", [ONE, exp_transform(1.0)], ids=["1", "exp"])
+@pytest.mark.parametrize("name", sorted(GRADED_CASES))
+def test_graded_image_is_as_close_as_the_uniform_one(name, g, horizon):
+    # against a uniform line at a quarter of the de Hoog step, the graded
+    # line of the analytic image may be no farther than the uniform line
+    # it replaces, up to 1e-10 of the image: the check's own tolerance
+    op = GRADED_CASES[name]
+    cc = op.contour
+    s = _dehoog_contour(horizon, cc.degree, 1e-10)[2]
+    spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
+    vmax = lambdaop._vmax_for(op, 1.0)
+    ref, uniform, graded = (
+        _line_image(op, g, s, lambdaop._inner_line(op, s, h, vmax, grade))
+        for h, grade in ((spacing / 4.0, False), (spacing, False),
+                         (spacing, True)))
+    assert (np.max(np.abs(graded - ref))
+            <= np.max(np.abs(uniform - ref)) + 1e-10 * np.max(np.abs(ref)))
 
 
 def test_lambda_grid_peak_memory():
