@@ -29,9 +29,11 @@ kernel is one cell rule for every order below 1), so it has no weights
 of its own.  The composite Gauss-Legendre rule is written once too, in
 ``_gauss_panels``: the subordination panels and the Kanter-Zolotarev
 integral take their nodes from it.  Likewise the transform of sampled
-data, the closed form for its linear interpolant, lives only in
-``_transform_from_exponentials``, and the operators in ``lambdaop`` are
-its one caller.
+data, the closed form for its linear interpolant, lives only here:
+``_hat_transform`` on a uniform grid (``_uniform_step``, the lag table's
+test), about 2 sqrt(n) exponentials per node, and
+``_transform_from_exponentials`` on any other, one exponential per
+(node, time); the operators in ``lambdaop`` are their one caller.
 
 The inversion is deliberately redundant: two unrelated algorithms must
 agree or an ``InversionError`` is raised, so an ill-suited transform shows
@@ -154,9 +156,24 @@ def _gauss_panels(edges, n: int):
 #: alike for a 400-step L1 solve)
 _L1_BLOCK_ROWS = 64
 
-#: a grid counts as uniform, and its L1 weights are read from one lag
-#: table, when every t_k lies within this many ulp of t_n of t_0 + k h
+#: a grid counts as uniform (``_uniform_step``) when every t_k lies within
+#: this many ulp of t_n of t_0 + k h
 _UNIFORM_ULPS = 4
+
+
+def _uniform_step(t: np.ndarray) -> float | None:
+    """The step h = (t_n - t_0) / n of a uniform grid, or None if some t_k
+    is more than ``_UNIFORM_ULPS`` ulp of t_n away from t_0 + k h (or the
+    grid has one point).  The L1 lag table and the operators' closed-form
+    transform take a grid as uniform by this one test."""
+    n = len(t) - 1
+    if n < 1:
+        return None
+    h = (t[-1] - t[0]) / n
+    drift = np.abs(t - (t[0] + np.arange(n + 1) * h))
+    if np.max(drift) > _UNIFORM_ULPS * np.spacing(abs(t[-1])):
+        return None
+    return h
 
 
 def _lag_table(t: np.ndarray, components):
@@ -173,13 +190,10 @@ def _lag_table(t: np.ndarray, components):
     that row i of W is the window r[n - i :] (see ``_lag_rows``).  It
     depends on the whole grid only, never on the rows asked for.
     """
+    h = _uniform_step(t)
+    if h is None:
+        return None
     n = len(t) - 1
-    if n < 1:
-        return None
-    h = (t[-1] - t[0]) / n
-    drift = np.abs(t - (t[0] + np.arange(n + 1) * h))
-    if np.max(drift) > _UNIFORM_ULPS * np.spacing(abs(t[-1])):
-        return None
     m = np.arange(n + 1, dtype=float)
     a = 0.0
     for beta, wgt in components:
@@ -437,6 +451,67 @@ def _transform_from_exponentials(t: np.ndarray, sc: np.ndarray,
     T[:, 0] = first
     T[:, -1] = last
     return T
+
+
+# Taylor coefficients in u of phi1(u) = (e^u - 1) / u,
+# phi2(u) = (e^u - 1 - u) / u^2 and psi(u) = (1 - e^u (1 - u)) / u^2, for
+# |u| < 1, where the closed forms cancel: 20 terms reach 1e-17 there
+_HAT_SERIES = np.array([[1.0 / math.factorial(k + 1),
+                         1.0 / math.factorial(k + 2),
+                         (k + 1.0) / math.factorial(k + 2)]
+                        for k in range(20)])
+
+
+def _hat_factors(u: np.ndarray) -> np.ndarray:
+    """phi1(u)^2, phi2(u) and psi(u) (``_HAT_SERIES``) at u = -z h,
+    shaped (3, len(u)): the column factors of ``_hat_transform``.  Each
+    ratio is divided by u twice rather than by u^2, which could overflow
+    far up the line."""
+    em = np.expm1(u)
+    f = np.array([em / u, (em - u) / u / u,
+                  (1.0 - np.exp(u) * (1.0 - u)) / u / u])
+    small = np.abs(u) < 1.0
+    if small.any():
+        us = u[small]
+        acc = np.zeros((3, len(us)), dtype=complex)
+        for c in _HAT_SERIES[::-1]:
+            acc = acc * us + c[:, None]
+        f[:, small] = acc
+    f[0] *= f[0]
+    return f
+
+
+def _hat_transform(t0: float, h: float, n: int, z: np.ndarray) -> np.ndarray:
+    """The transpose of T of ``_transform_from_exponentials`` on the uniform
+    grid t_j = t0 + j h, j = 0..n, at nodes z with Re z > 0: shaped
+    (n + 1, len(z)), so that its float view lists each node's real and
+    imaginary parts side by side.
+
+    With w = z h and e_m = exp(-z t_m), the hat functions transform in
+    closed form:
+
+        T_0 = e_0 h phi2(-w),   T_n = e_{n-1} h psi(-w),
+        T_j = e_{j-1} h phi1(-w)^2 = e_j 4 sinh^2(w/2) / (z^2 h),  0 < j < n,
+
+    factored so that nothing overflows for large Re w and nothing cancels
+    as |w| -> 0, where the differences of exponentials lose digits.  The
+    e_m are products e_{aB+k} = exp(-z (t0 + aBh)) exp(-z kh),
+    B = ceil(sqrt(n)): about 2 sqrt(n) exponentials per node, not n + 1,
+    and one complex product per entry, of an anchor already scaled by its
+    column factor and an offset.
+    """
+    B = math.isqrt(n - 1) + 1
+    n_a = -(-n // B)
+    anchors = np.exp(-(t0 + np.arange(0, n_a * B, B) * h)[:, None] * z)
+    offsets = np.exp(-(np.arange(B) * h)[:, None] * z)
+    f = h * _hat_factors(-(z * h))
+    last = anchors[(n - 1) // B] * offsets[(n - 1) % B] * f[2]
+    T = np.empty((1 + n_a * B, len(z)), dtype=complex)
+    np.multiply((anchors * f[0])[:, None, :], offsets[None],
+                out=T[1:].reshape(n_a, B, len(z)))
+    T[0] = anchors[0] * f[1]
+    T[n] = last
+    return T[: n + 1]
 
 
 def laplace_forward(

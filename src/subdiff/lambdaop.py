@@ -48,7 +48,15 @@ for sampled data: a ``SampledFunction``'s values are one column, the
 field residual's Laplacians many.  The columns' transform matrix T
 satisfies T(conj z) = conj T(z), so it is formed on the line's upper half
 only, the kernel times dz is contracted into it first, and the small
-(outer nodes x times) result maps every column at once.
+(outer nodes x times) result maps every column at once.  On a uniform
+grid (``fraccalc._uniform_step``, the L1 lag table's test; every solver
+grid is one) T is the hat functions' closed form,
+e^(-z t_j) 4 sinh^2(zh/2) / (z^2 h) inside and h phi2 forms at the ends,
+with each e^(-z t_j) one product of an anchor and an offset exponential
+(``fraccalc._hat_transform``): about 2 sqrt(n) exponentials per line node
+instead of n + 1, and no difference of exponentials to cancel as
+|zh| -> 0.  Any other grid differences the exponentials of every
+(node, time) (``fraccalc._transform_from_exponentials``).
 
 The outer inversion of an analytic input is the linear Gaver-Stehfest
 rule at degree 12, cross-checked by degree 16 and by a de Hoog inversion;
@@ -61,8 +69,10 @@ through ``_dehoog_values``: one ``_image`` call for all dyadic blocks of
 times, then one ``fraccalc._dehoog_batch`` call per block, whose
 continued fraction sums all of the block's times at once.  The top
 block's line is the one its own nodes would give (offset_ratio times the
-abscissa); a lower block reads the top line scaled by 2^b, so its
-exponentials exp(-z t) are the top block's squared b times.  Everything
+abscissa); a lower block reads the top line scaled by 2^b, so on a
+non-uniform grid its exponentials exp(-z t) are the top block's squared
+b times, while a uniform grid builds each block's small anchor and
+offset tables afresh.  Everything
 here is validated downstream against scalar moment identities, which is
 where these operators meet hard data.
 """
@@ -79,7 +89,9 @@ from .fraccalc import (
     SampledFunction,
     _dehoog_batch,
     _dehoog_contour,
+    _hat_transform,
     _transform_from_exponentials,
+    _uniform_step,
     caputo_l1_columns,
 )
 from .gaussian import profile_decay, profile_derivative
@@ -344,10 +356,12 @@ def _kernel_degree(op) -> float | None:
     return None
 
 
-def _mirror_weights(kd: np.ndarray) -> np.ndarray:
+def _mirror_weights(kd: np.ndarray, paired: bool = False) -> np.ndarray:
     """Real matrix W with W @ [Re T; Im T] = [Re A; Im A], A the sum over a
     mirrored line of kd[:, j] T(z_j), for T formed on the v >= 0 half
     (centre first) and a real time grid, where T(conj z) = conj T(z).
+    ``paired`` orders W's columns node by node, (Re, Im) for each, to
+    match the float view of a time-major complex T (``_hat_transform``).
 
     With K+ the half's columns of kd and K- their mirrors (zero at the
     centre, which is counted once), A = (K+ + K-) Re T + i (K+ - K-) Im T.
@@ -357,7 +371,13 @@ def _mirror_weights(kd: np.ndarray) -> np.ndarray:
     km = np.zeros_like(kp)
     km[:, 1:] = kd[:, n - 1 :: -1]
     P, Q = kp + km, kp - km
-    return np.block([[P.real, -Q.imag], [P.imag, Q.real]])
+    m = len(kd)
+    W = np.empty((2, m, n + 1, 2) if paired else (2, m, 2, n + 1))
+    # V[row part, outer node, column part, line node], a view of W
+    V = W.swapaxes(2, 3) if paired else W
+    V[0, :, 0], V[0, :, 1] = P.real, -Q.imag
+    V[1, :, 0], V[1, :, 1] = P.imag, Q.real
+    return W.reshape(2 * m, -1)
 
 
 def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float,
@@ -374,10 +394,14 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float,
     z to one transform g~(z), shaped (n_z,), and each image is (len(s),).
     A pair (t_grid, Y) holds n_cols real columns sampled on one grid,
     whose transforms are T(z) @ Y with T the transform of the linear
-    interpolant (``_transform_from_exponentials``), and each image is
-    (n_cols, len(s)): T is formed on the line's v >= 0 half only, the
-    kernel times dz is contracted into it first (``_mirror_weights``), and
-    the (len(s), len(t_grid)) result is applied to Y once; a scale 2^n
+    interpolant, and each image is (n_cols, len(s)): T is formed on the
+    line's v >= 0 half only, the kernel times dz is contracted into it
+    first (``_mirror_weights``), and the (len(s), len(t_grid)) result is
+    applied to Y once.  On a uniform grid (``_uniform_step``) T is the
+    closed form of ``_hat_transform``, time-major, whose float view the
+    kernel's paired columns contract directly; each scale builds its own
+    anchor and offset exponentials.  On any other grid T is the
+    differenced form (``_transform_from_exponentials``), and a scale 2^n
     times the one before it squares that scale's exponentials exp(-z t)
     n times instead of exponentiating afresh (``_dehoog_values`` passes
     its dyadic scales in ascending order).  A homogeneous kernel is built
@@ -399,8 +423,10 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float,
     sampled = isinstance(gt, tuple)
     if sampled:
         tg, Y = gt
+        step = _uniform_step(tg)
+        uniform = step is not None
         if degree is not None:
-            W_kern = _mirror_weights(kern * dzeta)
+            W_kern = _mirror_weights(kern * dzeta, uniform)
         E, r_last = None, None
     images = []
     for r in scales:
@@ -408,21 +434,28 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float,
         if sampled:
             if degree is None:
                 k = _kernel_on_line(op, r * s, z)
-                W, f = _mirror_weights(k * dzeta), r
+                W, f = _mirror_weights(k * dzeta, uniform), r
             else:
                 W, f = W_kern, r ** (1.0 + degree)
-            zh = z[len(z) // 2 :, None]
-            # exp(-2 r z t) = exp(-r z t)^2
-            n_sq = math.log2(r / r_last) if E is not None else 0.0
-            if n_sq >= 1.0 and n_sq.is_integer():
-                for _ in range(int(n_sq)):
-                    E = E * E
+            if uniform:
+                T = _hat_transform(tg[0], step, len(tg) - 1,
+                                   z[len(z) // 2 :])
+                # rows: Re and Im of the sum over the line of kernel dz
+                # T(z) Y; W's columns pair each node's Re and Im, as T's
+                # float view does
+                AY = (W @ T.view(float).T) @ Y
             else:
-                E = np.exp(-zh * tg[None, :])
-            r_last = r
-            T = _transform_from_exponentials(tg, zh, E.copy())
-            # rows: Re and Im of the sum over the line of kernel dz T(z) Y
-            AY = (W @ np.concatenate([T.real, T.imag])) @ Y
+                zh = z[len(z) // 2 :, None]
+                # exp(-2 r z t) = exp(-r z t)^2
+                n_sq = math.log2(r / r_last) if E is not None else 0.0
+                if n_sq >= 1.0 and n_sq.is_integer():
+                    for _ in range(int(n_sq)):
+                        E = E * E
+                else:
+                    E = np.exp(-zh * tg[None, :])
+                r_last = r
+                T = _transform_from_exponentials(tg, zh, E.copy())
+                AY = (W @ np.concatenate([T.real, T.imag])) @ Y
             phi = f * (AY[: len(s)] + 1j * AY[len(s) :])
         else:
             gz = gt(z) * dzeta
@@ -513,7 +546,8 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     for idx, t in enumerate(t_grid):
         b = max(int(math.floor(math.log2(t_top / t))), 0)
         blocks.setdefault(b, []).append(idx)
-    # ascending scales, so that a sampled input squares its exponentials
+    # ascending scales, so that a sampled input on a non-uniform grid
+    # squares its exponentials
     blocks = dict(sorted(blocks.items()))
     spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
     sampled = isinstance(gt, tuple)
@@ -528,6 +562,24 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     return out
 
 
+def _check_times(g, t_grid: np.ndarray) -> None:
+    """Raise ValueError, naming the first offending time, unless t_grid is
+    a nonempty 1-d array of finite times t > 0, each before the end of a
+    sampled input's window (the operators are causal, and the window's
+    edge is where the truncated transform is wrong)."""
+    if t_grid.ndim != 1 or len(t_grid) == 0:
+        raise ValueError("operator evaluation needs a nonempty 1-d time "
+                         f"grid, not one of shape {t_grid.shape}")
+    end = g.grid[-1] if isinstance(g, SampledFunction) else math.inf
+    for bad, need in ((~np.isfinite(t_grid), "finite times"),
+                      (t_grid <= 0.0, "t > 0"),
+                      (t_grid >= end, f"t < {end:.6g}, the end of the "
+                                      "sampled window")):
+        if bad.any():
+            raise ValueError(f"operator evaluation needs {need}, "
+                             f"got t = {t_grid[bad][0]:.6g}")
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _eval_grid(op, g, t_grid):
     """G or Lambda operator values on a positive time grid, with errors.
@@ -537,13 +589,14 @@ def _eval_grid(op, g, t_grid):
     contours arbitrate.  Sampled inputs: the samples are one column of a
     (grid, columns) pair, inverted on two Fourier contours at unrelated
     abscissas and degrees.  The reported error is the largest spread among
-    the inversions.  A value or spread that is not finite raises
-    ``NumericsError`` naming its time; an overflow inside an inversion
-    shows only that way, not as a warning.
+    the inversions.  A time grid that is empty, not 1-d, not finite, not
+    positive or, for a sampled input, not inside its window raises
+    ``ValueError`` (``_check_times``).  A value or spread that is not
+    finite raises ``NumericsError`` naming its time; an overflow inside an
+    inversion shows only that way, not as a warning.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid <= 0.0):
-        raise ValueError("operator evaluation needs t > 0")
+    _check_times(g, t_grid)
     cc = op.contour
     if isinstance(g, SampledFunction):
         # window-truncated transforms carry an edge the global Gaver

@@ -15,7 +15,8 @@ every cell was formatted on its own: the byte contract of ``subdiff.io``.
 ``interp_transform_segments`` is the transform of a piecewise-linear
 interpolant summed segment by segment, as it was before the transform
 became one matrix, and ``transform_matrix`` is that matrix formed on
-every point.  ``dehoog_full_line`` is the operator on sampled columns as
+every point; ``hat_transform_quadrature`` is that matrix by
+Gauss-Legendre quadrature of the defining integral.  ``dehoog_full_line`` is the operator on sampled columns as
 it was when the transform matrix was formed on every node of a
 ``linspace`` line and applied to the columns before the kernel, and
 ``field_residual_full_line`` is the field residual on that route.  The
@@ -148,6 +149,31 @@ def transform_matrix(t, s):
 
     sc = np.asarray(s, dtype=complex)[:, None]
     return _transform_from_exponentials(t, sc, np.exp(-sc * t[None, :]))
+
+
+def hat_transform_quadrature(t, s, n_nodes=16):
+    """``transform_matrix`` by quadrature: every cell [t_j, t_{j+1}] is cut
+    into a power of two of panels, each at most 1 / |s| wide, and each
+    panel integrated by the n_nodes-point Gauss-Legendre rule.  exp(-s t)
+    is factored at the panel's left end p, exp(-s p) exp(-s (t - p)), so
+    that no phase larger than about 1 is rounded once s p is exact (s and
+    the grid with few significant bits)."""
+    from numpy.polynomial.legendre import leggauss
+
+    u, wu = leggauss(n_nodes)
+    u, wu = 0.5 * (u + 1.0), 0.5 * wu
+    out = np.zeros((len(s), len(t)), dtype=complex)
+    for i, si in enumerate(np.asarray(s, dtype=complex)):
+        for j in range(len(t) - 1):
+            h = t[j + 1] - t[j]
+            P = 2 ** max(math.ceil(math.log2(abs(si) * h)), 0)
+            k = np.arange(P)[:, None]
+            ends = t[j] + (h / P) * k
+            e = np.exp(-si * ends) * np.exp(-si * (h / P) * u)[None, :]
+            right = (k + u[None, :]) / P  # (t - t_j) / h at the nodes
+            out[i, j] += (h / P) * np.sum(e * (1.0 - right) * wu)
+            out[i, j + 1] += (h / P) * np.sum(e * right * wu)
+    return out
 
 
 def dehoog_full_line(op, tg, cols, t_eval, M, tol, *, g_tail=1.0):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from oracles import (
     caputo_l1_loop,
     caputo_quadrature,
     dehoog_table_loop,
+    hat_transform_quadrature,
     interp_transform_segments,
     rl_integral_loop,
     transform_matrix,
@@ -63,6 +65,43 @@ class TestTransformMatrix:
         t, y = np.array([0.0, 2.0]), np.array([1.0, -0.5])
         assert_allclose(transform_matrix(t, s) @ y,
                         interp_transform_segments(t, y, s), rtol=1e-14)
+
+
+class TestHatTransform:
+    """The closed-form hat transform of a uniform grid against quadrature
+    of the defining integral.  The step and the nodes have few significant
+    bits, so every phase z t is exact in both and |Im z| up to 1e9 costs
+    no digits."""
+
+    H = 2.0**-20
+    Z = np.array([3.0 + 1j * y for y in (
+        0.0, 2.0**10, 2.0**13, 2.0**16, 0.75 * 2.0**20, 2.0**20, 2.0**23,
+        2.0**27, 3.0 * 2.0**27, -(2.0**27), 2.0**29, 2.0**30, -(2.0**30))]
+        + [1024.0, 0.75 * 2.0**20 + 2.0**19 * 1j])
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 16, 17])
+    @pytest.mark.parametrize("start", [0, 3])
+    def test_matches_quadrature(self, n, start):
+        # |z h| from 3e-6 to 1e3, either side of the series' |z h| < 1,
+        # and rows with |Im z| >= 1.3e8; n = 17 leaves anchor rows unused
+        t = (start + np.arange(n + 1)) * self.H
+        want = hat_transform_quadrature(t, self.Z)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fraccalc._hat_transform(t[0], self.H, n, self.Z).T
+        assert got.shape == want.shape
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+    def test_matches_differenced_form_away_from_zero(self):
+        # the differenced form (``_transform_from_exponentials``) holds
+        # where |z h| >= 0.5; below, its differences cancel
+        t = np.arange(17) * self.H
+        z = self.Z[np.abs(self.Z * self.H) >= 0.5]
+        got = fraccalc._hat_transform(0.0, self.H, 16, z).T
+        want = transform_matrix(t, z)
+        scale = np.max(np.abs(want), axis=1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
 def test_sampled_function_validation():

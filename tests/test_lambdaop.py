@@ -5,12 +5,13 @@ import pytest
 from numpy.testing import assert_allclose
 
 import subdiff
-from subdiff import fpke, lambdaop
+from subdiff import fpke, fraccalc, lambdaop
 from subdiff.errors import NumericsError
 from subdiff.fraccalc import (
     SampledFunction,
     _dehoog_contour,
     caputo_l1,
+    caputo_l1_columns,
     riemann_liouville_integral,
 )
 from subdiff.gaussian import (
@@ -153,6 +154,31 @@ class TestGOperator:
         with pytest.raises(NumericsError, match="not finite at t = 0.002"):
             eval_G_grid(GOperator(0.5, 0.4), SampledFunction(tg, y),
                         [0.002, 0.004, 0.5, 0.95])
+
+    @pytest.mark.parametrize("g", [ONE, SampledFunction(
+        np.linspace(0.0, 4.0, 41), np.ones(41))], ids=["analytic", "sampled"])
+    def test_empty_time_grid_rejected(self, g):
+        with pytest.raises(ValueError, match="nonempty 1-d"):
+            eval_G_grid(GOperator(0.5, 0.4), g, [])
+
+    def test_time_grid_must_be_1d(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 1\)"):
+            eval_G_grid(GOperator(0.5, 0.4), ONE, [[0.5], [1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("g", [ONE, SampledFunction(
+        np.linspace(0.0, 4.0, 41), np.ones(41))], ids=["analytic", "sampled"])
+    def test_non_finite_time_rejected(self, g, bad):
+        with pytest.raises(ValueError, match=f"finite times, got t = {bad}"):
+            eval_G_grid(GOperator(0.5, 0.4), g, [0.5, bad])
+
+    @pytest.mark.parametrize("t", [1.0, 3.0])
+    def test_sampled_window_must_extend_past_the_time(self, t):
+        # read at t 3, a constant sampled on [0, 1] gave -0.227 (spread
+        # 4.9e-6) where G[1](3) is 1.204
+        g = SampledFunction(np.linspace(0.0, 1.0, 101), np.ones(101))
+        with pytest.raises(ValueError, match=f"sampled window, got t = {t:g}"):
+            eval_G(GOperator(0.5, 0.4), g, t)
 
     def test_singularity_guard(self):
         # transform singularity on the wrong side of the line is refused
@@ -744,6 +770,40 @@ def _fractional_brownian(beta, n=200):
     return fpke.solve_fractional(fpke.ScaledLaplacian(0.5), beta, cfg)
 
 
+def _nudged(tg):
+    """tg with its odd-indexed interior points moved 8 ulp of t_n down:
+    past the 4-ulp uniformity test, so a pair on it takes the general
+    route; the window's ends (even rows of an even grid) and the dyadic
+    blocks of its times stay where they were."""
+    out = tg.copy()
+    out[1:-1:2] -= 8.0 * np.spacing(tg[-1])
+    assert fraccalc._uniform_step(tg) is not None
+    assert fraccalc._uniform_step(out) is None
+    return out
+
+
+def test_one_uniformity_test_for_lag_table_and_transform(monkeypatch):
+    # a point 3 ulp of t_n off a linspace grid keeps it uniform for the L1
+    # lag table and the operators' closed-form transform alike; 5 ulp
+    # sends both to their general routes
+    routes = []
+    for name in ("_hat_transform", "_transform_from_exponentials"):
+        def spy(*args, _fn=getattr(lambdaop, name), _name=name):
+            routes.append(_name)
+            return _fn(*args)
+        monkeypatch.setattr(lambdaop, name, spy)
+    op = GOperator(0.5, 0.4)
+    for ulps, uniform in ((3, True), (5, False)):
+        tg = np.linspace(0.0, 1.0, 81)
+        tg[40] += ulps * np.spacing(1.0)
+        assert (fraccalc._lag_table(tg, ((0.5, 1.0),)) is not None) == uniform
+        routes.clear()
+        lambdaop._dehoog_values(op, (tg, np.exp(-tg)[:, None]), 0.0,
+                                np.array([0.5]), op.contour.degree, 1e-10)
+        assert routes == (["_hat_transform"] if uniform
+                          else ["_transform_from_exponentials"])
+
+
 class TestFieldResidualRoute:
     """The kernel-first route on the mirrored half line against the
     full-line route it replaced (``oracles.field_residual_full_line``)."""
@@ -792,6 +852,25 @@ class TestFieldResidualRoute:
         low = t <= 0.8
         assert np.max(np.abs(got[low] - want[low])) <= 1e-10 * scale
         assert np.max(np.abs(got - want)) <= 1e-5 * scale
+
+    @pytest.mark.parametrize("beta", [0.1, 0.5, 0.9])
+    def test_uniform_and_general_routes_agree(self, beta):
+        # the linspace grid takes the closed-form transform, the nudged one
+        # the differenced form; both are held to the full-line route's bound
+        spec = SubordinatorSpec.pure(beta)
+        dens = _fractional_brownian(beta)
+        nudged = GridDensity(_nudged(dens.t_grid), dens.x_grid, dens.values,
+                             dens.mass_error)
+        for H in (0.5, 0.7):
+            want = fbm_fpke_residual(H, spec, nudged, x_exclude=0.3)
+            got = fbm_fpke_residual(H, spec, dens, x_exclude=0.3)
+            q = dens.values[:, np.abs(dens.x_grid) > 0.3]
+            scale = np.max(np.abs(caputo_l1_columns(
+                dens.t_grid, q, ((beta, 1.0),))))
+            gap = H * 1e-6 * scale
+            assert got.t_window == want.t_window
+            assert np.max(np.abs(got.linf_per_x - want.linf_per_x)) <= gap
+            assert np.max(np.abs(got.l2_per_x - want.l2_per_x)) <= gap
 
     def test_l2_weights_rows_on_a_graded_grid(self):
         # t_j = (j/N)^2: each row's weight is half its neighbours' span,
@@ -868,3 +947,24 @@ class TestSampledRoute:
             got, spread = eval_G_grid(op, SampledFunction(self.TG, y), self.T)
             spread = np.maximum(spread, np.abs(want[:, j] - check[:, j]))
             assert np.all(np.abs(got - want[:, j]) <= 2.5 * spread)
+
+    @pytest.mark.parametrize("op", [
+        GOperator(0.4, 0.4),
+        LambdaOperator(SubordinatorSpec.pure(0.7),
+                       OrnsteinUhlenbeck(1.0, 1.0)),
+        LambdaOperator(SubordinatorSpec(((0.4, 0.5), (0.8, 0.5))),
+                       FractionalBrownian(0.7)),
+    ], ids=["G", "ou", "mixture"])
+    def test_uniform_and_general_routes_agree(self, op):
+        # the linspace grid takes the closed-form transform, the nudged one
+        # the differenced form.  The top block's quotient-difference table
+        # amplifies rounding: on the differenced form alone the nudge moved
+        # values by up to 1.97 times the larger spread (the mixture at
+        # t 2.2), so the routes are held to the 2.5 times of the full-line
+        # comparison above
+        nudged = _nudged(self.TG)
+        for y in self.COLS.T:
+            got, spread = eval_G_grid(op, SampledFunction(self.TG, y), self.T)
+            want, check = eval_G_grid(op, SampledFunction(nudged, y), self.T)
+            assert np.all(np.abs(got - want)
+                          <= 2.5 * np.maximum(spread, check))
