@@ -352,9 +352,11 @@ def cmd_density(args) -> int:
     return _emit(args, "density", artifact_io.grid_density_csv(gd), meta)
 
 
-def _classical_solve(cfg, **grid):
+def _classical_solve(cfg, weight=1.0, **grid):
     """``solve_classical`` of the configured model on the configured solver
-    grid, with ``grid`` fields replaced.
+    grid, with ``grid`` fields replaced, on the clock E_t = t / ``weight``
+    (a beta = 1 clock of that weight; 1 is no clock): the solve runs to
+    E_{t_max}, and its times are read back as t.
 
     A mollifier too narrow for the grid or too wide for the horizon is a
     configuration error: it names ``solver.init_width`` when the config
@@ -362,11 +364,18 @@ def _classical_solve(cfg, **grid):
     """
     try:
         solver = dataclasses.replace(cfg["solver"], **grid)
-        return solve_classical(operator_from_model(cfg["model"]), solver)
+        if weight != 1.0:
+            solver = dataclasses.replace(solver, t_max=solver.t_max / weight)
+        gd = solve_classical(operator_from_model(cfg["model"]), solver)
+    except HurstRangeError as ex:
+        raise ConfigError(_PAST_HORIZON) from ex
     except ValueError as ex:
         field = ("init_width" if "init_width" in cfg["raw"].get("solver", {})
                  else "t_max")
         raise ConfigError(f"solver.{field}: {ex}") from ex
+    if weight != 1.0:
+        gd = dataclasses.replace(gd, t_grid=gd.t_grid * weight)
+    return gd
 
 
 def _solver_route(cfg):
@@ -377,6 +386,9 @@ def _solver_route(cfg):
     solver = cfg["solver"]
     if sub is None:
         return "classical", _classical_solve(cfg)
+    if sub.is_deterministic:
+        # E_t = t / w: the classical equation, w times slower
+        return "classical", _classical_solve(cfg, sub.components[0][1])
     if isinstance(model, OrnsteinUhlenbeck):
         op = OUGenerator(model.alpha, model.sigma)
     elif isinstance(model, Brownian):
@@ -515,10 +527,10 @@ def cmd_validate(args) -> int:
         record("positivity_defect", max(-gd.values.min(), 0.0), NONNEG_TOL)
         sym = np.abs(q - q[::-1]).max()
         record("density_symmetry", sym, 10 * tol)
-        if isinstance(model, Brownian) and sub.is_pure:
-            beta = sub.components[0][0]
+        if isinstance(model, Brownian) and len(sub.components) == 1:
+            # Var B(E_t) = E[E_t]
             var = np.trapezoid(gd.values[-1] * gd.x_grid**2, gd.x_grid)
-            want = solver.t_max**beta / math.gamma(1.0 + beta)
+            want = inverse_time_moment(sub, solver.t_max, 1.0)
             record("solver_variance_vs_moment", abs(var - want), 1e-3)
     runtime = time.time() - t0
 
@@ -551,8 +563,11 @@ def cmd_convergence(args) -> int:
     width = solver.init_width
     if width is None:
         dx0 = (solver.x_max - solver.x_min) / (base - 1)
-        width = min(4.0 * dx0,
-                    0.5 * math.sqrt(float(model.var(solver.t_max))))
+        try:
+            var_end = float(model.var(solver.t_max))
+        except HurstRangeError as ex:
+            raise ConfigError(_PAST_HORIZON) from ex
+        width = min(4.0 * dx0, 0.5 * math.sqrt(var_end))
     rows = []
     prev_err = None
     for level in range(3):

@@ -44,7 +44,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import dst
 from scipy.linalg.lapack import dgttrf, dgttrs
-from scipy.optimize import brentq
 
 from .config import DEFAULT_CONFIG, MASS_TOL, NONNEG_TOL, SolverConfig
 from .errors import StabilityError
@@ -309,6 +308,34 @@ def _cn_loop(out, base, coef):
         out[k] = p
 
 
+#: times ``_variance_root`` reads R at per pass
+_ROOT_POINTS = 64
+
+
+def _variance_root(variance, target: float, t_max: float) -> float:
+    """The float t in (1e-300, t_max] where R(t) = target, to one ulp: R
+    (``variance``) takes an array of times, and R(t_max) >= target.
+
+    Positive floats order as their bit patterns, so each pass reads R at
+    about ``_ROOT_POINTS`` patterns spread evenly over the bracket and
+    keeps the step where R first reaches the target: about 11 passes
+    narrow (1e-300, t_max] to two neighbouring floats, and the one whose
+    R is nearer the target is returned.  R(1e-300) >= target raises
+    ``ValueError``.
+    """
+    lo, hi = np.array([1e-300, t_max]).view(np.int64)
+    if not float(variance(np.array([1e-300]))[0]) < target:
+        raise ValueError("the variance reaches init_width^2 at t = 0")
+    while hi - lo > 1:
+        step = max((hi - lo) // _ROOT_POINTS, 1)
+        bits = np.append(np.arange(lo + step, hi, step), hi)
+        above = np.asarray(variance(bits.view(float))) >= target
+        k = int(np.argmax(above))
+        lo, hi = (bits[k - 1] if k else lo), bits[k]
+    t = np.array([lo, hi]).view(float)
+    return float(t[np.argmin(np.abs(np.asarray(variance(t)) - target))])
+
+
 def solve_classical(
     op: SpatialOperator,
     cfg: SolverConfig = DEFAULT_CONFIG,
@@ -327,14 +354,9 @@ def solve_classical(
     """
     x = _x_grid(cfg)
     w = cfg.delta_width
-
-    def variance(t):
-        return float(op.variance(t))
-
-    if w * w >= 0.8 * variance(cfg.t_max):
+    if w * w >= 0.8 * float(op.variance(cfg.t_max)):
         raise ValueError("init_width too large for the solve horizon")
-    t_init = brentq(lambda u: variance(u) - w * w, 1e-300, cfg.t_max,
-                    xtol=1e-15)
+    t_init = _variance_root(op.variance, w * w, cfg.t_max)
     t_grid = np.linspace(t_init, cfg.t_max, cfg.n_t + 1)
 
     mean0 = 0.0

@@ -7,8 +7,8 @@ fractional solvers) is built on the five operations in this module:
 * ``riemann_liouville_integral``-- fractional integral, the L1 rule at
                                    order -alpha, exact on linears
 * ``mittag_leffler``            -- E_alpha(z) to 1e-10 relative
-* ``laplace_forward``           -- numerical transform of a callable,
-                                   with error estimate
+* ``laplace_forward``           -- numerical transform of an array
+                                   callable, with error estimate
 * ``laplace_inverse``           -- fixed-Talbot / de Hoog dual inversion
 
 The L1 rule is written once, in ``l1_weights``: the memory-weight matrix W
@@ -27,8 +27,13 @@ columns, so it too takes any increasing grid.  The
 Riemann-Liouville integral is the same rule at order -alpha (the power
 kernel is one cell rule for every order below 1), so it has no weights
 of its own.  The composite Gauss-Legendre rule is written once too, in
-``_gauss_panels``: the subordination panels and the Kanter-Zolotarev
-integral take their nodes from it.  Likewise the transform of sampled
+``_gauss_panels``: the subordination panels, the Kanter-Zolotarev
+integral, the forward transform (panels graded toward t = 0, every panel
+halved per level until two levels agree) and the Mittag-Leffler function
+(its spectral integral in a variable where the integrand falls from 1 to
+0, vectorised over the argument) all take their nodes from it, so the
+package needs neither QUADPACK nor a root finder: ``scipy.integrate`` and
+``scipy.optimize`` are never imported.  Likewise the transform of sampled
 data, the closed form for its linear interpolant, lives only here:
 ``_hat_transform`` on a uniform grid (``_uniform_step``, the lag table's
 test), about 2 sqrt(n) exponentials per node, and
@@ -59,7 +64,6 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import quad
 from scipy.special import gammaln
 
 from .config import DEFAULT_CONFIG, SolverConfig
@@ -137,12 +141,17 @@ _leggauss = functools.cache(leggauss)
 def _gauss_panels(edges, n: int):
     """Composite n-point Gauss-Legendre rule on the panels between
     consecutive ``edges``: (nodes, weights), flat and panel by panel.
-    The reference rule is built once per n; callers never write it."""
+    Edges shaped (P + 1, m) are m rules side by side, and give nodes
+    shaped (P n, m).  The reference rule is built once per n; callers
+    never write it."""
     xg, wg = _leggauss(n)
     edges = np.asarray(edges, dtype=float)
+    shape = (n,) + (1,) * (edges.ndim - 1)
+    xg, wg = xg.reshape(shape), wg.reshape(shape)
     a, b = edges[:-1, None], edges[1:, None]
-    return ((0.5 * (b - a) * xg + 0.5 * (a + b)).ravel(),
-            (0.5 * (b - a) * wg).ravel())
+    flat = (-1,) + edges.shape[1:]
+    return ((0.5 * (b - a) * xg + 0.5 * (a + b)).reshape(flat),
+            (0.5 * (b - a) * wg).reshape(flat))
 
 
 # ---------------------------------------------------------------------------
@@ -360,46 +369,55 @@ def _ml_series(alpha: float, z: float):
     return total, ok
 
 
-def _ml_spectral(alpha: float, x: float) -> float:
-    """E_alpha(-x) for x > 0, 0 < alpha < 1, from the spectral density.
+#: panel edges of ``_ml_negative``: u = (x w)^(1/alpha) on a geometric
+#: run toward 0 and steps of 2 out to 50, where e^-u is below 2e-22; and
+#: delta at alpha pi 2^-k and alpha pi (1 - 2^-k), k = 1..10, which grade
+#: the panels toward the map's two singular ends
+_ML_U_EDGES = np.concatenate([[0.0], np.geomspace(1e-15, 1.0, 26),
+                              np.arange(2.0, 52.0, 2.0)])
+_ML_DELTA_EDGES = np.concatenate([0.5 ** np.arange(1, 11),
+                                  1.0 - 0.5 ** np.arange(1, 11), [1.0]])
 
-    After u = r x^{1/alpha} the integrand is u^(alpha-1) * smooth * e^-u;
-    the algebraic endpoint weight is handed to QUADPACK explicitly.
+
+def _ml_negative(alpha: float, x: np.ndarray) -> np.ndarray:
+    """E_alpha(-x) for an array of x > 0 and 0 < alpha < 1.
+
+    The spectral integral of E_alpha(-x), with the substitution that
+    flattens its Lorentzian factor, is
+
+        E_alpha(-x) = 1/(alpha pi) int_0^(alpha pi)
+                      exp(-(x sin d / sin(alpha pi - d))^(1/alpha)) dd,
+
+    an integrand in (0, 1] that falls from 1 to 0: there is no
+    cancellation, so the rule holds its relative accuracy for every x.
+    Each x gets its own composite 16-point Gauss rule, on the union of the
+    d images of ``_ML_U_EDGES`` (atan2(w sin(alpha pi), 1 + w cos(alpha pi))
+    at w = u^alpha / x) and of ``_ML_DELTA_EDGES``; all x run as one array.
+    Held to 1e-10 relative over alpha 0.1-0.99 and x 1e-4 to 1e6 (about
+    4e-15 against 30-digit references).
     """
-    c = x ** (1.0 / alpha)
-    sa = math.sin(alpha * math.pi)
-    ca = math.cos(alpha * math.pi)
-    pref = sa / (math.pi * c**alpha)
-
-    def smooth(u):
-        ra = (u / c) ** alpha
-        return pref * math.exp(-u) / (ra * ra + 2.0 * ca * ra + 1.0)
-
-    upper = 60.0
-    if 1e-8 < c < upper:
-        v1, e1 = quad(smooth, 0.0, c, weight="alg", wvar=(alpha - 1.0, 0.0),
-                      epsabs=1e-14, epsrel=1e-12, limit=300)
-        v2, e2 = quad(smooth, c, upper, weight="alg", wvar=(alpha - 1.0, 0.0),
-                      epsabs=1e-14, epsrel=1e-12, limit=300)
-        val, err = v1 + v2, e1 + e2
-    else:
-        val, err = quad(smooth, 0.0, upper, weight="alg",
-                        wvar=(alpha - 1.0, 0.0),
-                        epsabs=1e-14, epsrel=1e-12, limit=300)
-    if err > 1e-9 * max(abs(val), 1e-300):
-        raise QuadratureError(
-            f"Mittag-Leffler spectral quadrature stalled at alpha={alpha}, x={x}"
-        )
-    return val
+    x = np.asarray(x, dtype=float)
+    ap = math.pi * alpha
+    sa, ca = math.sin(ap), math.cos(ap)
+    w = _ML_U_EDGES**alpha / x[:, None]
+    edges = np.concatenate(
+        [np.arctan2(w * sa, 1.0 + w * ca),
+         np.broadcast_to(ap * _ML_DELTA_EDGES, (len(x), len(_ML_DELTA_EDGES)))],
+        axis=1)
+    edges = np.minimum(np.sort(edges, axis=1), ap)
+    nodes, weights = _gauss_panels(edges.T, 16)
+    with np.errstate(over="ignore", divide="ignore"):
+        u = (x * np.sin(nodes) / np.sin(ap - nodes)) ** (1.0 / alpha)
+    return np.einsum("ij,ij->j", np.exp(-u), weights) / ap
 
 
 def mittag_leffler(alpha: float, z: float) -> float:
     """One-parameter Mittag-Leffler function E_alpha(z), alpha in (0, 1].
 
-    Series below |z| = 5, spectral integral for large negative z (with the
-    series falling back to the integral whenever its own cancellation audit
-    fails).  Relative accuracy 1e-10 on the supported region; parameters
-    outside it raise rather than degrade silently.
+    Negative z takes the spectral rule ``_ml_negative``, positive z the
+    power series, which raises ``NumericsError`` where its own
+    cancellation audit fails.  Relative accuracy 1e-10 on the supported
+    region; parameters outside it raise rather than degrade silently.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
@@ -407,15 +425,8 @@ def mittag_leffler(alpha: float, z: float) -> float:
         return 1.0
     if alpha == 1.0:
         return math.exp(z)
-    if abs(z) <= 5.0:
-        val, ok = _ml_series(alpha, z)
-        if ok:
-            return val
-        if z < 0.0:
-            return _ml_spectral(alpha, -z)
-        raise NumericsError(f"series not convergent at alpha={alpha}, z={z}")
     if z < 0.0:
-        return _ml_spectral(alpha, -z)
+        return float(_ml_negative(alpha, np.array([-z]))[0])
     val, ok = _ml_series(alpha, z)
     if not ok:
         raise NumericsError(
@@ -514,22 +525,39 @@ def _hat_transform(t0: float, h: float, n: int, z: np.ndarray) -> np.ndarray:
     return T[: n + 1]
 
 
+#: base panels of ``laplace_forward`` on [0, U]: 8 equal ones, the first
+#: graded geometrically (ratio 4) down to 4^-25 U / 8 < 1e-16 U
+_FORWARD_EDGES = np.concatenate([[0.0], 0.125 * 0.25 ** np.arange(25, 0, -1),
+                                 np.arange(1, 9) / 8.0])
+#: levels of ``laplace_forward``: level L cuts each base panel into 2^L
+_FORWARD_LEVELS = 7
+
+
 def laplace_forward(
-    g: Callable[[float], float],
+    g: Callable[[np.ndarray], np.ndarray],
     s: complex,
     *,
     config: SolverConfig = DEFAULT_CONFIG,
     power_at_zero: float = 0.0,
     t_max: float | None = None,
 ) -> TransformResult:
-    """Numerical Laplace transform of a callable g at a single point s.
+    """Numerical Laplace transform of g at a single point s.
 
-    Adaptive quadrature on [0, U] with U pushed out until the integrand is
-    negligible; ``power_at_zero`` declares a t^p (p > -1) singular factor
-    at the origin so it can be absorbed by a power substitution.  Returns
-    the value together with a truncation plus quadrature error estimate.
-    Sampled data are transformed only inside the operators, as the linear
-    interpolant's closed form (``lambdaop._image``).
+    g maps a 1-D array of positive times to the array of its values.  The
+    window [0, U] is pushed out (doubling U from ``t_max``, default 1)
+    until e^(-Re s U) |g(U)| is negligible; ``power_at_zero`` declares a
+    t^p (p > -1) singular factor at the origin, absorbed by the power
+    substitution t = u^kappa.  The integral over u in [0, U^(1/kappa)]
+    takes a composite 16-point Gauss rule (``_gauss_panels``) on panels
+    graded geometrically toward u = 0 (``_FORWARD_EDGES``), every panel
+    cut in two from one level to the next until two levels agree to
+    ``config.quadrature_tol``; g is called once per level, on all its
+    nodes.  Returns the finer level's value with the level gap plus the
+    truncation bound as its error, and raises ``QuadratureError`` past
+    that budget.  Declare a singularity: the levels converge only
+    algebraically on one left undeclared (an undeclared t^-1/2 stops
+    near 2e-9 relative, with a level gap of a third of that).  Sampled data are transformed only inside the operators,
+    as the linear interpolant's closed form (``lambdaop._image``).
     """
     s = complex(s)
     re = s.real
@@ -538,40 +566,49 @@ def laplace_forward(
     if power_at_zero <= -1.0:
         raise ValueError("power_at_zero must exceed -1")
 
+    def at(t):
+        return np.asarray(g(np.asarray(t, dtype=float)), dtype=float)
+
     upper = t_max if t_max is not None else 1.0
     # push the window until e^{-Re s t} |g| is negligible
-    scale = max(abs(g(upper * 0.5)), abs(g(upper)), 1e-300)
+    g_half, g_upper = np.abs(at([upper * 0.5, upper]))
+    scale = max(g_half, g_upper, 1e-300)
     while upper < 1e6:
-        if abs(g(upper)) * math.exp(-re * upper) < 1e-16 * scale:
+        if g_upper * math.exp(-re * upper) < 1e-16 * scale:
             break
         upper *= 2.0
+        g_upper = abs(at([upper])[0])
     else:
         raise QuadratureError("integrand does not decay; abscissa violated?")
 
     kappa = 1.0
     if power_at_zero < 0.0:
         kappa = math.ceil(1.0 / (1.0 + power_at_zero)) + 1.0
-
-    def real_part(u):
-        t = u**kappa
-        jac = kappa * u ** (kappa - 1.0)
-        return (g(t) * math.exp(-re * t) * math.cos(-s.imag * t)) * jac
-
-    def imag_part(u):
-        t = u**kappa
-        jac = kappa * u ** (kappa - 1.0)
-        return (g(t) * math.exp(-re * t) * math.sin(-s.imag * t)) * jac
-
     u_max = upper ** (1.0 / kappa)
-    vr, er = quad(real_part, 0.0, u_max, epsabs=1e-13,
-                  epsrel=config.quadrature_tol, limit=400)
-    vi, ei = 0.0, 0.0  # a real s has a real transform: sin(0 t) is 0
-    if s.imag != 0.0:
-        vi, ei = quad(imag_part, 0.0, u_max, epsabs=1e-13,
-                      epsrel=config.quadrature_tol, limit=400)
-    tail = abs(g(upper)) * math.exp(-re * upper) / re
-    err = er + ei + tail
-    value = vr + 1j * vi
+
+    def level(cuts):
+        edges = u_max * _FORWARD_EDGES
+        edges = (edges[:-1, None]
+                 + np.diff(edges)[:, None] * (np.arange(cuts) / cuts))
+        u, w = _gauss_panels(np.append(edges.ravel(), u_max), 16)
+        t = u**kappa
+        w = w * (kappa * u ** (kappa - 1.0))
+        # t = u^kappa underflows to 0 only where the weight has too
+        live = t > 0.0
+        w[live] *= at(t[live]) * np.exp(-re * t[live])
+        w[~live] = 0.0
+        if s.imag == 0.0:
+            return complex(np.sum(w))  # a real s has a real transform
+        return complex(np.sum(w * np.cos(-s.imag * t)),
+                       np.sum(w * np.sin(-s.imag * t)))
+
+    value = level(1)
+    for lev in range(1, _FORWARD_LEVELS + 1):
+        prev, value = value, level(2**lev)
+        gap = abs(value - prev)
+        if gap <= max(config.quadrature_tol * abs(value), 1e-13):
+            break
+    err = gap + g_upper * math.exp(-re * upper) / re
     if err > max(config.quadrature_tol * 100 * abs(value), 1e-9):
         raise QuadratureError(
             f"forward transform did not converge at s={s} (err={err:.2e})"

@@ -673,7 +673,7 @@ def variance_laplace(model, s: complex) -> tuple[complex, complex]:
         raise ValueError("Re s must exceed the abscissa 0")
     profile = model.laplace_profile()
     if profile is None:
-        rv, _ = laplace_forward(lambda u: float(model.var(u)), s)
+        rv, _ = laplace_forward(model.var, s)
         return rv, s * rv
     rp = complex(profile_derivative(profile, s, np.log))
     return rp / s, rp

@@ -449,28 +449,28 @@ def laplace_subordination_residual(
 
     horizon = max(16.0 / s_arr.min(), 8.0)
 
+    def pfun(t):
+        return gaussian_transition_density(spec.gauss, t, x)
+
+    # the base density's power at t -> 0, declared to its forward quadratures
+    t_probe = 1e-5 * horizon
+    f1, f2 = pfun(np.array([t_probe, 2.0 * t_probe]))
+    power = -_power_at_zero(t_probe, f1, 2.0 * t_probe, f2)
+
+    out = np.empty_like(s_arr)
     if spec.sub.is_deterministic:
         # q is the base density on a rescaled clock; both sides reduce to
         # plain forward quadratures
         w1 = spec.sub.components[0][1]
-        out = np.empty_like(s_arr)
         for i, sv in enumerate(s_arr):
-            def qdet(t):
-                if t <= 0.0:
-                    return 0.0
-                return float(gaussian_transition_density(spec.gauss, t / w1,
-                                                         x))
-
-            q_tilde, _ = laplace_forward(qdet, sv, config=config,
+            q_tilde, _ = laplace_forward(lambda t: pfun(t / w1), sv,
+                                         config=config, power_at_zero=power,
                                          t_max=horizon)
             rho = float(np.real(spec.sub.laplace_exponent(sv)))
-            p_tilde, _ = laplace_forward(
-                lambda t: qdet(t * w1), rho, config=config, t_max=horizon
-            )
-            rhs = (rho / sv) * complex(p_tilde).real
-            out[i] = abs(complex(q_tilde).real - rhs) / abs(
-                complex(q_tilde).real
-            )
+            p_tilde, _ = laplace_forward(pfun, rho, config=config,
+                                         power_at_zero=power, t_max=horizon)
+            rhs = (rho / sv) * p_tilde.real
+            out[i] = abs(q_tilde.real - rhs) / abs(q_tilde.real)
         return float(out[0]) if np.ndim(s) == 0 else out
 
     tg, q_prof = _subordinated_profile(spec, x, horizon, profile_nodes,
@@ -481,25 +481,13 @@ def laplace_subordination_residual(
         w_prof = q_prof * np.where(tg > 0.0, tg**p_pow, 1.0)
     w_prof[0] = w_prof[1] - (w_prof[2] - w_prof[1]) / (tg[2] - tg[1]) * tg[1]
 
-    def pfun(t):
-        if t <= 0.0:
-            return 0.0
-        return float(gaussian_transition_density(spec.gauss, t, x))
-
-    # the same power of the base density, for its forward quadrature
-    t_probe = 1e-5 * horizon
-    p_pow_base = _power_at_zero(t_probe, pfun(t_probe),
-                                2.0 * t_probe, pfun(2.0 * t_probe))
-    out = np.empty_like(s_arr)
     for i, sv in enumerate(s_arr):
         q_tilde = _weighted_profile_transform(tg, w_prof, p_pow, sv)
         rho = float(np.real(spec.sub.laplace_exponent(sv)))
         p_tilde, _ = laplace_forward(pfun, rho, config=config,
-                                     power_at_zero=-p_pow_base,
-                                     t_max=horizon)
-        lhs = q_tilde
-        rhs = (rho / sv) * complex(p_tilde).real
-        out[i] = abs(lhs - rhs) / abs(lhs)
+                                     power_at_zero=power, t_max=horizon)
+        rhs = (rho / sv) * p_tilde.real
+        out[i] = abs(q_tilde - rhs) / abs(q_tilde)
     return float(out[0]) if np.ndim(s) == 0 else out
 
 

@@ -35,7 +35,8 @@ log was unwrapped along the line (``unwrapped_log``), not taken on the
 principal branch.  ``uniform_line`` is the inner line as it was before
 the analytic de Hoog image took a graded one: the trapezoid of one step
 on the sinh-stretched line, which the Stehfest and sampled images keep.
-``power_eigenvalue`` is the closed-form eigenvalue of
+``mittag_leffler_neg`` is E_beta(-x) by QUADPACK on its spectral integral
+in the tangent variable.  ``power_eigenvalue`` is the closed-form eigenvalue of
 G on a power of t.  ``bm_pure_clock_density``
 is the closed form of Brownian motion on a pure clock, an M-Wright
 function read from the library's clock density (itself held to the
@@ -64,6 +65,49 @@ def caputo_quadrature(g_prime, t, beta):
         limit=400,
     )
     return val / gamma(1.0 - beta)
+
+
+def mittag_leffler_neg(beta, x):
+    """E_beta(-x) for x > 0 and 0 < beta < 1, by QUADPACK on
+
+        E_beta(-x) = 1/(beta pi) int_{pi/2 - beta pi}^{pi/2}
+                     exp(-[x (sin(beta pi) tan(theta) - cos(beta pi))]^(1/beta))
+                     dtheta,
+
+    the spectral integral of E_beta with its Lorentzian factor flattened by
+    the tangent.  With phi = theta - (pi/2 - beta pi) the bracket is
+    x sin(phi) / sin(beta pi - phi); the left half of the range runs in
+    phi and the right half in psi = beta pi - phi, so that a scale far
+    below 1 at either end stays resolved.  The integrand falls from 1 to 0
+    where the bracket passes 1; each half is split where the bracket is
+    10^k, k = -12..3, so the pieces grade toward both ends, and the range
+    ends where e^-u underflows.
+    """
+    bp = math.pi * beta
+    sa, ca = math.sin(bp), math.cos(bp)
+
+    def left(phi):
+        return math.exp(-((x * math.sin(phi) / math.sin(bp - phi))
+                          ** (1.0 / beta)))
+
+    def right(psi):
+        return math.exp(-((x * math.sin(bp - psi) / math.sin(psi))
+                          ** (1.0 / beta)))
+
+    def pieces(pts):
+        pts = sorted(pts)
+        return zip(pts, pts[1:])
+
+    mid = 0.5 * bp
+    ws = [10.0**k / x for k in range(-12, 4)]  # bracket x w = 10^k
+    phis = [math.atan2(w * sa, 1.0 + w * ca) for w in ws]
+    psis = [math.atan2(sa, w + ca) for w in ws]
+    top = math.atan2(sa, 750.0**beta / x + ca)  # beyond, below e^-750
+    total = 0.0
+    for f, lo, cuts in ((left, 0.0, phis), (right, top, psis)):
+        for a, b in pieces({lo, mid, *(c for c in cuts if lo < c < mid)}):
+            total += quad(f, a, b, epsabs=0.0, epsrel=1e-12, limit=200)[0]
+    return total / bp
 
 
 def caputo_l1_loop(t, y, beta):

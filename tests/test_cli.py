@@ -551,3 +551,77 @@ def test_moments_large_gamma(tmp_path, capsys):
                "--out", str(tmp_path / "o2")])
     assert rc == 3
     assert "outside the float range" in capsys.readouterr().err
+
+
+def test_convergence_past_the_hurst_horizon_exits_2(tmp_path, capsys):
+    # the default mollifier reads the variance at t_max = 5, past the
+    # horizon 1 of H(t) = 0.6 + 0.1 t
+    body = {"model": {"kind": "variable_hurst", "preset": "poly",
+                      "coeffs": [0.6, 0.1], "horizon": 1.0},
+            "solver": {"t_max": 5.0}}
+    out = tmp_path / "o"
+    rc = main(["convergence", "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "model.horizon: H(t) leaves (1/2, 1)" in err
+    assert "Traceback" not in err
+    assert not any(out.glob("*"))
+
+
+BETA_ONE = {"model": {"kind": "brownian"},
+            "subordinator": {"components": [{"beta": 1.0}]}}
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_beta_one_clock_too_coarse_exits_2(tmp_path, capsys, command):
+    # 4 cells of a 40-point grid are wider than the variance at t_max allows
+    body = {**BETA_ONE, "solver": {"n_x": 40}}
+    out = tmp_path / "o"
+    rc = main([command, "--config", write_config(tmp_path, body),
+               "--out", str(out)])
+    assert rc == 2
+    assert ("solver.t_max: init_width too large for the solve horizon"
+            in capsys.readouterr().err)
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("model, weight", [
+    ({"kind": "brownian"}, 2.0),
+    ({"kind": "ou", "alpha": 1.0, "sigma": 1.0}, 0.5),
+    ({"kind": "fbm", "h": 0.7}, 1.0),
+])
+def test_beta_one_clock_solves_classically(tmp_path, model, weight):
+    # E_t = t / w: the classical solve to t_max / w, its times read as t
+    body = {"model": model,
+            "subordinator": {"components": [{"beta": 1.0, "weight": weight}]},
+            "solver": {"n_t": 100, "n_x": 200}}
+    cfg = write_config(tmp_path, body)
+    out = tmp_path / "o"
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+    meta = json.loads((out / "solution.meta.json").read_text())
+    assert meta["equation"] == "classical"
+    t = np.loadtxt(out / "solution.csv", delimiter=",", skiprows=1,
+                   usecols=0)
+    assert abs(t.max() - 1.0) < 1e-15
+    rep = tmp_path / "r"
+    assert main(["validate", "--config", cfg, "--out", str(rep)]) == 0
+    checks = {c["name"]: c for c in json.loads(
+        (rep / "report.json").read_text())["checks"]}
+    assert checks["solver_vs_subordination"]["passed"]
+    assert ("solver_variance_vs_moment" in checks) == (
+        model["kind"] == "brownian")
+
+
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_validate_reads_the_moment_at_any_weight(tmp_path, beta):
+    # Var B(E_t) = E[E_t] = t^beta / (w Gamma(1 + beta)) for a weight-w clock
+    body = {**BM_CFG,
+            "subordinator": {"components": [{"beta": beta, "weight": 2.0}]},
+            "solver": {"n_t": 200, "n_x": 300}}
+    out = tmp_path / "o"
+    assert main(["validate", "--config", write_config(tmp_path, body),
+                 "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(
+        (out / "report.json").read_text())["checks"]}
+    assert checks["solver_variance_vs_moment"]["passed"]

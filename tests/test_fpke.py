@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from subdiff import fpke
 from subdiff.config import SolverConfig
@@ -32,8 +33,10 @@ from subdiff.gaussian import (
     GaussianSpec,
     MeanFunction,
     Mixed,
+    MobiusHurst,
     OrnsteinUhlenbeck,
     PiecewiseHurst,
+    VariableHurst,
     gaussian_transition_density,
 )
 from subdiff.subordinators import SubordinatorSpec
@@ -46,6 +49,7 @@ from oracles import (
     panel_integrals,
 )
 
+EPS = np.finfo(float).eps
 CFG400 = SolverConfig(t_max=1.0, n_t=400, x_min=-8.0, x_max=8.0, n_x=400)
 MIX = SubordinatorSpec(((0.4, 0.5), (0.8, 0.5)))
 DRIFT_03 = MeanFunction(lambda t: 0.3 * t, lambda t: 0.3)
@@ -71,7 +75,40 @@ def normal_pdf(x, var):
     return np.exp(-x * x / (2.0 * var)) / np.sqrt(2.0 * math.pi * var)
 
 
+#: one operator of every kind and coefficient the classical solve takes
+WARM_START_OPS = {
+    "constant": ScaledLaplacian(0.5),
+    "brownian": ScaledLaplacian(Brownian()),
+    "fbm_h03": ScaledLaplacian(FractionalBrownian(0.3)),
+    "fbm_h08": ScaledLaplacian(FractionalBrownian(0.8)),
+    "ou_model": ScaledLaplacian(OrnsteinUhlenbeck(1.0, 1.0)),
+    "mixed": ScaledLaplacian(Mixed(((1.0, Brownian()),
+                                    (0.5, FractionalBrownian(0.7))))),
+    "piecewise": ScaledLaplacian(PiecewiseHurst((0.5,), (0.6, 0.8))),
+    "global_piecewise": ScaledLaplacian(GlobalPiecewise(0.5)),
+    "mobius": ScaledLaplacian(VariableHurst(MobiusHurst(0.6, 0.2), 2.0)),
+    "ou_generator": OUGenerator(1.0, 1.0),
+    "ou_generator_no_drift": OUGenerator(0.0, 1.5),
+    "drift": DiffusionWithDrift(Brownian(), DRIFT_03),
+}
+
+
 class TestClassical:
+    @pytest.mark.parametrize("kind", sorted(WARM_START_OPS))
+    def test_warm_start_time_matches_brentq(self, kind):
+        # R(t_init) = init_width^2, held to brentq at xtol 1e-15: its own
+        # bound xtol + 4 eps t, plus the one ulp of the bracketed root
+        op = WARM_START_OPS[kind]
+        for width in (1e-3, 0.02, 0.08, 0.3):
+            want = brentq(lambda u: float(op.variance(u)) - width**2,
+                          1e-300, 1.0, xtol=1e-15)
+            got = fpke._variance_root(op.variance, width**2, 1.0)
+            assert abs(got - want) <= 1e-15 + 5.0 * EPS * want
+        cfg = SolverConfig(n_t=16)
+        gd = solve_classical(op, cfg)
+        assert gd.t_grid[0] == fpke._variance_root(
+            op.variance, cfg.delta_width**2, 1.0)
+
     def test_heat_kernel(self):
         gd = solve_classical(ScaledLaplacian(0.5), CFG400)
         assert np.abs(gd.values[-1] - normal_pdf(gd.x_grid, 1.0)).max() < 1e-3

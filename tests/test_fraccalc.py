@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
-from scipy.special import erfcx
+from scipy.special import erfcx, rgamma
 
 from subdiff import fraccalc
 from subdiff.errors import InversionError, NumericsError
@@ -26,6 +26,7 @@ from oracles import (
     dehoog_table_loop,
     hat_transform_quadrature,
     interp_transform_segments,
+    mittag_leffler_neg,
     rl_integral_loop,
     transform_matrix,
 )
@@ -344,9 +345,46 @@ class TestMittagLeffler:
             assert_allclose(mittag_leffler(0.5, -x), erfcx(x), rtol=1e-10)
 
     def test_small_alpha_negative(self):
-        # series would overflow; the spectral route must take over
+        # the series cancels here; the spectral rule does not
         v = mittag_leffler(0.1, -3.0)
         assert 0.0 < v < 1.0
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.3, 0.5, 0.6, 0.7, 0.8,
+                                       0.9, 0.95, 0.99])
+    def test_matches_the_spectral_oracle(self, alpha):
+        # x from 1e-4 to 1e6, against QUADPACK on the tangent form
+        for x in np.logspace(-4.0, 6.0, 21):
+            try:
+                got = mittag_leffler(alpha, -x)
+            except NumericsError:
+                continue
+            assert_allclose(got, mittag_leffler_neg(alpha, x), rtol=1e-10)
+
+    def test_just_past_five_near_alpha_one(self):
+        # the old spectral branch weighted its second piece by
+        # (u - c)^(alpha - 1) and returned 0.0344223 here; a 50-digit
+        # series gives 0.0343182
+        got = mittag_leffler(0.9, -5.01)
+        assert_allclose(got, mittag_leffler_neg(0.9, 5.01), rtol=1e-10)
+        assert abs(got - 0.0343182) < 1e-7
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.3, 0.7, 0.9, 0.99])
+    def test_power_series_at_small_x(self, alpha):
+        # up to x = 0.5 the terms shrink from the first: nothing cancels
+        for x in (1e-4, 1e-2, 0.1, 0.5):
+            terms = [(-x) ** k / math.gamma(alpha * k + 1.0)
+                     for k in range(60)]
+            assert_allclose(mittag_leffler(alpha, -x), math.fsum(terms),
+                            rtol=1e-13)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.2, 0.6, 0.9])
+    def test_asymptotic_series_at_large_x(self, alpha):
+        # E_alpha(-x) = sum_{k=1}^{K} (-1)^(k+1) x^-k / Gamma(1 - alpha k)
+        # + O(x^-(K+1)): at x >= 1e3 eight terms leave under 1e-20 relative
+        for x in (1e3, 1e4, 1e6):
+            want = math.fsum((-1) ** (k + 1) * x**-k * rgamma(1.0 - alpha * k)
+                             for k in range(1, 9))
+            assert_allclose(mittag_leffler(alpha, -x), want, rtol=1e-12)
 
     def test_complete_monotonicity(self):
         for a in (0.3, 0.6, 0.9):
@@ -366,33 +404,58 @@ class TestMittagLeffler:
 
 class TestLaplaceForward:
     def test_constant(self):
-        v, err = laplace_forward(lambda t: 1.0, 2.0)
+        v, err = laplace_forward(np.ones_like, 2.0)
         assert_allclose(v, 0.5, rtol=1e-9)
         assert err < 1e-6
 
     def test_exponential(self):
-        v, _ = laplace_forward(lambda t: math.exp(-t), 1.0)
+        v, _ = laplace_forward(lambda t: np.exp(-t), 1.0)
         assert_allclose(v, 0.5, rtol=1e-9)
 
     def test_ou_variance_derivative(self):
         # R'(t) = sigma^2 e^{-2 alpha t} transforms to sigma^2/(s+2alpha)
         alpha, sigma, s = 1.0, math.sqrt(2.0), 1.5
-        v, _ = laplace_forward(lambda t: sigma**2 * math.exp(-2 * alpha * t), s)
+        v, _ = laplace_forward(lambda t: sigma**2 * np.exp(-2 * alpha * t), s)
         assert_allclose(v, sigma**2 / (s + 2 * alpha), rtol=1e-9)
 
     def test_abscissa_guard(self):
         with pytest.raises(ValueError):
-            laplace_forward(lambda t: 1.0, -1.0)
+            laplace_forward(np.ones_like, -1.0)
+
+    @pytest.mark.parametrize("x", [0.0, 0.05, 0.1, 0.5, 2.0])
+    def test_brownian_kernel_closed_form(self, x):
+        # int_0^inf e^{-rho t} N(x; 0, t) dt = e^{-|x| sqrt(2 rho)} / sqrt(2 rho);
+        # at x = 0 the kernel's t^-1/2 is declared
+        def kernel(t):
+            return np.exp(-x * x / (2.0 * t)) / np.sqrt(2.0 * math.pi * t)
+
+        for rho in (0.05, 0.5, 1.0, 4.0, 50.0):
+            v, err = laplace_forward(kernel, rho, t_max=16.0,
+                                     power_at_zero=-0.5 if x == 0.0 else 0.0)
+            want = math.exp(-x * math.sqrt(2.0 * rho)) / math.sqrt(2.0 * rho)
+            assert v.imag == 0.0
+            assert_allclose(v.real, want, rtol=1e-12)
+            assert err < 1e-9
+
+    def test_complex_s_brownian_kernel(self):
+        # the same closed form off the real axis, on the principal root
+        def kernel(t):
+            return np.exp(-0.125 / t) / np.sqrt(2.0 * math.pi * t)
+
+        for s in (1.0 + 2.0j, 0.3 + 5.0j):
+            v, _ = laplace_forward(kernel, s)
+            want = np.exp(-0.5 * np.sqrt(2.0 * s)) / np.sqrt(2.0 * s)
+            assert_allclose(v, want, rtol=1e-12)
 
     @pytest.mark.parametrize("g, p", [
-        (lambda t: math.exp(-t), 0.0),
-        (lambda t: math.exp(-t * t), 0.0),
-        (lambda t: t**-0.5 if t > 0 else 0.0, -0.5),
+        (lambda t: np.exp(-t), 0.0),
+        (lambda t: np.exp(-t * t), 0.0),
+        (lambda t: t**-0.5, -0.5),
     ])
     def test_real_s_skips_the_imaginary_quadrature(self, g, p):
-        # a real s would integrate sin(0 t) = 0, one 21-point Gauss-Kronrod
-        # panel.  An s a hair off the axis runs that quadrature (here one
-        # panel too) on the same real part, since cos(1e-300 t) is 1
+        # a real s would sum sin(0 t) = 0.  An s a hair off the axis sums
+        # that part too, on the same real part, since cos(1e-300 t) is 1,
+        # and reads g on the very same nodes
         calls = []
 
         def counted(t):
@@ -400,10 +463,12 @@ class TestLaplaceForward:
             return g(t)
 
         real = laplace_forward(counted, 1.5, power_at_zero=p)
-        n_real = len(calls)
+        real_calls = list(calls)
         calls.clear()
         off = laplace_forward(counted, 1.5 + 1e-300j, power_at_zero=p)
-        assert len(calls) - n_real == 21
+        assert len(calls) == len(real_calls)
+        for a, b in zip(calls, real_calls):
+            assert np.array_equal(a, b)
         assert real.value.imag == 0.0
         assert real.value.real == off.value.real
         assert real.error == off.error

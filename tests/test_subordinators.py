@@ -396,8 +396,8 @@ class TestDensity:
         for s in (0.5, 1.0, 2.0):
             for tau in (0.5, 1.0):
                 v, _ = laplace_forward(
-                    lambda t: inverse_time_density(spec, t, tau)
-                    if t > 0 else 0.0,
+                    lambda t: np.array([inverse_time_density(spec, tj, tau)
+                                        for tj in t]),
                     s, t_max=25.0,
                 )
                 want = s**-0.5 * math.exp(-tau * math.sqrt(s))
