@@ -22,7 +22,6 @@ from .fraccalc import (
     laplace_forward,
     laplace_inverse,
     mittag_leffler,
-    riemann_liouville_integral,
 )
 from .gaussian import (
     Brownian,

@@ -169,17 +169,19 @@ def parse_model(obj, path="model"):
         if preset == "mobius":
             hurst = MobiusHurst(_number(obj, "a", path, required=True),
                                 _number(obj, "b", path, required=True))
+            fields = f"{path}.a/{path}.b"
         elif preset == "poly":
             coeffs = _numbers(obj, "coeffs", path)
             if not coeffs:
                 raise ConfigError(f"{path}.coeffs: expected a nonempty list")
             hurst = PolynomialHurst(coeffs)
+            fields = f"{path}.coeffs"
         else:
             raise ConfigError(f"{path}.preset: expected 'mobius' or 'poly'")
         try:
             return VariableHurst(hurst, horizon)
         except ValueError as ex:
-            raise ConfigError(f"{path}: {ex}") from ex
+            raise ConfigError(f"{fields}/{path}.horizon: {ex}") from ex
     if kind == "piecewise_hurst":
         _reject_unknown(obj, {"kind", "breakpoints", "values"}, path)
         bps = _numbers(obj, "breakpoints", path)
@@ -187,7 +189,8 @@ def parse_model(obj, path="model"):
         try:
             return PiecewiseHurst(bps, vals)
         except ValueError as ex:
-            raise ConfigError(f"{path}: {ex}") from ex
+            raise ConfigError(f"{path}.breakpoints/{path}.values: {ex}") \
+                from ex
     raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
 
 
@@ -306,7 +309,8 @@ def _emit(args, name: str, csv: str, meta: dict, echo: bool = False) -> int:
     return 0
 
 
-# VariableHurst checks H(t) on [0, horizon] only; a clock may run past it
+# VariableHurst checks H(t) on [0, horizon] only; a clock or a solve may run
+# past it, and ``main`` reports the HurstRangeError raised there with this
 _PAST_HORIZON = ("model.horizon: H(t) leaves (1/2, 1) at a clock value past "
                  "the horizon")
 
@@ -326,10 +330,7 @@ def cmd_simulate(args) -> int:
     if cfg["subordinator"] is not None:
         spec = TimeChangedSpec(gauss, cfg["subordinator"])
         sample = sample_timechanged_paths
-    try:
-        ens = sample(spec, grid, n_paths, rng)
-    except HurstRangeError as ex:
-        raise ConfigError(_PAST_HORIZON) from ex
+    ens = sample(spec, grid, n_paths, rng)
     meta = artifact_io.provenance(cfg["raw"], seed=cfg["seed"])
     return _emit(args, "paths", artifact_io.paths_csv(ens), meta)
 
@@ -342,11 +343,11 @@ def cmd_density(args) -> int:
     spec = TimeChangedSpec(GaussianSpec.univariate(cfg["model"]),
                            cfg["subordinator"])
     times = cfg["times"] or [solver.t_max]
+    # the times are the rows of one grid density
+    if any(b <= a for a, b in zip(times, times[1:])):
+        raise ConfigError("config.times: density needs increasing times")
     xg = np.linspace(solver.x_min, solver.x_max, solver.n_x)
-    try:
-        gd = subordinated_grid_density(spec, times, xg, config=solver)
-    except HurstRangeError as ex:
-        raise ConfigError(_PAST_HORIZON) from ex
+    gd = subordinated_grid_density(spec, times, xg, config=solver)
     meta = artifact_io.provenance(cfg["raw"], seed=cfg["seed"])
     meta["mass_error"] = [float(m) for m in gd.mass_error]
     return _emit(args, "density", artifact_io.grid_density_csv(gd), meta)
@@ -360,15 +361,16 @@ def _classical_solve(cfg, weight=1.0, **grid):
 
     A mollifier too narrow for the grid or too wide for the horizon is a
     configuration error: it names ``solver.init_width`` when the config
-    sets it and ``solver.t_max`` otherwise.
+    sets it and ``solver.t_max`` otherwise; a variable-Hurst model run past
+    its horizon is left to ``main``.
     """
     try:
         solver = dataclasses.replace(cfg["solver"], **grid)
         if weight != 1.0:
             solver = dataclasses.replace(solver, t_max=solver.t_max / weight)
         gd = solve_classical(operator_from_model(cfg["model"]), solver)
-    except HurstRangeError as ex:
-        raise ConfigError(_PAST_HORIZON) from ex
+    except HurstRangeError:
+        raise  # a model error, which ``main`` reports
     except ValueError as ex:
         field = ("init_width" if "init_width" in cfg["raw"].get("solver", {})
                  else "t_max")
@@ -524,7 +526,8 @@ def cmd_validate(args) -> int:
         q = subordinated_density(spec, solver.t_max, gd.x_grid, config=solver)
         record("solver_vs_subordination", np.abs(gd.values[-1] - q).max(), tol)
         record("mass_conservation", gd.mass_error.max(), MASS_TOL * 10)
-        record("positivity_defect", max(-gd.values.min(), 0.0), NONNEG_TOL)
+        # max keeps its first argument on a tie: -0.0 must not win
+        record("positivity_defect", max(0.0, -gd.values.min()), NONNEG_TOL)
         sym = np.abs(q - q[::-1]).max()
         record("density_symmetry", sym, 10 * tol)
         if isinstance(model, Brownian) and len(sub.components) == 1:
@@ -563,10 +566,7 @@ def cmd_convergence(args) -> int:
     width = solver.init_width
     if width is None:
         dx0 = (solver.x_max - solver.x_min) / (base - 1)
-        try:
-            var_end = float(model.var(solver.t_max))
-        except HurstRangeError as ex:
-            raise ConfigError(_PAST_HORIZON) from ex
+        var_end = float(model.var(solver.t_max))
         width = min(4.0 * dx0, 0.5 * math.sqrt(var_end))
     rows = []
     prev_err = None
@@ -646,6 +646,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except ConfigError as ex:
         print(f"configuration error: {ex}", file=sys.stderr)
+        return 2
+    except HurstRangeError:
+        print(f"configuration error: {_PAST_HORIZON}", file=sys.stderr)
         return 2
     except NumericsError as ex:
         print(f"numerical failure: {ex}", file=sys.stderr)

@@ -1,15 +1,13 @@
 """Fractional-calculus and Laplace-transform primitives.
 
 Everything downstream (subordinator densities, nonlocal operators, the
-fractional solvers) is built on the five operations in this module:
+fractional solvers) is built on the four operations in this module:
 
-* ``caputo_l1``                 -- Caputo derivative, L1 product rule
-* ``riemann_liouville_integral``-- fractional integral, the L1 rule at
-                                   order -alpha, exact on linears
-* ``mittag_leffler``            -- E_alpha(z) to 1e-10 relative
-* ``laplace_forward``           -- numerical transform of an array
-                                   callable, with error estimate
-* ``laplace_inverse``           -- fixed-Talbot / de Hoog dual inversion
+* ``caputo_l1``        -- Caputo derivative, L1 product rule
+* ``mittag_leffler``   -- E_alpha(z) to 1e-10 relative
+* ``laplace_forward``  -- numerical transform of an array callable, with
+                          error estimate
+* ``laplace_inverse``  -- fixed-Talbot / de Hoog dual inversion
 
 The L1 rule is written once, in ``l1_weights``: the memory-weight matrix W
 of a pure clock or a mixture on any increasing grid.  On a uniform grid W
@@ -23,22 +21,23 @@ block of rows at a time (``l1_weight_blocks``), so the solvers and their
 residual diagnostics discretise the memory term identically.  The solver
 applies a block's columns before its first row to the history in one
 matrix product and steps through the block with only its in-block
-columns, so it too takes any increasing grid.  The
-Riemann-Liouville integral is the same rule at order -alpha (the power
-kernel is one cell rule for every order below 1), so it has no weights
-of its own.  The composite Gauss-Legendre rule is written once too, in
-``_gauss_panels``: the subordination panels, the Kanter-Zolotarev
-integral, the forward transform (panels graded toward t = 0, every panel
-halved per level until two levels agree) and the Mittag-Leffler function
-(its spectral integral in a variable where the integrand falls from 1 to
-0, vectorised over the argument) all take their nodes from it, so the
+columns, so it too takes any increasing grid.  The power kernel is one
+cell rule for every order below 1, so the same weights at order -alpha
+give a Riemann-Liouville integral.  The composite Gauss-Legendre rule is
+written once too, in ``_gauss_panels``: the subordination panels, the
+Kanter-Zolotarev integral, the forward transform (panels graded toward
+t = 0, every panel halved per level until two levels agree) and the
+Mittag-Leffler function (its spectral integral in a variable where the
+integrand falls from 1 to 0, vectorised over the argument) all take
+their nodes from it, so the
 package needs neither QUADPACK nor a root finder: ``scipy.integrate`` and
 ``scipy.optimize`` are never imported.  Likewise the transform of sampled
-data, the closed form for its linear interpolant, lives only here:
-``_hat_transform`` on a uniform grid (``_uniform_step``, the lag table's
-test), about 2 sqrt(n) exponentials per node, and
-``_transform_from_exponentials`` on any other, one exponential per
-(node, time); the operators in ``lambdaop`` are their one caller.
+data, the closed form for its linear interpolant, lives only here, behind
+one entry point, ``_interp_transform``: it makes the grid decision with
+the lag table's test (``_uniform_step``) and takes the closed-form hat
+transform of a uniform grid (``_hat_transform``, about 2 sqrt(n)
+exponentials per node) or differences one exponential per (node, time)
+on any other grid; the operators in ``lambdaop`` are its one caller.
 
 The inversion is deliberately redundant: two unrelated algorithms must
 agree or an ``InversionError`` is raised, so an ill-suited transform shows
@@ -76,7 +75,6 @@ __all__ = [
     "caputo_l1_columns",
     "l1_weights",
     "l1_weight_blocks",
-    "riemann_liouville_integral",
     "mittag_leffler",
     "laplace_forward",
     "laplace_inverse",
@@ -252,7 +250,7 @@ def l1_weights(t: np.ndarray, components, start: int, stop: int) -> np.ndarray:
     With h_k = t_{k+1} - t_k and ``components`` the (beta_j, w_j) pairs of
     a mixture (a pure clock is the one pair (beta, 1); any beta < 1 works,
     and beta = -alpha gives J^(alpha+1) of the piecewise-constant
-    derivative, as ``riemann_liouville_integral`` uses it),
+    derivative),
 
         W[i, k] = sum_j w_j / Gamma(2 - beta_j)
                   * ((t_i - t_k)^(1-beta_j) - (t_i - t_{k+1})^(1-beta_j)) / h_k
@@ -312,30 +310,6 @@ def caputo_l1(g: SampledFunction, beta: float) -> SampledFunction:
     return SampledFunction(
         t, caputo_l1_columns(t, g.values[:, None], ((b, 1.0),))[:, 0]
     )
-
-
-# ---------------------------------------------------------------------------
-# Riemann-Liouville fractional integral
-# ---------------------------------------------------------------------------
-
-def riemann_liouville_integral(
-    g: SampledFunction, alpha: float
-) -> SampledFunction:
-    """J^alpha g by product quadrature, exact for piecewise-linear g.
-
-    This is the L1 rule at order -alpha: J^alpha g = g(0) t^alpha /
-    Gamma(alpha+1) + J^(alpha+1) g', and with g' piecewise constant the
-    last term is exactly ``caputo_l1_columns`` with beta = -alpha, whose
-    weights integrate the kernel in closed form on every cell, so the
-    endpoint singularity at tau = t costs nothing.
-    """
-    a = float(alpha)
-    if a <= 0.0:
-        raise ValueError("alpha must be positive")
-    t = g.grid
-    y = g.values
-    memory = caputo_l1_columns(t, y[:, None], ((-a, 1.0),))[:, 0]
-    return SampledFunction(t, memory + y[0] * t**a / _gamma(a + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -439,31 +413,6 @@ def mittag_leffler(alpha: float, z: float) -> float:
 # forward Laplace transform
 # ---------------------------------------------------------------------------
 
-def _transform_from_exponentials(t: np.ndarray, sc: np.ndarray,
-                                 T: np.ndarray) -> np.ndarray:
-    """T with (T @ y) = Laplace transform of the linear interpolant of
-    (t, y) on the nodes sc (a column), from the exponentials
-    exp(-sc t), which are overwritten.
-
-    Shaped (len(sc), len(t)), so a field of columns sharing one time grid
-    transforms as one matmul.  With e_j = exp(-s t_j) and
-    d_j = (e_j - e_{j+1}) / (s^2 (t_{j+1} - t_j)) a sample's coefficient is
-    e_0/s - d_0 at the left end, d_{j-1} - d_j inside (its two segments'
-    e_j/s terms cancel) and d_{n-1} - e_n/s at the right end.
-    """
-    d = T[:, :-1] - T[:, 1:]
-    d *= 1.0 / (sc * sc)
-    # numpy divides a complex by a real h as a complex by h + 0i, which
-    # scales both parts by 1/h; doing that on the parts skips the cast
-    d.view(float)[...] *= np.repeat(1.0 / np.diff(t), 2)[None, :]
-    first = T[:, 0] / sc[:, 0] - d[:, 0]
-    last = d[:, -1] - T[:, -1] / sc[:, 0]
-    np.subtract(d[:, :-1], d[:, 1:], out=T[:, 1:-1])
-    T[:, 0] = first
-    T[:, -1] = last
-    return T
-
-
 # Taylor coefficients in u of phi1(u) = (e^u - 1) / u,
 # phi2(u) = (e^u - 1 - u) / u^2 and psi(u) = (1 - e^u (1 - u)) / u^2, for
 # |u| < 1, where the closed forms cancel: 20 terms reach 1e-17 there
@@ -493,10 +442,8 @@ def _hat_factors(u: np.ndarray) -> np.ndarray:
 
 
 def _hat_transform(t0: float, h: float, n: int, z: np.ndarray) -> np.ndarray:
-    """The transpose of T of ``_transform_from_exponentials`` on the uniform
-    grid t_j = t0 + j h, j = 0..n, at nodes z with Re z > 0: shaped
-    (n + 1, len(z)), so that its float view lists each node's real and
-    imaginary parts side by side.
+    """T of ``_interp_transform`` on the uniform grid t_j = t0 + j h,
+    j = 0..n, at nodes z with Re z > 0, shaped (n + 1, len(z)).
 
     With w = z h and e_m = exp(-z t_m), the hat functions transform in
     closed form:
@@ -523,6 +470,35 @@ def _hat_transform(t0: float, h: float, n: int, z: np.ndarray) -> np.ndarray:
     T[0] = anchors[0] * f[1]
     T[n] = last
     return T[: n + 1]
+
+
+def _interp_transform(t: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """T with T.T @ y the Laplace transform, at the nodes z (Re z > 0), of
+    the linear interpolant of (t, y) on any increasing grid t.
+
+    Shaped (len(t), len(z)), time-major, so that a field of columns sharing
+    the grid transforms as one matmul and T's float view lists each node's
+    real and imaginary parts side by side.  A uniform grid
+    (``_uniform_step``, the L1 lag table's test) takes the closed form of
+    ``_hat_transform``.  Any other grid differences the exponentials
+    e_j = exp(-z t_j): with d_j = (e_j - e_{j+1}) / (z^2 (t_{j+1} - t_j)) a
+    sample's coefficient is e_0/z - d_0 at the left end, d_{j-1} - d_j
+    inside (its two segments' e_j/z terms cancel) and d_{n-1} - e_n/z at
+    the right end.
+    """
+    h = _uniform_step(t)
+    if h is not None:
+        return _hat_transform(t[0], h, len(t) - 1, z)
+    e = np.exp(-t[:, None] * z)
+    d = (e[:-1] - e[1:]) / (z * z)
+    # numpy divides a complex by a real h as a complex by h + 0i, which
+    # scales both parts by 1/h; doing that on the parts skips the cast
+    d.view(float)[...] *= (1.0 / np.diff(t))[:, None]
+    T = np.empty_like(e)
+    T[0] = e[0] / z - d[0]
+    np.subtract(d[:-1], d[1:], out=T[1:-1])
+    T[-1] = d[-1] - e[-1] / z
+    return T
 
 
 #: base panels of ``laplace_forward`` on [0, U]: 8 equal ones, the first

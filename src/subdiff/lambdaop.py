@@ -48,15 +48,11 @@ for sampled data: a ``SampledFunction``'s values are one column, the
 field residual's Laplacians many.  The columns' transform matrix T
 satisfies T(conj z) = conj T(z), so it is formed on the line's upper half
 only, the kernel times dz is contracted into it first, and the small
-(outer nodes x times) result maps every column at once.  On a uniform
-grid (``fraccalc._uniform_step``, the L1 lag table's test; every solver
-grid is one) T is the hat functions' closed form,
-e^(-z t_j) 4 sinh^2(zh/2) / (z^2 h) inside and h phi2 forms at the ends,
-with each e^(-z t_j) one product of an anchor and an offset exponential
-(``fraccalc._hat_transform``): about 2 sqrt(n) exponentials per line node
-instead of n + 1, and no difference of exponentials to cancel as
-|zh| -> 0.  Any other grid differences the exponentials of every
-(node, time) (``fraccalc._transform_from_exponentials``).
+(outer nodes x times) result maps every column at once.  T comes from
+one entry point, ``fraccalc._interp_transform``, which alone decides how
+to form it from the grid: the hat functions' closed form on a uniform
+grid (every solver grid is one), with about 2 sqrt(n) exponentials per
+line node, and differenced exponentials on any other.
 
 The outer inversion of an analytic input is the linear Gaver-Stehfest
 rule at degree 12, cross-checked by degree 16 and by a de Hoog inversion;
@@ -69,10 +65,8 @@ through ``_dehoog_values``: one ``_image`` call for all dyadic blocks of
 times, then one ``fraccalc._dehoog_batch`` call per block, whose
 continued fraction sums all of the block's times at once.  The top
 block's line is the one its own nodes would give (offset_ratio times the
-abscissa); a lower block reads the top line scaled by 2^b, so on a
-non-uniform grid its exponentials exp(-z t) are the top block's squared
-b times, while a uniform grid builds each block's small anchor and
-offset tables afresh.  Everything
+abscissa); a lower block reads the top line scaled by 2^b, and each
+block's transform is formed afresh on its own line.  Everything
 here is validated downstream against scalar moment identities, which is
 where these operators meet hard data.
 """
@@ -89,9 +83,7 @@ from .fraccalc import (
     SampledFunction,
     _dehoog_batch,
     _dehoog_contour,
-    _hat_transform,
-    _transform_from_exponentials,
-    _uniform_step,
+    _interp_transform,
     caputo_l1_columns,
 )
 from .gaussian import profile_decay, profile_derivative
@@ -356,12 +348,12 @@ def _kernel_degree(op) -> float | None:
     return None
 
 
-def _mirror_weights(kd: np.ndarray, paired: bool = False) -> np.ndarray:
-    """Real matrix W with W @ [Re T; Im T] = [Re A; Im A], A the sum over a
-    mirrored line of kd[:, j] T(z_j), for T formed on the v >= 0 half
-    (centre first) and a real time grid, where T(conj z) = conj T(z).
-    ``paired`` orders W's columns node by node, (Re, Im) for each, to
-    match the float view of a time-major complex T (``_hat_transform``).
+def _mirror_weights(kd: np.ndarray) -> np.ndarray:
+    """Real matrix W with W @ V.T = [Re A; Im A], A the sum over a mirrored
+    line of kd[:, j] T(z_j), for the time-major T of ``_interp_transform``
+    formed on the v >= 0 half (centre first) and a real time grid, where
+    T(conj z) = conj T(z), and V its float view: W's columns run node by
+    node, (Re, Im) for each, as V's do.
 
     With K+ the half's columns of kd and K- their mirrors (zero at the
     centre, which is counted once), A = (K+ + K-) Re T + i (K+ - K-) Im T.
@@ -372,11 +364,10 @@ def _mirror_weights(kd: np.ndarray, paired: bool = False) -> np.ndarray:
     km[:, 1:] = kd[:, n - 1 :: -1]
     P, Q = kp + km, kp - km
     m = len(kd)
-    W = np.empty((2, m, n + 1, 2) if paired else (2, m, 2, n + 1))
-    # V[row part, outer node, column part, line node], a view of W
-    V = W.swapaxes(2, 3) if paired else W
-    V[0, :, 0], V[0, :, 1] = P.real, -Q.imag
-    V[1, :, 0], V[1, :, 1] = P.imag, Q.real
+    # W[row part, outer node, line node, column part]
+    W = np.empty((2, m, n + 1, 2))
+    W[0, ..., 0], W[0, ..., 1] = P.real, -Q.imag
+    W[1, ..., 0], W[1, ..., 1] = P.imag, Q.real
     return W.reshape(2 * m, -1)
 
 
@@ -395,19 +386,13 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float,
     A pair (t_grid, Y) holds n_cols real columns sampled on one grid,
     whose transforms are T(z) @ Y with T the transform of the linear
     interpolant, and each image is (n_cols, len(s)): T is formed on the
-    line's v >= 0 half only, the kernel times dz is contracted into it
+    line's v >= 0 half only, by ``_interp_transform`` on any grid and
+    time-major, the kernel times dz is contracted into its float view
     first (``_mirror_weights``), and the (len(s), len(t_grid)) result is
-    applied to Y once.  On a uniform grid (``_uniform_step``) T is the
-    closed form of ``_hat_transform``, time-major, whose float view the
-    kernel's paired columns contract directly; each scale builds its own
-    anchor and offset exponentials.  On any other grid T is the
-    differenced form (``_transform_from_exponentials``), and a scale 2^n
-    times the one before it squares that scale's exponentials exp(-z t)
-    n times instead of exponentiating afresh (``_dehoog_values`` passes
-    its dyadic scales in ascending order).  A homogeneous kernel is built
-    once, on (s, zeta), and every scale's contraction is multiplied by
-    r^(1+d) (dz = r dzeta); any other kernel is built per scale on
-    (r s, r zeta).
+    applied to Y once.  Every scale forms its own T, so no state passes
+    between scales.  A homogeneous kernel is built once, on (s, zeta), and
+    every scale's contraction is multiplied by r^(1+d) (dz = r dzeta); any
+    other kernel is built per scale on (r s, r zeta).
     """
     cc = op.contour
     re_min = float(s.real.min())
@@ -423,39 +408,21 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float,
     sampled = isinstance(gt, tuple)
     if sampled:
         tg, Y = gt
-        step = _uniform_step(tg)
-        uniform = step is not None
         if degree is not None:
-            W_kern = _mirror_weights(kern * dzeta, uniform)
-        E, r_last = None, None
+            W_kern = _mirror_weights(kern * dzeta)
     images = []
     for r in scales:
         z = r * zeta
         if sampled:
             if degree is None:
                 k = _kernel_on_line(op, r * s, z)
-                W, f = _mirror_weights(k * dzeta, uniform), r
+                W, f = _mirror_weights(k * dzeta), r
             else:
                 W, f = W_kern, r ** (1.0 + degree)
-            if uniform:
-                T = _hat_transform(tg[0], step, len(tg) - 1,
-                                   z[len(z) // 2 :])
-                # rows: Re and Im of the sum over the line of kernel dz
-                # T(z) Y; W's columns pair each node's Re and Im, as T's
-                # float view does
-                AY = (W @ T.view(float).T) @ Y
-            else:
-                zh = z[len(z) // 2 :, None]
-                # exp(-2 r z t) = exp(-r z t)^2
-                n_sq = math.log2(r / r_last) if E is not None else 0.0
-                if n_sq >= 1.0 and n_sq.is_integer():
-                    for _ in range(int(n_sq)):
-                        E = E * E
-                else:
-                    E = np.exp(-zh * tg[None, :])
-                r_last = r
-                T = _transform_from_exponentials(tg, zh, E.copy())
-                AY = (W @ np.concatenate([T.real, T.imag])) @ Y
+            T = _interp_transform(tg, z[len(z) // 2 :])
+            # rows: Re and Im of the sum over the line of kernel dz T(z) Y;
+            # W's columns pair each node's Re and Im, as T's float view does
+            AY = (W @ T.view(float).T) @ Y
             phi = f * (AY[: len(s)] + 1j * AY[len(s) :])
         else:
             gz = gt(z) * dzeta
@@ -546,9 +513,6 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     for idx, t in enumerate(t_grid):
         b = max(int(math.floor(math.log2(t_top / t))), 0)
         blocks.setdefault(b, []).append(idx)
-    # ascending scales, so that a sampled input on a non-uniform grid
-    # squares its exponentials
-    blocks = dict(sorted(blocks.items()))
     spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
     sampled = isinstance(gt, tuple)
     images = _image(op, gt, g_sing, _dehoog_contour(t_top, M, tol)[2],

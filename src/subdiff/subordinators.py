@@ -525,11 +525,18 @@ def _mwright_series(beta: float, u: np.ndarray) -> np.ndarray:
     magnitude k log u + lgamma(x) - lgamma(k + 1): no pole and no
     overflow.  The sum stops where that magnitude at the largest u has
     fallen e^40 below its peak; the terms up to there never exceed that
-    peak, which on this range is within a few units of the sum.
+    peak, which on this range is within a few units of the sum.  At the
+    range's end that takes about 20 / (1 - beta) terms, and a beta so
+    close to 1 that it would take more than 2^14 raises ``NumericsError``
+    instead of building a (len(u), terms) matrix of that width.
     """
     log_u = np.log(np.maximum(u, 1e-300))
     n = 64
     while True:
+        if n > 2**14:
+            raise NumericsError(
+                f"clock density: the M-Wright series at beta {beta:.17g} "
+                "needs more than 2^14 terms (beta too close to 1)")
         k = np.arange(n, dtype=float)
         x = beta * (k + 1.0)
         log_mag = gammaln(x) - gammaln(k + 1.0)
@@ -578,7 +585,11 @@ def _kanter_integral(beta: float, u: np.ndarray) -> np.ndarray:
     log_a0 = (b * np.log(b) + b1 * np.log(b1)) / b1
     a0 = np.exp(log_a0)
     log_u = np.log(u.astype(ld))
-    z = np.exp(log_u / b1)
+    # z overflows where log u / (1 - b) leaves the float range, in the far
+    # tail of a clock with beta near 1, where exp(-z A(0)) is 0 long
+    # before: z = inf gives that 0 (log_pre = -inf)
+    with np.errstate(over="ignore"):
+        z = np.exp(log_u / b1)
     log_pre = b / b1 * log_u - z * a0
     out = np.zeros(len(u))
     live = log_pre + log_a0 - np.log(b1) > -746.0

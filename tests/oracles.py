@@ -15,9 +15,14 @@ every cell was formatted on its own: the byte contract of ``subdiff.io``.
 ``interp_transform_segments`` is the transform of a piecewise-linear
 interpolant summed segment by segment, as it was before the transform
 became one matrix, and ``transform_matrix`` is that matrix formed on
-every point; ``hat_transform_quadrature`` is that matrix by
-Gauss-Legendre quadrature of the defining integral.  ``dehoog_full_line`` is the operator on sampled columns as
-it was when the transform matrix was formed on every node of a
+every point by differencing exponentials, as the library forms it on a
+non-uniform grid; ``hat_transform_quadrature`` is that matrix by
+Gauss-Legendre quadrature of the defining integral.
+``riemann_liouville_integral`` is the fractional integral J^alpha of a
+sampled function as the library once exported it: the L1 rule at order
+-alpha (``caputo_l1_columns``), which ``rl_integral_loop`` holds to the
+per-row closed form.  ``dehoog_full_line`` is the operator on sampled
+columns as it was when the transform matrix was formed on every node of a
 ``linspace`` line and applied to the columns before the kernel, and
 ``field_residual_full_line`` is the field residual on that route.  The
 ``volterra_*_nested`` functions are the variable-Hurst covariance as it
@@ -188,11 +193,19 @@ def dehoog_table_loop(F, t, M, n_batch, *, tmax=None, tol=1e-12):
 
 def transform_matrix(t, s):
     """T with T @ y the Laplace transform of the linear interpolant of
-    (t, y) on the points s, formed on every point."""
-    from subdiff.fraccalc import _transform_from_exponentials
-
+    (t, y) on the points s, formed on every point from the differences of
+    the exponentials e_j = exp(-s t_j): with
+    d_j = (e_j - e_{j+1}) / (s^2 (t_{j+1} - t_j)) a sample's coefficient is
+    e_0/s - d_0 at the left end, d_{j-1} - d_j inside and d_{n-1} - e_n/s
+    at the right end."""
     sc = np.asarray(s, dtype=complex)[:, None]
-    return _transform_from_exponentials(t, sc, np.exp(-sc * t[None, :]))
+    e = np.exp(-sc * t[None, :])
+    d = (e[:, :-1] - e[:, 1:]) / (sc * sc * np.diff(t)[None, :])
+    T = np.empty_like(e)
+    T[:, 0] = e[:, 0] / sc[:, 0] - d[:, 0]
+    T[:, 1:-1] = d[:, :-1] - d[:, 1:]
+    T[:, -1] = d[:, -1] - e[:, -1] / sc[:, 0]
+    return T
 
 
 def hat_transform_quadrature(t, s, n_nodes=16):
@@ -354,6 +367,26 @@ def interp_transform_segments(t, y, s):
     eb = np.exp(-s * b)
     term = (ea * ya - eb * yb) / s + m * (ea - eb) / (s * s)
     return term.sum(axis=1)
+
+
+def riemann_liouville_integral(g, alpha):
+    """J^alpha g by product quadrature, exact for piecewise-linear g.
+
+    This is the L1 rule at order -alpha: J^alpha g = g(0) t^alpha /
+    Gamma(alpha+1) + J^(alpha+1) g', and with g' piecewise constant the
+    last term is exactly ``caputo_l1_columns`` with beta = -alpha, whose
+    weights integrate the kernel in closed form on every cell, so the
+    endpoint singularity at tau = t costs nothing.
+    """
+    from subdiff.fraccalc import SampledFunction, caputo_l1_columns
+
+    a = float(alpha)
+    if a <= 0.0:
+        raise ValueError("alpha must be positive")
+    t = g.grid
+    y = g.values
+    memory = caputo_l1_columns(t, y[:, None], ((-a, 1.0),))[:, 0]
+    return SampledFunction(t, memory + y[0] * t**a / math.gamma(a + 1.0))
 
 
 def rl_integral_loop(t, y, alpha):

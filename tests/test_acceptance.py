@@ -20,7 +20,7 @@ from subdiff.fpke import (
     solve_distributed_order,
     solve_fractional,
 )
-from subdiff.fraccalc import SampledFunction, caputo_l1, riemann_liouville_integral
+from subdiff.fraccalc import SampledFunction, caputo_l1
 from subdiff.gaussian import (
     Brownian,
     FractionalBrownian,
@@ -55,7 +55,7 @@ from subdiff.timechange import (
 )
 
 from oracles import (bm_pure_clock_density, fourier_ml_bm_half,
-                     inverse_half_density)
+                     inverse_half_density, riemann_liouville_integral)
 
 ONE = constant_transform(1.0)
 

@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
+import pathlib
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from subdiff.cli import ConfigError, load_config, main, parse_model
 
@@ -232,7 +237,7 @@ class TestCommands:
     # H(t) = 0.6 + 0.5 t / (1 + t) reaches 1 on the default horizon 4
     ({"model": {"kind": "variable_hurst", "preset": "mobius", "a": 0.6,
                 "b": 0.5}},
-     "model: H(t) must stay inside (1/2, 1)"),
+     "model.a/model.b/model.horizon: H(t) must stay inside (1/2, 1)"),
     # JSON's NaN and Infinity parse, and fail no range comparison
     ({**BM_CFG, "solver": {**BM_CFG["solver"], "t_max": float("nan")}},
      "solver.t_max: expected a finite number"),
@@ -384,6 +389,20 @@ def test_density_past_the_hurst_horizon_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert "model.horizon: H(t) leaves (1/2, 1)" in err
+    assert "Traceback" not in err
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("times", [[0.5, 0.5], [1.0, 0.5]])
+def test_density_needs_increasing_times(tmp_path, capsys, times):
+    # the times are the rows of one grid density
+    out = tmp_path / "o"
+    rc = main(["density", "--config",
+               write_config(tmp_path, {**BM_CFG, "times": times}),
+               "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "config.times: density needs increasing times" in err
     assert "Traceback" not in err
     assert not any(out.glob("*"))
 
@@ -625,3 +644,115 @@ def test_validate_reads_the_moment_at_any_weight(tmp_path, beta):
     checks = {c["name"]: c for c in json.loads(
         (out / "report.json").read_text())["checks"]}
     assert checks["solver_variance_vs_moment"]["passed"]
+
+
+def test_validate_positivity_defect_is_never_negative_zero(tmp_path, capsys):
+    # a beta = 1 clock solves classically, and that solution's minimum is
+    # exactly 0: the defect must read +0.0, not -0.0, in the report and on
+    # stdout
+    body = {"model": {"kind": "brownian"},
+            "subordinator": {"components": [{"beta": 1.0, "weight": 2.0}]}}
+    out = tmp_path / "o"
+    assert main(["validate", "--config", write_config(tmp_path, body),
+                 "--out", str(out)]) == 0
+    checks = {c["name"]: c for c in json.loads(
+        (out / "report.json").read_text())["checks"]}
+    measured = checks["positivity_defect"]["measured"]
+    assert measured == 0.0
+    assert math.copysign(1.0, measured) == 1.0
+    assert "positivity_defect: 0.000e+00" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# every subcommand on drawn configurations keeps the exit-code contract
+# ---------------------------------------------------------------------------
+
+_FBM = st.builds(lambda h: {"kind": "fbm", "h": h}, st.floats(0.05, 0.95))
+_SIMPLE = st.one_of(st.just({"kind": "brownian"}), _FBM)
+_MODELS = st.one_of(
+    st.just({"kind": "brownian"}),
+    _FBM,
+    st.builds(lambda a, s: {"kind": "ou", "alpha": a, "sigma": s},
+              st.floats(0.0, 2.0), st.floats(0.5, 2.0)),
+    st.builds(lambda terms: {"kind": "mixed", "terms": terms},
+              st.lists(st.builds(lambda c, m: {"coef": c, "model": m},
+                                 st.floats(0.5, 2.0), _SIMPLE),
+                       min_size=1, max_size=2)),
+    st.builds(lambda a, b, horizon: {"kind": "variable_hurst",
+                                     "preset": "mobius", "a": a, "b": b,
+                                     "horizon": horizon},
+              st.floats(0.5, 0.8), st.floats(0.0, 0.3), st.floats(1.0, 4.0)),
+    st.builds(lambda c0, c1, horizon: {"kind": "variable_hurst",
+                                       "preset": "poly", "coeffs": [c0, c1],
+                                       "horizon": horizon},
+              st.floats(0.5, 0.8), st.floats(0.0, 0.1), st.floats(1.0, 4.0)),
+    st.builds(lambda cuts, hs: {"kind": "piecewise_hurst",
+                                "breakpoints": sorted(cuts),
+                                "values": hs[: len(cuts) + 1]},
+              st.lists(st.floats(0.1, 4.0), min_size=1, max_size=2,
+                       unique=True),
+              st.lists(st.floats(0.05, 0.95), min_size=3, max_size=3)),
+)
+_CLOCKS = st.integers(0, 2).flatmap(lambda n: st.lists(
+    st.builds(lambda b, w: {"beta": b, "weight": w},
+              st.floats(0.1, 1.0),
+              st.one_of(st.just(1.0), st.floats(0.5, 2.0))),
+    min_size=n, max_size=n))
+_SOLVERS = st.builds(
+    lambda n_t, n_x, t_max, lo, hi: {"t_max": t_max, "n_t": n_t,
+                                     "x_min": -lo, "x_max": hi, "n_x": n_x},
+    st.integers(16, 40), st.integers(16, 40), st.floats(0.05, 5.0),
+    st.floats(2.0, 10.0), st.floats(2.0, 10.0))
+_COMMANDS = ("simulate", "density", "solve", "operators", "moments",
+             "validate", "convergence")
+_FIELDS = ("model.", "solver.", "subordinator", "config.")
+
+
+def _finite_csv(path, command):
+    """Every cell of a written CSV is a finite number, except the order of
+    the convergence study's first level, which has no coarser level to
+    compare with and is NaN by definition."""
+    rows = [line.split(",") for line in
+            path.read_text().splitlines()[1:]]
+    for i, row in enumerate(rows):
+        for j, cell in enumerate(row):
+            if command == "convergence" and (i, j) == (0, 2):
+                assert math.isnan(float(cell))
+            else:
+                assert math.isfinite(float(cell)), (i, j, cell)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(model=_MODELS, clock=_CLOCKS, solver=_SOLVERS,
+       times=st.one_of(st.none(), st.lists(st.floats(0.05, 5.0),
+                                           min_size=1, max_size=3)))
+def test_every_command_keeps_the_exit_code_contract(model, clock, solver,
+                                                    times):
+    body = {"model": model, "solver": solver, "paths": 3}
+    if clock:
+        body["subordinator"] = {"components": clock}
+    if times is not None:
+        body["times"] = times
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "cfg.json")
+        with open(cfg, "w") as fh:
+            json.dump(body, fh)
+        for command in _COMMANDS:
+            out = pathlib.Path(tmp, command)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                rc = main([command, "--config", cfg, "--out", str(out)])
+            where = (command, body, err.getvalue())
+            assert rc in (0, 1, 2, 3), where
+            assert rc != 1 or command == "validate", where
+            if rc == 2:
+                assert any(f in err.getvalue() for f in _FIELDS), where
+            if rc == 0 and command == "validate":
+                report = json.loads((out / "report.json").read_text())
+                assert all(math.isfinite(c["measured"])
+                           for c in report["checks"]), where
+            elif rc == 0:
+                name = {"simulate": "paths",
+                        "solve": "solution"}.get(command, command)
+                _finite_csv(out / f"{name}.csv", command)

@@ -17,7 +17,6 @@ from subdiff.fraccalc import (
     laplace_forward,
     laplace_inverse,
     mittag_leffler,
-    riemann_liouville_integral,
 )
 
 from oracles import (
@@ -27,6 +26,7 @@ from oracles import (
     hat_transform_quadrature,
     interp_transform_segments,
     mittag_leffler_neg,
+    riemann_liouville_integral,
     rl_integral_loop,
     transform_matrix,
 )
@@ -59,6 +59,17 @@ class TestTransformMatrix:
         both = T @ self.Y
         for j, y in enumerate(self.Y.T):
             assert_allclose(both[:, j], T @ y, rtol=1e-14)
+
+    def test_entry_point_matches_segment_sum(self):
+        # the random grid is not uniform, so ``_interp_transform`` takes its
+        # differenced route; its time-major matrix maps a column as T.T @ y
+        s = 0.3 + 1j * np.sinh(np.linspace(-12.0, 12.0, 1201))
+        T = fraccalc._interp_transform(self.T, s)
+        assert T.shape == (len(self.T), len(s))
+        for y in self.Y.T:
+            want = interp_transform_segments(self.T, y, s)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(T.T @ y - want)) <= 1e-13 * scale
 
     def test_two_samples(self):
         # one segment: the left and right end coefficients only
@@ -95,8 +106,9 @@ class TestHatTransform:
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
     def test_matches_differenced_form_away_from_zero(self):
-        # the differenced form (``_transform_from_exponentials``) holds
-        # where |z h| >= 0.5; below, its differences cancel
+        # the differenced form (``oracles.transform_matrix``, the route of
+        # ``_interp_transform`` on a non-uniform grid) holds where
+        # |z h| >= 0.5; below, its differences cancel
         t = np.arange(17) * self.H
         z = self.Z[np.abs(self.Z * self.H) >= 0.5]
         got = fraccalc._hat_transform(0.0, self.H, 16, z).T

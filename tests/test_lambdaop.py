@@ -12,7 +12,6 @@ from subdiff.fraccalc import (
     _dehoog_contour,
     caputo_l1,
     caputo_l1_columns,
-    riemann_liouville_integral,
 )
 from subdiff.gaussian import (
     Brownian,
@@ -49,6 +48,7 @@ from oracles import (
     field_residual_full_line,
     kernel_unwrapped,
     power_eigenvalue,
+    riemann_liouville_integral,
     uniform_line,
 )
 
@@ -784,24 +784,37 @@ def _nudged(tg):
 
 def test_one_uniformity_test_for_lag_table_and_transform(monkeypatch):
     # a point 3 ulp of t_n off a linspace grid keeps it uniform for the L1
-    # lag table and the operators' closed-form transform alike; 5 ulp
-    # sends both to their general routes
-    routes = []
-    for name in ("_hat_transform", "_transform_from_exponentials"):
-        def spy(*args, _fn=getattr(lambdaop, name), _name=name):
-            routes.append(_name)
-            return _fn(*args)
-        monkeypatch.setattr(lambdaop, name, spy)
+    # lag table and for fraccalc's transform entry point, which then takes
+    # the closed form; 5 ulp sends both to their general routes.  The
+    # operators reach the transform only through that entry point
+    hats, grids = [], []
+    hat, entry = fraccalc._hat_transform, fraccalc._interp_transform
+
+    def hat_spy(*args):
+        hats.append(args)
+        return hat(*args)
+
+    def entry_spy(t, z):
+        grids.append(t)
+        return entry(t, z)
+
+    monkeypatch.setattr(fraccalc, "_hat_transform", hat_spy)
+    monkeypatch.setattr(lambdaop, "_interp_transform", entry_spy)
     op = GOperator(0.5, 0.4)
+    z = 1.0 + 1j * np.linspace(0.0, 50.0, 11)
     for ulps, uniform in ((3, True), (5, False)):
         tg = np.linspace(0.0, 1.0, 81)
         tg[40] += ulps * np.spacing(1.0)
         assert (fraccalc._lag_table(tg, ((0.5, 1.0),)) is not None) == uniform
-        routes.clear()
+        hats.clear()
+        assert fraccalc._interp_transform(tg, z).shape == (81, len(z))
+        assert len(hats) == uniform
+        hats.clear()
+        grids.clear()
         lambdaop._dehoog_values(op, (tg, np.exp(-tg)[:, None]), 0.0,
                                 np.array([0.5]), op.contour.degree, 1e-10)
-        assert routes == (["_hat_transform"] if uniform
-                          else ["_transform_from_exponentials"])
+        assert len(grids) == 1 and grids[0] is tg
+        assert len(hats) == uniform
 
 
 class TestFieldResidualRoute:
@@ -837,15 +850,15 @@ class TestFieldResidualRoute:
     ], ids=["ou", "mixture"])
     def test_rebuilt_kernel_columns_match_callable_route(self, op):
         # kernels without a degree are folded per scale; times over three
-        # dyadic blocks, so two scales square the exponentials.  The
-        # reference is the full-line route that once took the columns as a
-        # callable (oracles.dehoog_full_line)
+        # dyadic blocks, each forming its own transform on its scaled line.
+        # The reference is the full-line route that once took the columns
+        # as a callable (oracles.dehoog_full_line)
         tg = np.linspace(0.0, 2.0, 161)
         cols = np.column_stack([np.exp(-tg), np.sin(3.0 * tg) * np.exp(-tg)])
         t = np.linspace(0.3, 1.6, 12)
         got = lambdaop._dehoog_values(op, (tg, cols), 0.0, t, 18, 1e-10)
         want = dehoog_full_line(op, tg, cols, t, 18, 1e-10)
-        # the lower blocks, whose exponentials are squared, agree to 1e-11;
+        # the lower blocks agree to 1e-11;
         # the top block carries the quotient-difference table's
         # amplification of summation-order roundoff (about 3e-6 here)
         scale = np.max(np.abs(want))

@@ -9,7 +9,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from subdiff.config import DEFAULT_CONFIG
-from subdiff.errors import InversionError
+from subdiff.errors import InversionError, NumericsError
 from subdiff.subordinators import (
     MonotonePath,
     _level_crossing_paths,
@@ -500,6 +500,23 @@ class TestUnitClockDensity:
         for beta in (0.0, 1.0):
             with pytest.raises(ValueError):
                 unit_clock_density(beta, [0.5])
+
+    def test_beta_an_ulp_below_one(self):
+        # the clock is E_1 = 1 to the last bit: past u0 = 1 + 4e-15 the
+        # integral's z = u^(1/(1-beta)) overflows even in extended
+        # precision, and the density is exactly 0, with no warning
+        beta = 1.0 - 2.0**-53
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(unit_clock_density(beta, [1.01, 2.0, 80.0]) == 0.0)
+
+    def test_series_too_long_near_one_raises(self):
+        # the series serves u up to u0 = 1.0043 at beta 0.9995, and at
+        # u = 1.004 it would take more than the 2^14 terms it builds, while
+        # beta 0.995 stops below 2^11
+        assert np.isfinite(unit_clock_density(0.995, [1.004])[0])
+        with pytest.raises(NumericsError, match="beta too close to 1"):
+            unit_clock_density(0.9995, [1.004])
 
 
 class TestMoments:
