@@ -9,13 +9,15 @@ G[1](t) = Gamma(gamma+1) t^(gamma beta) / Gamma(gamma beta + 1), and
 Lambda[1](t) = (1/2) d/dt E[E_t^(2H)]
              = Gamma(2H+1) t^(2H beta - 1) / (2 Gamma(2H beta)).
 Printed per operator: wall seconds, the peak of memory traced by
-tracemalloc during a second, untimed call (MB), the largest relative error
-against the closed form, and the largest reported spread / |value|.  One
-untimed call first takes the process's first touch of the largest contour
-arrays out of the table.  Beside them, the de Hoog inversion that checks
-each reported value: the node count of its inner line (graded, on the
-contour of the largest time), and its own largest relative error against
-the closed form, for G and for Lambda.
+tracemalloc during a second, untimed call (MB), the reported value's
+largest relative error against the closed form, and the largest reported
+spread / |value|.  One untimed call first takes the process's first touch
+of the largest contour arrays out of the table.  The reported value is a
+de Hoog inversion at degree 18; beside the columns, the node count of its
+inner line (graded, on the contour of the largest time), and the
+Gaver-Stehfest check at degree 12, whose distance to the value is the
+spread: its own largest relative error against the closed form, for G
+and for Lambda.
 
 A second table times the field residual ``fbm_fpke_residual`` at H = 1/2
 on a 200 x 200 fractional Brownian solve (x in [-12, 12], t in [0, 1],
@@ -50,6 +52,7 @@ from subdiff import (
 from subdiff import lambdaop
 from subdiff.fraccalc import _dehoog_contour
 from subdiff.lambdaop import (
+    ContourConfig,
     GOperator,
     LambdaOperator,
     constant_transform,
@@ -94,21 +97,26 @@ def row(fn, op, want):
             float(np.max(errs / np.abs(vals))))
 
 
-def dehoog_check(op, want):
-    """(inner line nodes, largest relative error) of the de Hoog check."""
-    cc = op.contour
-    s = _dehoog_contour(float(T.max()), cc.degree, 1e-10)[2]
+def value_nodes(op):
+    """Node count of the reported value's graded inner line."""
+    s = _dehoog_contour(float(T.max()), ContourConfig.degree, 1e-10)[2]
     zeta, _ = lambdaop._inner_line(
-        op, s, cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0,
+        op, s,
+        ContourConfig.node_spacing * (1.0 - ContourConfig.offset_ratio) / 2.0,
         lambdaop._vmax_for(op, 1.0), graded=True)
-    vals = lambdaop._dehoog_values(op, ONE.fn, 0.0, T, cc.degree, 1e-10)
-    return len(zeta), float(np.max(np.abs(vals[:, 0] / want - 1.0)))
+    return len(zeta)
+
+
+def stehfest_check(op, want):
+    """Largest relative error of the Gaver-Stehfest check."""
+    vals = lambdaop._stehfest_values(op, ONE.fn, 0.0, T)
+    return float(np.max(np.abs(vals / want - 1.0)))
 
 
 print(f"{'beta':>5} {'gamma':>6} | {'G s':>7} {'G MB':>6} {'G err':>8} "
       f"{'G spread':>8} | {'Lam s':>7} {'Lam MB':>6} {'Lam err':>8} "
-      f"{'Lam spread':>10} | {'dH nodes':>8} {'dH G err':>8} "
-      f"{'dH Lam err':>10}")
+      f"{'Lam spread':>10} | {'dH nodes':>8} {'St G err':>8} "
+      f"{'St Lam err':>10}")
 eval_G_grid(GOperator(*CASES[0]), ONE, T)
 for beta, gamma in CASES:
     gop = GOperator(beta, gamma)
@@ -116,11 +124,12 @@ for beta, gamma in CASES:
                          FractionalBrownian(0.5 * (1.0 + gamma)))
     g = row(eval_G_grid, gop, g_closed(beta, gamma))
     lam = row(eval_Lambda_grid, lop, lambda_closed(beta, gamma))
-    nodes, g_check = dehoog_check(gop, g_closed(beta, gamma))
-    _, lam_check = dehoog_check(lop, lambda_closed(beta, gamma))
+    g_check = stehfest_check(gop, g_closed(beta, gamma))
+    lam_check = stehfest_check(lop, lambda_closed(beta, gamma))
     print(f"{beta:5.2f} {gamma:6.2f} | {g[0]:7.3f} {g[1]:6.1f} {g[2]:8.1e} "
           f"{g[3]:8.1e} | {lam[0]:7.3f} {lam[1]:6.1f} {lam[2]:8.1e} "
-          f"{lam[3]:10.1e} | {nodes:8d} {g_check:8.1e} {lam_check:10.1e}")
+          f"{lam[3]:10.1e} | {value_nodes(gop):8d} {g_check:8.1e} "
+          f"{lam_check:10.1e}")
 
 print()
 def nudged(gd):

@@ -20,7 +20,6 @@ from .fraccalc import (
     SampledFunction,
     caputo_l1,
     laplace_forward,
-    laplace_inverse,
     mittag_leffler,
 )
 from .gaussian import (

@@ -7,7 +7,7 @@ fractional solvers) is built on the four operations in this module:
 * ``mittag_leffler``   -- E_alpha(z) to 1e-10 relative
 * ``laplace_forward``  -- numerical transform of an array callable, with
                           error estimate
-* ``laplace_inverse``  -- fixed-Talbot / de Hoog dual inversion
+* ``laplace_inverse_batch`` -- fixed-Talbot / de Hoog dual inversion
 
 The L1 rule is written once, in ``l1_weights``: the memory-weight matrix W
 of a pure clock or a mixture on any increasing grid.  On a uniform grid W
@@ -44,8 +44,7 @@ agree or an ``InversionError`` is raised, so an ill-suited transform shows
 up as a failure instead of a quietly wrong number.  ``laplace_inverse_batch``
 takes each image once, as its logarithm: fixed Talbot folds log F into its
 own exponential, and de Hoog reads exp(log F) on its right-half-plane
-nodes.  ``laplace_inverse`` takes F, or a closed-form log F when the
-caller has one.  The de Hoog contour
+nodes; one image is a batch of one.  The de Hoog contour
 (nodes, quotient-difference table, continued fraction) lives only in
 ``_dehoog_batch``, which inverts a batch of transforms at a vector of
 times sharing one horizon, summing the continued fraction for all of
@@ -77,7 +76,6 @@ __all__ = [
     "l1_weight_blocks",
     "mittag_leffler",
     "laplace_forward",
-    "laplace_inverse",
     "laplace_inverse_batch",
 ]
 
@@ -784,29 +782,3 @@ def laplace_inverse_batch(
             )
         out[bad] = np.where(negligible, 0.0, vd[bad])
     return out
-
-
-def laplace_inverse(
-    F: Callable[[np.ndarray], np.ndarray],
-    t: float,
-    *,
-    logF: Callable[[np.ndarray], np.ndarray] | None = None,
-    config: SolverConfig = DEFAULT_CONFIG,
-) -> float:
-    """Invert a single Laplace image at time t > 0 with the dual-method gate.
-
-    A closed-form ``logF`` avoids the overflow of images like
-    exp(-tau * s^beta) far out on the Talbot contour; F is then not read.
-    Without one, the inversion takes the log of F itself.
-    """
-    if logF is None:
-        def logF(s):
-            with np.errstate(divide="ignore"):
-                return np.log(np.asarray(F(s), dtype=complex))
-
-    return float(
-        laplace_inverse_batch(
-            lambda s: np.asarray(logF(s), dtype=complex)[None, :], t, 1,
-            config=config,
-        )[0]
-    )

@@ -22,13 +22,13 @@ margin past the kernel singularity z = s, at height v = asinh(Im s), and
 a step about 16 times coarser beyond, where the integrand is smooth,
 does not oscillate and decays algebraically; phi is analytic in a strip,
 so the rule keeps its geometric convergence at about a sixth of the
-nodes.  Stehfest images and sampled inputs keep a uniform line: the
-Salzer weights amplify any change in the inner rule about 1e6, and a
-sampled transform oscillates as exp(-z t) along the line, where coarse
-steps lose it.  On the line, u = rho(s) - rho(z) never crosses the
-negative real axis, so the integrand's non-integer power takes log u on
-the principal branch, which is the branch continuous along the line
-(``_kernel_on_line`` has the proof).  The kernel is built in row blocks
+nodes.  The Stehfest check and sampled inputs keep a uniform line: the
+check must not share the graded line's error, and a sampled transform
+oscillates as exp(-z t) along the line, where coarse steps lose it.  On
+the line, u = rho(s) - rho(z) never crosses the negative real axis, so
+the integrand's non-integer power takes log u on the principal branch,
+which is the branch continuous along the line (``_kernel_on_line`` has
+the proof).  The kernel is built in row blocks
 of about 2^14 entries (256 KiB), so no temporary is the kernel's size; a
 kernel rebuilt per scale for one transform is summed block by block and
 never held whole.  The line scales
@@ -54,12 +54,14 @@ to form it from the grid: the hat functions' closed form on a uniform
 grid (every solver grid is one), with about 2 sqrt(n) exponentials per
 line node, and differenced exponentials on any other.
 
-The outer inversion of an analytic input is the linear Gaver-Stehfest
-rule at degree 12, cross-checked by degree 16 and by a de Hoog inversion;
-degree 12's nodes are the first 12 of degree 16's, on the same line, so
-both read one image.  A sampled input gets two de Hoog inversions at
-unrelated abscissas and degrees.  The largest spread is the error
-estimate; a value or spread that is not finite raises ``NumericsError``.
+One outer rule reports every value, of an analytic or a sampled input:
+a de Hoog inversion at degree 18 and tolerance 1e-10.  Its error
+estimate is its distance to one independent check.  For an analytic
+input the check is the linear Gaver-Stehfest rule at degree 12, on the
+uniform line, whose error is not the graded line's; for a sampled input
+it is a second de Hoog inversion at an unrelated abscissa and degree
+(24, tolerance 1e-12).  A value or spread that is not finite raises
+``NumericsError``.
 Every de Hoog inversion, the field residual's included, goes
 through ``_dehoog_values``: one ``_image`` call for all dyadic blocks of
 times, then one ``fraccalc._dehoog_batch`` call per block, whose
@@ -112,29 +114,23 @@ __all__ = [
 # specs and inputs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class ContourConfig:
-    """Numerical layout of the double transform.
+    """Numerical layout of the double transform, the same for every contour.
 
     ``offset_ratio`` places the inner vertical line at that fraction of the
     outer contour's abscissa (the defining constraint 0 < C < s needs the
     line left of every outer node).  ``node_spacing`` is the resolution of
     the sinh-stretched trapezoid; the truncation half-length follows from
-    the integrand's algebraic tail and is capped by ``v_cap``.  The
-    ClassVars are fixed layout, the same for every contour.
+    the integrand's algebraic tail and is capped by ``v_cap``.
     """
 
-    offset_ratio: float = 0.5
-    node_spacing: float = 0.05
+    offset_ratio: ClassVar[float] = 0.5
+    node_spacing: ClassVar[float] = 0.05
     v_cap: ClassVar[float] = 300.0
     degree: ClassVar[int] = 18
     degree_check: ClassVar[int] = 24
     fail_tol: ClassVar[float] = 5e-3
     singularity_margin: ClassVar[float] = 0.2
-
-    def __post_init__(self):
-        if not 0.0 < self.offset_ratio < 1.0:
-            raise ValueError("offset_ratio must lie in (0, 1)")
 
 
 # layout of the graded line of an analytic de Hoog image (``_inner_line``):
@@ -154,7 +150,6 @@ class GOperator:
 
     beta: float
     gamma: float
-    contour: ContourConfig = ContourConfig()
 
     def __post_init__(self):
         if not 0.0 < self.beta < 1.0:
@@ -179,7 +174,6 @@ class GOperator:
 class LambdaOperator:
     sub: SubordinatorSpec
     model: object
-    contour: ContourConfig = ContourConfig()
     fold_power: ClassVar[float] = 0.0
 
     def __post_init__(self):
@@ -283,7 +277,7 @@ def _inner_line(op, s, spacing: float, vmax: float, graded: bool = False):
     and decays algebraically."""
     v_fine = (math.asinh(float(np.abs(s.imag).max())) + _FINE_MARGIN
               if graded else math.inf)
-    return _line_nodes(op.contour.offset_ratio * float(s.real.min()),
+    return _line_nodes(ContourConfig.offset_ratio * float(s.real.min()),
                        spacing, vmax, v_fine)
 
 
@@ -394,10 +388,9 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float,
     every scale's contraction is multiplied by r^(1+d) (dz = r dzeta); any
     other kernel is built per scale on (r s, r zeta).
     """
-    cc = op.contour
     re_min = float(s.real.min())
-    C = cc.offset_ratio * re_min
-    if any(r * C <= g_sing + cc.singularity_margin * r * re_min
+    C = ContourConfig.offset_ratio * re_min
+    if any(r * C <= g_sing + ContourConfig.singularity_margin * r * re_min
            for r in scales):
         raise NumericsError(
             "inner contour too close to a transform singularity"
@@ -431,7 +424,7 @@ def _image(op, gt, g_sing, s, scales, spacing: float, vmax: float,
             else:
                 # numpy's pairwise sum over the rebuilt kernel, block by
                 # block: a BLAS mat-vec's roundoff, amplified by the Salzer
-                # weights, moves OU's values by 1e-8 relative
+                # weights, moves OU's Stehfest check by 1e-8 relative
                 phi = r * _kernel_on_line(op, r * s, z, gz)
         # the order factor m(z) lives in the kernel, so every operator
         # shares the 1/2 out front
@@ -460,7 +453,7 @@ def _salzer_weights(M: int) -> np.ndarray:
     return V
 
 
-_SALZER = {M: _salzer_weights(M) for M in (12, 16)}
+_SALZER_12 = _salzer_weights(12)
 
 
 def _vmax_for(op, g_tail: float) -> float:
@@ -473,22 +466,21 @@ def _vmax_for(op, g_tail: float) -> float:
     tail = g_tail + _kernel_tail_power(op)
     if tail <= 1.02:
         raise NumericsError("contour integrand decays too slowly to truncate")
-    return min(max(_LN2 + 30.0 / (tail - 1.0), 12.0), op.contour.v_cap)
+    return min(max(_LN2 + 30.0 / (tail - 1.0), 12.0), ContourConfig.v_cap)
 
 
 def _stehfest_values(op, gt, g_sing, t_grid):
-    """Gaver-Stehfest outer inversions at degrees 12 and 16: linear, real
-    contour-admissible.
+    """Gaver-Stehfest outer inversion at degree 12 of an analytic input:
+    the independent check on its de Hoog values.
 
-    Time t reads the image on the nodes k ln2 / t, the t = 1 nodes scaled
-    by 1/t, with the inner line scaled alike.  Degree 12's nodes are the
-    first 12 of degree 16's, and the line (C = offset_ratio ln2) is the
-    same, so one image serves both: degree 12 reads its first 12 rows."""
-    F = np.array(_image(op, gt, g_sing, np.arange(1, 17) * _LN2 + 0j,
-                        1.0 / t_grid, op.contour.node_spacing,
+    Time t reads the image on the nodes k ln2 / t, k = 1..12, the t = 1
+    nodes scaled by 1/t, with the uniform inner line (C = offset_ratio ln2)
+    scaled alike.  The line is not graded: the graded line's error is the
+    de Hoog value's own, so a check on it would not see it."""
+    F = np.array(_image(op, gt, g_sing, np.arange(1, 13) * _LN2 + 0j,
+                        1.0 / t_grid, ContourConfig.node_spacing,
                         _vmax_for(op, 1.0)))
-    return tuple(_LN2 / t_grid * (F[:, :M].real @ _SALZER[M])
-                 for M in (12, 16))
+    return _LN2 / t_grid * (F.real @ _SALZER_12)
 
 
 def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
@@ -506,14 +498,14 @@ def _dehoog_values(op, gt, g_sing, t_grid, M: int, tol: float, *,
     is coarse, so the spacing shrinks with the line-to-singularity margin.
     A callable's line is graded (``_inner_line``); a pair's is uniform.
     """
-    cc = op.contour
     t_grid = np.asarray(t_grid, dtype=float)
     t_top = float(np.max(t_grid))
     blocks: dict[int, list[int]] = {}
     for idx, t in enumerate(t_grid):
         b = max(int(math.floor(math.log2(t_top / t))), 0)
         blocks.setdefault(b, []).append(idx)
-    spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
+    spacing = (ContourConfig.node_spacing
+               * (1.0 - ContourConfig.offset_ratio) / 2.0)
     sampled = isinstance(gt, tuple)
     images = _image(op, gt, g_sing, _dehoog_contour(t_top, M, tol)[2],
                     [2.0**b for b in blocks], spacing, _vmax_for(op, g_tail),
@@ -548,39 +540,34 @@ def _check_times(g, t_grid: np.ndarray) -> None:
 def _eval_grid(op, g, t_grid):
     """G or Lambda operator values on a positive time grid, with errors.
 
-    Analytic inputs: the primary values come from the linear Stehfest rule
-    at degree 12; degree 16 and an accelerated-Fourier inversion on complex
-    contours arbitrate.  Sampled inputs: the samples are one column of a
-    (grid, columns) pair, inverted on two Fourier contours at unrelated
-    abscissas and degrees.  The reported error is the largest spread among
-    the inversions.  A time grid that is empty, not 1-d, not finite, not
-    positive or, for a sampled input, not inside its window raises
+    Every value, of an analytic or a sampled input, is one de Hoog
+    inversion at degree 18 and tolerance 1e-10 (``_dehoog_values``).  The
+    reported error is its distance to one independent check: Gaver-Stehfest
+    at degree 12 on the uniform line for an analytic input, and de Hoog at
+    degree 24 and tolerance 1e-12 for a sampled one, which is a one-column
+    (grid, columns) pair.  A time grid that is empty, not 1-d, not finite,
+    not positive or, for a sampled input, not inside its window raises
     ``ValueError`` (``_check_times``).  A value or spread that is not
     finite raises ``NumericsError`` naming its time; an overflow inside an
     inversion shows only that way, not as a warning.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     _check_times(g, t_grid)
-    cc = op.contour
     if isinstance(g, SampledFunction):
-        # window-truncated transforms carry an edge the global Gaver
-        # functionals smear across scales; two Fourier contours at
-        # unrelated abscissas localize instead
-        pair = (g.grid, g.values[:, None])
-        vals = _dehoog_values(op, pair, 0.0, t_grid, cc.degree, 1e-10)[:, 0]
-        v2 = _dehoog_values(op, pair, 0.0, t_grid, cc.degree_check,
-                            1e-12)[:, 0]
-        err = np.abs(vals - v2)
+        # a window-truncated transform carries an edge that the global
+        # Gaver functionals smear across scales; a second Fourier contour
+        # at an unrelated abscissa and degree localizes it instead
+        gt, g_sing = (g.grid, g.values[:, None]), 0.0
+        check = _dehoog_values(op, gt, g_sing, t_grid,
+                               ContourConfig.degree_check, 1e-12)[:, 0]
     elif isinstance(g, AnalyticTransform):
         gt, g_sing = g.fn, g.max_singularity_real
-        # degree 12 keeps the Salzer cancellation factor ~1e6, so the output
-        # stays linear in g down to ~1e-9; degree 16 and the Fourier contour
-        # serve as the cross-checks
-        vals, v16 = _stehfest_values(op, gt, g_sing, t_grid)
-        vdh = _dehoog_values(op, gt, g_sing, t_grid, cc.degree, 1e-10)[:, 0]
-        err = np.maximum(np.abs(v16 - vals), np.abs(vals - vdh))
+        check = _stehfest_values(op, gt, g_sing, t_grid)
     else:
         raise TypeError("g must be an AnalyticTransform or SampledFunction")
+    vals = _dehoog_values(op, gt, g_sing, t_grid, ContourConfig.degree,
+                          1e-10)[:, 0]
+    err = np.abs(vals - check)
     bad = ~(np.isfinite(vals) & np.isfinite(err))
     if bad.any():
         raise NumericsError(
@@ -589,12 +576,12 @@ def _eval_grid(op, g, t_grid):
 
 
 def eval_G(op, g, t: float) -> OperatorValue:
-    """G or Lambda operator value at one time, with a stacked error
-    estimate; raises ``NumericsError`` when the inversions disagree or a
-    value is not finite."""
+    """G or Lambda operator value at one time, with its spread against the
+    check (``_eval_grid``); raises ``NumericsError`` when the value and the
+    check disagree or a value is not finite."""
     vals, errs = _eval_grid(op, g, [t])
     value, error = float(vals[0]), float(errs[0])
-    if error > op.contour.fail_tol * max(abs(value), 1e-8):
+    if error > ContourConfig.fail_tol * max(abs(value), 1e-8):
         what = "G" if isinstance(op, GOperator) else "Lambda"
         raise NumericsError(
             f"{what} operator: outer inversions disagree beyond tolerance "
@@ -624,16 +611,15 @@ class FbmResidualReport:
         return float(self.linf_per_x.max())
 
     def to_json(self) -> dict:
-        contour = ContourConfig()  # the residual always runs on the default
         return {
             "x": [float(v) for v in self.x_points],
             "l2_per_x": [float(v) for v in self.l2_per_x],
             "linf_per_x": [float(v) for v in self.linf_per_x],
             "t_window": list(self.t_window),
             "contour": {
-                "offset_ratio": contour.offset_ratio,
-                "node_spacing": contour.node_spacing,
-                "degree": contour.degree,
+                "offset_ratio": ContourConfig.offset_ratio,
+                "node_spacing": ContourConfig.node_spacing,
+                "degree": ContourConfig.degree,
             },
         }
 
@@ -699,7 +685,7 @@ def fbm_fpke_residual(
     op = GOperator(beta, 2.0 * H - 1.0)
     i_start, i_stop = _time_window(tg)
     t_eval = tg[i_start:i_stop]
-    gvals = _dehoog_values(op, (tg, lap), 0.0, t_eval, op.contour.degree,
+    gvals = _dehoog_values(op, (tg, lap), 0.0, t_eval, ContourConfig.degree,
                            1e-10, g_tail=2.0)
 
     resid = dbeta[i_start:i_stop] - H * gvals

@@ -8,8 +8,8 @@ the earlier, slower forms of library routines, kept to hold their batched
 replacements to the same numbers; the per-time subordination reference
 reuses the library's clock density, support probe and product density,
 which are not what it checks, and checks only the batching over t.  The
-``*_FROZEN`` tables are operator values recorded while G still had a
-kernel of its own, before it became the power case of the Lambda kernel.
+``*_FROZEN`` tables are operator values recorded when every value became
+a de Hoog inversion (degree 18, on the graded inner line).
 The ``*_csv_cells`` writers are the artifact writers as they were when
 every cell was formatted on its own: the byte contract of ``subdiff.io``.
 ``interp_transform_segments`` is the transform of a piecewise-linear
@@ -244,9 +244,10 @@ def dehoog_full_line(op, tg, cols, t_eval, M, tol, *, g_tail=1.0):
     Hoog inverter are used as they are.  Returns (len(t_eval), n_cols).
     """
     from subdiff.fraccalc import _dehoog_batch, _dehoog_contour
-    from subdiff.lambdaop import _kernel_degree, _kernel_on_line, _vmax_for
+    from subdiff.lambdaop import (ContourConfig, _kernel_degree,
+                                  _kernel_on_line, _vmax_for)
 
-    cc = op.contour
+    cc = ContourConfig
     t_top = float(t_eval.max())
     blocks = {}
     for idx, t in enumerate(t_eval):
@@ -288,7 +289,7 @@ def field_residual_full_line(H, spec, density, *, x_exclude=0.0):
     values ``g`` on the window, and ``resid``.
     """
     from subdiff.fraccalc import caputo_l1_columns
-    from subdiff.lambdaop import GOperator, _time_window
+    from subdiff.lambdaop import ContourConfig, GOperator, _time_window
 
     beta = spec.components[0][0]
     tg, x, q = density.t_grid, density.x_grid, density.values
@@ -303,7 +304,7 @@ def field_residual_full_line(H, spec, density, *, x_exclude=0.0):
     i0, i1 = _time_window(tg)
     t_eval = tg[i0:i1]
     op = GOperator(beta, 2.0 * H - 1.0)
-    g = dehoog_full_line(op, tg, lap, t_eval, op.contour.degree, 1e-10,
+    g = dehoog_full_line(op, tg, lap, t_eval, ContourConfig.degree, 1e-10,
                          g_tail=2.0)
     tp = np.concatenate([tg[:1], tg, tg[-1:]])
     return {"t": t_eval, "w": 0.5 * (tp[2:] - tp[:-2])[i0:i1], "lap": lap,
@@ -682,38 +683,38 @@ def grid_density_csv_cells(gd) -> str:
 # the pure clock beta 0.5 and the mixture 0.5 E^0.4 + 0.5 E^0.8.
 FROZEN_T = (0.5, 1.0, 2.0)
 G_ON_ONE_FROZEN = {
-    (0.1, -0.5): (1.7790033172385293, 1.7184039437280225,
-                  1.65986880825678),
-    (0.1, 0.4): (0.8820194756457459, 0.9068164170819988,
-                 0.9323104972086099),
-    (0.5, -0.5): (1.7200792210807772, 1.4464084497986525,
-                  1.216279681971625),
-    (0.5, 0.4): (0.8412483653628838, 0.9663406128453182,
-                 1.1100338726776153),
-    (0.9, -0.5): (1.498177376658385, 1.096730031636444,
-                  0.8028533778345823),
-    (0.9, 0.4): (0.7766079672448427, 0.9967187772083631,
-                 1.2792146916776783),
+    (0.1, -0.5): (1.7790033992503642, 1.718404012616711,
+                  1.6598688635567236),
+    (0.1, 0.4): (0.8820194684141287, 0.9068164108563883,
+                 0.9323104902400976),
+    (0.5, -0.5): (1.7200799747639108, 1.4464090847286468,
+                  1.216280214338749),
+    (0.5, 0.4): (0.8412484334931152, 0.9663406916973646,
+                 1.1100339629194602),
+    (0.9, -0.5): (1.4981789213470025, 1.096731164355668,
+                  0.8028542050153132),
+    (0.9, 0.4): (0.7766081238306588, 0.9967189783820035,
+                 1.2792149494479004),
 }
-G_ON_EXP_FROZEN = (0.392775665627682, 0.1640707622205733,
-                   -0.08278285041565715)
+G_ON_EXP_FROZEN = (0.39277698105486436, 0.16409906036576585,
+                   -0.08288618083034781)
 LAMBDA_ON_ONE_FROZEN = {
-    ("bm", "pure"): (0.39894182659988564, 0.2820944712286596,
-                     0.19947091346132872),
-    ("bm", "mixture"): (0.4703957791121508, 0.3451364400882628,
-                        0.24733639542160957),
-    ("fbm", "pure"): (0.5890692443932809, 0.4784729054115979,
-                      0.3886407644535355),
-    ("fbm", "mixture"): (0.6556413331777683, 0.5764102054006663,
-                         0.49075840865965414),
-    ("ou", "pure"): (0.06273791684778127, 0.026699302151242305,
-                     0.01065025315003221),
-    ("ou", "mixture"): (0.08129572522277488, 0.029579967433337673,
-                        0.010030234489239308),
-    ("mixed", "pure"): (0.6047537232824545, 0.48514773151425916,
-                        0.3913033274989647),
-    ("mixed", "mixture"): (0.6759652651290057, 0.5838051970572684,
-                           0.4932659666767668),
+    ("bm", "pure"): (0.3989422804192568, 0.28209479178647373,
+                     0.1994711402096284),
+    ("bm", "mixture"): (0.4703962456330997, 0.34513692139457314,
+                        0.24733685397946323),
+    ("fbm", "pure"): (0.5890695914672373, 0.47847318728984767,
+                      0.3886409929683891),
+    ("fbm", "mixture"): (0.6556409340060179, 0.5764098873388789,
+                         0.4907582992500635),
+    ("ou", "pure"): (0.06273827795591007, 0.02669911546367106,
+                     0.01064985759689175),
+    ("ou", "mixture"): (0.08130205142361502, 0.029583942163076436,
+                        0.010026491808290119),
+    ("mixed", "pure"): (0.6047541609562105, 0.48514796615575684,
+                        0.3913034573675854),
+    ("mixed", "mixture"): (0.67596644686182, 0.5838058728796902,
+                           0.4932649222021289),
 }
 
 

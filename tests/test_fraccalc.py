@@ -15,7 +15,7 @@ from subdiff.fraccalc import (
     caputo_l1_columns,
     l1_weights,
     laplace_forward,
-    laplace_inverse,
+    laplace_inverse_batch,
     mittag_leffler,
 )
 
@@ -486,35 +486,34 @@ class TestLaplaceForward:
         assert real.error == off.error
 
 
+def invert_one(logF, t):
+    """One closed-form image log F through the batched dual inverter."""
+    return float(laplace_inverse_batch(lambda s: logF(s)[None, :], t, 1)[0])
+
+
 class TestLaplaceInverse:
     def test_constant_pair(self):
-        assert_allclose(laplace_inverse(lambda s: 1.0 / s, 3.0), 1.0,
+        assert_allclose(invert_one(lambda s: -np.log(s), 3.0), 1.0,
                         rtol=1e-8)
 
     def test_ramp_pair(self):
-        assert_allclose(laplace_inverse(lambda s: 1.0 / s**2, 2.5), 2.5,
+        assert_allclose(invert_one(lambda s: -2.0 * np.log(s), 2.5), 2.5,
                         rtol=1e-8)
 
     def test_clock_transform_pair(self):
         # frozen from the closed form pi^{-1/2} exp(-1/4)
-        got = laplace_inverse(
-            lambda s: s**-0.5 * np.exp(-np.sqrt(s)), 1.0,
-            logF=lambda s: -0.5 * np.log(s) - np.sqrt(s),
-        )
+        got = invert_one(lambda s: -0.5 * np.log(s) - np.sqrt(s), 1.0)
         assert_allclose(got, 0.4393912894677224, rtol=1e-8)
 
     def test_disagreement_raises(self):
         # a transform with a singularity right of every contour: both
         # methods produce garbage and must refuse to agree
-        def F(s):
-            return 1.0 / (s - 60.0)
-
         with pytest.raises(InversionError):
-            laplace_inverse(F, 1.0)
+            invert_one(lambda s: -np.log(s - 60.0), 1.0)
 
     def test_t_positive(self):
         with pytest.raises(ValueError):
-            laplace_inverse(lambda s: 1.0 / s, 0.0)
+            invert_one(lambda s: -np.log(s), 0.0)
 
 
 def assert_matches_full_table(got, want):
@@ -587,10 +586,11 @@ class TestDehoogBatch:
     def test_lambdaop_batch_matches_full_table(self):
         # three sampled columns through the operator image, as
         # lambdaop._dehoog_values hands them over
-        from subdiff.lambdaop import GOperator, _image, _vmax_for
+        from subdiff.lambdaop import (ContourConfig, GOperator, _image,
+                                      _vmax_for)
 
         op = GOperator(0.4, 0.4)
-        cc = op.contour
+        cc = ContourConfig
         spacing = cc.node_spacing * (1.0 - cc.offset_ratio) / 2.0
         tg = np.linspace(0.0, 3.0, 121)
         cols = np.column_stack([np.exp(-tg), (1.0 + tg) * np.exp(-tg),
@@ -620,14 +620,15 @@ class TestDehoogBatch:
         # inverted as one three-column pair and as three one-column pairs:
         # the summation-order gap must stay inside the spread of the two
         # sampled-input inversions at the same times
-        from subdiff.lambdaop import GOperator, _dehoog_values, eval_G_grid
+        from subdiff.lambdaop import (ContourConfig, GOperator, _dehoog_values,
+                                      eval_G_grid)
 
         op = GOperator(0.4, 0.4)
         tg = np.linspace(0.0, 3.0, 121)
         cols = np.column_stack([np.exp(-tg), (1.0 + tg) * np.exp(-tg),
                                 np.sin(tg) * np.exp(-tg)])
         t = np.array([0.9, 0.6, 0.75, 1.0])
-        batch = _dehoog_values(op, (tg, cols), 0.0, t, op.contour.degree,
+        batch = _dehoog_values(op, (tg, cols), 0.0, t, ContourConfig.degree,
                                1e-10)
         for j in range(3):
             one, est = eval_G_grid(op, SampledFunction(tg, cols[:, j]), t)
