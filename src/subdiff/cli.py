@@ -217,8 +217,7 @@ def parse_subordinator(obj, path="subordinator"):
 
 def parse_solver(obj, path="solver"):
     _expect_mapping(obj, path)
-    allowed = {"t_max", "n_t", "x_min", "x_max", "n_x", "init_width",
-               "quadrature_tol", "inversion_tol"}
+    allowed = {"t_max", "n_t", "x_min", "x_max", "n_x", "init_width"}
     _reject_unknown(obj, allowed, path)
     kw = {}
     kw["t_max"] = _number(obj, "t_max", path, lo=0.0, lo_open=True, default=1.0)
@@ -232,9 +231,6 @@ def parse_solver(obj, path="solver"):
     if "init_width" in obj:
         kw["init_width"] = _number(obj, "init_width", path, lo=0.0,
                                    lo_open=True)
-    for key in ("quadrature_tol", "inversion_tol"):
-        if key in obj:
-            kw[key] = _number(obj, key, path, lo=0.0, lo_open=True)
     try:
         return SolverConfig(**kw)
     except ValueError as ex:
@@ -347,7 +343,7 @@ def cmd_density(args) -> int:
     if any(b <= a for a, b in zip(times, times[1:])):
         raise ConfigError("config.times: density needs increasing times")
     xg = np.linspace(solver.x_min, solver.x_max, solver.n_x)
-    gd = subordinated_grid_density(spec, times, xg, config=solver)
+    gd = subordinated_grid_density(spec, times, xg)
     meta = artifact_io.provenance(cfg["raw"], seed=cfg["seed"])
     meta["mass_error"] = [float(m) for m in gd.mass_error]
     return _emit(args, "density", artifact_io.grid_density_csv(gd), meta)
@@ -523,7 +519,7 @@ def cmd_validate(args) -> int:
         record("mass_conservation", gd.mass_error.max(), MASS_TOL * 10)
     else:
         spec = TimeChangedSpec(GaussianSpec.univariate(model), sub)
-        q = subordinated_density(spec, solver.t_max, gd.x_grid, config=solver)
+        q = subordinated_density(spec, solver.t_max, gd.x_grid)
         record("solver_vs_subordination", np.abs(gd.values[-1] - q).max(), tol)
         record("mass_conservation", gd.mass_error.max(), MASS_TOL * 10)
         # max keeps its first argument on a tie: -0.0 must not win

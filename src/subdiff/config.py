@@ -1,11 +1,12 @@
-"""Solver grid and tolerance configuration.
+"""Solver grid and numerical tolerances.
 
-The PDE grid and the tolerances every numerical contract (and
-``validate``) is stated against live here: the two a config may set in
-``SolverConfig``, the two fixed ones as module constants.  Fixed layouts
-are constants of their modules: the inversion degrees are
-``fraccalc.TALBOT_DEGREE`` and ``fraccalc.DEHOOG_DEGREE``.  Instances are
-immutable; use `dataclasses.replace` to derive variants.
+One grid dataclass, ``SolverConfig``, holds the PDE grid a config may set;
+the four tolerances every numerical contract (and ``validate``) is stated
+against are fixed module constants, so no result depends on a tolerance
+the caller chose.  Fixed layouts are constants of their modules: the
+inversion degrees are ``fraccalc.TALBOT_DEGREE`` and
+``fraccalc.DEHOOG_DEGREE``.  Instances are immutable; use
+`dataclasses.replace` to derive variants.
 """
 from __future__ import annotations
 
@@ -15,6 +16,10 @@ from dataclasses import dataclass
 NONNEG_TOL = 1e-8
 #: mass conservation budget per unit time
 MASS_TOL = 1e-6
+#: level agreement of the forward transform and the subordination quadrature
+QUADRATURE_TOL = 1e-8
+#: cross-method agreement of the dual Laplace inversion, relative
+INVERSION_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -28,10 +33,6 @@ class SolverConfig:
     #: std of the Gaussian mollifier standing in for the delta initial
     #: condition; None means 4 grid cells.
     init_width: float | None = None
-
-    # tolerances
-    quadrature_tol: float = 1e-8
-    inversion_tol: float = 1e-6      # cross-method agreement, relative
 
     def __post_init__(self):
         if self.n_t < 16 or self.n_x < 16:

@@ -64,7 +64,7 @@ import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.special import gammaln
 
-from .config import DEFAULT_CONFIG, SolverConfig
+from .config import INVERSION_TOL, QUADRATURE_TOL
 from .errors import InversionError, NumericsError, QuadratureError
 
 __all__ = [
@@ -390,11 +390,16 @@ def mittag_leffler(alpha: float, z: float) -> float:
     power series, which raises ``NumericsError`` where its own
     cancellation audit fails.  Relative accuracy 1e-10 on the supported
     region; parameters outside it raise rather than degrade silently.
+    E_alpha(-inf) is its limit 0, and a NaN z raises ``ValueError``.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError("alpha must lie in (0, 1]")
+    if math.isnan(z):
+        raise ValueError("z must be a number")
     if z == 0.0:
         return 1.0
+    if z == -math.inf:
+        return 0.0
     if alpha == 1.0:
         return math.exp(z)
     if z < 0.0:
@@ -511,7 +516,6 @@ def laplace_forward(
     g: Callable[[np.ndarray], np.ndarray],
     s: complex,
     *,
-    config: SolverConfig = DEFAULT_CONFIG,
     power_at_zero: float = 0.0,
     t_max: float | None = None,
 ) -> TransformResult:
@@ -525,17 +529,18 @@ def laplace_forward(
     takes a composite 16-point Gauss rule (``_gauss_panels``) on panels
     graded geometrically toward u = 0 (``_FORWARD_EDGES``), every panel
     cut in two from one level to the next until two levels agree to
-    ``config.quadrature_tol``; g is called once per level, on all its
+    ``config.QUADRATURE_TOL``; g is called once per level, on all its
     nodes.  Returns the finer level's value with the level gap plus the
     truncation bound as its error, and raises ``QuadratureError`` past
     that budget.  Declare a singularity: the levels converge only
     algebraically on one left undeclared (an undeclared t^-1/2 stops
-    near 2e-9 relative, with a level gap of a third of that).  Sampled data are transformed only inside the operators,
-    as the linear interpolant's closed form (``lambdaop._image``).
+    near 2e-9 relative, with a level gap of a third of that).  Sampled
+    data are transformed only inside the operators, as the linear
+    interpolant's closed form (``_interp_transform``).
     """
     s = complex(s)
     re = s.real
-    if re <= 0.0:
+    if not re > 0.0:
         raise ValueError("Re s must exceed the abscissa of convergence")
     if power_at_zero <= -1.0:
         raise ValueError("power_at_zero must exceed -1")
@@ -580,10 +585,10 @@ def laplace_forward(
     for lev in range(1, _FORWARD_LEVELS + 1):
         prev, value = value, level(2**lev)
         gap = abs(value - prev)
-        if gap <= max(config.quadrature_tol * abs(value), 1e-13):
+        if gap <= max(QUADRATURE_TOL * abs(value), 1e-13):
             break
     err = gap + g_upper * math.exp(-re * upper) / re
-    if err > max(config.quadrature_tol * 100 * abs(value), 1e-9):
+    if err > max(QUADRATURE_TOL * 100 * abs(value), 1e-9):
         raise QuadratureError(
             f"forward transform did not converge at s={s} (err={err:.2e})"
         )
@@ -721,7 +726,6 @@ def laplace_inverse_batch(
     t: float,
     n_batch: int,
     *,
-    config: SolverConfig = DEFAULT_CONFIG,
     abs_scale: float | None = None,
 ) -> np.ndarray:
     """Invert a family of transforms sharing contours at a single time t.
@@ -729,12 +733,12 @@ def laplace_inverse_batch(
     ``logF`` maps an array of contour nodes s to log F(s), an array shaped
     (n_batch, len(s)): Talbot sums exp(ts + log F), and de Hoog reads
     exp(log F) on its right-half-plane nodes.  The two must agree within
-    ``config.inversion_tol`` relative to the batch scale.
+    ``config.INVERSION_TOL`` relative to the batch scale.
     Where Talbot's own cancellation estimate already explains the gap
     (deep tails), a second de Hoog evaluation at shifted parameters
     arbitrates instead.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
 
     def F(s):
@@ -750,7 +754,7 @@ def laplace_inverse_batch(
     scale = abs_scale if abs_scale is not None else max(
         np.max(np.abs(vd)), 1e-300
     )
-    tol = config.inversion_tol
+    tol = INVERSION_TOL
     gap = np.abs(vt - vd)
     ok = gap <= tol * np.maximum(np.abs(vd), scale)
     out = np.where(ok, 0.5 * (vt + vd), vd)

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .config import DEFAULT_CONFIG, NONNEG_TOL, SolverConfig
+from .config import INVERSION_TOL, NONNEG_TOL
 from .errors import NumericsError
 from .fraccalc import _gauss_panels, laplace_inverse_batch
 
@@ -400,7 +400,7 @@ def sample_inverse_ensemble(
     Returns an array shaped (n_paths, len(t_grid)).
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(np.diff(t_grid) <= 0) or np.any(t_grid <= 0.0):
+    if np.any(np.diff(t_grid) <= 0) or not np.all(t_grid > 0.0):
         raise ValueError("t_grid must be strictly increasing and positive")
     if spec.is_deterministic:
         w1 = spec.components[0][1]
@@ -428,7 +428,7 @@ def sample_inverse_marginal(
     The deterministic clock gives t / w; mixtures have no such form and
     take the level-crossing route.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     if len(spec.components) > 1:
         return sample_inverse_ensemble(spec, [t], n_paths, rng)[:, 0]
@@ -467,8 +467,6 @@ def inverse_time_density(
     spec: SubordinatorSpec,
     t: float,
     tau,
-    *,
-    config: SolverConfig = DEFAULT_CONFIG,
 ):
     """Density f_{E_t}(tau) by Laplace inversion in t.
 
@@ -478,12 +476,12 @@ def inverse_time_density(
     Ringing in (-NONNEG_TOL, 0) is clamped to 0; anything more negative
     raises.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     if spec.is_deterministic:
         raise ValueError("E_t has a point-mass law for beta = 1")
     taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    if np.any(taus < 0.0):
+    if not np.all(taus >= 0.0):
         raise ValueError("tau must be nonnegative")
 
     scale = 1.0 / spec.inverse_scale(t)
@@ -500,12 +498,12 @@ def inverse_time_density(
             ] * rho[None, :]
 
         vals[live] = laplace_inverse_batch(
-            logF, t, int(live.sum()), config=config, abs_scale=scale
+            logF, t, int(live.sum()), abs_scale=scale
         )
     floor = vals.min()
     # ringing within the inversion gate's own guarantee is clamped; worse
     # than that means the transform was not inverted reliably
-    band = max(NONNEG_TOL, 10.0 * config.inversion_tol) * scale
+    band = max(NONNEG_TOL, 10.0 * INVERSION_TOL) * scale
     if floor < -band:
         raise NumericsError(
             f"density negative beyond tolerance: {floor:.3e} at "
@@ -606,7 +604,7 @@ def _kanter_integral(beta: float, u: np.ndarray) -> np.ndarray:
 
 def unit_clock_density(beta: float, u) -> np.ndarray:
     """f_{E_1}(u) of the pure beta-stable clock, 0 < beta < 1, exactly and
-    vectorised over u >= 0.
+    vectorised over u >= 0; any other u (negative or NaN) raises.
 
     The M-Wright series serves u up to 1 / (beta^beta (1-beta)^(1-beta))
     (between 1 and 2), the Kanter-Zolotarev integral of positive terms
@@ -616,6 +614,8 @@ def unit_clock_density(beta: float, u) -> np.ndarray:
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly inside (0, 1)")
     u = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.all(u >= 0.0):
+        raise ValueError("u must be nonnegative")
     b1 = 1.0 - beta
     u0 = math.exp(-beta * math.log(beta) - b1 * math.log(b1))
     out = np.empty(len(u))
@@ -635,8 +635,6 @@ def clock_density_fast(
     spec: SubordinatorSpec,
     t: float,
     taus: np.ndarray,
-    *,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> np.ndarray:
     """f_{E_t} at the nodes ``taus``, exactly for a one-component clock.
 
@@ -644,11 +642,12 @@ def clock_density_fast(
     f_{E_1}(tau / c) / c with c = t^b / w (``inverse_scale``) and f_{E_1}
     the weight-1 unit density ``unit_clock_density``: the M-Wright series
     for small arguments, the Kanter-Zolotarev integral beyond, no table and
-    no cache.  Mixtures go through ``inverse_time_density`` (dual Laplace
-    inversion), which alone reads ``config``.
+    no cache; a negative or NaN node raises, as ``unit_clock_density``
+    refuses it.  Mixtures go through ``inverse_time_density`` (dual
+    Laplace inversion), the one route that reads ``config.INVERSION_TOL``.
     """
     if len(spec.components) > 1 or spec.is_deterministic:
-        return inverse_time_density(spec, t, taus, config=config)
+        return inverse_time_density(spec, t, taus)
     beta = spec.components[0][0]
     scale = spec.inverse_scale(t)
     u = np.asarray(taus, dtype=float).ravel() / scale
@@ -659,8 +658,6 @@ def inverse_time_moment(
     spec: SubordinatorSpec,
     t: float,
     gamma: float,
-    *,
-    config: SolverConfig = DEFAULT_CONFIG,
 ) -> float:
     """E[(E_t)^gamma]; closed form for pure beta, inversion for mixtures.
 
@@ -668,7 +665,7 @@ def inverse_time_moment(
     factors are recomputed from their logarithms, so a large gamma gives
     the moment whenever it is a finite float, and NumericsError otherwise.
     """
-    if t <= 0.0 or gamma <= 0.0:
+    if not (t > 0.0 and gamma > 0.0):
         raise ValueError("need t > 0 and gamma > 0")
     if len(spec.components) == 1:
         b, w = spec.components[0]
@@ -691,8 +688,7 @@ def inverse_time_moment(
 
     scale = lg * spec.inverse_scale(t) ** gamma
     return float(
-        laplace_inverse_batch(logF, t, 1, config=config,
-                              abs_scale=scale)[0]
+        laplace_inverse_batch(logF, t, 1, abs_scale=scale)[0]
     )
 
 

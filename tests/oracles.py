@@ -567,10 +567,11 @@ def panel_rule_loop(u_max, n_panels):
     return np.concatenate(nodes), np.concatenate(weights)
 
 
-def subordinate_slice_loop(spec, t, pts, config):
+def subordinate_slice_loop(spec, t, pts):
     """Mixing integral at one time, with its own clock nodes at that time:
     the per-time reference for the library's batched quadrature over t.
     Returns (values, clock-mass defect)."""
+    from subdiff.config import QUADRATURE_TOL
     from subdiff.errors import QuadratureError
     from subdiff.gaussian import gaussian_transition_density
     from subdiff.timechange import _clock_support, clock_density_fast
@@ -584,7 +585,7 @@ def subordinate_slice_loop(spec, t, pts, config):
         )
     kappa = float(math.ceil(1.0 / max(1.0 - sing, 0.25)) + 1)
 
-    tau_star = _clock_support(spec.sub, [t], config)[0]
+    tau_star = _clock_support(spec.sub, [t])[0]
     u_max = tau_star ** (1.0 / kappa)
 
     prev = None
@@ -592,7 +593,7 @@ def subordinate_slice_loop(spec, t, pts, config):
         u, wu = panel_rule_loop(u_max, n_panels)
         taus = u**kappa
         jac = kappa * u ** (kappa - 1.0)
-        f = clock_density_fast(spec.sub, t, taus, config=config)
+        f = clock_density_fast(spec.sub, t, taus)
         clock_w = wu * jac * f
         P = gaussian_transition_density(spec.gauss, taus, pts)
         vals = clock_w @ P
@@ -600,7 +601,7 @@ def subordinate_slice_loop(spec, t, pts, config):
             err = np.max(np.abs(vals - prev))
             # clock values carry inversion noise ~10x the quadrature target
             if err <= max(1e-9,
-                          10.0 * config.quadrature_tol * max(vals.max(), 1e-12)):
+                          10.0 * QUADRATURE_TOL * max(vals.max(), 1e-12)):
                 break
         prev = vals
     else:
@@ -608,7 +609,7 @@ def subordinate_slice_loop(spec, t, pts, config):
     return np.maximum(vals, 0.0), abs(1.0 - float(clock_w.sum()))
 
 
-def subordinated_profile_loop(spec, x, horizon, n_nodes, config):
+def subordinated_profile_loop(spec, x, horizon, n_nodes):
     """(t_grid, q(t, x) samples) of the Laplace identity's time profile,
     one quadrature per profile node through ``subordinate_slice_loop``."""
     tg = np.concatenate([[0.0], horizon * np.geomspace(1e-5, 1.0, n_nodes)])
@@ -616,7 +617,7 @@ def subordinated_profile_loop(spec, x, horizon, n_nodes, config):
     vals = np.empty_like(tg)
     vals[0] = 0.0
     for i, t in enumerate(tg[1:], start=1):
-        vals[i] = float(subordinate_slice_loop(spec, t, pts, config)[0][0])
+        vals[i] = float(subordinate_slice_loop(spec, t, pts)[0][0])
     return tg, vals
 
 

@@ -255,6 +255,11 @@ class TestCommands:
     ({**BM_CFG, "seed": -3}, "config.seed: expected an integer >= 0"),
     ({**BM_CFG, "seed": 1.5}, "config.seed: expected an integer >= 0"),
     ({**BM_CFG, "equation": "fractional"}, "config.equation: unknown key"),
+    # the quadrature and inversion tolerances are fixed, not configured
+    ({**BM_CFG, "solver": {**BM_CFG["solver"], "quadrature_tol": 1e-8}},
+     "solver.quadrature_tol: unknown key"),
+    ({**BM_CFG, "solver": {**BM_CFG["solver"], "inversion_tol": 1e-6}},
+     "solver.inversion_tol: unknown key"),
 ])
 def test_bad_config_value_exits_2_with_field(tmp_path, capsys, body, field):
     rc = main(["simulate", "--config", write_config(tmp_path, body),

@@ -413,6 +413,14 @@ class TestMittagLeffler:
         with pytest.raises(ValueError):
             mittag_leffler(1.3, -1.0)
 
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 1.0])
+    def test_non_finite_argument(self, alpha):
+        # E_alpha(-x) -> 0 as x -> inf; a NaN argument is an input error,
+        # not an unrepresentable value
+        assert mittag_leffler(alpha, -math.inf) == 0.0
+        with pytest.raises(ValueError):
+            mittag_leffler(alpha, math.nan)
+
 
 class TestLaplaceForward:
     def test_constant(self):

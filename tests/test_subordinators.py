@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +7,8 @@ from numpy.testing import assert_allclose
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from subdiff.config import DEFAULT_CONFIG
-from subdiff.errors import InversionError, NumericsError
+from subdiff.config import INVERSION_TOL
+from subdiff.errors import NumericsError
 from subdiff.subordinators import (
     MonotonePath,
     _level_crossing_paths,
@@ -411,19 +410,17 @@ class TestDensity:
         with pytest.raises(ValueError):
             inverse_time_density(SubordinatorSpec.pure(0.5), 1.0, -0.1)
 
-    def test_mixture_density_keys_on_tolerances(self):
-        # a mixture's clock density is inverted at the caller's tolerances:
-        # values computed at the defaults must not answer a call at a
-        # tolerance the inversion cannot meet
-        taus = np.array([0.5, 1.0])
-        clock_density_fast(MIX, 1.0, taus)
-        tight = replace(DEFAULT_CONFIG, inversion_tol=1e-13)
-        with pytest.raises(InversionError):
-            clock_density_fast(MIX, 1.0, taus, config=tight)
-        # a pure clock's density is exact and reads no tolerance
-        pure = SubordinatorSpec.pure(0.55)
-        assert_allclose(clock_density_fast(pure, 1.0, taus, config=tight),
-                        clock_density_fast(pure, 1.0, taus), rtol=0.0)
+    @pytest.mark.parametrize("tau", [-1.0, math.nan], ids=["neg", "nan"])
+    @pytest.mark.parametrize("spec", [SubordinatorSpec.pure(0.5), MIX],
+                             ids=["pure", "mixture"])
+    @pytest.mark.parametrize("route", [inverse_time_density,
+                                       clock_density_fast],
+                             ids=["inverted", "exact"])
+    def test_clock_value_outside_support_rejected(self, route, spec, tau):
+        # the M-Wright series at u = -1 is a number, and a NaN u fell
+        # through both branches of the exact density as 0
+        with pytest.raises(ValueError):
+            route(spec, 1.0, np.array([tau, 0.5]))
 
 
 class TestUnitClockDensity:
@@ -470,7 +467,7 @@ class TestUnitClockDensity:
         mode = inverse_time_density(spec, 1.0, near).max()
         fine = clock_density_fast(spec, 1.0, np.geomspace(1e-6, 120.0,
                                                           200_000))
-        assert fine.max() <= mode * (1.0 + DEFAULT_CONFIG.inversion_tol)
+        assert fine.max() <= mode * (1.0 + INVERSION_TOL)
 
     @pytest.mark.parametrize("beta", [0.2, 0.5, 0.78, 0.95])
     @pytest.mark.parametrize("t", [0.3, 1.0, 3.0])
@@ -480,7 +477,7 @@ class TestUnitClockDensity:
         inverted = inverse_time_density(spec, t, taus)
         exact = clock_density_fast(spec, t, taus)
         assert np.max(np.abs(exact - inverted)) <= (
-            DEFAULT_CONFIG.inversion_tol * inverted.max())
+            INVERSION_TOL * inverted.max())
 
     @pytest.mark.parametrize("beta", [0.1, 0.5, 0.85, 0.95])
     def test_mass_and_moments(self, beta):

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,13 +6,13 @@ from numpy.testing import assert_allclose, assert_array_equal
 from scipy.integrate import quad
 from scipy.stats import chi2, ks_2samp
 
-from subdiff.config import DEFAULT_CONFIG, SolverConfig
+from subdiff.config import INVERSION_TOL, QUADRATURE_TOL, SolverConfig
 from subdiff.errors import (
     DegenerateDensityError,
-    InversionError,
     NumericsError,
     QuadratureError,
 )
+from subdiff.fraccalc import laplace_inverse_batch
 from subdiff.gaussian import (
     Brownian,
     FractionalBrownian,
@@ -32,6 +31,7 @@ from subdiff.subordinators import (
     inverse_time_density,
     inverse_time_moment,
     sample_inverse_ensemble,
+    sample_inverse_marginal,
 )
 import subdiff.timechange as tc
 from subdiff.timechange import (
@@ -317,14 +317,13 @@ class TestBatchedSubordination:
     def test_pure_profile_matches_per_node_loop(self, beta, x):
         # the Laplace identity's profile: 700 times, horizon 16
         spec = TimeChangedSpec(BM, SubordinatorSpec.pure(beta))
-        tg, got = tc._subordinated_profile(spec, x, 16.0, 700, DEFAULT_CONFIG)
-        tg0, want = subordinated_profile_loop(spec, x, 16.0, 700,
-                                              DEFAULT_CONFIG)
+        tg, got = tc._subordinated_profile(spec, x, 16.0, 700)
+        tg0, want = subordinated_profile_loop(spec, x, 16.0, 700)
         assert_array_equal(tg, tg0)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
 
     def test_mixture_profile_matches_per_node_loop(self):
-        args = (SPEC_MIX, 0.0, 16.0 / 1.5, 60, DEFAULT_CONFIG)
+        args = (SPEC_MIX, 0.0, 16.0 / 1.5, 60)
         _, got = tc._subordinated_profile(*args)
         _, want = subordinated_profile_loop(*args)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
@@ -339,8 +338,7 @@ class TestBatchedSubordination:
             q = subordinated_density(spec, t, xs)
             assert_allclose(gd.values[i], q, rtol=0.0, atol=1e-14 * q.max())
             # each row's defect comes from that row's own final level
-            q0, defect0 = subordinate_slice_loop(spec, t, xs[:, None],
-                                                 DEFAULT_CONFIG)
+            q0, defect0 = subordinate_slice_loop(spec, t, xs[:, None])
             assert np.max(np.abs(gd.values[i] - q0)) <= 1e-12 * q0.max()
             assert abs(gd.mass_error[i] - defect0) <= 1e-13
 
@@ -353,15 +351,14 @@ class TestBatchedSubordination:
         ts, xs = [0.001, 0.0137, 0.07, 0.2111, 1.0], np.array([0.499, 0.5])
         gd = subordinated_grid_density(spec, ts, xs)
         for i, t in enumerate(ts):
-            q0, defect0 = subordinate_slice_loop(spec, t, xs[:, None],
-                                                 DEFAULT_CONFIG)
+            q0, defect0 = subordinate_slice_loop(spec, t, xs[:, None])
             assert np.max(np.abs(gd.values[i] - q0)) <= 1e-12 * q0.max()
             assert abs(gd.mass_error[i] - defect0) <= 1e-13
         # one row still moving at 128 panels fails the whole call: at beta
         # 0.97 the clock density is a bump too narrow for t 0.07
         steep = TimeChangedSpec(spec.gauss, SubordinatorSpec.pure(0.97))
         with pytest.raises(QuadratureError):
-            subordinate_slice_loop(steep, 0.07, xs[:, None], DEFAULT_CONFIG)
+            subordinate_slice_loop(steep, 0.07, xs[:, None])
         with pytest.raises(QuadratureError):
             subordinated_grid_density(steep, [0.001, 0.07, 1.0], xs)
 
@@ -371,14 +368,14 @@ class TestBatchedSubordination:
         # the dual Laplace inversion gives as the clock density, within
         # that inversion's tolerance of the profile's maximum
         spec = TimeChangedSpec(BM, SubordinatorSpec.pure(0.78))
-        args = (spec, 0.0, 16.0, 700, DEFAULT_CONFIG)
+        args = (spec, 0.0, 16.0, 700)
         _, got = tc._subordinated_profile(*args)
         _, want = subordinated_profile_loop(*args)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(want)
         monkeypatch.setattr(tc, "clock_density_fast", inverse_time_density)
         _, inverted = tc._subordinated_profile(*args)
         assert np.max(np.abs(got - inverted)) <= (
-            DEFAULT_CONFIG.inversion_tol * np.max(inverted))
+            INVERSION_TOL * np.max(inverted))
 
     @pytest.mark.parametrize("model", [Brownian(), OrnsteinUhlenbeck(1.0, 1.0),
                                        FractionalBrownian(0.7)],
@@ -394,7 +391,7 @@ class TestBatchedSubordination:
             gd = subordinated_grid_density(
                 TimeChangedSpec(spec, SubordinatorSpec.pure(k / 100)), ts, xs)
             assert np.all(np.isfinite(gd.values)) and np.all(gd.values >= 0.0)
-            assert np.all(gd.mass_error <= DEFAULT_CONFIG.quadrature_tol)
+            assert np.all(gd.mass_error <= QUADRATURE_TOL)
 
     def test_pure_profile_evaluates_the_clock_once_per_level(self,
                                                              monkeypatch):
@@ -447,24 +444,35 @@ class TestLaplaceResidual:
             laplace_subordination_residual(spec, 2.0, 0.3, profile_nodes=40)
 
 
-def test_clock_support_keeps_no_state():
-    # every call probes afresh under its own tolerances: a mixture support
-    # found at the defaults does not answer a call at a tolerance the
-    # probe's inversion cannot meet
-    ts = [0.3, 1.0]
-    tc._clock_support(SPEC_MIX.sub, ts, DEFAULT_CONFIG)
-    tight = replace(DEFAULT_CONFIG, inversion_tol=1e-13)
-    with pytest.raises(InversionError):
-        tc._clock_support(SPEC_MIX.sub, ts, tight)
-    # a pure clock reads its support from the exact density: no inversion
-    # and no tolerance
-    assert_array_equal(tc._clock_support(SPEC_HALF.sub, ts, tight),
-                       tc._clock_support(SPEC_HALF.sub, ts, DEFAULT_CONFIG))
-
-
 def test_mixture_density_leaves_no_cache():
     subordinated_grid_density(SPEC_MIX, [0.3, 1.0], np.linspace(-2, 2, 9))
     assert tc._SUPPORT_RATIO == {}
+
+
+@pytest.mark.parametrize("call", [
+    lambda: inverse_time_density(SPEC_HALF.sub, math.nan, 1.0),
+    lambda: inverse_time_density(SPEC_MIX.sub, math.nan, [0.5, 1.0]),
+    lambda: inverse_time_density(SPEC_HALF.sub, 1.0, [math.nan]),
+    lambda: sample_inverse_ensemble(SPEC_HALF.sub, [math.nan], 3,
+                                    SeededRng(0)),
+    lambda: sample_inverse_marginal(SPEC_HALF.sub, math.nan, 3, SeededRng(0)),
+    lambda: subordinated_density(SPEC_HALF, math.nan, 0.0),
+    lambda: subordinated_grid_density(SPEC_HALF, [math.nan], [0.0, 1.0]),
+    lambda: subordinated_grid_density(SPEC_MIX, [math.nan], [0.0, 1.0]),
+    lambda: laplace_subordination_residual(SPEC_HALF, math.nan, 0.3),
+    lambda: inverse_time_moment(SPEC_HALF.sub, math.nan, 1.0),
+    lambda: laplace_inverse_batch(lambda s: -0.5 * np.log(s)[None, :],
+                                  math.nan, 1),
+], ids=["density-pure", "density-mixture", "density-tau", "ensemble",
+        "marginal", "subordinated", "grid-pure", "grid-mixture",
+        "laplace-residual", "moment", "inverse-batch"])
+def test_nan_time_rejected(call):
+    # a guard written t <= 0 lets NaN through, to a number, to an error of
+    # the numerics or to a point-mass law at tau = NaN; every one is a
+    # plain input error
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
 
 
 class TestEmpiricalDensity:
