@@ -3,10 +3,8 @@
 
 The classical table solves the fBm (H 0.7) equation against its Gaussian
 endpoint.  Beside the sup error and the order it gives the best of three
-wall times of the steps in the sine basis (the solver's route) and of the
-tridiagonal loop on the same time grid, mollifier and step integrals, and
-the sup gap between the two relative to the maximum (the script fails if
-it exceeds 1e-12).
+wall times of the Crank-Nicolson steps in the sine basis, from the
+solve's own first row and step integrals.
 The L1 table solves the fractional Brownian equation at beta 1/2
 against the closed-form density of B(E_1), the M-Wright function of order
 beta/2, away from its kink at x = 0, with the best of three wall times.
@@ -26,15 +24,14 @@ import numpy as np
 
 from subdiff import (FractionalBrownian, ScaledLaplacian, SolverConfig,
                      solve_classical, solve_fractional)
-from subdiff.fpke import _cn_loop, _cn_sine, _laplacian_rows
+from subdiff.fpke import _cn_sine
 from subdiff.fraccalc import SampledFunction, caputo_l1
 from subdiff.io import format_float, grid_density_csv, scalar_fallbacks
 from subdiff.subordinators import unit_clock_density
 
 
 def best_of_3(step, gd, *args):
-    """Best wall time of three runs of ``step`` from the solve's first row,
-    and the rows it leaves."""
+    """Best wall time of three runs of ``step`` from the solve's first row."""
     out = np.empty_like(gd.values)
     walls = []
     for _ in range(3):
@@ -42,18 +39,16 @@ def best_of_3(step, gd, *args):
         t0 = time.perf_counter()
         step(out, *args)
         walls.append(time.perf_counter() - t0)
-    return min(walls), out
+    return min(walls)
 
 
 model = FractionalBrownian(0.7)
 op = ScaledLaplacian(model)
 width = 4.0 * (16.0 / 99.0)  # fixed across the ladder
 
-print(f"classical solve, fBm H {model.hurst}, t = 1, sine basis vs loop")
-print(f"{'n':>5} {'h':>10} {'sup error':>12} {'order':>7} {'sine ms':>8} "
-      f"{'loop ms':>8} {'route gap':>10}")
+print(f"classical solve, fBm H {model.hurst}, t = 1, sine basis")
+print(f"{'n':>5} {'h':>10} {'sup error':>12} {'order':>7} {'sine ms':>8}")
 prev = None
-worst_gap = 0.0
 for n in (100, 200, 400, 800):
     cfg = SolverConfig(t_max=1.0, n_t=n, x_min=-8.0, x_max=8.0, n_x=n,
                        init_width=width)
@@ -62,17 +57,10 @@ for n in (100, 200, 400, 800):
     err = float(np.abs(gd.values[-1] - ref).max())
     order = f"{math.log2(prev / err):7.3f}" if prev else "      -"
     c = 0.5 * np.diff(model.var(gd.t_grid))
-    sine_s, sine = best_of_3(_cn_sine, gd, gd.x_grid, c)
-    loop_s, loop = best_of_3(_cn_loop, gd, [_laplacian_rows(gd.x_grid)],
-                             c[:, None])
-    gap = float(np.abs(sine - loop).max() / np.abs(loop).max())
-    worst_gap = max(worst_gap, gap)
+    sine_s = best_of_3(_cn_sine, gd, gd.x_grid, c)
     print(f"{n:5d} {16.0 / (n - 1):10.5f} {err:12.3e} {order} "
-          f"{1e3 * sine_s:8.2f} {1e3 * loop_s:8.2f} {gap:10.2e}")
+          f"{1e3 * sine_s:8.2f}")
     prev = err
-if worst_gap > 1e-12:
-    raise SystemExit("the sine route and the loop differ by "
-                     f"{worst_gap:.2e} of the maximum")
 
 BETA = 0.5
 print(f"\nL1 solve, beta {BETA}, t = 1, n_x 800 on [-12, 12], |x| > 0.5")

@@ -26,7 +26,6 @@ from .gaussian import (
     Brownian,
     FractionalBrownian,
     GaussianSpec,
-    MeanFunction,
     Mixed,
     MobiusHurst,
     OrnsteinUhlenbeck,
@@ -66,12 +65,10 @@ from .timechange import (
 )
 from .fpke import (
     ClassicalEquation,
-    DiffusionWithDrift,
     DistributedOrderEquation,
     FractionalEquation,
     OUGenerator,
     ScaledLaplacian,
-    operator_from_model,
     residual_norm,
     solve_classical,
     solve_distributed_order,

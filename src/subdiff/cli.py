@@ -31,7 +31,6 @@ from . import io as artifact_io
 from .fpke import (
     OUGenerator,
     ScaledLaplacian,
-    operator_from_model,
     solve_classical,
     solve_distributed_order,
     solve_fractional,
@@ -364,7 +363,7 @@ def _classical_solve(cfg, weight=1.0, **grid):
         solver = dataclasses.replace(cfg["solver"], **grid)
         if weight != 1.0:
             solver = dataclasses.replace(solver, t_max=solver.t_max / weight)
-        gd = solve_classical(operator_from_model(cfg["model"]), solver)
+        gd = solve_classical(ScaledLaplacian(cfg["model"]), solver)
     except HurstRangeError:
         raise  # a model error, which ``main`` reports
     except ValueError as ex:

@@ -1,31 +1,29 @@
 """Finite-difference solvers for classical and time-fractional FPK equations.
 
 Three solvers share one spatial toolkit (second-order central diffusion,
-conservative flux-form drift):
+conservative flux-form OU drift):
 
-* ``solve_classical``          Crank-Nicolson for d_t p = theta(t) p_xx (+drift)
+* ``solve_classical``          Crank-Nicolson for d_t p = theta(t) p_xx
 * ``solve_fractional``         implicit L1 stepping for D*^beta q = A q
 * ``solve_distributed_order``  L1 with mixture-weighted memory kernels
 
-A classical step integrates its coefficient exactly: theta = R'/2 over a
-step is half the increment of the closed-form variance R, and a drift's is
-the increment of the mean.  On a scaled Laplacian every Crank-Nicolson step
-is diagonal in the sine (DST-I) basis, so ``_cn_sine`` takes all of them
-at once: one cumulative product of the per-mode amplification factors
-along time and one DST-I of every row, with no time loop.  The OU
-generator and drift, which that basis does not diagonalise, step in
-``_cn_loop``: one LAPACK tridiagonal solve of (I - A_k/2) q = rhs per step
-on the interior nodes, with exact zeros on the two Dirichlet boundary
-nodes (``_step_factor``, ``dgttrf``, and ``_step_apply``, ``dgttrs``).
-Its step rows are fixed base rows times the step's coefficient integrals,
-and each distinct row of those is factored once per solve.  The L1
-solvers take their memory weights one block of rows at a time
-(``l1_weight_blocks``): the history from before the block is one matrix
-product for all its rows, and each step adds only its in-block columns.
-An L1 step matrix is factored again only when its shift W[n, n-1]
-changes; on a uniform grid that shift is one lag weight, so a solve
-factors once and each step is one ``dgttrs``.  Nothing assumes a uniform
-time grid.
+Every model is centered, so a classical solve is a scaled Laplacian with
+theta = R'/2, and a step integrates its coefficient exactly: theta over a
+step is half the increment of the closed-form variance R.  The OU
+generator solves as the scaled Laplacian of its model: from a delta at 0
+both give N(0, R(t)).  Every Crank-Nicolson step is diagonal in the sine
+(DST-I) basis, so ``_cn_sine`` takes all of them at once: one cumulative
+product of the per-mode amplification factors along time and one DST-I
+of every row, with no time loop.  The L1 solvers step one LAPACK
+tridiagonal solve of (b0 I - A) q = rhs at a time on the interior nodes,
+with exact zeros on the two Dirichlet boundary nodes (``_step_factor``,
+``dgttrf``, and ``_step_apply``, ``dgttrs``), and take their memory
+weights one block of rows at a time (``l1_weight_blocks``): the history
+from before the block is one matrix product for all its rows, and each
+step adds only its in-block columns.  An L1 step matrix is factored again
+only when its shift W[n, n-1] changes; on a uniform grid that shift is one
+lag weight, so a solve factors once and each step is one ``dgttrs``.
+Nothing assumes a uniform time grid.
 
 The classical solver warm-starts: the mollified delta (a Gaussian of width
 ``init_width``) is placed at the time where the true solution has exactly
@@ -49,14 +47,13 @@ from .config import DEFAULT_CONFIG, MASS_TOL, NONNEG_TOL, SolverConfig
 from .errors import StabilityError
 from .fraccalc import caputo_l1  # noqa: F401 -- kept importable as fpke.caputo_l1
 from .fraccalc import caputo_l1_columns, l1_weight_blocks
-from .gaussian import MeanFunction, OrnsteinUhlenbeck
+from .gaussian import OrnsteinUhlenbeck
 from .subordinators import SubordinatorSpec
 from .timechange import GridDensity
 
 __all__ = [
     "ScaledLaplacian",
     "OUGenerator",
-    "DiffusionWithDrift",
     "ClassicalEquation",
     "FractionalEquation",
     "DistributedOrderEquation",
@@ -64,7 +61,6 @@ __all__ = [
     "solve_fractional",
     "solve_distributed_order",
     "residual_norm",
-    "operator_from_model",
 ]
 
 
@@ -117,43 +113,12 @@ class OUGenerator:
         if self.alpha < 0.0 or self.sigma <= 0.0:
             raise ValueError("need alpha >= 0 and sigma > 0")
 
-    autonomous = True
-
     def variance(self, t):
         """Variance of the delta-started solution: the OU variance."""
         return OrnsteinUhlenbeck(self.alpha, self.sigma).var(t)
 
 
-@dataclass(frozen=True)
-class DiffusionWithDrift:
-    """A q = theta(t) q_xx - m'(t) q_x: a model's diffusion, theta = R'/2,
-    carried by the drift of its mean m."""
-
-    model: object
-    mean: MeanFunction
-
-    def theta(self, t):
-        """theta at a time or at an array of times."""
-        return 0.5 * self.model.dvar(t)
-
-    def variance(self, t):
-        """R(t): the model's variance."""
-        return self.model.var(t)
-
-    def drift(self, t: float) -> float:
-        return float(self.mean.dm(t))
-
-    autonomous = False
-
-
-SpatialOperator = ScaledLaplacian | OUGenerator | DiffusionWithDrift
-
-
-def operator_from_model(model, mean=None) -> SpatialOperator:
-    """FPKE operator of a Gaussian model: theta(t) = R'(t)/2 (+ mean drift)."""
-    if mean is None:
-        return ScaledLaplacian(model)
-    return DiffusionWithDrift(model, mean)
+SpatialOperator = ScaledLaplacian | OUGenerator
 
 
 # ---------------------------------------------------------------------------
@@ -211,17 +176,6 @@ def _laplacian_rows(x: np.ndarray):
     return lo, di, up
 
 
-def _first_deriv_rows(x: np.ndarray):
-    n = len(x)
-    dx = x[1] - x[0]
-    lo = np.zeros(n)
-    di = np.zeros(n)
-    up = np.zeros(n)
-    lo[1:-1] = -0.5 / dx
-    up[1:-1] = 0.5 / dx
-    return lo, di, up
-
-
 def _apply_rows(rows, q):
     """Tridiagonal rows applied along the last axis of q (one or many slices)."""
     lo, di, up = rows
@@ -271,7 +225,7 @@ def _cn_sine(out, x, c):
     are one cumulative product along time and each row returns through one
     DST-I.  The factors are built in ``out`` itself.  The first step's
     right-hand side applies the full rows to ``out[0]``, whose boundary
-    values need not be 0, exactly as ``_cn_loop`` does.
+    values need not be 0.
     """
     n = len(x)
     lam = (-4.0 / (x[1] - x[0]) ** 2
@@ -287,25 +241,6 @@ def _cn_sine(out, x, c):
     np.cumprod(modes, axis=0, out=modes)
     out[1:, 1:-1] = dst(modes, type=1, norm="ortho", axis=1, overwrite_x=True)
     out[1:, [0, -1]] = 0.0
-
-
-def _cn_loop(out, base, coef):
-    """Crank-Nicolson steps from ``out[0]`` into ``out[1:]``, one
-    tridiagonal solve each: step k's rows are sum_j coef[k-1, j] base[j].
-
-    A step's factors depend only on its coefficient row, and a time grid
-    has few distinct steps, so each distinct row is factored once per solve.
-    """
-    base = np.stack(base, axis=1)  # (3 diagonals, terms, n_x)
-    factors = {}
-    p = out[0]
-    for k, row in enumerate(coef, 1):
-        half = 0.5 * row
-        key = half.tobytes()
-        if key not in factors:
-            factors[key] = _step_factor(1.0, half @ base)
-        p = _step_apply(factors[key], p + half @ _apply_rows(base, p))
-        out[k] = p
 
 
 #: times ``_variance_root`` reads R at per pass
@@ -340,18 +275,19 @@ def solve_classical(
     op: SpatialOperator,
     cfg: SolverConfig = DEFAULT_CONFIG,
 ) -> GridDensity:
-    """Crank-Nicolson solve of d_t p = A p from a mollified delta.
+    """Crank-Nicolson solve of d_t p = theta(t) p_xx from a mollified delta.
 
     Step k's diffusion coefficient is the exact integral of theta over the
     step, (R(t_k) - R(t_{k-1}))/2 from the operator's closed-form variance
     R, so an integrable coefficient singularity at t = 0 (fBm with H < 1/2)
-    costs nothing; a drift's is the mean increment m(t_k) - m(t_{k-1}).
-    The start time solves R(t_init) = init_width^2; the steps are uniform
-    from there to t_max, and one holding a kink in theta costs nothing.  A
-    scaled Laplacian takes every step at once in the sine basis
-    (``_cn_sine``); the OU generator and drift step one tridiagonal solve
-    at a time (``_cn_loop``).
+    costs nothing.  The start time solves R(t_init) = init_width^2; the
+    steps are uniform from there to t_max, and one holding a kink in theta
+    costs nothing.  Every step is taken at once in the sine basis
+    (``_cn_sine``); the OU generator solves as the scaled Laplacian of its
+    model, whose delta-started density N(0, R(t)) it shares.
     """
+    if isinstance(op, OUGenerator):
+        op = ScaledLaplacian(OrnsteinUhlenbeck(op.alpha, op.sigma))
     x = _x_grid(cfg)
     w = cfg.delta_width
     if w * w >= 0.8 * float(op.variance(cfg.t_max)):
@@ -359,24 +295,9 @@ def solve_classical(
     t_init = _variance_root(op.variance, w * w, cfg.t_max)
     t_grid = np.linspace(t_init, cfg.t_max, cfg.n_t + 1)
 
-    mean0 = 0.0
-    if isinstance(op, DiffusionWithDrift):
-        m = np.vectorize(op.mean.m, otypes=[float])(np.append(0.0, t_grid))
-        mean0 = m[1] - m[0]
     out = np.empty((len(t_grid), cfg.n_x))
-    out[0] = (np.exp(-((x - mean0) ** 2) / (2.0 * w * w))
-              / (w * math.sqrt(2 * math.pi)))
-
-    if isinstance(op, OUGenerator):
-        _cn_loop(out, [_drift_flux_rows(op.alpha, op.sigma, x)],
-                 np.diff(t_grid)[:, None])
-    elif isinstance(op, ScaledLaplacian):
-        _cn_sine(out, x, 0.5 * np.diff(op.variance(t_grid)))
-    else:
-        _cn_loop(out, [_laplacian_rows(x), _first_deriv_rows(x)],
-                 np.stack([0.5 * np.diff(op.variance(t_grid)),
-                           -np.diff(m[1:])], axis=1))
-
+    out[0] = np.exp(-(x**2) / (2.0 * w * w)) / (w * math.sqrt(2 * math.pi))
+    _cn_sine(out, x, 0.5 * np.diff(op.variance(t_grid)))
     return _package(t_grid, x, out, cfg)
 
 
@@ -508,11 +429,7 @@ def _spatial_term(op: SpatialOperator, t: np.ndarray, x: np.ndarray,
     """A q for every time slice q[i] at time t[i]; the rows are built once."""
     if isinstance(op, OUGenerator):
         return _apply_rows(_drift_flux_rows(op.alpha, op.sigma, x), q)
-    out = op.theta(t)[:, None] * _apply_rows(_laplacian_rows(x), q)
-    if isinstance(op, DiffusionWithDrift):
-        drift = np.array([op.drift(float(s)) for s in t])
-        out -= drift[:, None] * _apply_rows(_first_deriv_rows(x), q)
-    return out
+    return op.theta(t)[:, None] * _apply_rows(_laplacian_rows(x), q)
 
 
 def residual_norm(density: GridDensity, equation) -> ResidualReport:

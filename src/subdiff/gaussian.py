@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, lru_cache
-from typing import Callable
 
 import numpy as np
 from scipy.special import beta as beta_fn, gamma, hyp2f1
@@ -48,7 +47,6 @@ __all__ = [
     "PiecewiseHurst",
     "MobiusHurst",
     "PolynomialHurst",
-    "MeanFunction",
     "GaussianSpec",
     "PathEnsemble",
     "covariance",
@@ -611,13 +609,13 @@ class PiecewiseHurst:
 # ---------------------------------------------------------------------------
 
 def covariance(model, s: float, t: float) -> float:
-    if s < 0 or t < 0:
+    if not (s >= 0 and t >= 0):
         raise ValueError("covariance arguments must be nonnegative")
     return float(model.cov(s, t))
 
 
 def variance_and_derivative(model, t: float) -> tuple[float, float]:
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be positive")
     return float(model.var(t)), float(model.dvar(t))
 
@@ -669,7 +667,7 @@ def variance_laplace(model, s: complex) -> tuple[complex, complex]:
     (variable and piecewise Hurst) get one numeric forward transform.
     """
     s = complex(s)
-    if s.real <= 0.0:
+    if not s.real > 0.0:
         raise ValueError("Re s must exceed the abscissa 0")
     profile = model.laplace_profile()
     if profile is None:
@@ -684,38 +682,22 @@ def variance_laplace(model, s: complex) -> tuple[complex, complex]:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class MeanFunction:
-    """Mean m(t) with derivative, for models with deterministic drift."""
-
-    m: Callable[[float], float]
-    dm: Callable[[float], float]
-
-
-@dataclass(frozen=True)
 class GaussianSpec:
-    """Independent components, each a covariance model, optional means."""
+    """Independent centered components, each a covariance model."""
 
     components: tuple[object, ...]
-    means: tuple[MeanFunction | None, ...] | None = None
 
     def __post_init__(self):
         if len(self.components) < 1:
             raise ValueError("need at least one component")
-        if self.means is not None and len(self.means) != len(self.components):
-            raise ValueError("means must match components")
 
     @classmethod
-    def univariate(cls, model, mean: MeanFunction | None = None):
-        return cls((model,), (mean,) if mean is not None else None)
+    def univariate(cls, model):
+        return cls((model,))
 
     @property
     def dimension(self) -> int:
         return len(self.components)
-
-    def mean_at(self, j: int, t):
-        if self.means is None or self.means[j] is None:
-            return np.zeros_like(np.asarray(t, dtype=float))
-        return np.vectorize(self.means[j].m)(t)
 
 
 @dataclass(frozen=True)
@@ -724,7 +706,6 @@ class PathEnsemble:
 
     grid: np.ndarray
     paths: np.ndarray
-    seed: SeededRng | None = None
 
     def __post_init__(self):
         grid = np.asarray(self.grid, dtype=float)
@@ -790,7 +771,7 @@ def sample_gaussian_paths(
 ) -> PathEnsemble:
     """Exact joint draws on the grid via Cholesky, per component.
 
-    A leading grid point at 0 is pinned to X_0 = 0 (plus the mean).
+    A leading grid point at 0 is pinned to X_0 = 0.
     """
     grid = np.asarray(grid, dtype=float)
     if n_paths < 1:
@@ -804,19 +785,18 @@ def sample_gaussian_paths(
     for j, model in enumerate(spec.components):
         L = _checked_cholesky(covariance_matrix(model, tpos))
         z = gen.standard_normal((n_paths, len(tpos)))
-        draws = z @ L.T
-        out[:, 1 if has_zero else 0 :, j] = draws
-        out[:, :, j] += spec.mean_at(j, grid)[None, :]
-    return PathEnsemble(grid, out, seed=rng)
+        out[:, 1 if has_zero else 0 :, j] = z @ L.T
+    return PathEnsemble(grid, out)
 
 
 def gaussian_transition_density(spec: GaussianSpec, t, x) -> np.ndarray:
-    """Product of centered (or mean-shifted) normal densities at time t.
+    """Product of centered normal densities at time t.
 
     ``x`` is a point in n-space or an array of points (..., n); for n = 1 a
     bare scalar/vector is accepted.  ``t`` is one time, or a 1-D array of
     times, which gives one row per time: shape (len(t),) + points shape.
-    A zero variance is a point mass, which has no density, and raises.
+    A zero variance is a point mass, which has no density, and raises; a
+    negative or NaN time is refused.
     """
     n = spec.dimension
     x = np.asarray(x, dtype=float)
@@ -825,7 +805,7 @@ def gaussian_transition_density(spec: GaussianSpec, t, x) -> np.ndarray:
     if x.shape[-1] != n:
         raise ValueError(f"points must have dimension {n}")
     t = np.asarray(t, dtype=float)
-    if t.min() < 0.0:
+    if not t.min() >= 0.0:
         raise ValueError("t must be nonnegative")
     # models take t as given (some loop over a 1-D t); each row of their
     # values then broadcasts over the points
@@ -837,8 +817,6 @@ def gaussian_transition_density(spec: GaussianSpec, t, x) -> np.ndarray:
             raise DegenerateDensityError(
                 "transition law is a point mass (zero variance)"
             )
-        # centered models skip the shift
-        mu = spec.mean_at(j, t).reshape(rows) if spec.means else 0.0
-        dens = dens * (np.exp(-((x[..., j] - mu) ** 2) / (2.0 * v))
+        dens = dens * (np.exp(-(x[..., j] ** 2) / (2.0 * v))
                        / np.sqrt(2.0 * math.pi * v))
     return dens

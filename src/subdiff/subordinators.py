@@ -180,7 +180,7 @@ def sample_positive_stable(beta, scale, rng: SeededRng, size=None):
         raise ValueError("beta must lie strictly inside (0, 1)")
     if np.any(np.asarray(scale) <= 0.0):
         raise ValueError("scale must be positive")
-    gen = rng.generator() if isinstance(rng, SeededRng) else rng
+    gen = rng.generator()
     n = 1 if size is None else size
     u = gen.uniform(0.0, np.pi, n)
     w = gen.exponential(1.0, n)

@@ -156,8 +156,8 @@ def sample_timechanged_paths(
         draw = (_markov_draws
                 if getattr(model, "kind", "") in ("brownian", "ou")
                 else _cholesky_draws)
-        out[:, col0:, j] = draw(model, E, gen) + spec.gauss.mean_at(j, E)
-    return PathEnsemble(grid, out, seed=rng)
+        out[:, col0:, j] = draw(model, E, gen)
+    return PathEnsemble(grid, out)
 
 
 def sample_timechanged_marginal(
@@ -171,7 +171,7 @@ def sample_timechanged_marginal(
     out = np.empty((n_paths, n_dim))
     for j, model in enumerate(spec.gauss.components):
         sd = np.sqrt(model.var(E))
-        out[:, j] = sd * gen.standard_normal(n_paths) + spec.gauss.mean_at(j, E)
+        out[:, j] = sd * gen.standard_normal(n_paths)
     return out
 
 

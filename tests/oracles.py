@@ -49,7 +49,9 @@ mpmath table), which neither the subordination quadrature nor the L1
 solve uses.  ``panel_integrals`` is the classical solver's step
 coefficient as it was when theta was integrated over each step by an
 8-point Gauss-Legendre rule, before the steps took half the increment of
-the closed-form variance.
+the closed-form variance.  ``cn_laplacian_loop`` is the classical
+Crank-Nicolson solve as it was before its steps ran at once in the sine
+basis: one banded solve per step.
 """
 import math
 
@@ -476,6 +478,30 @@ def ou_flux_rows_loop(alpha, sigma, x):
         di[i] = -(vh[i] / 2.0 + D / dx) / dx + (vh[i - 1] / 2.0 - D / dx) / dx
         lo[i] = (vh[i - 1] / 2.0 + D / dx) / dx
     return lo, di, up
+
+
+def cn_laplacian_loop(out, x, c):
+    """Crank-Nicolson steps of d_t p = theta(t) p_xx from ``out[0]`` into
+    ``out[1:]``, one banded solve per step, where ``c[k-1]`` is the integral
+    of theta over step k and p is 0 on the two boundary nodes.
+
+    The tridiagonal loop as it was before every step ran at once in the
+    sine basis: step k solves (I - c_k L / 2) p_k = (I + c_k L / 2) p_{k-1}
+    on the interior nodes, with L the central second difference, which
+    reads the boundary values of ``out[0]`` on the first step.
+    """
+    from scipy.linalg import solve_banded
+
+    inv_dx2 = 1.0 / (x[1] - x[0]) ** 2
+    p = out[0]
+    for k, ck in enumerate(c, 1):
+        h = 0.5 * ck * inv_dx2
+        bands = np.empty((3, len(x) - 2))
+        bands[0], bands[1], bands[2] = -h, 1.0 + 2.0 * h, -h
+        rhs = p[1:-1] + h * (p[:-2] - 2.0 * p[1:-1] + p[2:])
+        p = np.zeros(len(x))
+        p[1:-1] = solve_banded((1, 1), bands, rhs)
+        out[k] = p
 
 
 def bm_pure_clock_density(beta, t, x):

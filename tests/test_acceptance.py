@@ -15,7 +15,6 @@ from subdiff.config import SolverConfig
 from subdiff.fpke import (
     OUGenerator,
     ScaledLaplacian,
-    operator_from_model,
     solve_classical,
     solve_distributed_order,
     solve_fractional,
@@ -247,7 +246,7 @@ def test_criterion_10_piecewise_hurst():
     t0 = time.time()
     model = PiecewiseHurst((0.5,), (0.5, 0.8))
     cfg = SolverConfig(t_max=1.0, n_t=400, x_min=-8.0, x_max=8.0, n_x=400)
-    gd = solve_classical(operator_from_model(model), cfg)
+    gd = solve_classical(ScaledLaplacian(model), cfg)
     var = float(np.trapezoid(gd.values[-1] * gd.x_grid**2, gd.x_grid))
     want = float(model.var(1.0))  # segment-integrated closed form
     ok1 = report(10, "piecewise variance", abs(var - want), 1e-3,

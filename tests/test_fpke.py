@@ -12,7 +12,6 @@ from subdiff.config import SolverConfig
 from subdiff.errors import StabilityError
 from subdiff.fpke import (
     ClassicalEquation,
-    DiffusionWithDrift,
     DistributedOrderEquation,
     FractionalEquation,
     OUGenerator,
@@ -21,7 +20,6 @@ from subdiff.fpke import (
     _laplacian_rows,
     _step_apply,
     _step_factor,
-    operator_from_model,
     residual_norm,
     solve_classical,
     solve_distributed_order,
@@ -31,7 +29,6 @@ from subdiff.gaussian import (
     Brownian,
     FractionalBrownian,
     GaussianSpec,
-    MeanFunction,
     Mixed,
     MobiusHurst,
     OrnsteinUhlenbeck,
@@ -44,6 +41,7 @@ from subdiff.timechange import GridDensity, TimeChangedSpec, subordinated_densit
 
 from oracles import (
     bm_pure_clock_density,
+    cn_laplacian_loop,
     l1_uniform_solve,
     ou_flux_rows_loop,
     panel_integrals,
@@ -52,7 +50,6 @@ from oracles import (
 EPS = np.finfo(float).eps
 CFG400 = SolverConfig(t_max=1.0, n_t=400, x_min=-8.0, x_max=8.0, n_x=400)
 MIX = SubordinatorSpec(((0.4, 0.5), (0.8, 0.5)))
-DRIFT_03 = MeanFunction(lambda t: 0.3 * t, lambda t: 0.3)
 
 
 @dataclass(frozen=True)
@@ -89,7 +86,6 @@ WARM_START_OPS = {
     "mobius": ScaledLaplacian(VariableHurst(MobiusHurst(0.6, 0.2), 2.0)),
     "ou_generator": OUGenerator(1.0, 1.0),
     "ou_generator_no_drift": OUGenerator(0.0, 1.5),
-    "drift": DiffusionWithDrift(Brownian(), DRIFT_03),
 }
 
 
@@ -147,21 +143,20 @@ class TestClassical:
         assert np.abs(gd.values[-1] - want).max() < 1e-3
 
     def test_ou_generator_form(self):
-        # autonomous drift-diffusion form of the same equation
-        gd = solve_classical(OUGenerator(1.0, 1.0),
-                             SolverConfig(t_max=1.0, n_t=400, x_min=-6,
-                                          x_max=6, n_x=400))
-        model = OrnsteinUhlenbeck(1.0, 1.0)
-        want = normal_pdf(gd.x_grid, float(model.var(1.0)))
-        assert np.abs(gd.values[-1] - want).max() < 1.5e-3
-
-    def test_drift_shifts_density(self):
-        op = DiffusionWithDrift(Brownian(), MeanFunction(lambda t: t,
-                                                         lambda t: 1.0))
-        gd = solve_classical(op, SolverConfig(t_max=1.0, n_t=400,
-                                              x_min=-7, x_max=9, n_x=400))
-        want = normal_pdf(gd.x_grid - 1.0, 1.0)
-        assert np.abs(gd.values[-1] - want).max() < 1e-3
+        # the drift-diffusion form of the same equation solves as the
+        # scaled Laplacian of its model: from a delta at 0 both are
+        # N(0, R(t)), so the two solves are one
+        for alpha, sigma, cfg in (
+                (1.0, 1.0, SolverConfig(t_max=1.0, n_t=400, x_min=-6,
+                                        x_max=6, n_x=400)),
+                (0.0, 1.5, SolverConfig(n_t=200, n_x=200))):
+            model = OrnsteinUhlenbeck(alpha, sigma)
+            gd = solve_classical(OUGenerator(alpha, sigma), cfg)
+            same = solve_classical(ScaledLaplacian(model), cfg)
+            assert np.array_equal(gd.t_grid, same.t_grid)
+            assert np.array_equal(gd.values, same.values)
+            want = normal_pdf(gd.x_grid, float(model.var(1.0)))
+            assert np.abs(gd.values[-1] - want).max() < 1.5e-3
 
     def test_convergence_order(self):
         H = 0.7
@@ -380,8 +375,6 @@ class TestResiduals:
 SOLVES = {
     "heat": lambda cfg: solve_classical(ScaledLaplacian(0.5), cfg),
     "ou": lambda cfg: solve_classical(OUGenerator(1.0, 1.0), cfg),
-    "drift": lambda cfg: solve_classical(
-        DiffusionWithDrift(Brownian(), DRIFT_03), cfg),
     "fractional": lambda cfg: solve_fractional(ScaledLaplacian(0.5), 0.5, cfg),
     "fractional_ou": lambda cfg: solve_fractional(OUGenerator(1.0, 1.0), 0.7,
                                                   cfg),
@@ -466,11 +459,8 @@ def test_ou_flux_rows_match_per_node_loop():
 
 
 def test_operator_from_model_matches_variance():
-    op = operator_from_model(FractionalBrownian(0.7))
+    op = ScaledLaplacian(FractionalBrownian(0.7))
     assert_allclose(op.theta(1.0), 0.7, rtol=1e-12)
-    mean = MeanFunction(lambda t: 2 * t, lambda t: 2.0)
-    op2 = operator_from_model(Brownian(), mean)
-    assert op2.drift(0.3) == 2.0
 
 
 def test_piecewise_model_route():
@@ -480,7 +470,7 @@ def test_piecewise_model_route():
     for pw, n in ((PiecewiseHurst((0.5,), (0.5, 0.8)), 400),
                   (PiecewiseHurst((0.3, 0.55), (0.7, 0.5, 0.9)), 100)):
         cfg = SolverConfig(t_max=1.0, n_t=n, x_min=-8, x_max=8, n_x=n)
-        gd = solve_classical(operator_from_model(pw), cfg)
+        gd = solve_classical(ScaledLaplacian(pw), cfg)
         var = np.trapezoid(gd.values[-1] * gd.x_grid**2, gd.x_grid)
         assert abs(var - float(pw.var(1.0))) < 1e-3
 
@@ -496,7 +486,7 @@ def _sine_and_loop(x, t_grid, p0, c):
     sine[0] = p0
     loop = sine.copy()
     fpke._cn_sine(sine, x, c)
-    fpke._cn_loop(loop, [_laplacian_rows(x)], c[:, None])
+    cn_laplacian_loop(loop, x, c)
     return sine, loop
 
 
@@ -586,23 +576,3 @@ def test_sine_route_negative_floor_is_rounding(monkeypatch):
     solve_classical(ScaledLaplacian(FBM07), CFG400)
     (values,) = seen
     assert values.min() >= -1e-13 * values.max()
-
-
-@pytest.mark.parametrize("op, rows", [
-    (OUGenerator(1.0, 1.0), lambda t: np.diff(t)[:, None]),
-    (DiffusionWithDrift(Brownian(), DRIFT_03),
-     lambda t: np.stack([0.5 * np.diff(t), -np.diff(0.3 * t)], axis=1)),
-], ids=["ou", "drift"])
-def test_cn_loop_factors_each_distinct_step_once(op, rows, monkeypatch):
-    # a step's factors depend only on its coefficient row, and linspace
-    # steps take few distinct values
-    calls = []
-
-    def counted(shift, rows):
-        calls.append(shift)
-        return _step_factor(shift, rows)
-
-    monkeypatch.setattr(fpke, "_step_factor", counted)
-    gd = solve_classical(op, CFG400)
-    assert len(calls) == len(np.unique(rows(gd.t_grid), axis=0))
-    assert len(calls) <= 32 < len(gd.t_grid) - 1

@@ -12,7 +12,6 @@ from subdiff.gaussian import (
     Brownian,
     FractionalBrownian,
     GaussianSpec,
-    MeanFunction,
     Mixed,
     MobiusHurst,
     OrnsteinUhlenbeck,
@@ -217,14 +216,6 @@ class TestSampling:
             z = (np.mean(x[:, k] ** 2) - v) / (v * math.sqrt(2.0 / len(x)))
             assert abs(z) < 4.0
 
-    def test_mean_function_added(self, rng):
-        mean = MeanFunction(lambda t: 2.0 * t, lambda t: 2.0)
-        spec = GaussianSpec.univariate(Brownian(), mean)
-        ens = sample_gaussian_paths(spec, [1.0], 50_000, rng)
-        x = ens.component()[:, 0]
-        se = x.std() / math.sqrt(len(x))
-        assert abs(x.mean() - 2.0) < 3.0 * se
-
 
 class TestTransitionDensity:
     def test_standard_normal_peak(self):
@@ -243,14 +234,6 @@ class TestTransitionDensity:
         vals = gaussian_transition_density(spec, 0.8, x)
         assert_allclose(np.trapezoid(vals, x), 1.0, atol=1e-9)
 
-    def test_mean_shift(self):
-        mean = MeanFunction(lambda t: t, lambda t: 1.0)
-        spec = GaussianSpec.univariate(Brownian(), mean)
-        d1 = gaussian_transition_density(spec, 1.0, 1.3)
-        d2 = gaussian_transition_density(GaussianSpec.univariate(Brownian()),
-                                         1.0, 0.3)
-        assert_allclose(d1, d2, rtol=1e-13)
-
     def test_point_mass_reported(self):
         with pytest.raises(DegenerateDensityError):
             gaussian_transition_density(GaussianSpec.univariate(Brownian()),
@@ -258,7 +241,6 @@ class TestTransitionDensity:
 
 
 TIMES = np.array([0.05, 0.3, 0.5, 1.0, 2.5])
-DRIFT = MeanFunction(lambda t: 0.4 * t - t * t, lambda t: 0.4 - 2.0 * t)
 
 
 class TestTransitionDensityOverTimes:
@@ -272,11 +254,7 @@ class TestTransitionDensityOverTimes:
          np.column_stack([np.linspace(-2.0, 2.0, 7),
                           np.linspace(1.5, -1.0, 7)])),
         (GaussianSpec((Brownian(), FBM7)), [0.3, -0.2]),
-        (GaussianSpec.univariate(Brownian(), DRIFT), np.linspace(-3, 3, 13)),
-        (GaussianSpec((OU, Brownian()), (None, DRIFT)),
-         np.array([[0.1, -0.4], [1.2, 0.8], [-0.5, 0.0]])),
-    ], ids=["fbm-1d", "ou-scalar", "piecewise-column", "2d", "2d-point",
-            "mean", "2d-mean"])
+    ], ids=["fbm-1d", "ou-scalar", "piecewise-column", "2d", "2d-point"])
     def test_rows_match_per_time_calls(self, spec, x):
         got = gaussian_transition_density(spec, TIMES, x)
         want = np.stack([gaussian_transition_density(spec, t, x)
@@ -296,6 +274,25 @@ class TestTransitionDensityOverTimes:
         spec = GaussianSpec.univariate(Brownian())
         with pytest.raises(ValueError, match="nonnegative"):
             gaussian_transition_density(spec, np.array([1.0, -0.5]), 0.0)
+
+
+BM_SPEC = GaussianSpec.univariate(Brownian())
+
+
+@pytest.mark.parametrize("call", [
+    lambda: variance_and_derivative(Brownian(), math.nan),
+    lambda: covariance(Brownian(), math.nan, 1.0),
+    lambda: variance_laplace(Brownian(), math.nan),
+    lambda: gaussian_transition_density(BM_SPEC, math.nan, 0.0),
+    lambda: gaussian_transition_density(BM_SPEC,
+                                        np.array([0.5, math.nan, 1.0]), 0.0),
+], ids=["variance", "covariance", "laplace", "density", "density-rows"])
+def test_nan_argument_refused(call):
+    # a NaN fails every comparison, so a guard written as "x < 0" lets it
+    # through to a NaN value, or to a point-mass error it is not
+    with pytest.raises(ValueError) as info:
+        call()
+    assert type(info.value) is ValueError
 
 
 class TestVolterra:
