@@ -33,30 +33,20 @@ from .gaussian import (
     PiecewiseHurst,
     PolynomialHurst,
     VariableHurst,
-    calibrate_volterra_constant,
-    covariance,
     gaussian_transition_density,
     sample_gaussian_paths,
-    variance_and_derivative,
-    variance_laplace,
 )
 from .subordinators import (
-    MonotonePath,
     SeededRng,
     SubordinatorSpec,
     inverse_time_density,
     inverse_time_moment,
-    invert_subordinator_path,
     sample_inverse_ensemble,
     sample_inverse_marginal,
-    sample_positive_stable,
-    sample_subordinator_path,
 )
 from .timechange import (
     GridDensity,
-    Histogram,
     TimeChangedSpec,
-    empirical_density,
     laplace_subordination_residual,
     sample_timechanged_marginal,
     sample_timechanged_paths,
@@ -84,9 +74,7 @@ from .lambdaop import (
     eval_G_grid,
     eval_Lambda,
     eval_Lambda_grid,
-    exp_transform,
     fbm_fpke_residual,
-    power_transform,
 )
 
 __version__ = "0.1.0"

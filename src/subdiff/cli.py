@@ -193,7 +193,8 @@ def parse_model(obj, path="model"):
     raise ConfigError(f"{path}.kind: unknown model kind {kind!r}")
 
 
-def parse_subordinator(obj, path="subordinator"):
+def parse_subordinator(obj):
+    path = "subordinator"
     _expect_mapping(obj, path)
     _reject_unknown(obj, {"components"}, path)
     comps = obj.get("components")
@@ -214,7 +215,8 @@ def parse_subordinator(obj, path="subordinator"):
         raise ConfigError(f"{path}: {ex}") from ex
 
 
-def parse_solver(obj, path="solver"):
+def parse_solver(obj):
+    path = "solver"
     _expect_mapping(obj, path)
     allowed = {"t_max", "n_t", "x_min", "x_max", "n_x", "init_width"}
     _reject_unknown(obj, allowed, path)

@@ -324,10 +324,10 @@ def solve_distributed_order(
 ) -> GridDensity:
     """Implicit L1 stepping for the distributed-order FPKE D^mu q = A q.
 
-    The memory weights are the rows of ``fraccalc.l1_weights`` for the
-    mixture, the same weights ``caputo_l1`` and ``residual_norm`` apply, so
-    a one-component mixture runs the identical arithmetic as the pure
-    fractional solve and the residual on the solver's own grid is
+    The memory weights are the rows of W (``fraccalc.l1_weight_blocks``)
+    for the mixture, the same weights ``caputo_l1`` and ``residual_norm``
+    apply, so a one-component mixture runs the identical arithmetic as the
+    pure fractional solve and the residual on the solver's own grid is
     round-off.  Step n solves (W[n, n-1] - A) q_n = W[n, n-1] q_{n-1} -
     sum_{k < n-1} W[n, k] (q_{k+1} - q_k); the step matrix is factored
     again only when W[n, n-1] changes, so on this uniform grid once.

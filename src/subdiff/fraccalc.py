@@ -9,7 +9,7 @@ fractional solvers) is built on the four operations in this module:
                           error estimate
 * ``laplace_inverse_batch`` -- fixed-Talbot / de Hoog dual inversion
 
-The L1 rule is written once, in ``l1_weights``: the memory-weight matrix W
+The L1 rule is written once, in ``_row_builder``: the memory-weight matrix W
 of a pure clock or a mixture on any increasing grid.  On a uniform grid W
 is Toeplitz, W[i, k] = a[i - k], so its rows are windows of one table of
 n lag weights per component (n powers, not n^2/2); any other grid takes
@@ -72,7 +72,6 @@ __all__ = [
     "TransformResult",
     "caputo_l1",
     "caputo_l1_columns",
-    "l1_weights",
     "l1_weight_blocks",
     "mittag_leffler",
     "laplace_forward",
@@ -218,32 +217,8 @@ def _lag_rows(r: np.ndarray, start: int, stop: int) -> np.ndarray:
 
 
 def _row_builder(t, components):
-    """rows(start, stop) -> rows start..stop-1 of W on the grid t: read
-    from one lag table if t is uniform, else one power per entry."""
-    for beta, _ in components:
-        if not beta < 1.0:
-            raise ValueError("L1 weights need beta < 1")
-    t = np.asarray(t, dtype=float)
-    r = _lag_table(t, components)
-    if r is not None:
-        return functools.partial(_lag_rows, r)
-    return functools.partial(_entry_weights, t, components)
-
-
-def _entry_weights(t, components, start, stop):
-    """Rows of W on any increasing grid, one power per entry."""
-    # zero on and above the diagonal, where the power below is then 0 too
-    gap = np.maximum(t[start:stop, None] - t[None, :stop], 0.0)
-    h = np.diff(t[:stop])
-    w = 0.0
-    for beta, wgt in components:
-        p = gap ** (1.0 - beta)
-        w = w + (p[:, :-1] - p[:, 1:]) * ((wgt / _gamma(2.0 - beta)) / h)
-    return w
-
-
-def l1_weights(t: np.ndarray, components, start: int, stop: int) -> np.ndarray:
-    """Rows ``start..stop-1`` of the L1 memory-weight matrix on the grid t.
+    """rows(start, stop) -> rows ``start..stop-1`` of the L1 memory-weight
+    matrix W on the grid t.
 
     With h_k = t_{k+1} - t_k and ``components`` the (beta_j, w_j) pairs of
     a mixture (a pure clock is the one pair (beta, 1); any beta < 1 works,
@@ -264,7 +239,26 @@ def l1_weights(t: np.ndarray, components, start: int, stop: int) -> np.ndarray:
     increasing grid evaluates every entry from its own (i, k).  Either
     way a row does not depend on the rows asked for with it.
     """
-    return _row_builder(t, components)(start, stop)
+    for beta, _ in components:
+        if not beta < 1.0:
+            raise ValueError("L1 weights need beta < 1")
+    t = np.asarray(t, dtype=float)
+    r = _lag_table(t, components)
+    if r is not None:
+        return functools.partial(_lag_rows, r)
+    return functools.partial(_entry_weights, t, components)
+
+
+def _entry_weights(t, components, start, stop):
+    """Rows of W on any increasing grid, one power per entry."""
+    # zero on and above the diagonal, where the power below is then 0 too
+    gap = np.maximum(t[start:stop, None] - t[None, :stop], 0.0)
+    h = np.diff(t[:stop])
+    w = 0.0
+    for beta, wgt in components:
+        p = gap ** (1.0 - beta)
+        w = w + (p[:, :-1] - p[:, 1:]) * ((wgt / _gamma(2.0 - beta)) / h)
+    return w
 
 
 def l1_weight_blocks(t: np.ndarray, components):
@@ -296,7 +290,7 @@ def caputo_l1(g: SampledFunction, beta: float) -> SampledFunction:
 
     The samples are treated as piecewise linear, so the convolution of g'
     with the power kernel is integrated exactly per cell (the weights are
-    those of ``l1_weights``).  ``beta == 1`` falls back to the plain
+    the rows of W, ``_row_builder``).  ``beta == 1`` falls back to the plain
     derivative (second-order finite differences).
     """
     b = float(beta)

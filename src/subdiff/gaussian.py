@@ -8,8 +8,8 @@ of a centered Gaussian process depends on nothing else.
 
 The Laplace data has one form, the tagged tuple ``laplace_profile()`` of
 R~'(u), the transform of R' (power, OU-rational or a weighted sum; ``None``
-without a closed form), read only here: by ``profile_derivative`` and
-``profile_decay`` for the nonlocal operators, and by ``variance_laplace``.
+without a closed form), read only here, by ``profile_derivative`` and
+``profile_decay``, for the nonlocal operators.
 
 The normal density is written once, in ``gaussian_transition_density``:
 at one time, or at an array of times with a row per time, which is how
@@ -35,7 +35,7 @@ import numpy as np
 from scipy.special import beta as beta_fn, gamma, hyp2f1
 
 from .errors import DegenerateDensityError, HurstRangeError, NumericsError
-from .fraccalc import _leggauss, laplace_forward
+from .fraccalc import _leggauss
 from .subordinators import SeededRng
 
 __all__ = [
@@ -49,12 +49,8 @@ __all__ = [
     "PolynomialHurst",
     "GaussianSpec",
     "PathEnsemble",
-    "covariance",
-    "variance_and_derivative",
-    "variance_laplace",
     "sample_gaussian_paths",
     "gaussian_transition_density",
-    "calibrate_volterra_constant",
 ]
 
 
@@ -287,13 +283,6 @@ def _volterra_norm(H: float) -> float:
     val = float(_volterra_norm_values(H))
     _verify_norms(np.array([H]), val, _volterra_products(H, H, 2.0, 1.0))
     return val
-
-
-def calibrate_volterra_constant(H: float) -> float:
-    """Kernel constant c_H fixed by matching the variance at t = 1, and
-    verified at (s, t) = (1, 2); computed once per H."""
-    _check_hurst_range(H)
-    return 1.0 / math.sqrt(_volterra_norm(H))
 
 
 def _volterra_cov(hurst, s, t):
@@ -605,20 +594,8 @@ class PiecewiseHurst:
 
 
 # ---------------------------------------------------------------------------
-# module-level operations (spec surface)
+# Laplace profiles
 # ---------------------------------------------------------------------------
-
-def covariance(model, s: float, t: float) -> float:
-    if not (s >= 0 and t >= 0):
-        raise ValueError("covariance arguments must be nonnegative")
-    return float(model.cov(s, t))
-
-
-def variance_and_derivative(model, t: float) -> tuple[float, float]:
-    if not t > 0.0:
-        raise ValueError("t must be positive")
-    return float(model.var(t)), float(model.dvar(t))
-
 
 def _has_power(profile) -> bool:
     if profile[0] == "sum":
@@ -657,24 +634,6 @@ def profile_decay(profile) -> float:
     if kind == "ou":
         return 1.0
     return min(profile_decay(q) for _, q in profile[1])
-
-
-def variance_laplace(model, s: complex) -> tuple[complex, complex]:
-    """(R~(s), R~'(s)); the variance transform is R~'(s)/s since R(0)=0.
-
-    Every variance in the catalog grows at most polynomially, so the
-    transforms exist for Re s > 0.  Models without a Laplace profile
-    (variable and piecewise Hurst) get one numeric forward transform.
-    """
-    s = complex(s)
-    if not s.real > 0.0:
-        raise ValueError("Re s must exceed the abscissa 0")
-    profile = model.laplace_profile()
-    if profile is None:
-        rv, _ = laplace_forward(model.var, s)
-        return rv, s * rv
-    rp = complex(profile_derivative(profile, s, np.log))
-    return rp / s, rp
 
 
 # ---------------------------------------------------------------------------
@@ -716,13 +675,6 @@ class PathEnsemble:
             raise ValueError("paths must be (n_paths, n_times, dimension)")
         if not np.all(np.isfinite(paths)):
             raise ValueError("paths must be finite")
-
-    @property
-    def n_paths(self) -> int:
-        return self.paths.shape[0]
-
-    def component(self, j: int = 0) -> np.ndarray:
-        return self.paths[:, :, j]
 
 
 def covariance_matrix(model, grid: np.ndarray) -> np.ndarray:

@@ -99,8 +99,6 @@ __all__ = [
     "AnalyticTransform",
     "OperatorValue",
     "constant_transform",
-    "exp_transform",
-    "power_transform",
     "eval_G",
     "eval_G_grid",
     "eval_Lambda",
@@ -198,22 +196,6 @@ class AnalyticTransform:
 
 def constant_transform(c: float = 1.0) -> AnalyticTransform:
     return AnalyticTransform(lambda z: c / z)
-
-
-def exp_transform(a: float = 1.0) -> AnalyticTransform:
-    """Transform of e^{-a t}."""
-    return AnalyticTransform(lambda z: 1.0 / (z + a),
-                             max_singularity_real=-a)
-
-
-def power_transform(a: float) -> AnalyticTransform:
-    """Transform of t^a (a > -1).
-
-    Taken as g exp(-(a+1) log z): numpy raises an integer power of z by
-    repeated products, and z^3 overflows where the inner line reaches
-    |z| ~ 1e108 (beta 0.1), although z^-3 only underflows."""
-    g = math.gamma(a + 1.0)
-    return AnalyticTransform(lambda z: g * np.exp(-(a + 1.0) * np.log(z)))
 
 
 class OperatorValue(NamedTuple):

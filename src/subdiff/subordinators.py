@@ -39,11 +39,7 @@ from .fraccalc import _gauss_panels, laplace_inverse_batch
 
 __all__ = [
     "SubordinatorSpec",
-    "MonotonePath",
     "SeededRng",
-    "sample_positive_stable",
-    "sample_subordinator_path",
-    "invert_subordinator_path",
     "sample_inverse_ensemble",
     "sample_inverse_marginal",
     "inverse_time_density",
@@ -112,28 +108,6 @@ class SubordinatorSpec:
 
 
 @dataclass(frozen=True)
-class MonotonePath:
-    """Nondecreasing samples starting at 0 (a subordinator or its inverse)."""
-
-    grid: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        grid = np.asarray(self.grid, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "values", values)
-        if len(grid) != len(values):
-            raise ValueError("grid and values must have equal length")
-        if values[0] != 0.0:
-            raise ValueError("paths start at 0")
-        if np.any(np.diff(values) < 0.0):
-            raise ValueError("values must be nondecreasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("values must be finite")
-
-
-@dataclass(frozen=True)
 class SeededRng:
     """Reproducible stream: same (master_seed, stream_index) => same draws."""
 
@@ -171,23 +145,6 @@ def _kanter(beta: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.exp((1.0 - beta) / beta * (_log_kanter_a(beta, u) - np.log(w)))
 
 
-def sample_positive_stable(beta, scale, rng: SeededRng, size=None):
-    """Draws with Laplace transform exp(-scale * s^beta), beta in (0, 1).
-
-    Exact Chambers-Mallows-Stuck/Kanter construction; strictly positive.
-    """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie strictly inside (0, 1)")
-    if np.any(np.asarray(scale) <= 0.0):
-        raise ValueError("scale must be positive")
-    gen = rng.generator()
-    n = 1 if size is None else size
-    u = gen.uniform(0.0, np.pi, n)
-    w = gen.exponential(1.0, n)
-    x = np.asarray(scale) ** (1.0 / beta) * _kanter(beta, u, w)
-    return float(x[0]) if size is None else x
-
-
 def _component_increments(spec, dt, shape, gen):
     """Increment matrix of W over steps of length dt (may be an array)."""
     total = np.zeros(shape)
@@ -199,46 +156,6 @@ def _component_increments(spec, dt, shape, gen):
         e = gen.exponential(1.0, shape)
         total += (w * dt) ** (1.0 / b) * _kanter(b, u, e)
     return total
-
-
-def sample_subordinator_path(
-    spec: SubordinatorSpec, grid, rng: SeededRng
-) -> MonotonePath:
-    """One path of the mixture subordinator W on the given operational grid.
-
-    Component k contributes independent stable increments scaled so that
-    the increment of W over dt has Laplace transform exp(-dt * rho(s)).
-    """
-    grid = np.asarray(grid, dtype=float)
-    if len(grid) == 0:
-        raise ValueError("grid is empty")
-    if grid[0] != 0.0 or np.any(np.diff(grid) <= 0):
-        raise ValueError("grid must increase strictly from 0")
-    gen = rng.generator()
-    inc = _component_increments(spec, np.diff(grid), len(grid) - 1, gen)
-    values = np.concatenate([[0.0], np.cumsum(inc)])
-    return MonotonePath(grid, values)
-
-
-def invert_subordinator_path(w: MonotonePath, t_grid) -> MonotonePath:
-    """First passage times E_t = inf{s : W_s > t} from a sampled path.
-
-    Binary search on the path values with linear interpolation of the
-    operational-time grid inside the crossing step.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if np.any(t_grid < 0.0) or np.any(t_grid >= w.values[-1]):
-        raise ValueError("t_grid must lie within [0, max(W))")
-    idx = np.searchsorted(w.values, t_grid, side="right")
-    lo = w.values[idx - 1]
-    hi = w.values[idx]
-    frac = np.where(hi > lo, (t_grid - lo) / np.where(hi > lo, hi - lo, 1.0), 0.0)
-    e = w.grid[idx - 1] + frac * (w.grid[idx] - w.grid[idx - 1])
-    if t_grid[0] == 0.0:
-        e[0] = 0.0
-    return MonotonePath(t_grid, e) if t_grid[0] == 0.0 else MonotonePath(
-        np.concatenate([[0.0], t_grid]), np.concatenate([[0.0], e])
-    )
 
 
 def _pilot_step(spec, t_max, gen):

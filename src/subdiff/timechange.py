@@ -43,13 +43,11 @@ from .subordinators import (
 __all__ = [
     "TimeChangedSpec",
     "GridDensity",
-    "Histogram",
     "sample_timechanged_paths",
     "sample_timechanged_marginal",
     "subordinated_density",
     "subordinated_grid_density",
     "laplace_subordination_residual",
-    "empirical_density",
 ]
 
 
@@ -490,35 +488,3 @@ def laplace_subordination_residual(
         out[i] = abs(q_tilde - rhs) / abs(q_tilde)
     return float(out[0]) if np.ndim(s) == 0 else out
 
-
-# ---------------------------------------------------------------------------
-# empirical densities
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Histogram:
-    edges: np.ndarray
-    density: np.ndarray
-    std_error: np.ndarray
-
-    @property
-    def centers(self) -> np.ndarray:
-        return 0.5 * (self.edges[:-1] + self.edges[1:])
-
-
-def empirical_density(
-    ensemble: PathEnsemble, t: float, bins: int, component: int = 0
-) -> Histogram:
-    """Normalized histogram of one time slice with per-bin standard errors."""
-    if bins < 10:
-        raise ValueError("need at least 10 bins")
-    i = int(np.argmin(np.abs(ensemble.grid - t)))
-    if abs(ensemble.grid[i] - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"t={t} is not on the ensemble grid")
-    x = ensemble.paths[:, i, component]
-    counts, edges = np.histogram(x, bins=bins)
-    n = len(x)
-    widths = np.diff(edges)
-    dens = counts / (n * widths)
-    se = np.sqrt(np.maximum(counts, 1.0)) / (n * widths)
-    return Histogram(edges, dens, se)

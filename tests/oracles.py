@@ -42,7 +42,9 @@ the analytic de Hoog image took a graded one: the trapezoid of one step
 on the sinh-stretched line, which the Stehfest and sampled images keep.
 ``mittag_leffler_neg`` is E_beta(-x) by QUADPACK on its spectral integral
 in the tangent variable.  ``power_eigenvalue`` is the closed-form eigenvalue of
-G on a power of t.  ``bm_pure_clock_density``
+G on a power of t, and ``exp_transform`` and ``power_transform`` are the
+analytic Laplace images of e^{-a t} and t^a that the operator tests feed
+to G and Lambda.  ``bm_pure_clock_density``
 is the closed form of Brownian motion on a pure clock, an M-Wright
 function read from the library's clock density (itself held to the
 mpmath table), which neither the subordination quadrature nor the L1
@@ -355,6 +357,26 @@ def power_eigenvalue(beta, gam, a):
     input's Gamma(1+gam) / Gamma(1+beta gam)."""
     return (math.gamma(1.0 + a) * math.gamma(1.0 + gam + a / beta)
             / (math.gamma(1.0 + a / beta) * math.gamma(1.0 + a + beta * gam)))
+
+
+def exp_transform(a: float = 1.0):
+    """Transform of e^{-a t}."""
+    from subdiff.lambdaop import AnalyticTransform
+
+    return AnalyticTransform(lambda z: 1.0 / (z + a),
+                             max_singularity_real=-a)
+
+
+def power_transform(a: float):
+    """Transform of t^a (a > -1).
+
+    Taken as g exp(-(a+1) log z): numpy raises an integer power of z by
+    repeated products, and z^3 overflows where the inner line reaches
+    |z| ~ 1e108 (beta 0.1), although z^-3 only underflows."""
+    from subdiff.lambdaop import AnalyticTransform
+
+    g = math.gamma(a + 1.0)
+    return AnalyticTransform(lambda z: g * np.exp(-(a + 1.0) * np.log(z)))
 
 
 def interp_transform_segments(t, y, s):
@@ -684,7 +706,7 @@ def paths_csv_cells(ensemble) -> str:
             f"value_{j + 1}" for j in range(n_dim)
         )
     lines = [header]
-    for p in range(ensemble.n_paths):
+    for p in range(ensemble.paths.shape[0]):
         for i, t in enumerate(ensemble.grid):
             vals = ",".join(
                 format_float(ensemble.paths[p, i, j]) for j in range(n_dim)

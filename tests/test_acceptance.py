@@ -28,7 +28,6 @@ from subdiff.gaussian import (
     OrnsteinUhlenbeck,
     PiecewiseHurst,
     VariableHurst,
-    covariance,
     gaussian_transition_density,
     sample_gaussian_paths,
 )
@@ -38,7 +37,6 @@ from subdiff.lambdaop import (
     constant_transform,
     eval_G,
     eval_Lambda_grid,
-    exp_transform,
 )
 from subdiff.subordinators import (
     SeededRng,
@@ -53,8 +51,9 @@ from subdiff.timechange import (
     subordinated_density,
 )
 
-from oracles import (bm_pure_clock_density, fourier_ml_bm_half,
-                     inverse_half_density, riemann_liouville_integral)
+from oracles import (bm_pure_clock_density, exp_transform,
+                     fourier_ml_bm_half, inverse_half_density,
+                     riemann_liouville_integral)
 
 ONE = constant_transform(1.0)
 
@@ -256,7 +255,7 @@ def test_criterion_10_piecewise_hurst():
     ens = sample_gaussian_paths(GaussianSpec.univariate(model),
                                 [0.25, 0.5, 0.75, 1.0], 100_000,
                                 SeededRng(404))
-    samples = ens.component()[:, -1]
+    samples = ens.paths[:, -1, 0]
     bins = 40
     edges = np.linspace(-3.2, 3.2, bins + 1)
     counts, _ = np.histogram(samples, bins=edges)
@@ -286,8 +285,8 @@ def test_criterion_11_variable_hurst():
     worst_cov = 0.0
     for _ in range(5):
         s, t = np.sort(gen.uniform(0.1, 2.5, 2))
-        got = covariance(vh_const, float(s), float(t))
-        want = covariance(fbm, float(s), float(t))
+        got = vh_const.cov(s, t)
+        want = fbm.cov(s, t)
         worst_cov = max(worst_cov, abs(got - want) / abs(want))
     ok1 = report(11, "calibrated kernel vs closed form", worst_cov, 1e-5,
                  time.time() - t0)

@@ -11,9 +11,9 @@ from subdiff import fraccalc
 from subdiff.errors import InversionError, NumericsError
 from subdiff.fraccalc import (
     SampledFunction,
+    _row_builder,
     caputo_l1,
     caputo_l1_columns,
-    l1_weights,
     laplace_forward,
     laplace_inverse_batch,
     mittag_leffler,
@@ -223,12 +223,13 @@ class TestL1Weights:
                     for b, w in MIXTURE)
         assert_allclose(mixed, parts, rtol=1e-13, atol=1e-13 * np.abs(parts).max())
         n = len(GRADED)
-        W = l1_weights(GRADED, MIXTURE, 0, n)
-        Wsum = sum(w * l1_weights(GRADED, ((b, 1.0),), 0, n) for b, w in MIXTURE)
+        W = _row_builder(GRADED, MIXTURE)(0, n)
+        Wsum = sum(w * _row_builder(GRADED, ((b, 1.0),))(0, n)
+                   for b, w in MIXTURE)
         assert_allclose(W, Wsum, rtol=1e-13, atol=0.0)
 
     def test_lower_triangular_shape(self):
-        W = l1_weights(GRADED, MIXTURE, 5, 40)
+        W = _row_builder(GRADED, MIXTURE)(5, 40)
         assert W.shape == (35, 39)
         rows = np.arange(5, 40)[:, None]
         assert np.all(W[np.arange(39)[None, :] >= rows] == 0.0)
@@ -238,10 +239,10 @@ class TestL1Weights:
         # on the per-entry route (graded) and the lag-table route (uniform)
         for t in (GRADED, UNIFORM):
             n = len(t)
-            whole = l1_weights(t, MIXTURE, 0, n)
+            whole = _row_builder(t, MIXTURE)(0, n)
             for cuts in ([0, 1, 2, 77, n], [0, 120, 121, 239, n]):
                 for lo, hi in zip(cuts[:-1], cuts[1:]):
-                    assert np.array_equal(l1_weights(t, MIXTURE, lo, hi),
+                    assert np.array_equal(_row_builder(t, MIXTURE)(lo, hi),
                                           whole[lo:hi, : hi - 1])
 
     @pytest.mark.parametrize("rows", [1, 7, 1000])
@@ -255,7 +256,7 @@ class TestL1Weights:
 
     def test_order_outside_open_interval_rejected(self):
         with pytest.raises(ValueError):
-            l1_weights(GRADED, ((1.0, 1.0),), 0, 10)
+            _row_builder(GRADED, ((1.0, 1.0),))
 
 
 class TestLagTable:

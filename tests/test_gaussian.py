@@ -8,6 +8,7 @@ from numpy.testing import assert_allclose
 
 from subdiff import gaussian
 from subdiff.errors import DegenerateDensityError, NumericsError
+from subdiff.fraccalc import laplace_forward
 from subdiff.gaussian import (
     Brownian,
     FractionalBrownian,
@@ -18,17 +19,15 @@ from subdiff.gaussian import (
     PiecewiseHurst,
     PolynomialHurst,
     VariableHurst,
+    _check_hurst_range,
     _checked_cholesky,
     _kernel_core,
     _volterra_norm,
     _volterra_products,
-    calibrate_volterra_constant,
-    covariance,
     covariance_matrix,
     gaussian_transition_density,
+    profile_derivative,
     sample_gaussian_paths,
-    variance_and_derivative,
-    variance_laplace,
 )
 from subdiff.subordinators import SeededRng
 
@@ -51,23 +50,19 @@ ALL_MODELS = [Brownian(), FBM7, OU,
 
 class TestCovariance:
     def test_half_hurst_is_brownian(self):
-        assert covariance(FractionalBrownian(0.5), 2.0, 3.0) == 2.0
+        assert FractionalBrownian(0.5).cov(2.0, 3.0) == 2.0
 
     def test_unit_variance_at_one(self):
-        assert_allclose(covariance(FBM7, 1.0, 1.0), 1.0)
+        assert_allclose(FBM7.cov(1.0, 1.0), 1.0)
 
     def test_mixed_combination(self):
         m = Mixed(((1.0, Brownian()), (0.5, FBM7)))
         t = 2.0
-        assert_allclose(covariance(m, t, t), t + 0.25 * t**1.4)
+        assert_allclose(m.cov(t, t), t + 0.25 * t**1.4)
 
     def test_mixed_all_zero_rejected(self):
         with pytest.raises(ValueError, match="nonzero coefficient"):
             Mixed(((0.0, Brownian()), (0.0, FBM7)))
-
-    def test_negative_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            covariance(FBM7, -1.0, 2.0)
 
     @settings(max_examples=15, deadline=None)
     @given(st.integers(0, 10**6))
@@ -84,16 +79,15 @@ class TestCovariance:
 
 class TestVarianceData:
     def test_fbm_closed_form(self):
-        assert_allclose(variance_and_derivative(FractionalBrownian(0.75), 4.0),
-                        (8.0, 3.0), rtol=1e-13)
+        fbm = FractionalBrownian(0.75)
+        assert_allclose((fbm.var(4.0), fbm.dvar(4.0)), (8.0, 3.0), rtol=1e-13)
 
     def test_ou_saturates(self):
-        v, dv = variance_and_derivative(OU, 40.0)
-        assert_allclose(v, 1.0, atol=1e-12)
+        assert_allclose(OU.var(40.0), 1.0, atol=1e-12)
         # finite-difference cross-check of the derivative
-        v1, _ = variance_and_derivative(OU, 1.0)
-        v2, _ = variance_and_derivative(OU, 1.0 + 1e-6)
-        _, dv1 = variance_and_derivative(OU, 1.0 + 5e-7)
+        v1 = OU.var(1.0)
+        v2 = OU.var(1.0 + 1e-6)
+        dv1 = OU.dvar(1.0 + 5e-7)
         assert_allclose((v2 - v1) / 1e-6, dv1, rtol=1e-5)
 
     def test_ou_small_time_closed_form(self):
@@ -107,67 +101,70 @@ class TestVarianceData:
     def test_variable_hurst_constant_reduces_to_fbm(self):
         vh = VariableHurst(MobiusHurst(0.75, 0.0), horizon=3.0)
         for t in (0.5, 1.0, 2.0):
-            got = variance_and_derivative(vh, t)
-            want = variance_and_derivative(FractionalBrownian(0.75), t)
+            got = (vh.var(t), vh.dvar(t))
+            want = (FractionalBrownian(0.75).var(t),
+                    FractionalBrownian(0.75).dvar(t))
             assert_allclose(got, want, rtol=1e-10)
 
     def test_piecewise_breakpoint_rejected(self):
         with pytest.raises(ValueError):
-            variance_and_derivative(PW, 0.5)
+            PW.dvar(0.5)
+
+
+def _profile_at(model, s):
+    """R~'(s) from the model's Laplace profile; R~(s) = R~'(s)/s."""
+    return complex(profile_derivative(model.laplace_profile(), complex(s),
+                                      np.log))
 
 
 class TestVarianceLaplace:
     def test_fbm_closed_form(self):
         # frozen 2H Gamma(2H)/s^{2H} at H = 0.6, s = 2
-        _, rp = variance_laplace(FractionalBrownian(0.6), 2.0)
+        rp = _profile_at(FractionalBrownian(0.6), 2.0)
         assert_allclose(rp, 0.4795873895382034, rtol=1e-12)
 
     def test_ou_rational(self):
-        _, rp = variance_laplace(OrnsteinUhlenbeck(0.5, 1.0), 1.0)
+        rp = _profile_at(OrnsteinUhlenbeck(0.5, 1.0), 1.0)
         assert_allclose(rp, 0.5, rtol=1e-12)
 
     def test_brownian_closed_form(self):
         # R~(s) = 1/s^2 and R~'(s) = 1/s
-        assert_allclose(variance_laplace(Brownian(), 2.0), (0.25, 0.5),
-                        rtol=1e-15)
+        rp = _profile_at(Brownian(), 2.0)
+        assert_allclose((rp / 2.0, rp), (0.25, 0.5), rtol=1e-15)
 
     def test_mixed_sums_its_terms(self):
         # 1/s + 4 / (s + 1) at s = 1, and R~ = R~'/s
         m = Mixed(((1.0, Brownian()), (2.0, OrnsteinUhlenbeck(0.5, 1.0))))
-        assert_allclose(variance_laplace(m, 1.0), (3.0, 3.0), rtol=1e-15)
+        rp = _profile_at(m, 1.0)
+        assert_allclose((rp / 1.0, rp), (3.0, 3.0), rtol=1e-15)
         m = Mixed(((1.0, FBM7), (0.5, OU)))
-        want = (variance_laplace(FBM7, 2.0 + 1.0j)[1]
-                + 0.25 * variance_laplace(OU, 2.0 + 1.0j)[1])
-        assert_allclose(variance_laplace(m, 2.0 + 1.0j)[1], want, rtol=1e-14)
+        want = (_profile_at(FBM7, 2.0 + 1.0j)
+                + 0.25 * _profile_at(OU, 2.0 + 1.0j))
+        assert_allclose(_profile_at(m, 2.0 + 1.0j), want, rtol=1e-14)
 
     def test_mixed_numeric_term_transforms_numerically(self):
-        # a term without a profile sends the whole mixture to one
-        # numeric forward transform
+        # a term without a profile leaves the whole mixture without one,
+        # and its variance transform is one numeric forward transform
         m = Mixed(((1.0, Brownian()), (1.0, PW)))
-        rv, rp = variance_laplace(m, 2.0)
-        want = 0.25 + variance_laplace(PW, 2.0)[0]
+        assert m.laplace_profile() is None
+        rv, _ = laplace_forward(m.var, 2.0)
+        want = 0.25 + laplace_forward(PW.var, 2.0)[0]
         assert_allclose(rv, want, rtol=1e-8)
-        assert_allclose(rp, 2.0 * rv, rtol=1e-15)
 
     def test_quadrature_identity(self):
         # R~'(s) = s R~(s) with both sides by independent quadratures
-        from subdiff.fraccalc import laplace_forward
-
+        assert VH.laplace_profile() is None
         for s in (1.0, 2.0, 4.0):
-            rv, rp = variance_laplace(VH, s)
+            rv, _ = laplace_forward(VH.var, s)
             direct, _ = laplace_forward(VH.dvar, s, power_at_zero=-0.3)
-            assert_allclose(rp.real, direct.real, rtol=1e-6)
-
-    def test_abscissa_guard(self):
-        with pytest.raises(ValueError):
-            variance_laplace(FBM7, -0.5)
+            assert_allclose((s * rv).real, direct.real, rtol=1e-6)
 
 
 class TestSampling:
     def test_brownian_covariance_mc(self, rng):
         spec = GaussianSpec.univariate(Brownian())
         ens = sample_gaussian_paths(spec, [0.0, 0.5, 1.0], 100_000, rng)
-        x = ens.component()
+        x = ens.paths[:, :, 0]
         prod = x[:, 1] * x[:, 2]
         se = prod.std() / math.sqrt(len(prod))
         assert abs(prod.mean() - 0.5) < 3.0 * se
@@ -175,7 +172,7 @@ class TestSampling:
     def test_zero_mean(self, rng):
         spec = GaussianSpec.univariate(FBM7)
         ens = sample_gaussian_paths(spec, [0.25, 0.75], 50_000, rng)
-        x = ens.component()
+        x = ens.paths[:, :, 0]
         for k in range(2):
             se = x[:, k].std() / math.sqrt(len(x))
             assert abs(x[:, k].mean()) < 3.0 * se
@@ -183,14 +180,14 @@ class TestSampling:
     def test_fbm_unit_variance(self, rng):
         spec = GaussianSpec.univariate(FractionalBrownian(0.8))
         ens = sample_gaussian_paths(spec, [0.5, 1.0], 100_000, rng)
-        v = ens.component()[:, 1].var()
-        se = math.sqrt(2.0 / len(ens.component()))  # var of unit normal^2
+        v = ens.paths[:, 1, 0].var()
+        se = math.sqrt(2.0 / ens.paths.shape[0])  # var of unit normal^2
         assert abs(v - 1.0) < 3.0 * se
 
     def test_zero_time_pinned(self, rng):
         ens = sample_gaussian_paths(GaussianSpec.univariate(Brownian()),
                                     [0.0, 1.0], 100, rng)
-        assert np.all(ens.component()[:, 0] == 0.0)
+        assert np.all(ens.paths[:, 0, 0] == 0.0)
 
     def test_piecewise_continuity_rate(self, rng):
         # Var(X_{T+e} - X_{T-e}) ~ e^{2H} on either side of a breakpoint
@@ -199,7 +196,7 @@ class TestSampling:
             g = [T1 - eps, T1 + eps]
             ens = sample_gaussian_paths(GaussianSpec.univariate(PW), g,
                                         60_000, rng)
-            d = ens.component()[:, 1] - ens.component()[:, 0]
+            d = ens.paths[:, 1, 0] - ens.paths[:, 0, 0]
             want = eps ** (2 * 0.5) + eps ** (2 * 0.8)
             assert abs(d.var() - want) < 5.0 * want / math.sqrt(len(d)) + 0.1 * want
 
@@ -210,7 +207,7 @@ class TestSampling:
         grid = [0.3, 0.8]
         ens = sample_gaussian_paths(GaussianSpec.univariate(model), grid,
                                     40_000, rng)
-        x = ens.component()
+        x = ens.paths[:, :, 0]
         for k, t in enumerate(grid):
             v = model.var(t)
             z = (np.mean(x[:, k] ** 2) - v) / (v * math.sqrt(2.0 / len(x)))
@@ -280,13 +277,10 @@ BM_SPEC = GaussianSpec.univariate(Brownian())
 
 
 @pytest.mark.parametrize("call", [
-    lambda: variance_and_derivative(Brownian(), math.nan),
-    lambda: covariance(Brownian(), math.nan, 1.0),
-    lambda: variance_laplace(Brownian(), math.nan),
     lambda: gaussian_transition_density(BM_SPEC, math.nan, 0.0),
     lambda: gaussian_transition_density(BM_SPEC,
                                         np.array([0.5, math.nan, 1.0]), 0.0),
-], ids=["variance", "covariance", "laplace", "density", "density-rows"])
+], ids=["density", "density-rows"])
 def test_nan_argument_refused(call):
     # a NaN fails every comparison, so a guard written as "x < 0" lets it
     # through to a NaN value, or to a point-mass error it is not
@@ -298,13 +292,14 @@ def test_nan_argument_refused(call):
 class TestVolterra:
     def test_calibration_positive(self):
         for H in (0.6, 0.75, 0.9):
-            assert calibrate_volterra_constant(H) > 0.0
+            _check_hurst_range(H)
+            assert 1.0 / math.sqrt(_volterra_norm(H)) > 0.0
 
     def test_verified_at_held_out_point(self):
         # by construction R(1,1) = 1; the (1,2) value is sqrt(2) for H=0.75
         vh = VariableHurst(MobiusHurst(0.75, 0.0), horizon=3.0)
-        assert_allclose(covariance(vh, 1.0, 1.0), 1.0, rtol=1e-6)
-        assert_allclose(covariance(vh, 1.0, 2.0), 1.4142135623730951,
+        assert_allclose(vh.cov(1.0, 1.0), 1.0, rtol=1e-6)
+        assert_allclose(vh.cov(1.0, 2.0), 1.4142135623730951,
                         rtol=1e-5)
 
     def test_constant_h_matches_fbm_at_random_points(self):
@@ -313,28 +308,27 @@ class TestVolterra:
         fbm = FractionalBrownian(0.75)
         for _ in range(5):
             s, t = np.sort(gen.uniform(0.1, 2.5, 2))
-            assert_allclose(covariance(vh, s, t), covariance(fbm, s, t),
+            assert_allclose(vh.cov(s, t), fbm.cov(s, t),
                             rtol=1e-5)
 
     def test_variance_identity(self):
         # variance of the variable-H model is t^{2H(t)}
         for t in (0.3, 0.8, 1.3, 1.9, 2.4):
-            v, _ = variance_and_derivative(VH, t)
-            assert_allclose(v, t ** (2.0 * VH.hurst(t)), rtol=1e-12)
+            assert_allclose(VH.var(t), t ** (2.0 * VH.hurst(t)), rtol=1e-12)
 
     def test_horizon_consistency(self):
-        a = covariance(VariableHurst(MobiusHurst(0.6, 0.2), 1.0), 0.4, 0.8)
-        b = covariance(VariableHurst(MobiusHurst(0.6, 0.2), 2.0), 0.4, 0.8)
+        a = VariableHurst(MobiusHurst(0.6, 0.2), 1.0).cov(0.4, 0.8)
+        b = VariableHurst(MobiusHurst(0.6, 0.2), 2.0).cov(0.4, 0.8)
         assert abs(a - b) < 1e-8
 
     def test_verification_runs_once_per_h(self, monkeypatch):
-        c = calibrate_volterra_constant(0.65)
+        c = _volterra_norm(0.65)
 
         def no_rule(*args, **kwargs):
             raise AssertionError("calibration re-ran the product rule")
 
         monkeypatch.setattr(gaussian, "_volterra_products", no_rule)
-        assert calibrate_volterra_constant(0.65) == c
+        assert _volterra_norm(0.65) == c
 
     @pytest.mark.parametrize("key", sorted(KERNEL_CORE_MPMATH),
                              ids=lambda k: f"H{k[0]}-r{k[1]:g}")
@@ -358,7 +352,7 @@ class TestVolterra:
     def test_covariance_matches_nested_quadrature(self):
         vh = VariableHurst(MobiusHurst(0.6, 0.2), horizon=2.0)
         for s, t in ((0.3, 0.3), (0.4, 1.7), (1.9, 2.0)):
-            assert_allclose(covariance(vh, s, t),
+            assert_allclose(vh.cov(s, t),
                             volterra_cov_nested(vh.hurst, s, t),
                             rtol=1e-9)
 
@@ -378,7 +372,7 @@ class TestVolterra:
         # one broadcast call against each entry on its own, through zero
         grid = np.array([0.0, 0.3, 0.3 + 1e-12, 0.9, 1.7, 2.4])
         R = covariance_matrix(VH, grid)
-        want = np.array([[covariance(VH, a, b) for b in grid] for a in grid])
+        want = np.array([[VH.cov(a, b) for b in grid] for a in grid])
         assert np.array_equal(R, R.T)
         assert np.all(R[0] == 0.0)
         assert_allclose(R, want, rtol=1e-14, atol=0.0)
@@ -424,7 +418,7 @@ class TestVolterra:
         with pytest.raises(ValueError):
             VariableHurst(MobiusHurst(0.4, 0.0))
         with pytest.raises(ValueError):
-            calibrate_volterra_constant(0.4)
+            _check_hurst_range(0.4)
 
 
 class TestCheckedCholesky:

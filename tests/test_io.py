@@ -74,13 +74,13 @@ def test_paths_edge_values(n_dim):
     # ensemble-shaped object
     paths = np.resize(np.array(EDGE), (2, 5, n_dim))
     ens = SimpleNamespace(grid=np.array([-0.0, 5e-324, 1e-320, 0.5, 1.0]),
-                          paths=paths, n_paths=2)
+                          paths=paths)
     assert paths_csv(ens) == oracles.paths_csv_cells(ens)
 
 
 def test_no_paths_writes_the_header_only():
     ens = SimpleNamespace(grid=np.linspace(0.0, 1.0, 3),
-                          paths=np.zeros((0, 3, 2)), n_paths=0)
+                          paths=np.zeros((0, 3, 2)))
     assert paths_csv(ens) == oracles.paths_csv_cells(ens) == (
         "path_id,t,value_1,value_2\n")
 

@@ -28,8 +28,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 def _render(values):
     """The writers' text of each value: one path, one line per value."""
     v = np.asarray(values, dtype=float).reshape(-1)
-    ens = SimpleNamespace(grid=np.zeros(v.size), paths=v.reshape(1, -1, 1),
-                          n_paths=1)
+    ens = SimpleNamespace(grid=np.zeros(v.size), paths=v.reshape(1, -1, 1))
     lines = paths_csv(ens).split("\n")
     assert lines[0] == "path_id,t,value" and lines[-1] == ""
     # every line starts "0,0," (path 0 at t 0)
@@ -129,8 +128,7 @@ def test_any_float_array_matches(values):
                                                min_side=0, max_side=5),
                   elements=st.floats()))
 def test_paths_writer_matches_per_cell_writer_on_any_floats(paths):
-    ens = SimpleNamespace(grid=np.arange(paths.shape[1]) / 7.0, paths=paths,
-                          n_paths=paths.shape[0])
+    ens = SimpleNamespace(grid=np.arange(paths.shape[1]) / 7.0, paths=paths)
     assert paths_csv(ens) == oracles.paths_csv_cells(ens)
 
 
@@ -139,8 +137,7 @@ def test_blocks_split_a_long_line_and_a_long_row():
     rng = np.random.default_rng(28)
     block = artifact_io._BLOCK_CELLS
     wide = SimpleNamespace(grid=np.array([0.0, 0.5]),
-                           paths=rng.standard_normal((1, 2, block + 3)),
-                           n_paths=1)
+                           paths=rng.standard_normal((1, 2, block + 3)))
     assert paths_csv(wide) == oracles.paths_csv_cells(wide)
     x = np.linspace(-1.0, 1.0, block + 5)
     gd = GridDensity([0.25], x, rng.standard_normal((1, x.size)), [0.0])

@@ -32,9 +32,7 @@ from subdiff.lambdaop import (
     eval_G_grid,
     eval_Lambda,
     eval_Lambda_grid,
-    exp_transform,
     fbm_fpke_residual,
-    power_transform,
 )
 from subdiff.subordinators import SubordinatorSpec, inverse_time_moment
 from subdiff.timechange import GridDensity, TimeChangedSpec, subordinated_density
@@ -45,9 +43,11 @@ from oracles import (
     G_ON_ONE_FROZEN,
     LAMBDA_ON_ONE_FROZEN,
     dehoog_full_line,
+    exp_transform,
     field_residual_full_line,
     kernel_unwrapped,
     power_eigenvalue,
+    power_transform,
     riemann_liouville_integral,
     uniform_line,
 )

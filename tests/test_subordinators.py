@@ -10,18 +10,15 @@ from scipy.stats import ks_2samp
 from subdiff.config import INVERSION_TOL
 from subdiff.errors import NumericsError
 from subdiff.subordinators import (
-    MonotonePath,
+    _component_increments,
     _level_crossing_paths,
     SeededRng,
     SubordinatorSpec,
     clock_density_fast,
     inverse_time_density,
     inverse_time_moment,
-    invert_subordinator_path,
     sample_inverse_ensemble,
     sample_inverse_marginal,
-    sample_positive_stable,
-    sample_subordinator_path,
     unit_clock_density,
 )
 
@@ -52,23 +49,36 @@ class TestSpec:
         assert_allclose(spec.laplace_exponent(np.array([1.0])), 2.6)
 
 
+def _stable_draws(beta, scale, rng, n):
+    """n draws with Laplace transform exp(-scale s^beta): one mixture
+    walker step of length scale on a pure clock."""
+    return _component_increments(SubordinatorSpec.pure(beta), scale, n,
+                                 rng.generator())
+
+
+def _walk(spec, grid, rng):
+    """W on the operational grid: the walker's increments, summed."""
+    inc = _component_increments(spec, np.diff(grid), len(grid) - 1,
+                                rng.generator())
+    return np.concatenate([[0.0], np.cumsum(inc)])
+
+
 class TestStableSampling:
     def test_laplace_transform_oracle(self, rng):
         # E[e^{-sX}] = e^{-s^beta} within 3 standard errors, 1e5 draws
-        x = sample_positive_stable(0.7, 1.0, rng, size=100_000)
+        x = _stable_draws(0.7, 1.0, rng, 100_000)
         dev, ok = mc_laplace_check(x, 1.0, math.exp(-1.0))
         assert ok, f"deviation {dev:.2f} standard errors"
 
     def test_positivity(self, rng):
-        x = sample_positive_stable(0.3, 2.0, rng, size=10_000)
+        x = _stable_draws(0.3, 2.0, rng, 10_000)
         assert np.all(x > 0.0)
 
     def test_scaling_property(self, rng, rng2):
         # scale c draws match c^{1/beta}-scaled unit draws in distribution
         beta, c = 0.6, 3.0
-        a = sample_positive_stable(beta, c, rng, size=100_000)
-        b = c ** (1.0 / beta) * sample_positive_stable(beta, 1.0, rng2,
-                                                       size=100_000)
+        a = _stable_draws(beta, c, rng, 100_000)
+        b = c ** (1.0 / beta) * _stable_draws(beta, 1.0, rng2, 100_000)
         for s in (0.3, 1.0):
             ea = np.exp(-s * a)
             eb = np.exp(-s * b)
@@ -79,20 +89,16 @@ class TestStableSampling:
         # X = 1/(2 Z^2) has transform e^{-sqrt(s)}; compare empirical means
         z = rng2.generator().standard_normal(100_000)
         alt = 1.0 / (2.0 * z * z)
-        x = sample_positive_stable(0.5, 1.0, rng, size=100_000)
+        x = _stable_draws(0.5, 1.0, rng, 100_000)
         ea, eb = np.exp(-x), np.exp(-alt)
         se = math.hypot(ea.std() / 316.0, eb.std() / 316.0)
         assert abs(ea.mean() - eb.mean()) < 3.5 * se
-
-    def test_rejects_beta_one(self, rng):
-        with pytest.raises(ValueError):
-            sample_positive_stable(1.0, 1.0, rng)
 
     @pytest.mark.parametrize("beta", [0.99, 0.995])
     def test_finite_near_beta_one(self, beta):
         # Kanter's A overflows as u -> pi at beta near 1; formed directly it
         # turned 7 (beta 0.99) and 267 (beta 0.995) of these draws into inf
-        x = sample_positive_stable(beta, 1.0, SeededRng(1), size=2_000_000)
+        x = _stable_draws(beta, 1.0, SeededRng(1), 2_000_000)
         assert np.all(np.isfinite(x))
 
 
@@ -100,8 +106,7 @@ class TestPaths:
     def test_path_laplace_transform(self, rng):
         grid = np.linspace(0.0, 1.0, 51)
         vals = np.array([
-            sample_subordinator_path(SubordinatorSpec.pure(0.5), grid,
-                                     rng.stream(i)).values[-1]
+            _walk(SubordinatorSpec.pure(0.5), grid, rng.stream(i))[-1]
             for i in range(4000)
         ])
         dev, ok = mc_laplace_check(vals, 2.0, math.exp(-(2.0**0.5)))
@@ -110,81 +115,27 @@ class TestPaths:
     def test_mixture_path_laplace_transform(self, rng):
         grid = np.linspace(0.0, 1.0, 51)
         vals = np.array([
-            sample_subordinator_path(MIX, grid, rng.stream(i)).values[-1]
-            for i in range(4000)
+            _walk(MIX, grid, rng.stream(i))[-1] for i in range(4000)
         ])
         dev, ok = mc_laplace_check(vals, 1.0, math.exp(-2.0))
         assert ok, dev
 
     def test_strictly_increasing(self, rng):
         grid = np.linspace(0.0, 2.0, 201)
-        p = sample_subordinator_path(SubordinatorSpec.pure(0.7), grid, rng)
-        assert np.all(np.diff(p.values) > 0.0)
+        w = _walk(SubordinatorSpec.pure(0.7), grid, rng)
+        assert np.all(np.diff(w) > 0.0)
 
     def test_beta_one_is_identity(self, rng):
         grid = np.linspace(0.0, 1.0, 11)
-        p = sample_subordinator_path(SubordinatorSpec.pure(1.0), grid, rng)
-        assert_allclose(p.values, grid, rtol=0, atol=0)
+        w = _walk(SubordinatorSpec.pure(1.0), grid, rng)
+        assert_allclose(w, grid, rtol=0, atol=0)
 
     def test_finite_near_beta_one(self):
         # this stream drew an infinite increment while Kanter's A was
         # formed directly, and the path was refused as not finite
         grid = np.linspace(0.0, 1.0, 10001)
-        p = sample_subordinator_path(SubordinatorSpec.pure(0.99), grid,
-                                     SeededRng(3, 5))
-        assert np.all(np.isfinite(p.values))
-
-
-class TestInversion:
-    def test_degenerate_clock(self):
-        grid = np.linspace(0.0, 1.0, 101)
-        w = MonotonePath(grid, grid.copy())
-        e = invert_subordinator_path(w, np.linspace(0.0, 0.9, 10))
-        assert_allclose(e.values, e.grid, atol=1e-14)
-
-    def test_flat_under_jump(self):
-        # W jumps from 1 to 3 at s = 0.5: E is constant on (1, 3)
-        grid = np.array([0.0, 0.5, 1.0])
-        w = MonotonePath(grid, np.array([0.0, 1.0, 3.0]))
-        ts = np.array([1.2, 1.8, 2.4, 2.9])
-        e = invert_subordinator_path(w, ts)
-        # inf-definition: all inside the jump map into the crossing step
-        assert np.all(np.diff(e.values) >= 0.0)
-        assert e.values[-1] <= 1.0
-        direct = [min(s for s, wv in zip(grid, w.values) if wv > t)
-                  for t in ts]
-        assert np.all(e.values[1:] <= np.array(direct) + 1e-12)
-
-    def test_nondecreasing_for_sampled_paths(self, rng):
-        grid = np.linspace(0.0, 3.0, 301)
-        for i in range(25):
-            w = sample_subordinator_path(SubordinatorSpec.pure(0.6), grid,
-                                         rng.stream(i))
-            ts = np.linspace(0.0, w.values[-1] * 0.9, 40)
-            e = invert_subordinator_path(w, ts)
-            assert np.all(np.diff(e.values) >= 0.0)
-
-    def test_out_of_range(self, rng):
-        grid = np.linspace(0.0, 1.0, 11)
-        w = sample_subordinator_path(SubordinatorSpec.pure(0.5), grid, rng)
-        with pytest.raises(ValueError):
-            invert_subordinator_path(w, [w.values[-1] * 1.1])
-
-    def test_refinement_improves_accuracy(self):
-        # for fixed randomness, refining the operational grid brings E
-        # closer to a 10x finer reference inversion
-        base = SeededRng(7)
-        fine_grid = np.linspace(0.0, 4.0, 8001)
-        w_fine = sample_subordinator_path(SubordinatorSpec.pure(0.5),
-                                          fine_grid, base)
-        ts = np.linspace(0.1, w_fine.values[-1] * 0.8, 60)
-        ref = invert_subordinator_path(w_fine, ts).values
-        errs = []
-        for stride in (40, 10):
-            sub = MonotonePath(fine_grid[::stride], w_fine.values[::stride])
-            got = invert_subordinator_path(sub, ts).values
-            errs.append(np.max(np.abs(got - ref)))
-        assert errs[1] <= errs[0]
+        w = _walk(SubordinatorSpec.pure(0.99), grid, SeededRng(3, 5))
+        assert np.all(np.isfinite(w))
 
 
 class TestEnsemble:

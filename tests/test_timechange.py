@@ -37,7 +37,6 @@ import subdiff.timechange as tc
 from subdiff.timechange import (
     GridDensity,
     TimeChangedSpec,
-    empirical_density,
     laplace_subordination_residual,
     sample_timechanged_marginal,
     sample_timechanged_paths,
@@ -65,8 +64,8 @@ class TestPathComposition:
         # with the deterministic clock the laws coincide slice by slice
         grid = [0.0, 0.5, 1.0]
         det = TimeChangedSpec(BM, SubordinatorSpec.pure(1.0))
-        a = sample_timechanged_paths(det, grid, 4000, rng).component()
-        b = sample_gaussian_paths(BM, grid, 4000, rng2).component()
+        a = sample_timechanged_paths(det, grid, 4000, rng).paths[:, :, 0]
+        b = sample_gaussian_paths(BM, grid, 4000, rng2).paths[:, :, 0]
         for k in (1, 2):
             assert ks_2samp(a[:, k], b[:, k]).pvalue > 0.01
 
@@ -108,7 +107,7 @@ class TestPathComposition:
         monkeypatch.setattr(tc, "sample_inverse_ensemble", fake_ensemble)
         ens = sample_timechanged_paths(SPEC_HALF, np.linspace(0.1, 0.5, 5),
                                        50, rng)
-        x = ens.component()
+        x = ens.paths[:, :, 0]
         assert np.all(x[:, 1] == x[:, 2])
         assert np.all(x[:, 2] == x[:, 3])
         assert not np.allclose(x[:, 0], x[:, 1])
@@ -121,7 +120,8 @@ class TestPathComposition:
         spec = TimeChangedSpec(GaussianSpec.univariate(pw),
                                SubordinatorSpec.pure(0.5))
         n = 4000
-        x = sample_timechanged_paths(spec, [0.0, 0.5, 1.0], n, rng).component()
+        ens = sample_timechanged_paths(spec, [0.0, 0.5, 1.0], n, rng)
+        x = ens.paths[:, :, 0]
         assert np.all(x[:, 0] == 0.0)
         for k, t in ((1, 0.5), (2, 1.0)):
             m1, m2 = (quad(lambda u: float(pw.var(u)) ** p
@@ -176,7 +176,7 @@ class TestMarkovComposition:
         # E[B(E_s) B(E_t)] = E[min(E_s, E_t)] = E[E_s] = s^beta / Gamma(1+beta)
         n = 40_000
         ens = sample_timechanged_paths(SPEC_HALF, self.TIMES, n, rng)
-        x = ens.component()
+        x = ens.paths[:, :, 0]
         for i in range(len(self.TIMES)):
             for k in range(i, len(self.TIMES)):
                 p = x[:, i] * x[:, k]
@@ -478,24 +478,15 @@ def test_nan_time_rejected(call):
 class TestEmpiricalDensity:
     def test_chi_square_against_normal(self, rng):
         ens = sample_gaussian_paths(BM, [0.5, 1.0], 100_000, rng)
-        hist = empirical_density(ens, 1.0, 50)
+        counts, edges = np.histogram(ens.paths[:, 1, 0], bins=50)
         # chi-square against N(0,1) probabilities per bin
         from scipy.stats import norm
 
-        probs = np.diff(norm.cdf(hist.edges))
-        counts = hist.density * len(ens.component()) * np.diff(hist.edges)
-        keep = probs * len(ens.component()) >= 5.0
-        stat = np.sum(
-            (counts[keep] - len(ens.component()) * probs[keep]) ** 2
-            / (len(ens.component()) * probs[keep])
-        )
+        probs = np.diff(norm.cdf(edges))
+        n = ens.paths.shape[0]
+        keep = probs * n >= 5.0
+        stat = np.sum((counts[keep] - n * probs[keep]) ** 2 / (n * probs[keep]))
         assert stat < chi2.ppf(0.99, keep.sum() - 1)
-
-    def test_integrates_to_one(self, rng):
-        ens = sample_gaussian_paths(BM, [1.0], 5000, rng)
-        hist = empirical_density(ens, 1.0, 25)
-        assert_allclose(np.sum(hist.density * np.diff(hist.edges)), 1.0,
-                        rtol=1e-12)
 
     def test_timechanged_against_subordination(self, rng):
         x = sample_timechanged_marginal(SPEC_HALF, 1.0, 100_000, rng)[:, 0]
@@ -512,13 +503,6 @@ class TestEmpiricalDensity:
         keep = probs * n >= 5.0
         stat = np.sum((counts[keep] - n * probs[keep]) ** 2 / (n * probs[keep]))
         assert stat < chi2.ppf(0.99, keep.sum() - 1)
-
-    def test_bad_time_rejected(self, rng):
-        ens = sample_gaussian_paths(BM, [1.0], 100, rng)
-        with pytest.raises(ValueError):
-            empirical_density(ens, 0.7, 20)
-        with pytest.raises(ValueError):
-            empirical_density(ens, 1.0, 5)
 
 
 class TestTriangulation:
